@@ -133,10 +133,7 @@ def cmd_grasp(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = _base_config(args)
-    summary, records = run_experiment(cfg)
-    if not cfg.output_dir:
-        # still print where nothing was persisted
-        pass
+    summary, _ = run_experiment(cfg)
     print(summary_csv([("campaign", cfg, summary)]), end="")
     return 0
 

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from .archetypes import DEFAULT_ARCHETYPES
 from .errors import ParameterError
 from .graspsim import (
     Classification,
@@ -54,8 +53,13 @@ class ExperimentConfig:
             raise ParameterError("n_attempts must be >= 1")
         if self.refill_policy not in (FRESH, DEPLETE):
             raise ParameterError(f"unknown refill policy {self.refill_policy!r}")
-        if self.archetype not in (self.scene.archetypes if self.scene else DEFAULT_ARCHETYPES):
+        scene = self.scene_config()
+        if self.archetype not in scene.archetypes:
             raise ParameterError(f"unknown archetype {self.archetype!r}")
+        if scene.archetype != self.archetype:
+            raise ParameterError(
+                f"archetype {self.archetype!r} differs from scene.archetype {scene.archetype!r}"
+            )
 
     def scene_config(self) -> SceneConfig:
         if self.scene is not None:
@@ -120,9 +124,7 @@ def run_trial(
 
     arch = scene.archetypes[cfg.archetype]
     p = plan(masks, depth, arch, cfg.finger_geometry, cfg.filtering)
-    retained = sum(1 for c in p.candidates if not c.filtered) if cfg.filtering else len(
-        p.candidates
-    )
+    retained = sum(not c.filtered for c in p.candidates)  # all of them when unfiltered
     if p.target is None:
         record = TrialRecord(
             attempt=attempt_idx,

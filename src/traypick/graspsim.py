@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .planner import FingerGeometry, GraspCandidate, _rectangle_mask, contact_regions
-from .scenegen import TrayScene, recompose
+from .planner import FingerGeometry, GraspCandidate, Window, _rectangle_window, contact_windows
+from .scenegen import TrayScene, recompose, stamp_window
 
 import math
 
@@ -88,13 +88,15 @@ class GraspOutcome:
     insertion: InsertionResult
 
 
-def _pieces_in_region(scene: TrayScene, region: np.ndarray) -> dict[int, np.ndarray]:
-    owners = scene.owner_map[region]
+def _pieces_in_region(scene: TrayScene, region: Window) -> dict[int, np.ndarray]:
+    win, local = region
+    owners = scene.owner_map[win][local]
+    heights = scene.heightmap[win][local]
     out: dict[int, np.ndarray] = {}
     for pid in np.unique(owners):
         if pid == 0:
             continue
-        out[int(pid)] = scene.heightmap[region][owners == pid]
+        out[int(pid)] = heights[owners == pid]
     return out
 
 
@@ -131,14 +133,15 @@ def _wall_contacts(
 
 def _insert_one(
     scene: TrayScene,
-    region: np.ndarray,
+    region: Window,
     h: float,
     fm: FingerModel,
     params: ExecutionParams,
 ) -> FingerInsertion:
-    if not region.any():
+    win, local = region
+    if not local.any():
         return FingerInsertion(h, h, 0.0, {}, False)
-    obstruction = max(0.0, float(scene.heightmap[region].max()) - h)
+    obstruction = max(0.0, float(scene.heightmap[win][local].max()) - h)
     by_piece = _pieces_in_region(scene, region)
     contacts: dict[int, float] = {}
     if fm.kind is FingerKind.FIXED:
@@ -174,7 +177,7 @@ def insert_fingers(
     """
     params = params or ExecutionParams()
     fm.validate()
-    left, right = contact_regions(c, fm.geometry, scene.resolution, scene.shape)
+    left, right = contact_windows(c, fm.geometry, scene.resolution, scene.shape)
     wall_l, wall_r = _wall_contacts(scene, c, fm.geometry)
     fins = (
         FingerInsertion(c.h, c.h, 0.0, {}, True)
@@ -201,7 +204,7 @@ def insert_fingers(
 
 def _jaw_region(
     scene: TrayScene, c: GraspCandidate, fg: FingerGeometry, outer: bool
-) -> np.ndarray:
+) -> Window:
     """Rectangle between the finger rectangles (outer=False) or the full
     closure corridor including the finger start positions (outer=True).
 
@@ -212,21 +215,25 @@ def _jaw_region(
     if outer:
         half_len_mm += fg.width
     half_breadth_px = max(fg.breadth / 2.0 / scene.resolution, c.fit.axis_major / 2.0)
-    return _rectangle_mask(
-        scene.shape,
-        (c.x, c.y),
-        c.theta,
-        half_len_mm / scene.resolution,
-        half_breadth_px,
+    return _rectangle_window(
+        scene.shape, c.x, c.y, c.theta, half_len_mm / scene.resolution, half_breadth_px
     )
 
 
-def _visible_fraction_in(scene: TrayScene, pid: int, region: np.ndarray) -> float:
-    visible = scene.owner_map == pid
-    total = int(np.count_nonzero(visible))
-    if total == 0:
+def _visible_window(scene: TrayScene, pid: int) -> Window:
+    """Visible pixels of piece pid on its stamp window, which holds all of
+    them; an id that names no piece is looked up over the whole raster."""
+    piece = scene.pieces.get(pid)
+    win = (slice(None),) * 2 if piece is None else stamp_window(scene, piece.stamp, piece.position)[0]
+    return win, scene.owner_map[win] == pid
+
+
+def _visible_fraction_in(scene: TrayScene, pid: int, label_counts: np.ndarray) -> float:
+    """Share of pid's visible pixels in a region with these per-label counts."""
+    inside = int(label_counts[pid]) if 0 <= pid < label_counts.size else 0
+    if inside == 0:
         return 0.0
-    return int(np.count_nonzero(visible & region)) / total
+    return inside / int(np.count_nonzero(_visible_window(scene, pid)[1]))
 
 
 def close_and_lift(
@@ -244,9 +251,13 @@ def close_and_lift(
     jaw and taller than the finger bottoms come along as a multi-pick.
     Pieces swept laterally during closure but left behind take closure damage
     under the same force/penetration rules as insertion.
+
+    Regions are evaluated on their bounding windows; jaw fractions divide
+    label counts inside the jaw by counts on each piece's stamp window.
     """
     params = params or ExecutionParams()
-    jaw = _jaw_region(scene, c, fm.geometry, outer=False)
+    jaw_win, jaw = _jaw_region(scene, c, fm.geometry, outer=False)
+    in_jaw = np.bincount(scene.owner_map[jaw_win][jaw])
     bottoms = [fin.achieved for fin in ins.fingers]
     max_bottom = max(bottoms)
     picked: list[int] = []
@@ -254,19 +265,19 @@ def close_and_lift(
     target_ok = (
         not ins.blocked
         and all(b <= c.food_median - params.grasp_depth_margin for b in bottoms)
-        and _visible_fraction_in(scene, c.instance_id, jaw) >= params.capture_fraction
+        and _visible_fraction_in(scene, c.instance_id, in_jaw) >= params.capture_fraction
     )
     if target_ok:
         picked.append(c.instance_id)
         for pid in sorted(scene.pieces):
             if pid == c.instance_id:
                 continue
-            if _visible_fraction_in(scene, pid, jaw) < params.multipick_fraction:
+            if _visible_fraction_in(scene, pid, in_jaw) < params.multipick_fraction:
                 continue
-            visible = scene.owner_map == pid
+            win, visible = _visible_window(scene, pid)
             if not visible.any():
                 continue
-            med = float(np.median(scene.heightmap[visible]))
+            med = float(np.median(scene.heightmap[win][visible]))
             if med > max_bottom:
                 picked.append(pid)
 

@@ -102,19 +102,17 @@ def _bbox(mask: np.ndarray) -> tuple[int, int, int, int] | None:
     rows = np.flatnonzero(mask.any(axis=1))
     if rows.size == 0:
         return None
-    cols = np.flatnonzero(mask.any(axis=0))
-    return rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+    cols = np.flatnonzero(mask[rows[0] : rows[-1] + 1].any(axis=0))
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
 
 
 def _adjacent(
     a: np.ndarray,
     b: np.ndarray,
-    ba: tuple[int, int, int, int] | None = None,
-    bb: tuple[int, int, int, int] | None = None,
+    ba: tuple[int, int, int, int] | None,
+    bb: tuple[int, int, int, int] | None,
 ) -> bool:
     """8-neighborhood adjacency, evaluated on the overlap of padded boxes."""
-    ba = _bbox(a) if ba is None else ba
-    bb = _bbox(b) if bb is None else bb
     if ba is None or bb is None:
         return False
     ny, nx = a.shape
@@ -182,16 +180,21 @@ def corrupt_masks(
             i = parent[i]
         return i
 
-    if params.merge_prob > 0:
+    if params.merge_prob > 0 and jittered:
         by_id = dict(jittered)
         ids = sorted(by_id)
-        boxes = {pid: _bbox(by_id[pid]) for pid in ids}
-        for i_idx, i in enumerate(ids):
-            for j in ids[i_idx + 1 :]:
-                if _adjacent(by_id[i], by_id[j], boxes[i], boxes[j]) and (
-                    rng.random() < params.merge_prob
-                ):
-                    parent[find(j)] = find(i)
+        boxes = [_bbox(by_id[pid]) for pid in ids]
+        # only pairs whose padded boxes overlap inside the raster can be
+        # adjacent; np.nonzero keeps the sorted pair order of the RNG draws
+        b = np.array([box or (0, 0, 0, 0) for box in boxes]).reshape(-1, 4)
+        lo = np.maximum(np.maximum(b[:, None, ::2], b[None, :, ::2]) - 1, 0)
+        hi = np.minimum(np.minimum(b[:, None, 1::2], b[None, :, 1::2]) + 1, jittered[0][1].shape)
+        for i_idx, j_idx in zip(*np.nonzero(np.triu((hi > lo).all(axis=2), 1))):
+            i, j = ids[i_idx], ids[j_idx]
+            if _adjacent(by_id[i], by_id[j], boxes[i_idx], boxes[j_idx]) and (
+                rng.random() < params.merge_prob
+            ):
+                parent[find(j)] = find(i)
 
     groups: dict[int, list[np.ndarray]] = {}
     for pid, m in jittered:

@@ -8,13 +8,14 @@ contact region has a median height at or above the food-area median.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .archetypes import FoodArchetype
 from .errors import FitError, ParameterError
-from .perception import DepthImage, InstanceMaskSet
+from .perception import DepthImage, InstanceMaskSet, _bbox
 
 
 @dataclass
@@ -74,8 +75,15 @@ def fit_ellipse(mask: np.ndarray) -> EllipseFit:
     Pixels are treated as unit squares (a 1/12 variance term) so rasterized
     shapes recover their continuous axes. Raises FitError for masks smaller
     than 5 px or with rank-deficient covariance.
+
+    Pixels are found on the mask's bounding box and shifted back to raster
+    coordinates before any float math, so the fit is bit-identical to one
+    over the whole raster.
     """
-    ys, xs = np.nonzero(mask)
+    r0, r1, c0, c1 = _bbox(mask) or (0, 0, 0, 0)
+    ys, xs = np.nonzero(mask[r0:r1, c0:c1])
+    ys += r0
+    xs += c0
     n = xs.size
     if n < 5:
         raise FitError(f"mask has {n} pixels, need >= 5")
@@ -99,26 +107,51 @@ def fit_ellipse(mask: np.ndarray) -> EllipseFit:
     return EllipseFit(float(mx), float(my), theta, axis_minor, axis_major)
 
 
-def ellipse_interior(fit: EllipseFit, shape: tuple[int, int]) -> np.ndarray:
-    """Boolean grid of pixels inside the fitted ellipse, clipped to raster."""
+# (raster slices, boolean array of their shape): heights[slices][local]
+Window = tuple[tuple[slice, slice], np.ndarray]
+
+
+def _rotated_window(
+    shape: tuple[int, int], cx: float, cy: float, theta: float, r: int,
+    inside: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> Window:
+    """A region rotated by theta about (cx, cy) px, tested by inside(u, v) in
+    its own frame (u along theta) over the raster-clipped square of half-side
+    r around the centre. A window that misses the raster is empty."""
+    r0 = max(0, int(cy) - r)
+    r1 = max(r0, min(shape[0], int(cy) + r + 2))
+    c0 = max(0, int(cx) - r)
+    c1 = max(c0, min(shape[1], int(cx) + r + 2))
+    dx = np.arange(c0, c1)[np.newaxis, :] - cx
+    dy = np.arange(r0, r1)[:, np.newaxis] - cy
+    c, s = math.cos(theta), math.sin(theta)
+    return (slice(r0, r1), slice(c0, c1)), inside(dx * c + dy * s, -dx * s + dy * c)
+
+
+def _paste(shape: tuple[int, int], window: Window) -> np.ndarray:
+    out = np.zeros(shape, dtype=bool)
+    out[window[0]] = window[1]
+    return out
+
+
+def _ellipse_window(fit: EllipseFit, shape: tuple[int, int]) -> Window:
     a = fit.axis_minor / 2.0  # semi-axis along theta
     b = fit.axis_major / 2.0  # semi-axis along theta + pi/2
-    r = math.ceil(max(a, b)) + 1
-    r0 = max(0, int(fit.y) - r)
-    r1 = min(shape[0], int(fit.y) + r + 2)
-    c0 = max(0, int(fit.x) - r)
-    c1 = min(shape[1], int(fit.x) + r + 2)
-    out = np.zeros(shape, dtype=bool)
-    if r1 <= r0 or c1 <= c0:
-        return out
-    ys, xs = np.mgrid[r0:r1, c0:c1]
-    dx = xs - fit.x
-    dy = ys - fit.y
-    c, s = math.cos(fit.theta), math.sin(fit.theta)
-    u = dx * c + dy * s
-    v = -dx * s + dy * c
-    out[r0:r1, c0:c1] = (u / a) ** 2 + (v / b) ** 2 <= 1.0
-    return out
+    return _rotated_window(shape, fit.x, fit.y, fit.theta, math.ceil(max(a, b)) + 1,
+                           lambda u, v: (u / a) ** 2 + (v / b) ** 2 <= 1.0)
+
+
+def _rectangle_window(
+    shape: tuple[int, int], cx: float, cy: float, theta: float, half_len: float, half_breadth: float
+) -> Window:
+    """Rectangle of half-sizes half_len along theta and half_breadth across, in px."""
+    return _rotated_window(shape, cx, cy, theta, math.ceil(math.hypot(half_len, half_breadth)) + 1,
+                           lambda u, v: (np.abs(u) <= half_len) & (np.abs(v) <= half_breadth))
+
+
+def ellipse_interior(fit: EllipseFit, shape: tuple[int, int]) -> np.ndarray:
+    """Boolean grid of pixels inside the fitted ellipse, clipped to raster."""
+    return _paste(shape, _ellipse_window(fit, shape))
 
 
 def derive_grasp(
@@ -130,10 +163,10 @@ def derive_grasp(
     median depth over the ellipse interior plus the archetype's offset,
     floored at the tray floor.
     """
-    interior = ellipse_interior(fit, depth.heights.shape)
+    win, interior = _ellipse_window(fit, depth.heights.shape)
     if not interior.any():
         raise ParameterError("ellipse lies entirely outside the raster")
-    food_median = float(np.median(depth.heights[interior]))
+    food_median = float(np.median(depth.heights[win][interior]))
     h = max(0.0, food_median + archetype.grasp_height_offset)
     return GraspCandidate(
         instance_id=instance_id,
@@ -147,54 +180,31 @@ def derive_grasp(
     )
 
 
-def _rectangle_mask(
-    shape: tuple[int, int],
-    center_px: tuple[float, float],
-    theta: float,
-    half_len_px: float,
-    half_breadth_px: float,
-) -> np.ndarray:
-    cx, cy = center_px
-    r = math.ceil(math.hypot(half_len_px, half_breadth_px)) + 1
-    r0 = max(0, int(cy) - r)
-    r1 = min(shape[0], int(cy) + r + 2)
-    c0 = max(0, int(cx) - r)
-    c1 = min(shape[1], int(cx) + r + 2)
-    out = np.zeros(shape, dtype=bool)
-    if r1 <= r0 or c1 <= c0:
-        return out
-    ys, xs = np.mgrid[r0:r1, c0:c1]
-    dx = xs - cx
-    dy = ys - cy
-    c, s = math.cos(theta), math.sin(theta)
-    u = dx * c + dy * s
-    v = -dx * s + dy * c
-    out[r0:r1, c0:c1] = (np.abs(u) <= half_len_px) & (np.abs(v) <= half_breadth_px)
-    return out
-
-
-def contact_regions(
+def contact_windows(
     c: GraspCandidate, fg: FingerGeometry, resolution: float, shape: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Finger contact rectangles at the ends of the minor axis.
+) -> tuple[Window, Window]:
+    """Finger contact rectangles at the ends of the minor axis, as windows.
 
     Each rectangle is fg.width x fg.breadth, centered at distance
     w/2 + clearance + fg.width/2 from the grasp center along the closing
     direction, on opposite sides, and clipped to the raster. A rectangle
     fully outside the raster comes back empty.
     """
-    d_mm = c.w / 2.0 + fg.clearance + fg.width / 2.0
-    d_px = d_mm / resolution
+    d_px = (c.w / 2.0 + fg.clearance + fg.width / 2.0) / resolution
     ux, uy = math.cos(c.theta), math.sin(c.theta)
-    half_len = fg.width / 2.0 / resolution
-    half_breadth = fg.breadth / 2.0 / resolution
-    left = _rectangle_mask(
-        shape, (c.x - d_px * ux, c.y - d_px * uy), c.theta, half_len, half_breadth
+    return tuple(
+        _rectangle_window(shape, c.x + side * d_px * ux, c.y + side * d_px * uy, c.theta,
+                          fg.width / 2.0 / resolution, fg.breadth / 2.0 / resolution)
+        for side in (-1.0, 1.0)
     )
-    right = _rectangle_mask(
-        shape, (c.x + d_px * ux, c.y + d_px * uy), c.theta, half_len, half_breadth
-    )
-    return left, right
+
+
+def contact_regions(
+    c: GraspCandidate, fg: FingerGeometry, resolution: float, shape: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """contact_windows pasted into two full boolean rasters."""
+    left, right = contact_windows(c, fg, resolution, shape)
+    return _paste(shape, left), _paste(shape, right)
 
 
 def filter_grasps(
@@ -208,13 +218,15 @@ def filter_grasps(
     """
     retained: list[GraspCandidate] = []
     for c in cands:
-        left, right = contact_regions(c, fg, depth.resolution, depth.heights.shape)
+        (win_l, left), (win_r, right) = contact_windows(
+            c, fg, depth.resolution, depth.heights.shape
+        )
         if not left.any() or not right.any():
             c.filtered = True
             c.filter_reason = "out-of-tray"
             continue
-        med_l = float(np.median(depth.heights[left]))
-        med_r = float(np.median(depth.heights[right]))
+        med_l = float(np.median(depth.heights[win_l][left]))
+        med_r = float(np.median(depth.heights[win_r][right]))
         c.contact_medians = (med_l, med_r)
         if med_l < c.food_median and med_r < c.food_median:
             retained.append(c)

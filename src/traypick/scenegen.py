@@ -166,6 +166,24 @@ def make_stamp(
     return stamp
 
 
+def stamp_window(
+    scene: TrayScene, stamp: PieceStamp, position: tuple[float, float]
+) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
+    """Raster and stamp slices of a stamp centred at position (x, y) mm,
+    clipped to the tray interior. A piece's pixels never leave this window."""
+    ny, nx = scene.shape
+    cy = int(round(position[1] / scene.resolution))
+    cx = int(round(position[0] / scene.resolution))
+    hy, hx = stamp.center
+    r0, r1 = cy - hy, cy + hy + 1
+    c0, c1 = cx - hx, cx + hx + 1
+    sr0, sc0 = max(0, -r0), max(0, -c0)
+    sr1 = stamp.top.shape[0] - max(0, r1 - ny)
+    sc1 = stamp.top.shape[1] - max(0, c1 - nx)
+    win = (slice(max(r0, 0), min(r1, ny)), slice(max(c0, 0), min(c1, nx)))
+    return win, (slice(sr0, sr1), slice(sc0, sc1))
+
+
 def drop_piece(
     scene: TrayScene,
     stamp: PieceStamp,
@@ -179,29 +197,18 @@ def drop_piece(
     elevation at which the stamp bottom clears the current support everywhere,
     floored at the tray floor. Returns the registered piece.
     """
-    ny, nx = scene.shape
-    res = scene.resolution
     if not (0 <= x < scene.tray_dims[0] and 0 <= y < scene.tray_dims[1]):
         raise PlacementError(f"drop position ({x}, {y}) outside tray")
-    cy = int(round(y / res))
-    cx = int(round(x / res))
-    hy, hx = stamp.center
-    r0, r1 = cy - hy, cy + hy + 1
-    c0, c1 = cx - hx, cx + hx + 1
-    sr0, sc0 = max(0, -r0), max(0, -c0)
-    sr1 = stamp.top.shape[0] - max(0, r1 - ny)
-    sc1 = stamp.top.shape[1] - max(0, c1 - nx)
-    r0, c0 = max(r0, 0), max(c0, 0)
-    r1, c1 = min(r1, ny), min(c1, nx)
-    if r1 <= r0 or c1 <= c0:
+    win, st = stamp_window(scene, stamp, (x, y))
+    if win[0].stop <= win[0].start or win[1].stop <= win[1].start:
         raise PlacementError("stamp footprint entirely outside tray")
-    mask = stamp.mask[sr0:sr1, sc0:sc1]
+    mask = stamp.mask[st]
     if not mask.any():
         raise PlacementError("clipped footprint is empty")
-    top = stamp.top[sr0:sr1, sc0:sc1]
-    bottom = stamp.bottom[sr0:sr1, sc0:sc1]
+    top = stamp.top[st]
+    bottom = stamp.bottom[st]
 
-    window = scene.heightmap[r0:r1, c0:c1]
+    window = scene.heightmap[win]
     rest = float(max(0.0, np.max(window[mask] - bottom[mask])))
     new_top = rest + top
     raised = mask & (new_top > window)
@@ -209,7 +216,7 @@ def drop_piece(
     piece_id = scene.next_id
     scene.next_id += 1
     window[raised] = new_top[raised]
-    scene.owner_map[r0:r1, c0:c1][raised] = piece_id
+    scene.owner_map[win][raised] = piece_id
 
     piece = PieceInstance(
         id=piece_id,
@@ -279,9 +286,9 @@ def generate_scene(config: SceneConfig, seed: int) -> TrayScene:
 
 
 def _refresh_occlusion_flags(scene: TrayScene) -> None:
-    visible = set(np.unique(scene.owner_map).tolist())
     for piece in scene.pieces.values():
-        piece.fully_occluded = piece.id not in visible
+        win, _ = stamp_window(scene, piece.stamp, piece.position)
+        piece.fully_occluded = not (scene.owner_map[win] == piece.id).any()
 
 
 def recompose(scene: TrayScene) -> None:
@@ -291,48 +298,16 @@ def recompose(scene: TrayScene) -> None:
     """
     scene.heightmap = np.zeros(scene.shape)
     scene.owner_map = np.zeros(scene.shape, dtype=np.int32)
-    ny, nx = scene.shape
-    res = scene.resolution
     for pid in sorted(scene.pieces):
         piece = scene.pieces[pid]
-        stamp = piece.stamp
-        cy = int(round(piece.position[1] / res))
-        cx = int(round(piece.position[0] / res))
-        hy, hx = stamp.center
-        r0, r1 = cy - hy, cy + hy + 1
-        c0, c1 = cx - hx, cx + hx + 1
-        sr0, sc0 = max(0, -r0), max(0, -c0)
-        sr1 = stamp.top.shape[0] - max(0, r1 - ny)
-        sc1 = stamp.top.shape[1] - max(0, c1 - nx)
-        r0, c0 = max(r0, 0), max(c0, 0)
-        r1, c1 = min(r1, ny), min(c1, nx)
-        mask = stamp.mask[sr0:sr1, sc0:sc1]
-        new_top = piece.rest_height + stamp.top[sr0:sr1, sc0:sc1]
-        window = scene.heightmap[r0:r1, c0:c1]
+        win, st = stamp_window(scene, piece.stamp, piece.position)
+        mask = piece.stamp.mask[st]
+        new_top = piece.rest_height + piece.stamp.top[st]
+        window = scene.heightmap[win]
         raised = mask & (new_top > window)
         window[raised] = new_top[raised]
-        scene.owner_map[r0:r1, c0:c1][raised] = pid
+        scene.owner_map[win][raised] = pid
     _refresh_occlusion_flags(scene)
-
-
-def piece_top_at(scene: TrayScene, piece: PieceInstance) -> tuple[slice, slice, np.ndarray, np.ndarray]:
-    """Absolute top surface of a piece: (row slice, col slice, mask, heights)."""
-    ny, nx = scene.shape
-    res = scene.resolution
-    stamp = piece.stamp
-    cy = int(round(piece.position[1] / res))
-    cx = int(round(piece.position[0] / res))
-    hy, hx = stamp.center
-    r0, r1 = cy - hy, cy + hy + 1
-    c0, c1 = cx - hx, cx + hx + 1
-    sr0, sc0 = max(0, -r0), max(0, -c0)
-    sr1 = stamp.top.shape[0] - max(0, r1 - ny)
-    sc1 = stamp.top.shape[1] - max(0, c1 - nx)
-    r0, c0 = max(r0, 0), max(c0, 0)
-    r1, c1 = min(r1, ny), min(c1, nx)
-    mask = stamp.mask[sr0:sr1, sc0:sc1]
-    tops = piece.rest_height + stamp.top[sr0:sr1, sc0:sc1]
-    return slice(r0, r1), slice(c0, c1), mask, tops
 
 
 # ---------------------------------------------------------------------------

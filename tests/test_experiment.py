@@ -92,6 +92,31 @@ class TestRunTrial:
             assert scene2 is scene1
 
 
+class TestArchetypeConsistency:
+    """The archetype a campaign plans with is the one its trays are made of."""
+
+    def test_mismatched_scene_archetype_rejected(self):
+        cfg = ExperimentConfig(archetype="gyoza", scene=SceneConfig(archetype="mushroom"))
+        with pytest.raises(ParameterError, match="differs from scene.archetype"):
+            cfg.validate()
+
+    def test_replace_archetype_alone_rejected(self):
+        cfg = dataclasses.replace(small_config(), archetype="gyoza")
+        with pytest.raises(ParameterError, match="differs from scene.archetype"):
+            cfg.validate()
+        with pytest.raises(ParameterError):
+            run_trial(cfg, 0)
+        with pytest.raises(ParameterError):
+            run_experiment(cfg)
+
+    def test_consistent_replacements_accepted(self):
+        base = small_config()
+        dataclasses.replace(
+            base, archetype="gyoza", scene=dataclasses.replace(base.scene, archetype="gyoza")
+        ).validate()
+        dataclasses.replace(ExperimentConfig(), archetype="gyoza").validate()
+
+
 class TestSummarize:
     def test_all_single_successes(self):
         records = [record(i, Classification.SUCCESS_SINGLE, picked=[i]) for i in range(10)]

@@ -1,0 +1,405 @@
+"""Windowed per-mask computations equal the full-raster formulas they replace.
+
+Each oracle below is the full-raster implementation the windowed code
+replaced, kept verbatim so the property tests can require exact equality:
+same pixels, same medians, same fractions, same RNG draws.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from traypick.archetypes import DEFAULT_ARCHETYPES
+from traypick.errors import FitError
+from traypick.graspsim import (
+    _jaw_region,
+    _pieces_in_region,
+    _visible_fraction_in,
+    _visible_window,
+)
+from traypick.perception import (
+    CorruptionParams,
+    DepthImage,
+    InstanceMaskSet,
+    _adjacent,
+    _bbox,
+    _morph_jitter,
+    corrupt_masks,
+    render_masks,
+)
+from traypick.planner import (
+    EllipseFit,
+    FingerGeometry,
+    GraspCandidate,
+    _ellipse_window,
+    _paste,
+    _rectangle_window,
+    contact_regions,
+    derive_grasp,
+    ellipse_interior,
+    filter_grasps,
+    fit_ellipse,
+)
+from traypick.scenegen import SceneConfig, _refresh_occlusion_flags, generate_scene, recompose
+
+SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+# ---------------------------------------------------------------------------
+# full-raster oracles
+
+
+def oracle_fit_ellipse(mask: np.ndarray) -> EllipseFit:
+    ys, xs = np.nonzero(mask)
+    n = xs.size
+    if n < 5:
+        raise FitError(f"mask has {n} pixels, need >= 5")
+    mx, my = xs.mean(), ys.mean()
+    dx, dy = xs - mx, ys - my
+    cov = np.array([[dx @ dx / n, dx @ dy / n], [dx @ dy / n, dy @ dy / n]])
+    if np.linalg.eigvalsh(cov)[0] <= 1e-9:
+        raise FitError("degenerate mask: rank-deficient pixel covariance")
+    cov[0, 0] += 1.0 / 12.0
+    cov[1, 1] += 1.0 / 12.0
+    evals, evecs = np.linalg.eigh(cov)
+    minor_vec = evecs[:, 0]
+    theta = math.atan2(minor_vec[1], minor_vec[0]) % math.pi
+    return EllipseFit(float(mx), float(my), theta, 4.0 * math.sqrt(evals[0]), 4.0 * math.sqrt(evals[1]))
+
+
+def oracle_ellipse_interior(fit: EllipseFit, shape: tuple[int, int]) -> np.ndarray:
+    a = fit.axis_minor / 2.0
+    b = fit.axis_major / 2.0
+    r = math.ceil(max(a, b)) + 1
+    r0 = max(0, int(fit.y) - r)
+    r1 = min(shape[0], int(fit.y) + r + 2)
+    c0 = max(0, int(fit.x) - r)
+    c1 = min(shape[1], int(fit.x) + r + 2)
+    out = np.zeros(shape, dtype=bool)
+    if r1 <= r0 or c1 <= c0:
+        return out
+    ys, xs = np.mgrid[r0:r1, c0:c1]
+    dx = xs - fit.x
+    dy = ys - fit.y
+    c, s = math.cos(fit.theta), math.sin(fit.theta)
+    u = dx * c + dy * s
+    v = -dx * s + dy * c
+    out[r0:r1, c0:c1] = (u / a) ** 2 + (v / b) ** 2 <= 1.0
+    return out
+
+
+def oracle_rectangle_mask(shape, center_px, theta, half_len_px, half_breadth_px) -> np.ndarray:
+    cx, cy = center_px
+    r = math.ceil(math.hypot(half_len_px, half_breadth_px)) + 1
+    r0 = max(0, int(cy) - r)
+    r1 = min(shape[0], int(cy) + r + 2)
+    c0 = max(0, int(cx) - r)
+    c1 = min(shape[1], int(cx) + r + 2)
+    out = np.zeros(shape, dtype=bool)
+    if r1 <= r0 or c1 <= c0:
+        return out
+    ys, xs = np.mgrid[r0:r1, c0:c1]
+    dx = xs - cx
+    dy = ys - cy
+    c, s = math.cos(theta), math.sin(theta)
+    u = dx * c + dy * s
+    v = -dx * s + dy * c
+    out[r0:r1, c0:c1] = (np.abs(u) <= half_len_px) & (np.abs(v) <= half_breadth_px)
+    return out
+
+
+def oracle_contact_regions(c, fg, resolution, shape):
+    d_px = (c.w / 2.0 + fg.clearance + fg.width / 2.0) / resolution
+    ux, uy = math.cos(c.theta), math.sin(c.theta)
+    half_len = fg.width / 2.0 / resolution
+    half_breadth = fg.breadth / 2.0 / resolution
+    left = oracle_rectangle_mask(shape, (c.x - d_px * ux, c.y - d_px * uy), c.theta, half_len, half_breadth)
+    right = oracle_rectangle_mask(shape, (c.x + d_px * ux, c.y + d_px * uy), c.theta, half_len, half_breadth)
+    return left, right
+
+
+def oracle_jaw_region(scene, c, fg, outer):
+    half_len_mm = c.w / 2.0 + fg.clearance + (fg.width if outer else 0.0)
+    half_breadth_px = max(fg.breadth / 2.0 / scene.resolution, c.fit.axis_major / 2.0)
+    return oracle_rectangle_mask(
+        scene.shape, (c.x, c.y), c.theta, half_len_mm / scene.resolution, half_breadth_px
+    )
+
+
+def oracle_visible_fraction_in(scene, pid, region) -> float:
+    visible = scene.owner_map == pid
+    total = int(np.count_nonzero(visible))
+    if total == 0:
+        return 0.0
+    return int(np.count_nonzero(visible & region)) / total
+
+
+def oracle_corrupt_masks(masks, params, rng):
+    """corrupt_masks with the unpruned O(n^2) merge scan."""
+    jittered = []
+    for pid, mask in masks.masks:
+        m = mask
+        if params.boundary_jitter > 0:
+            steps = int(rng.integers(-params.boundary_jitter, params.boundary_jitter + 1))
+            if steps != 0:
+                m = _morph_jitter(m, steps)
+                if not m.any():
+                    continue
+        jittered.append((pid, m))
+    parent = {pid: pid for pid, _ in jittered}
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    if params.merge_prob > 0:
+        by_id = dict(jittered)
+        ids = sorted(by_id)
+        boxes = {pid: _bbox(by_id[pid]) for pid in ids}
+        for i_idx, i in enumerate(ids):
+            for j in ids[i_idx + 1 :]:
+                if _adjacent(by_id[i], by_id[j], boxes[i], boxes[j]) and (
+                    rng.random() < params.merge_prob
+                ):
+                    parent[find(j)] = find(i)
+    groups = {}
+    for pid, m in jittered:
+        groups.setdefault(find(pid), []).append(m)
+    out, confidences = [], {}
+    for root in sorted(groups):
+        merged = groups[root][0]
+        for m in groups[root][1:]:
+            merged = merged | m
+        if params.drop_prob > 0 and rng.random() < params.drop_prob:
+            continue
+        out.append((root, merged))
+        confidences[root] = float(rng.uniform(params.confidence_floor, 1.0))
+    return InstanceMaskSet(out, source="corrupted", confidences=confidences)
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+shapes = st.tuples(st.integers(1, 48), st.integers(1, 48))
+# centres well inside, on the edge of and entirely outside a <= 48 px raster
+coords = st.floats(-90.0, 140.0, allow_nan=False)
+thetas = st.floats(0.0, math.pi, allow_nan=False, exclude_max=True)
+axes = st.floats(0.6, 50.0, allow_nan=False)
+
+
+@st.composite
+def fits(draw):
+    a, b = sorted((draw(axes), draw(axes)))
+    return EllipseFit(draw(coords), draw(coords), draw(thetas), a, b)
+
+
+@st.composite
+def candidates(draw):
+    fit = draw(fits())
+    return GraspCandidate(
+        instance_id=1, x=fit.x, y=fit.y, theta=fit.theta, h=0.0,
+        w=draw(st.floats(0.5, 60.0)), food_median=draw(st.floats(0.0, 40.0)), fit=fit,
+    )
+
+
+def heights_for(shape, seed):
+    return np.random.default_rng(seed).uniform(0.0, 40.0, shape).round(2)
+
+
+# ---------------------------------------------------------------------------
+# rotated windows
+
+
+@SETTINGS
+@given(shape=shapes, fit=fits())
+def test_ellipse_window_equals_full_raster(shape, fit):
+    win, local = _ellipse_window(fit, shape)
+    assert local.shape == np.zeros(shape)[win].shape  # indexes cleanly, even when empty
+    np.testing.assert_array_equal(ellipse_interior(fit, shape), oracle_ellipse_interior(fit, shape))
+
+
+@SETTINGS
+@given(shape=shapes, cx=coords, cy=coords, theta=thetas,
+       half_len=st.floats(0.1, 30.0), half_breadth=st.floats(0.1, 30.0))
+def test_rectangle_window_equals_full_raster(shape, cx, cy, theta, half_len, half_breadth):
+    win, local = _rectangle_window(shape, cx, cy, theta, half_len, half_breadth)
+    assert local.shape == np.zeros(shape)[win].shape
+    np.testing.assert_array_equal(
+        _paste(shape, (win, local)),
+        oracle_rectangle_mask(shape, (cx, cy), theta, half_len, half_breadth),
+    )
+
+
+def test_fully_clipped_windows_index_cleanly():
+    heights = np.ones((20, 30))
+    for cx, cy in [(-500.0, 10.0), (10.0, -500.0), (500.0, 500.0), (-500.0, -500.0), (60.0, 10.0)]:
+        win, local = _rectangle_window(heights.shape, cx, cy, 0.3, 2.0, 3.0)
+        assert heights[win][local].size == 0
+        win, local = _ellipse_window(EllipseFit(cx, cy, 0.3, 4.0, 6.0), heights.shape)
+        assert heights[win][local].size == 0
+
+
+# ---------------------------------------------------------------------------
+# ellipse fit
+
+
+@st.composite
+def border_masks(draw):
+    mask = draw(arrays(bool, shapes))
+    for edge in draw(st.lists(st.sampled_from(["top", "bottom", "left", "right"]), unique=True)):
+        sl = {"top": (0, slice(None)), "bottom": (-1, slice(None)),
+              "left": (slice(None), 0), "right": (slice(None), -1)}[edge]
+        mask[sl] = True
+    return mask
+
+
+@SETTINGS
+@given(mask=border_masks())
+def test_fit_ellipse_bit_identical(mask):
+    try:
+        expected = oracle_fit_ellipse(mask)
+    except FitError as exc:
+        with pytest.raises(FitError, match=str(exc)):
+            fit_ellipse(mask)
+        return
+    assert fit_ellipse(mask) == expected
+
+
+# ---------------------------------------------------------------------------
+# contact and food medians
+
+
+@SETTINGS
+@given(shape=shapes, c=candidates(), seed=st.integers(0, 2**32 - 1),
+       res=st.sampled_from([0.5, 0.7066666666666667, 1.3]))
+def test_filter_medians_equal_full_raster(shape, c, seed, res):
+    depth = DepthImage(heights_for(shape, seed), res)
+    fg = FingerGeometry()
+    left, right = oracle_contact_regions(c, fg, res, shape)
+    np.testing.assert_array_equal(contact_regions(c, fg, res, shape)[0], left)
+    np.testing.assert_array_equal(contact_regions(c, fg, res, shape)[1], right)
+    filter_grasps([c], depth, fg)
+    if not left.any() or not right.any():
+        assert c.filter_reason == "out-of-tray"
+        return
+    assert c.contact_medians == (
+        float(np.median(depth.heights[left])), float(np.median(depth.heights[right]))
+    )
+
+
+@SETTINGS
+@given(shape=shapes, fit=fits(), seed=st.integers(0, 2**32 - 1))
+def test_food_median_equals_full_raster(shape, fit, seed):
+    depth = DepthImage(heights_for(shape, seed), 0.7)
+    interior = oracle_ellipse_interior(fit, shape)
+    if not interior.any():
+        return
+    cand = derive_grasp(fit, depth, DEFAULT_ARCHETYPES["mushroom"])
+    assert cand.food_median == float(np.median(depth.heights[interior]))
+
+
+# ---------------------------------------------------------------------------
+# jaw contents and visible fractions on generated scenes
+
+
+@pytest.fixture(scope="module")
+def scenes():
+    out = [generate_scene(SceneConfig(archetype="mushroom"), 37),
+           generate_scene(SceneConfig(archetype="fried_chicken"), 39)]
+    pruned = generate_scene(SceneConfig(archetype="gyoza"), 39)
+    for pid in sorted(pruned.pieces)[::3]:
+        del pruned.pieces[pid]
+    recompose(pruned)  # a tray after picks, with fully occluded pieces uncovered
+    return out + [pruned]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=list(HealthCheck))
+@given(idx=st.integers(0, 2), c=candidates(), outer=st.booleans(),
+       breadth=st.floats(4.0, 40.0))
+def test_jaw_contents_and_fractions_equal_full_raster(scenes, idx, c, outer, breadth):
+    scene = scenes[idx]
+    c.x, c.y = c.x * 6.0, c.y * 3.0  # spread the candidates over the 600 x 436 raster
+    fg = FingerGeometry(breadth=breadth)
+    region = oracle_jaw_region(scene, c, fg, outer)
+    win, local = _jaw_region(scene, c, fg, outer)
+    np.testing.assert_array_equal(_paste(scene.shape, (win, local)), region)
+
+    got = _pieces_in_region(scene, (win, local))
+    owners = scene.owner_map[region]
+    expected = {int(p): scene.heightmap[region][owners == p] for p in np.unique(owners) if p != 0}
+    assert sorted(got) == sorted(expected)
+    for pid in expected:
+        np.testing.assert_array_equal(got[pid], expected[pid])
+
+    in_region = np.bincount(scene.owner_map[win][local])
+    for pid in [0, -1, scene.next_id + 5, *scene.pieces]:
+        assert _visible_fraction_in(scene, pid, in_region) == oracle_visible_fraction_in(
+            scene, pid, region
+        )
+
+
+def test_visible_windows_hold_every_visible_pixel(scenes):
+    for scene in scenes:
+        for pid in scene.pieces:
+            win, visible = _visible_window(scene, pid)
+            full = scene.owner_map == pid
+            assert int(np.count_nonzero(visible)) == int(np.count_nonzero(full))
+            if full.any():
+                assert float(np.median(scene.heightmap[win][visible])) == float(
+                    np.median(scene.heightmap[full])
+                )
+
+
+def test_occlusion_flags_match_label_presence(scenes):
+    occluded = 0
+    for scene in scenes:
+        present = set(np.unique(scene.owner_map).tolist())
+        _refresh_occlusion_flags(scene)
+        for piece in scene.pieces.values():
+            assert piece.fully_occluded == (piece.id not in present)
+            occluded += piece.fully_occluded
+    assert occluded > 0
+
+
+# ---------------------------------------------------------------------------
+# pruned merge scan
+
+
+@st.composite
+def label_maps(draw):
+    h, w = draw(shapes)
+    labels = draw(arrays(np.int32, (h, w), elements=st.integers(0, 9)))
+    return InstanceMaskSet([(int(p), labels == p) for p in np.unique(labels) if p != 0])
+
+
+@SETTINGS
+@given(masks=label_maps(), seed=st.integers(0, 2**32 - 1), jitter=st.integers(0, 2),
+       merge=st.floats(0.05, 1.0), drop=st.sampled_from([0.0, 0.3]))
+def test_pruned_merge_scan_matches_unpruned(masks, seed, jitter, merge, drop):
+    params = CorruptionParams(boundary_jitter=jitter, merge_prob=merge, drop_prob=drop)
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = corrupt_masks(masks, params, rng_new)
+    expected = oracle_corrupt_masks(masks, params, rng_old)
+    assert got.ids() == expected.ids()
+    assert got.confidences == expected.confidences
+    for (_, a), (_, b) in zip(got.masks, expected.masks):
+        np.testing.assert_array_equal(a, b)
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+def test_pruned_merge_scan_on_a_dense_tray():
+    truth = render_masks(generate_scene(SceneConfig(archetype="mushroom"), 34))
+    params = CorruptionParams(boundary_jitter=1, merge_prob=0.3, drop_prob=0.05)
+    rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
+    got = corrupt_masks(truth, params, rng_new)
+    expected = oracle_corrupt_masks(truth, params, rng_old)
+    assert got.ids() == expected.ids() and got.confidences == expected.confidences
+    assert all((a == b).all() for (_, a), (_, b) in zip(got.masks, expected.masks))
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
