@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .planner import FingerGeometry, GraspCandidate, Window, _rectangle_window, contact_windows
+from .planner import FingerGeometry, GraspCandidate, Window, _contact_windows, _rectangle_window
 from .scenegen import TrayScene, recompose, stamp_window
 
 import math
@@ -177,7 +177,7 @@ def insert_fingers(
     """
     params = params or ExecutionParams()
     fm.validate()
-    left, right = contact_windows(c, fm.geometry, scene.resolution, scene.shape)
+    left, right = _contact_windows(c, fm.geometry, scene.resolution, scene.shape)
     wall_l, wall_r = _wall_contacts(scene, c, fm.geometry)
     fins = (
         FingerInsertion(c.h, c.h, 0.0, {}, True)

@@ -180,16 +180,10 @@ def derive_grasp(
     )
 
 
-def contact_windows(
+def _contact_windows(
     c: GraspCandidate, fg: FingerGeometry, resolution: float, shape: tuple[int, int]
 ) -> tuple[Window, Window]:
-    """Finger contact rectangles at the ends of the minor axis, as windows.
-
-    Each rectangle is fg.width x fg.breadth, centered at distance
-    w/2 + clearance + fg.width/2 from the grasp center along the closing
-    direction, on opposite sides, and clipped to the raster. A rectangle
-    fully outside the raster comes back empty.
-    """
+    """The two contact_regions rectangles as windows."""
     d_px = (c.w / 2.0 + fg.clearance + fg.width / 2.0) / resolution
     ux, uy = math.cos(c.theta), math.sin(c.theta)
     return tuple(
@@ -202,8 +196,14 @@ def contact_windows(
 def contact_regions(
     c: GraspCandidate, fg: FingerGeometry, resolution: float, shape: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """contact_windows pasted into two full boolean rasters."""
-    left, right = contact_windows(c, fg, resolution, shape)
+    """Finger contact rectangles at the ends of the minor axis.
+
+    Each rectangle is fg.width x fg.breadth, centered at distance
+    w/2 + clearance + fg.width/2 from the grasp center along the closing
+    direction, on opposite sides, and clipped to the raster. A rectangle
+    fully outside the raster comes back empty.
+    """
+    left, right = _contact_windows(c, fg, resolution, shape)
     return _paste(shape, left), _paste(shape, right)
 
 
@@ -218,7 +218,7 @@ def filter_grasps(
     """
     retained: list[GraspCandidate] = []
     for c in cands:
-        (win_l, left), (win_r, right) = contact_windows(
+        (win_l, left), (win_r, right) = _contact_windows(
             c, fg, depth.resolution, depth.heights.shape
         )
         if not left.any() or not right.any():
