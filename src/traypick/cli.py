@@ -10,8 +10,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .archetypes import DEFAULT_ARCHETYPES
 from .config import load_experiment_config
+from .errors import ParameterError
 from .experiment import (
     ExperimentConfig,
     compare_conditions,
@@ -84,8 +84,10 @@ def cmd_plan(args) -> int:
     masks = load_masks(args.masks)
     resolution = args.resolution or default_resolution()
     depth = load_depth(args.depth, resolution)
-    arch = cfg.scene_config().archetypes[args.archetype]
-    p = plan(masks, depth, arch, cfg.finger_geometry, not args.no_filter)
+    archetypes = cfg.scene_config().archetypes
+    if args.archetype not in archetypes:
+        raise ParameterError(f"unknown archetype {args.archetype!r}; known: {sorted(archetypes)}")
+    p = plan(masks, depth, archetypes[args.archetype], cfg.finger_geometry, not args.no_filter)
     doc = plan_to_dict(p)
     doc["archetype"] = args.archetype
     text = json.dumps(doc, indent=2, sort_keys=True)
@@ -182,18 +184,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="pipeline config JSON")
         p.add_argument("--seed", type=int, help="base seed override")
         p.add_argument("--out", help="output directory or file")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
     g = sub.add_parser("generate", help="generate scenes with depth and mask files")
     add_common(g)
     g.add_argument("--count", type=int, default=1, help="number of scenes")
+    g.add_argument("--jobs", type=int, default=1, help="parallel workers")
     g.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("plan", help="plan a grasp from a mask manifest and depth PGM")
     add_common(p)
     p.add_argument("--masks", required=True, help="mask manifest JSON")
     p.add_argument("--depth", required=True, help="depth PGM (0.01 mm per level)")
-    p.add_argument("--archetype", required=True, choices=sorted(DEFAULT_ARCHETYPES))
+    p.add_argument("--archetype", required=True, help="a name in the config's archetype set")
     p.add_argument("--resolution", type=float, help="mm per pixel (default: tray/600)")
     p.add_argument("--no-filter", action="store_true", help="disable grasp filtering")
     p.set_defaults(func=cmd_plan)

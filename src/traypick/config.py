@@ -1,127 +1,65 @@
-"""JSON configuration document: schema, validation, and construction.
+"""JSON configuration document -> ExperimentConfig.
 
-A single document configures the whole pipeline; every invented constant
-(finger geometry, capture fractions, margins, corruption parameters) lives
-here with defaults, so experiments are fully specified by (config, seed).
+The config dataclasses own every value's default, type and range; a document
+names only the values it changes. Keys map onto dataclass fields, any other
+key is rejected, and ExperimentConfig.validate() does every other check.
 """
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
-import jsonschema
-
-from .archetypes import DEFAULT_ARCHETYPES, load_archetypes
-from .experiment import DEPLETE, FRESH, ExperimentConfig
+from .archetypes import load_archetypes
+from .errors import ParameterError
+from .experiment import ExperimentConfig
 from .graspsim import ExecutionParams, FingerKind
 from .perception import CorruptionParams
 from .planner import FingerGeometry
-from .scenegen import DEFAULT_TRAY_DIMS, SceneConfig
-
-CONFIG_SCHEMA: dict = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "archetype": {"type": "string"},
-        "finger": {"enum": ["fixed", "adaptive"]},
-        "filtering": {"type": "boolean"},
-        "n_attempts": {"type": "integer", "minimum": 1},
-        "base_seed": {"type": "integer"},
-        "refill_policy": {"enum": [FRESH, DEPLETE]},
-        "output_dir": {"type": "string"},
-        "depth": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "sigma": {"type": "number", "minimum": 0},
-                "quant": {"type": "number", "minimum": 0},
-            },
-        },
-        "corruption": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "boundary_jitter": {"type": "integer", "minimum": 0},
-                "merge_prob": {"type": "number", "minimum": 0, "maximum": 1},
-                "drop_prob": {"type": "number", "minimum": 0, "maximum": 1},
-                "confidence_floor": {"type": "number", "minimum": 0, "maximum": 1},
-            },
-        },
-        "finger_geometry": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "width": {"type": "number", "exclusiveMinimum": 0},
-                "breadth": {"type": "number", "exclusiveMinimum": 0},
-                "clearance": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "execution": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "pierce_block": {"type": "number", "exclusiveMinimum": 0},
-                "grasp_depth_margin": {"type": "number", "minimum": 0},
-                "capture_fraction": {"type": "number", "minimum": 0, "maximum": 1},
-                "multipick_fraction": {"type": "number", "minimum": 0, "maximum": 1},
-            },
-        },
-        "scene": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "tray_dims": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                    "minItems": 3,
-                    "maxItems": 3,
-                },
-                "resolution": {"type": ["number", "null"], "exclusiveMinimum": 0},
-                "archetypes_path": {"type": "string"},
-                "max_placement_retries": {"type": "integer", "minimum": 1},
-            },
-        },
-    },
-}
+from .scenegen import SceneConfig
 
 
-def validate_document(doc: dict) -> None:
-    jsonschema.validate(doc, CONFIG_SCHEMA)
+def _names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+def _section(value, where: str, keys: set[str]) -> dict:
+    """A copy of value, which must be a JSON object with keys only from keys."""
+    if not isinstance(value, dict):
+        raise ParameterError(f"{where} must be a JSON object, got {value!r}")
+    unknown = sorted(set(value) - keys)
+    if unknown:
+        raise ParameterError(f"unknown config key {unknown[0]!r} in {where}")
+    return dict(value)
 
 
 def experiment_config_from_document(doc: dict, config_dir: Path | None = None) -> ExperimentConfig:
-    validate_document(doc)
-    scene_doc = doc.get("scene", {})
-    archetypes = dict(DEFAULT_ARCHETYPES)
-    if "archetypes_path" in scene_doc:
-        path = Path(scene_doc["archetypes_path"])
-        if config_dir and not path.is_absolute():
-            path = config_dir / path
-        archetypes = load_archetypes(path)
-    scene = SceneConfig(
-        archetype=doc.get("archetype", "fried_chicken"),
-        tray_dims=tuple(scene_doc.get("tray_dims", DEFAULT_TRAY_DIMS)),
-        resolution=scene_doc.get("resolution"),
-        archetypes=archetypes,
-        max_placement_retries=scene_doc.get("max_placement_retries", 100),
-    )
-    depth = doc.get("depth", {})
-    cfg = ExperimentConfig(
-        archetype=doc.get("archetype", "fried_chicken"),
-        finger=FingerKind(doc.get("finger", "adaptive")),
-        filtering=doc.get("filtering", True),
-        n_attempts=doc.get("n_attempts", 50),
-        base_seed=doc.get("base_seed", 0),
-        refill_policy=doc.get("refill_policy", DEPLETE),
-        depth_sigma=depth.get("sigma", 0.0),
-        depth_quant=depth.get("quant", 0.0),
-        corruption=CorruptionParams(**doc.get("corruption", {})),
-        finger_geometry=FingerGeometry(**doc.get("finger_geometry", {})),
-        execution=ExecutionParams(**doc.get("execution", {})),
-        scene=scene,
-        output_dir=doc.get("output_dir"),
-    )
+    top_keys = _names(ExperimentConfig) - {"depth_sigma", "depth_quant"} | {"depth"}
+    kwargs = _section(doc, "config", top_keys)
+    for name, cls in (("corruption", CorruptionParams), ("finger_geometry", FingerGeometry),
+                      ("execution", ExecutionParams)):
+        if name in kwargs:
+            kwargs[name] = cls(**_section(kwargs[name], name, _names(cls)))
+    for key, value in _section(kwargs.pop("depth", {}), "depth", {"sigma", "quant"}).items():
+        kwargs[f"depth_{key}"] = value
+    if "finger" in kwargs:
+        try:
+            kwargs["finger"] = FingerKind(kwargs["finger"])
+        except ValueError:
+            raise ParameterError(f"unknown finger {kwargs['finger']!r}") from None
+
+    scene_keys = _names(SceneConfig) - {"archetype", "archetypes"} | {"archetypes_path"}
+    scene = _section(kwargs.pop("scene", {}), "scene", scene_keys)
+    if "archetypes_path" in scene:
+        path = scene.pop("archetypes_path")
+        if not isinstance(path, str):
+            raise ParameterError(f"scene.archetypes_path must be a string, got {path!r}")
+        scene["archetypes"] = load_archetypes(Path(config_dir or "", path))
+    if isinstance(scene.get("tray_dims"), list):
+        scene["tray_dims"] = tuple(scene["tray_dims"])
+    if "archetype" in kwargs:
+        scene["archetype"] = kwargs["archetype"]
+    cfg = ExperimentConfig(**kwargs, scene=SceneConfig(**scene))
     cfg.validate()
     return cfg
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the parameter checks."""
+from __future__ import annotations
+
+import numbers
 
 
 class ParameterError(ValueError):
@@ -11,3 +14,23 @@ class PlacementError(ValueError):
 
 class FitError(ValueError):
     """A mask is too small or degenerate to fit an ellipse to."""
+
+
+def check_type(name: str, value, kind: type | tuple[type, ...]) -> None:
+    if not isinstance(value, kind):
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise ParameterError(f"{name} must be {names}, got {value!r}")
+
+
+def check_number(name: str, value, *, integral: bool = False, low: float | None = None,
+                 high: float | None = None, low_open: bool = False) -> None:
+    """Raise ParameterError unless value is a number (an integer when
+    integral; never a bool) in [low, high], or in (low, high] when low_open."""
+    kind = numbers.Integral if integral else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if integral else "a number"
+        raise ParameterError(f"{name} must be {what}, got {value!r}")
+    if low is not None and (value <= low if low_open else value < low):
+        raise ParameterError(f"{name} must be {'>' if low_open else '>='} {low}, got {value!r}")
+    if high is not None and value > high:
+        raise ParameterError(f"{name} must be <= {high}, got {value!r}")

@@ -10,13 +10,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
-from .errors import ParameterError
+from .errors import ParameterError, check_number, check_type
 from .graspsim import (
     Classification,
     ExecutionParams,
@@ -34,7 +34,7 @@ DEPLETE = "deplete_until_empty_then_refresh"
 
 @dataclass
 class ExperimentConfig:
-    archetype: str = "fried_chicken"
+    archetype: str = SceneConfig.archetype
     finger: FingerKind = FingerKind.ADAPTIVE
     filtering: bool = True
     n_attempts: int = 50
@@ -49,13 +49,23 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def validate(self) -> None:
-        if self.n_attempts < 1:
-            raise ParameterError("n_attempts must be >= 1")
+        """Check every field's type and range, the nested parameter sets' too."""
+        check_type("finger", self.finger, FingerKind)
+        check_type("filtering", self.filtering, bool)
+        check_number("n_attempts", self.n_attempts, integral=True, low=1)
+        check_number("base_seed", self.base_seed, integral=True)
         if self.refill_policy not in (FRESH, DEPLETE):
             raise ParameterError(f"unknown refill policy {self.refill_policy!r}")
+        check_number("depth_sigma", self.depth_sigma, low=0)
+        check_number("depth_quant", self.depth_quant, low=0)
+        check_type("output_dir", self.output_dir, (str, type(None)))
+        check_type("scene", self.scene, (SceneConfig, type(None)))
+        for name, kind in (("corruption", CorruptionParams), ("finger_geometry", FingerGeometry),
+                           ("execution", ExecutionParams)):
+            check_type(name, getattr(self, name), kind)
+            getattr(self, name).validate()
         scene = self.scene_config()
-        if self.archetype not in scene.archetypes:
-            raise ParameterError(f"unknown archetype {self.archetype!r}")
+        scene.validate()
         if scene.archetype != self.archetype:
             raise ParameterError(
                 f"archetype {self.archetype!r} differs from scene.archetype {scene.archetype!r}"
@@ -297,4 +307,5 @@ def paired_success_pvalue(
     n = a_only + b_only
     if n == 0:
         return 1.0
-    return float(stats.binom.sf(a_only - 1, n, 0.5))
+    # exact binomial tail P(X >= a_only), X ~ Bin(n, 1/2), as a rounded integer ratio
+    return sum(math.comb(n, k) for k in range(a_only, n + 1)) / 2**n

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
-from .planner import FingerGeometry, GraspCandidate, Window, _contact_windows, _rectangle_window
+from .errors import ParameterError, check_number, check_type
+from .planner import (FingerGeometry, GraspCandidate, Window, _contact_rectangles,
+                      _contact_windows, _rectangle_window)
 from .scenegen import TrayScene, recompose, stamp_window
 
 import math
@@ -39,6 +40,7 @@ class FingerModel:
         return self.max_force / self.retraction_budget
 
     def validate(self) -> None:
+        check_type("kind", self.kind, FingerKind)
         if self.kind is FingerKind.ADAPTIVE:
             if self.retraction_budget <= 0 or self.max_force <= 0:
                 raise ParameterError("adaptive finger needs positive budget and force")
@@ -53,6 +55,12 @@ class ExecutionParams:
     grasp_depth_margin: float = 5.0  # mm below the target median needed to hold
     capture_fraction: float = 0.6  # of target visible mask inside the jaw
     multipick_fraction: float = 0.5  # of a neighbor's visible mask inside the jaw
+
+    def validate(self) -> None:
+        check_number("pierce_block", self.pierce_block, low=0, low_open=True)
+        check_number("grasp_depth_margin", self.grasp_depth_margin, low=0)
+        for name in ("capture_fraction", "multipick_fraction"):
+            check_number(name, getattr(self, name), low=0, high=1)
 
 
 @dataclass
@@ -109,17 +117,11 @@ def _wall_contacts(
     (full tray depth), so a finger whose rectangle is not entirely inside
     the raster collides with the wall on the way down.
     """
-    res = scene.resolution
     ny, nx = scene.shape
-    d = (c.w / 2.0 + fg.clearance + fg.width / 2.0) / res
-    hl = fg.width / 2.0 / res
-    hb = fg.breadth / 2.0 / res
     ux, uy = math.cos(c.theta), math.sin(c.theta)
     vx, vy = -uy, ux
     hits = []
-    for side in (-1.0, 1.0):
-        cx = c.x + side * d * ux
-        cy = c.y + side * d * uy
+    for cx, cy, hl, hb in _contact_rectangles(c, fg, scene.resolution):
         hit = False
         for su in (-1.0, 1.0):
             for sv in (-1.0, 1.0):
@@ -323,6 +325,7 @@ def execute_grasp(
     The scene is mutated in place.
     """
     params = params or ExecutionParams()
+    params.validate()
     ins = insert_fingers(scene, c, fm, params)
     outcome = close_and_lift(scene, c, ins, fm, params)
     for pid, magnitude in outcome.damaged.items():

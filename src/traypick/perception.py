@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .errors import ParameterError
+from .errors import ParameterError, check_number
 from .grids import heights_to_levels, levels_to_heights, read_pgm16, write_pgm16
 from .scenegen import TrayScene
 
@@ -93,6 +93,11 @@ class CorruptionParams:
     drop_prob: float = 0.0  # per mask
     confidence_floor: float = 0.5  # emulated detector scores
 
+    def validate(self) -> None:
+        check_number("boundary_jitter", self.boundary_jitter, integral=True, low=0)
+        for name in ("merge_prob", "drop_prob", "confidence_floor"):
+            check_number(name, getattr(self, name), low=0, high=1)
+
     @property
     def is_identity(self) -> bool:
         return self.boundary_jitter == 0 and self.merge_prob == 0 and self.drop_prob == 0
@@ -158,6 +163,7 @@ def corrupt_masks(
     pairs are merged with merge_prob, and each surviving mask is dropped with
     drop_prob. Output is tagged "corrupted"; masks may overlap after dilation.
     """
+    params.validate()
     if masks.source != "ground_truth":
         raise ParameterError("corrupt_masks expects ground-truth masks")
     jittered: list[tuple[int, np.ndarray]] = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .archetypes import FoodArchetype
-from .errors import FitError, ParameterError
+from .errors import FitError, ParameterError, check_number
 from .perception import DepthImage, InstanceMaskSet, _bbox
 
 
@@ -41,8 +41,8 @@ class FingerGeometry:
     clearance: float = 2.0  # mm jaw-opening margin beyond w/2
 
     def validate(self) -> None:
-        if min(self.width, self.breadth, self.clearance) <= 0:
-            raise ParameterError("finger geometry values must be > 0")
+        for name in ("width", "breadth", "clearance"):
+            check_number(name, getattr(self, name), low=0, low_open=True)
 
 
 @dataclass
@@ -180,16 +180,21 @@ def derive_grasp(
     )
 
 
+def _contact_rectangles(c: GraspCandidate, fg: FingerGeometry, resolution: float) -> list[tuple]:
+    """(cx, cy, half_len along c.theta, half_breadth) in px of each contact rectangle."""
+    d_px = (c.w / 2.0 + fg.clearance + fg.width / 2.0) / resolution
+    ux, uy = math.cos(c.theta), math.sin(c.theta)
+    hl, hb = fg.width / 2.0 / resolution, fg.breadth / 2.0 / resolution
+    return [(c.x + side * d_px * ux, c.y + side * d_px * uy, hl, hb) for side in (-1.0, 1.0)]
+
+
 def _contact_windows(
     c: GraspCandidate, fg: FingerGeometry, resolution: float, shape: tuple[int, int]
 ) -> tuple[Window, Window]:
     """The two contact_regions rectangles as windows."""
-    d_px = (c.w / 2.0 + fg.clearance + fg.width / 2.0) / resolution
-    ux, uy = math.cos(c.theta), math.sin(c.theta)
     return tuple(
-        _rectangle_window(shape, c.x + side * d_px * ux, c.y + side * d_px * uy, c.theta,
-                          fg.width / 2.0 / resolution, fg.breadth / 2.0 / resolution)
-        for side in (-1.0, 1.0)
+        _rectangle_window(shape, cx, cy, c.theta, hl, hb)
+        for cx, cy, hl, hb in _contact_rectangles(c, fg, resolution)
     )
 
 

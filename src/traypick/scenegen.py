@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .archetypes import DEFAULT_ARCHETYPES, FoodArchetype, load_archetypes, save_archetypes
-from .errors import ParameterError, PlacementError
+from .errors import ParameterError, PlacementError, check_number, check_type
 from .grids import heights_to_levels, write_pgm16
 
 DEFAULT_TRAY_DIMS = (424.0, 308.0, 160.0)  # mm, industry-standard food tray
@@ -240,11 +240,23 @@ class SceneConfig:
     )
     max_placement_retries: int = 100
 
+    def validate(self) -> None:
+        check_type("archetypes", self.archetypes, dict)
+        if not isinstance(self.archetype, str) or self.archetype not in self.archetypes:
+            raise ParameterError(f"unknown archetype {self.archetype!r}")
+        check_type("tray_dims", self.tray_dims, (tuple, list))
+        if len(self.tray_dims) != 3:
+            raise ParameterError(f"tray_dims must hold 3 numbers, got {self.tray_dims!r}")
+        for dim in self.tray_dims:
+            check_number("tray_dims", dim, low=0, low_open=True)
+        if self.resolution is not None:
+            check_number("resolution", self.resolution, low=0, low_open=True)
+        check_number("max_placement_retries", self.max_placement_retries, integral=True, low=1)
+
 
 def generate_scene(config: SceneConfig, seed: int) -> TrayScene:
     """Generate one domain-randomized cluttered tray; pure in (config, seed)."""
-    if config.archetype not in config.archetypes:
-        raise ParameterError(f"unknown archetype {config.archetype!r}")
+    config.validate()
     arch = config.archetypes[config.archetype]
     rng = np.random.default_rng(seed)
     scene = empty_scene(config.archetypes, config.tray_dims, config.resolution, seed)
@@ -267,7 +279,7 @@ def generate_scene(config: SceneConfig, seed: int) -> TrayScene:
         scale = float(rng.uniform(*arch.scale_range))
         rotation = float(rng.uniform(0.0, math.pi))
         stamp = make_stamp(arch, scale, rotation, rng, scene.resolution)
-        placed = False
+        # a piece that cannot be placed within the retry budget is skipped
         for _ in range(config.max_placement_retries):
             x = float(rng.uniform(0.0, config.tray_dims[0]))
             y = float(rng.uniform(0.0, config.tray_dims[1]))
@@ -275,11 +287,7 @@ def generate_scene(config: SceneConfig, seed: int) -> TrayScene:
                 drop_piece(scene, stamp, x, y, arch.name)
             except PlacementError:
                 continue
-            placed = True
             break
-        # a piece that cannot be placed within the retry budget is skipped
-        if not placed:
-            continue
 
     _refresh_occlusion_flags(scene)
     return scene

@@ -1,6 +1,12 @@
 """End-to-end command-line interface tests: every subcommand, file in/out."""
+import dataclasses
 import json
+
+import pytest
+
+from traypick.archetypes import DEFAULT_ARCHETYPES, save_archetypes
 from traypick.cli import main
+from traypick.errors import ParameterError
 from traypick.perception import load_masks
 from traypick.scenegen import load_scene
 
@@ -80,6 +86,31 @@ class TestPlan:
         assert all(not c["filtered"] for c in off["candidates"])
         assert len(on["candidates"]) == len(off["candidates"])
 
+    def test_custom_archetype_from_config(self, tmp_path):
+        dumpling = dataclasses.replace(DEFAULT_ARCHETYPES["gyoza"], name="dumpling")
+        save_archetypes({"dumpling": dumpling}, tmp_path / "archetypes.json")
+        cfg = write_config(tmp_path, archetype="dumpling",
+                           scene={"archetypes_path": "archetypes.json"})
+        out = tmp_path / "s"
+        assert main(["generate", "--config", cfg, "--seed", "5", "--out", str(out)]) == 0
+        d = out / "scene_5"
+        args = ["plan", "--config", cfg, "--masks", str(d / "masks_manifest.json"),
+                "--depth", str(d / "depth.pgm")]
+        plan_path = tmp_path / "plan.json"
+        assert main(args + ["--archetype", "dumpling", "--out", str(plan_path)]) == 0
+        doc = json.loads(plan_path.read_text())
+        assert doc["archetype"] == "dumpling"
+        assert doc["target"] is not None
+        # the default set is not consulted once the config names its own
+        with pytest.raises(ParameterError, match="gyoza"):
+            main(args + ["--archetype", "gyoza"])
+
+    def test_unknown_archetype_rejected(self, tmp_path):
+        d = generate_scene_dir(tmp_path)
+        with pytest.raises(ParameterError, match="tofu"):
+            main(["plan", "--masks", str(d / "masks_manifest.json"),
+                  "--depth", str(d / "depth.pgm"), "--archetype", "tofu"])
+
 
 class TestGrasp:
     def run_plan(self, tmp_path, d):
@@ -130,6 +161,13 @@ class TestExperiment:
         capsys.readouterr()
         records = (out / "records.jsonl").read_text().strip().split("\n")
         assert len(records) == 3
+
+    def test_jobs_is_a_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--config", cfg, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_seed_override_changes_records(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

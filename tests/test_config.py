@@ -1,0 +1,248 @@
+"""Config values: the dataclasses own every default, type and range.
+
+Each bad value must be rejected with ParameterError both when it arrives in
+a JSON document and when it is set through the Python constructors.
+"""
+import dataclasses
+
+import numpy as np
+import pytest
+
+from traypick.archetypes import DEFAULT_ARCHETYPES
+from traypick.config import experiment_config_from_document
+from traypick.errors import ParameterError
+from traypick.experiment import FRESH, ExperimentConfig, run_trial
+from traypick.graspsim import (
+    ExecutionParams,
+    FingerKind,
+    FingerModel,
+    execute_grasp,
+    insert_fingers,
+)
+from traypick.perception import CorruptionParams, corrupt_masks, render_depth, render_masks
+from traypick.planner import FingerGeometry, plan
+from traypick.scenegen import SceneConfig, generate_scene
+
+# One row per type or range constraint on a config value:
+# (document section or None for top level, key, bad value).
+CONSTRAINTS = [
+    (None, "archetype", 3),
+    (None, "finger", "sideways"),
+    (None, "filtering", "no"),
+    (None, "n_attempts", 2.5),
+    (None, "n_attempts", 0),
+    (None, "base_seed", 1.5),
+    (None, "refill_policy", "sometimes"),
+    (None, "output_dir", 5),
+    ("depth", "sigma", "0.5"),
+    ("depth", "sigma", -0.1),
+    ("depth", "quant", True),
+    ("depth", "quant", -0.25),
+    ("corruption", "boundary_jitter", 1.5),
+    ("corruption", "boundary_jitter", -1),
+    ("corruption", "merge_prob", "0.2"),
+    ("corruption", "merge_prob", -0.1),
+    ("corruption", "merge_prob", 1.5),
+    ("corruption", "drop_prob", None),
+    ("corruption", "drop_prob", -0.5),
+    ("corruption", "drop_prob", 2),
+    ("corruption", "confidence_floor", "high"),
+    ("corruption", "confidence_floor", -0.01),
+    ("corruption", "confidence_floor", 1.01),
+    ("finger_geometry", "width", "4"),
+    ("finger_geometry", "width", 0),
+    ("finger_geometry", "breadth", False),
+    ("finger_geometry", "breadth", -20.0),
+    ("finger_geometry", "clearance", [2.0]),
+    ("finger_geometry", "clearance", 0.0),
+    ("execution", "pierce_block", "15"),
+    ("execution", "pierce_block", 0),
+    ("execution", "grasp_depth_margin", None),
+    ("execution", "grasp_depth_margin", -1.0),
+    ("execution", "capture_fraction", "0.6"),
+    ("execution", "capture_fraction", -0.1),
+    ("execution", "capture_fraction", 1.5),
+    ("execution", "multipick_fraction", True),
+    ("execution", "multipick_fraction", -0.5),
+    ("execution", "multipick_fraction", 1.2),
+    ("scene", "tray_dims", "424x308x160"),
+    ("scene", "tray_dims", [424.0, "308", 160.0]),
+    ("scene", "tray_dims", [424.0, 0.0, 160.0]),
+    ("scene", "tray_dims", [424.0, 308.0]),
+    ("scene", "tray_dims", [424.0, 308.0, 160.0, 1.0]),
+    ("scene", "resolution", "fine"),
+    ("scene", "resolution", 0.0),
+    ("scene", "max_placement_retries", 2.5),
+    ("scene", "max_placement_retries", 0),
+]
+
+# Constraints on the document's shape, which no Python value mirrors.
+DOCUMENT_ONLY = [
+    [],
+    {"depth": []},
+    {"corruption": "none"},
+    {"finger_geometry": 3},
+    {"execution": None},
+    {"scene": []},
+    {"scene": {"archetypes_path": 5}},
+]
+
+SECTIONS = {
+    "corruption": CorruptionParams,
+    "finger_geometry": FingerGeometry,
+    "execution": ExecutionParams,
+}
+
+
+def row_id(row):
+    section, key, value = row
+    return f"{section + '.' if section else ''}{key}={value!r}"
+
+
+def document(section, key, value) -> dict:
+    return {key: value} if section is None else {section: {key: value}}
+
+
+def python_config(section, key, value) -> ExperimentConfig:
+    if section is None:
+        return ExperimentConfig(**{key: value})
+    if section == "depth":
+        return ExperimentConfig(**{f"depth_{key}": value})
+    if section == "scene":
+        return ExperimentConfig(scene=SceneConfig(**{key: value}))
+    return ExperimentConfig(**{section: SECTIONS[section](**{key: value})})
+
+
+@pytest.mark.parametrize("row", CONSTRAINTS, ids=row_id)
+def test_bad_value_rejected_in_document(row):
+    with pytest.raises(ParameterError):
+        experiment_config_from_document(document(*row))
+
+
+@pytest.mark.parametrize("row", CONSTRAINTS, ids=row_id)
+def test_bad_value_rejected_in_python_api(row):
+    cfg = python_config(*row)
+    with pytest.raises(ParameterError):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("doc", DOCUMENT_ONLY, ids=repr)
+def test_bad_document_shape_rejected(doc):
+    with pytest.raises(ParameterError):
+        experiment_config_from_document(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"n_attempts": 3.0}, {"base_seed": 9.0}, {"corruption": {"boundary_jitter": 1.0}},
+     {"scene": {"max_placement_retries": 5.0}}],
+    ids=repr,
+)
+def test_integer_key_rejects_integral_float(doc):
+    """Integer fields take JSON integers only; 3.0 used to pass and then fail
+    with TypeError inside the campaign, or run as 1 for boundary_jitter."""
+    with pytest.raises(ParameterError, match="must be an integer"):
+        experiment_config_from_document(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"depth": {"noise": 1.0}}, "noise"),
+        ({"corruption": {"merge": 0.1}}, "merge"),
+        ({"finger_geometry": {"length": 4.0}}, "length"),
+        ({"execution": {"capture": 0.5}}, "capture"),
+        ({"scene": {"archetypes": {}}}, "archetypes"),
+        ({"scene": {"archetype": "gyoza"}}, "archetype"),
+    ],
+)
+def test_unknown_key_named(doc, key):
+    with pytest.raises(ParameterError, match=key):
+        experiment_config_from_document(doc)
+
+
+class TestDefaults:
+    def test_empty_document_is_the_dataclass_defaults(self):
+        assert experiment_config_from_document({}) == ExperimentConfig(scene=SceneConfig())
+
+    def test_full_document_builds_the_equal_config(self):
+        doc = {
+            "archetype": "gyoza",
+            "finger": "fixed",
+            "filtering": False,
+            "n_attempts": 7,
+            "base_seed": 3,
+            "refill_policy": FRESH,
+            "output_dir": "out",
+            "depth": {"sigma": 0.5, "quant": 0.25},
+            "corruption": {"boundary_jitter": 1, "merge_prob": 0.2, "drop_prob": 0.1,
+                           "confidence_floor": 0.4},
+            "finger_geometry": {"width": 5.0, "breadth": 18, "clearance": 1.5},
+            "execution": {"pierce_block": 12.0, "grasp_depth_margin": 4,
+                          "capture_fraction": 0.7, "multipick_fraction": 0.4},
+            "scene": {"tray_dims": [400, 300, 150], "resolution": 0.7,
+                      "max_placement_retries": 50},
+        }
+        assert experiment_config_from_document(doc) == ExperimentConfig(
+            archetype="gyoza",
+            finger=FingerKind.FIXED,
+            filtering=False,
+            n_attempts=7,
+            base_seed=3,
+            refill_policy=FRESH,
+            output_dir="out",
+            depth_sigma=0.5,
+            depth_quant=0.25,
+            corruption=CorruptionParams(1, 0.2, 0.1, 0.4),
+            finger_geometry=FingerGeometry(5.0, 18, 1.5),
+            execution=ExecutionParams(12.0, 4, 0.7, 0.4),
+            scene=SceneConfig(archetype="gyoza", tray_dims=(400, 300, 150), resolution=0.7,
+                              max_placement_retries=50),
+        )
+
+    def test_section_defaults_are_valid(self):
+        for cfg in (ExperimentConfig(), CorruptionParams(), FingerGeometry(),
+                    ExecutionParams(), SceneConfig()):
+            cfg.validate()
+
+
+def planned_scene(seed=0):
+    arch = dataclasses.replace(DEFAULT_ARCHETYPES["fried_chicken"], count_range=(3, 6))
+    scene = generate_scene(SceneConfig(archetypes={"fried_chicken": arch}), seed)
+    p = plan(render_masks(scene), render_depth(scene), arch, FingerGeometry())
+    assert p.target is not None
+    return scene, p.target
+
+
+class TestSilentMisconfigurations:
+    """Values that used to run as something other than what they said."""
+
+    def test_merge_prob_above_one(self):
+        scene = generate_scene(SceneConfig(), 0)
+        with pytest.raises(ParameterError, match="merge_prob"):
+            corrupt_masks(render_masks(scene), CorruptionParams(merge_prob=1.5),
+                          np.random.default_rng(0))
+        with pytest.raises(ParameterError, match="merge_prob"):
+            run_trial(ExperimentConfig(corruption=CorruptionParams(merge_prob=1.5)), 0)
+
+    def test_capture_fraction_above_one(self):
+        scene, target = planned_scene()
+        with pytest.raises(ParameterError, match="capture_fraction"):
+            execute_grasp(scene, target, FingerModel(), ExecutionParams(capture_fraction=1.5))
+        with pytest.raises(ParameterError, match="capture_fraction"):
+            run_trial(ExperimentConfig(execution=ExecutionParams(capture_fraction=1.5)), 0)
+
+    def test_zero_placement_retries(self):
+        with pytest.raises(ParameterError, match="max_placement_retries"):
+            generate_scene(SceneConfig(max_placement_retries=0), 0)
+
+    def test_filtering_string(self):
+        with pytest.raises(ParameterError, match="filtering"):
+            run_trial(ExperimentConfig(filtering="no"), 0)
+
+    def test_finger_string(self):
+        with pytest.raises(ParameterError, match="finger"):
+            run_trial(ExperimentConfig(archetype="gyoza", finger="fixed"), 0)
+        scene, target = planned_scene()
+        with pytest.raises(ParameterError, match="kind"):
+            insert_fingers(scene, target, FingerModel(kind="fixed"), ExecutionParams())

@@ -1,9 +1,14 @@
 """Campaign harness: trials, summaries, persistence, comparisons."""
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import traypick
 from traypick.archetypes import DEFAULT_ARCHETYPES
 from traypick.errors import ParameterError
 from traypick.experiment import (
@@ -250,6 +255,23 @@ class TestPairedPvalue:
         with pytest.raises(ParameterError):
             paired_success_pvalue([self.rec(Classification.FAILURE)], [])
 
+    def test_exact_tail(self):
+        win = self.rec(Classification.SUCCESS_SINGLE)
+        lose = self.rec(Classification.FAILURE)
+        # 8 attempts only A wins, 2 only B wins: P(X >= 8), X ~ Bin(10, 1/2)
+        a = [win] * 8 + [lose] * 2
+        b = [lose] * 8 + [win] * 2
+        assert paired_success_pvalue(a, b) == 56 / 1024
+
+    def test_import_leaves_scipy_stats_out(self):
+        src = Path(traypick.__file__).resolve().parent.parent
+        code = "import sys, traypick; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.stdout.strip() == "False"
+
 
 class TestConfigDocument:
     def test_schema_round_trip(self, tmp_path):
@@ -277,12 +299,10 @@ class TestConfigDocument:
         assert cfg.execution.capture_fraction == 0.7
 
     def test_unknown_key_rejected(self, tmp_path):
-        import jsonschema
+        from traypick.config import experiment_config_from_document
 
-        from traypick.config import validate_document
-
-        with pytest.raises(jsonschema.ValidationError):
-            validate_document({"archetype": "mushroom", "fingerz": "fixed"})
+        with pytest.raises(ParameterError, match="fingerz"):
+            experiment_config_from_document({"archetype": "mushroom", "fingerz": "fixed"})
 
     def test_invalid_archetype_rejected(self, tmp_path):
         from traypick.config import experiment_config_from_document
