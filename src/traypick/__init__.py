@@ -31,6 +31,7 @@ from .perception import (
     CorruptionParams,
     DepthImage,
     InstanceMaskSet,
+    MaskWindow,
     agreement,
     corrupt_masks,
     mask_iou,

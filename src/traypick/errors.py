@@ -25,12 +25,15 @@ def check_type(name: str, value, kind: type | tuple[type, ...]) -> None:
 def check_number(name: str, value, *, integral: bool = False, low: float | None = None,
                  high: float | None = None, low_open: bool = False) -> None:
     """Raise ParameterError unless value is a number (an integer when
-    integral; never a bool) in [low, high], or in (low, high] when low_open."""
+    integral; never a bool) in [low, high], or in (low, high] when low_open.
+
+    Each bound is a negated comparison, so NaN, which compares false with
+    everything, fails every bound instead of passing it."""
     kind = numbers.Integral if integral else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind):
         what = "an integer" if integral else "a number"
         raise ParameterError(f"{name} must be {what}, got {value!r}")
-    if low is not None and (value <= low if low_open else value < low):
+    if low is not None and not (value > low if low_open else value >= low):
         raise ParameterError(f"{name} must be {'>' if low_open else '>='} {low}, got {value!r}")
-    if high is not None and value > high:
+    if high is not None and not (value <= high):
         raise ParameterError(f"{name} must be <= {high}, got {value!r}")

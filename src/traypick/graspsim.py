@@ -42,7 +42,7 @@ class FingerModel:
     def validate(self) -> None:
         check_type("kind", self.kind, FingerKind)
         if self.kind is FingerKind.ADAPTIVE:
-            if self.retraction_budget <= 0 or self.max_force <= 0:
+            if not (self.retraction_budget > 0 and self.max_force > 0):
                 raise ParameterError("adaptive finger needs positive budget and force")
         self.geometry.validate()
 
@@ -319,7 +319,8 @@ def execute_grasp(
     fm: FingerModel,
     params: ExecutionParams | None = None,
 ) -> GraspOutcome:
-    """Run insertion then closure, remove picked pieces, and rebuild the maps.
+    """Run insertion then closure, remove picked pieces, and rebuild the maps
+    on the union of their stamp windows.
 
     Damaged pieces that were not picked stay in the tray with damage flags.
     The scene is mutated in place.
@@ -333,8 +334,9 @@ def execute_grasp(
         if piece is not None and pid not in outcome.picked:
             piece.damaged = True
             piece.damage_magnitude = max(piece.damage_magnitude, magnitude)
-    if outcome.picked:
-        for pid in outcome.picked:
-            scene.pieces.pop(pid, None)
-        recompose(scene)
+    removed = [scene.pieces.pop(pid) for pid in outcome.picked if pid in scene.pieces]
+    if removed:
+        wins = [stamp_window(scene, p.stamp, p.position)[0] for p in removed]
+        recompose(scene, (slice(min(r.start for r, _ in wins), max(r.stop for r, _ in wins)),
+                          slice(min(c.start for _, c in wins), max(c.stop for _, c in wins))))
     return outcome

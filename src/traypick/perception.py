@@ -8,8 +8,10 @@ greedy-matched precision over IoU thresholds 0.50:0.95.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -29,14 +31,95 @@ class DepthImage:
     quant: float = 0.0
 
 
-@dataclass
+class MaskWindow(NamedTuple):
+    """One instance mask: its pixels on its bounding box. slices place local
+    in the raster; a mask with no pixels has an empty window at the origin."""
+
+    id: int
+    slices: tuple[slice, slice]
+    local: np.ndarray  # boolean, the shape of the box
+
+
+_EMPTY_BOX = (slice(0, 0), slice(0, 0))
+
+
+def _box(w: MaskWindow) -> tuple[int, int, int, int]:
+    rows, cols = w.slices
+    return rows.start, rows.stop, cols.start, cols.stop
+
+
+def _pixels_in(w: MaskWindow, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+    """w's pixels on the raster box [r0, r1) x [c0, c1), which may reach
+    past w's own box."""
+    out = np.zeros((r1 - r0, c1 - c0), dtype=bool)
+    wr0, wr1, wc0, wc1 = _box(w)
+    lr0, lr1, lc0, lc1 = max(r0, wr0), min(r1, wr1), max(c0, wc0), min(c1, wc1)
+    if lr1 > lr0 and lc1 > lc0:
+        out[lr0 - r0 : lr1 - r0, lc0 - c0 : lc1 - c0] = w.local[
+            lr0 - wr0 : lr1 - wr0, lc0 - wc0 : lc1 - wc0
+        ]
+    return out
+
+
+def _cropped(pid: int, mask: np.ndarray, r0: int = 0, c0: int = 0) -> MaskWindow:
+    """The window of a boolean array whose [0, 0] sits at raster (r0, c0)."""
+    box = _bbox(mask)
+    if box is None:
+        return MaskWindow(pid, _EMPTY_BOX, mask[_EMPTY_BOX])
+    b0, b1, b2, b3 = box
+    return MaskWindow(pid, (slice(r0 + b0, r0 + b1), slice(c0 + b2, c0 + b3)), mask[b0:b1, b2:b3])
+
+
+class _Rasters(Sequence):
+    """Read-only (id, full raster) view of windows, each raster built on
+    access; len() builds none."""
+
+    def __init__(self, windows: list[MaskWindow], shape: tuple[int, int] | None) -> None:
+        self._windows = windows
+        self._shape = shape
+
+    def __len__(self) -> int:
+        return len(self._windows)
+
+    def __getitem__(self, i: int) -> tuple[int, np.ndarray]:
+        w = self._windows[i]
+        return w.id, _pixels_in(w, 0, self._shape[0], 0, self._shape[1])
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other
+
+
 class InstanceMaskSet:
-    masks: list[tuple[int, np.ndarray]]  # (instance id, boolean grid)
-    source: str = "ground_truth"  # ground_truth | corrupted | external
-    confidences: dict[int, float] = field(default_factory=dict)
+    """Instance masks held as windows on a raster of the given shape.
+
+    The constructor takes (id, full raster) pairs and crops each to its
+    bounding box; code that already has windows passes windows= and shape=.
+    """
+
+    def __init__(
+        self,
+        masks: list[tuple[int, np.ndarray]] = (),
+        source: str = "ground_truth",  # ground_truth | corrupted | external
+        confidences: dict[int, float] | None = None,
+        *,
+        windows: list[MaskWindow] | None = None,
+        shape: tuple[int, int] | None = None,
+    ) -> None:
+        if windows is None:
+            windows = [_cropped(pid, m) for pid, m in masks]
+            shape = masks[0][1].shape if masks else shape
+        self.windows = windows
+        self.shape = shape
+        self.source = source
+        self.confidences = {} if confidences is None else confidences
+
+    @property
+    def masks(self) -> Sequence[tuple[int, np.ndarray]]:
+        """(instance id, full boolean raster) per mask, built on access."""
+        return _Rasters(self.windows, self.shape)
 
     def ids(self) -> list[int]:
-        return [i for i, _ in self.masks]
+        return [w.id for w in self.windows]
 
 
 @dataclass
@@ -57,7 +140,7 @@ def render_depth(
     Quantization rounds half-down: 12.5 mm at 1 mm steps yields 12 mm.
     sigma = quant = 0 returns the exact heightmap.
     """
-    if sigma < 0 or quant < 0:
+    if not (sigma >= 0 and quant >= 0):
         raise ParameterError("sigma and quant must be >= 0")
     heights = scene.heightmap.copy()
     if sigma > 0:
@@ -73,17 +156,15 @@ def render_depth(
 
 def render_masks(scene: TrayScene) -> InstanceMaskSet:
     """Ground-truth visible-region masks, one per non-occluded piece."""
-    masks: list[tuple[int, np.ndarray]] = []
+    windows: list[MaskWindow] = []
     slices = ndimage.find_objects(scene.owner_map, max_label=scene.next_id - 1)
     for pid in sorted(scene.pieces):
         sl = slices[pid - 1] if pid - 1 < len(slices) else None
         if sl is None:
             scene.pieces[pid].fully_occluded = True
             continue
-        full = np.zeros(scene.shape, dtype=bool)
-        full[sl] = scene.owner_map[sl] == pid
-        masks.append((pid, full))
-    return InstanceMaskSet(masks, source="ground_truth")
+        windows.append(MaskWindow(pid, sl, scene.owner_map[sl] == pid))
+    return InstanceMaskSet(source="ground_truth", windows=windows, shape=scene.shape)
 
 
 @dataclass
@@ -111,45 +192,38 @@ def _bbox(mask: np.ndarray) -> tuple[int, int, int, int] | None:
     return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
 
 
-def _adjacent(
-    a: np.ndarray,
-    b: np.ndarray,
-    ba: tuple[int, int, int, int] | None,
-    bb: tuple[int, int, int, int] | None,
-) -> bool:
+def _adjacent(a: MaskWindow, b: MaskWindow, shape: tuple[int, int]) -> bool:
     """8-neighborhood adjacency, evaluated on the overlap of padded boxes."""
-    if ba is None or bb is None:
+    if a.local.size == 0 or b.local.size == 0:
         return False
-    ny, nx = a.shape
+    ba, bb = _box(a), _box(b)
     r0 = max(ba[0] - 1, bb[0] - 1, 0)
-    r1 = min(ba[1] + 1, bb[1] + 1, ny)
+    r1 = min(ba[1] + 1, bb[1] + 1, shape[0])
     c0 = max(ba[2] - 1, bb[2] - 1, 0)
-    c1 = min(ba[3] + 1, bb[3] + 1, nx)
+    c1 = min(ba[3] + 1, bb[3] + 1, shape[1])
     if r1 <= r0 or c1 <= c0:
         return False
-    win = (slice(r0, r1), slice(c0, c1))
-    return bool(
-        (ndimage.binary_dilation(a[win], structure=np.ones((3, 3), bool)) & b[win]).any()
-    )
+    dilated = ndimage.binary_dilation(_pixels_in(a, r0, r1, c0, c1), structure=np.ones((3, 3), bool))
+    return bool((dilated & _pixels_in(b, r0, r1, c0, c1)).any())
 
 
-def _morph_jitter(mask: np.ndarray, steps: int) -> np.ndarray:
-    """Dilate (steps > 0) or erode (steps < 0) within a cropped window."""
-    box = _bbox(mask)
-    if box is None:
-        return mask
+def _morph_jitter(w: MaskWindow, steps: int, shape: tuple[int, int]) -> MaskWindow:
+    """Dilate (steps > 0) or erode (steps < 0) on the box padded by
+    |steps| + 1 px and clipped to the raster."""
+    if w.local.size == 0:
+        return w
+    box = _box(w)
     pad = abs(steps) + 1
     r0 = max(box[0] - pad, 0)
-    r1 = min(box[1] + pad, mask.shape[0])
+    r1 = min(box[1] + pad, shape[0])
     c0 = max(box[2] - pad, 0)
-    c1 = min(box[3] + pad, mask.shape[1])
-    win = (slice(r0, r1), slice(c0, c1))
-    out = np.zeros_like(mask)
+    c1 = min(box[3] + pad, shape[1])
+    padded = _pixels_in(w, r0, r1, c0, c1)
     if steps > 0:
-        out[win] = ndimage.binary_dilation(mask[win], iterations=steps)
+        out = ndimage.binary_dilation(padded, iterations=steps)
     else:
-        out[win] = ndimage.binary_erosion(mask[win], iterations=-steps)
-    return out
+        out = ndimage.binary_erosion(padded, iterations=-steps)
+    return _cropped(w.id, out, r0, c0)
 
 
 def corrupt_masks(
@@ -166,19 +240,19 @@ def corrupt_masks(
     params.validate()
     if masks.source != "ground_truth":
         raise ParameterError("corrupt_masks expects ground-truth masks")
-    jittered: list[tuple[int, np.ndarray]] = []
-    for pid, mask in masks.masks:
-        m = mask
+    shape = masks.shape
+    jittered: list[MaskWindow] = []
+    for w in masks.windows:
         if params.boundary_jitter > 0:
             steps = int(rng.integers(-params.boundary_jitter, params.boundary_jitter + 1))
             if steps != 0:
-                m = _morph_jitter(m, steps)
-                if not m.any():
+                w = _morph_jitter(w, steps, shape)
+                if w.local.size == 0:
                     continue  # eroded away entirely
-        jittered.append((pid, m))
+        jittered.append(w)
 
     # union-find over pairwise merges, pairs visited in sorted id order
-    parent = {pid: pid for pid, _ in jittered}
+    parent = {w.id: w.id for w in jittered}
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -187,36 +261,39 @@ def corrupt_masks(
         return i
 
     if params.merge_prob > 0 and jittered:
-        by_id = dict(jittered)
-        ids = sorted(by_id)
-        boxes = [_bbox(by_id[pid]) for pid in ids]
+        ordered = sorted(jittered, key=lambda w: w.id)
         # only pairs whose padded boxes overlap inside the raster can be
         # adjacent; np.nonzero keeps the sorted pair order of the RNG draws
-        b = np.array([box or (0, 0, 0, 0) for box in boxes]).reshape(-1, 4)
+        b = np.array([_box(w) for w in ordered]).reshape(-1, 4)
         lo = np.maximum(np.maximum(b[:, None, ::2], b[None, :, ::2]) - 1, 0)
-        hi = np.minimum(np.minimum(b[:, None, 1::2], b[None, :, 1::2]) + 1, jittered[0][1].shape)
+        hi = np.minimum(np.minimum(b[:, None, 1::2], b[None, :, 1::2]) + 1, shape)
         for i_idx, j_idx in zip(*np.nonzero(np.triu((hi > lo).all(axis=2), 1))):
-            i, j = ids[i_idx], ids[j_idx]
-            if _adjacent(by_id[i], by_id[j], boxes[i_idx], boxes[j_idx]) and (
-                rng.random() < params.merge_prob
-            ):
-                parent[find(j)] = find(i)
+            wi, wj = ordered[i_idx], ordered[j_idx]
+            if _adjacent(wi, wj, shape) and rng.random() < params.merge_prob:
+                parent[find(wj.id)] = find(wi.id)
 
-    groups: dict[int, list[np.ndarray]] = {}
-    for pid, m in jittered:
-        groups.setdefault(find(pid), []).append(m)
+    groups: dict[int, list[MaskWindow]] = {}
+    for w in jittered:
+        groups.setdefault(find(w.id), []).append(w)
 
-    out: list[tuple[int, np.ndarray]] = []
+    out: list[MaskWindow] = []
     confidences: dict[int, float] = {}
     for root in sorted(groups):
-        merged = groups[root][0]
-        for m in groups[root][1:]:
-            merged = merged | m
+        group = groups[root]
+        merged = group[0]
+        if len(group) > 1:
+            boxes = np.array([_box(w) for w in group])
+            r0, c0 = boxes[:, ::2].min(axis=0).tolist()
+            r1, c1 = boxes[:, 1::2].max(axis=0).tolist()
+            local = np.zeros((r1 - r0, c1 - c0), dtype=bool)
+            for w in group:
+                local |= _pixels_in(w, r0, r1, c0, c1)
+            merged = MaskWindow(root, (slice(r0, r1), slice(c0, c1)), local)
         if params.drop_prob > 0 and rng.random() < params.drop_prob:
             continue
-        out.append((root, merged))
+        out.append(merged)
         confidences[root] = float(rng.uniform(params.confidence_floor, 1.0))
-    return InstanceMaskSet(out, source="corrupted", confidences=confidences)
+    return InstanceMaskSet(source="corrupted", confidences=confidences, windows=out, shape=shape)
 
 
 def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
@@ -241,20 +318,29 @@ def agreement(
     precision is matches / |pred|. Empty-vs-empty scores 1,
     empty-pred-vs-nonempty-gt scores 0. Not symmetric by design.
     """
-    n_pred, n_gt = len(pred.masks), len(gt.masks)
+    n_pred, n_gt = len(pred.windows), len(gt.windows)
     per_threshold: dict[float, float] = {}
     if n_pred == 0:
         p = 1.0 if n_gt == 0 else 0.0
         per_threshold = {t: p for t in iou_thresholds}
         return AgreementScore(p, per_threshold, iou_thresholds)
+    if n_gt and pred.shape != gt.shape:
+        raise ParameterError(f"mask shape mismatch: {pred.shape} vs {gt.shape}")
 
+    # a pair whose boxes do not intersect shares no pixel: its IoU is 0
     ious = np.zeros((n_pred, n_gt))
-    for i, (_, pm) in enumerate(pred.masks):
-        for j, (_, gm) in enumerate(gt.masks):
-            ious[i, j] = mask_iou(pm, gm)
+    pb = np.array([_box(w) for w in pred.windows]).reshape(-1, 4)
+    gb = np.array([_box(w) for w in gt.windows]).reshape(-1, 4)
+    lo = np.maximum(pb[:, None, ::2], gb[None, :, ::2])
+    hi = np.minimum(pb[:, None, 1::2], gb[None, :, 1::2])
+    for i, j in zip(*np.nonzero((hi > lo).all(axis=2))):
+        pw, gw = pred.windows[i], gt.windows[j]
+        r0, r1 = min(pb[i, 0], gb[j, 0]), max(pb[i, 1], gb[j, 1])
+        c0, c1 = min(pb[i, 2], gb[j, 2]), max(pb[i, 3], gb[j, 3])
+        ious[i, j] = mask_iou(_pixels_in(pw, r0, r1, c0, c1), _pixels_in(gw, r0, r1, c0, c1))
 
-    pred_ids = [pid for pid, _ in pred.masks]
-    gt_ids = [gid for gid, _ in gt.masks]
+    pred_ids = pred.ids()
+    gt_ids = gt.ids()
     pairs = sorted(
         ((ious[i, j], i, j) for i in range(n_pred) for j in range(n_gt)),
         key=lambda t: (-t[0], pred_ids[t[1]], gt_ids[t[2]]),
@@ -296,17 +382,19 @@ def save_masks(masks: InstanceMaskSet, out_dir: str | Path, stem: str = "masks")
     manifest: dict = {"source": masks.source, "ids": masks.ids()}
     if masks.confidences:
         manifest["confidences"] = {str(k): v for k, v in masks.confidences.items()}
-    union = np.zeros(masks.masks[0][1].shape, dtype=bool) if masks.masks else None
     disjoint = True
-    for _, m in masks.masks:
-        if (union & m).any():
-            disjoint = False
-            break
-        union |= m
-    if disjoint and masks.masks:
-        id_map = np.zeros(masks.masks[0][1].shape, dtype=np.uint16)
-        for pid, m in masks.masks:
-            id_map[m] = pid
+    if masks.windows:
+        union = np.zeros(masks.shape, dtype=bool)
+        for w in masks.windows:
+            covered = union[w.slices]
+            if (covered & w.local).any():
+                disjoint = False
+                break
+            covered |= w.local
+    if disjoint and masks.windows:
+        id_map = np.zeros(masks.shape, dtype=np.uint16)
+        for w in masks.windows:
+            id_map[w.slices][w.local] = w.id
         write_pgm16(out / f"{stem}_idmap.pgm", id_map)
         manifest["id_map"] = f"{stem}_idmap.pgm"
     else:
@@ -324,14 +412,18 @@ def save_masks(masks: InstanceMaskSet, out_dir: str | Path, stem: str = "masks")
 def load_masks(manifest_path: str | Path) -> InstanceMaskSet:
     src = Path(manifest_path)
     manifest = json.loads(src.read_text())
-    masks: list[tuple[int, np.ndarray]] = []
-    if "id_map" in manifest:
-        id_map = read_pgm16(src.parent / manifest["id_map"])
-        for pid in manifest["ids"]:
-            masks.append((pid, id_map == pid))
-    else:
-        for pid in manifest["ids"]:
-            m = read_pgm16(src.parent / manifest["files"][str(pid)])
-            masks.append((pid, m > 0))
     confidences = {int(k): v for k, v in manifest.get("confidences", {}).items()}
-    return InstanceMaskSet(masks, source=manifest["source"], confidences=confidences)
+    if "id_map" not in manifest:
+        masks = [(pid, read_pgm16(src.parent / manifest["files"][str(pid)]) > 0)
+                 for pid in manifest["ids"]]
+        return InstanceMaskSet(masks, manifest["source"], confidences)
+    id_map = read_pgm16(src.parent / manifest["id_map"])
+    slices = ndimage.find_objects(id_map)
+    windows: list[MaskWindow] = []
+    for pid in manifest["ids"]:
+        if pid < 1:
+            raise ParameterError(f"id map cannot hold instance id {pid}")
+        sl = (slices[pid - 1] if pid - 1 < len(slices) else None) or _EMPTY_BOX
+        windows.append(MaskWindow(pid, sl, id_map[sl] == pid))
+    return InstanceMaskSet(source=manifest["source"], confidences=confidences,
+                           windows=windows, shape=id_map.shape)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .archetypes import FoodArchetype
 from .errors import FitError, ParameterError, check_number
-from .perception import DepthImage, InstanceMaskSet, _bbox
+from .perception import DepthImage, InstanceMaskSet
 
 
 @dataclass
@@ -68,7 +68,7 @@ class Plan:
     filtering_enabled: bool = True
 
 
-def fit_ellipse(mask: np.ndarray) -> EllipseFit:
+def fit_ellipse(mask: np.ndarray, offset: tuple[int, int] = (0, 0)) -> EllipseFit:
     """Fit the moment-equivalent ellipse: centroid plus eigen-decomposition of
     the pixel covariance, with semi-axis = 2 * sqrt(eigenvalue).
 
@@ -76,14 +76,13 @@ def fit_ellipse(mask: np.ndarray) -> EllipseFit:
     shapes recover their continuous axes. Raises FitError for masks smaller
     than 5 px or with rank-deficient covariance.
 
-    Pixels are found on the mask's bounding box and shifted back to raster
-    coordinates before any float math, so the fit is bit-identical to one
-    over the whole raster.
+    mask may be a window whose [0, 0] sits at raster (row, col) = offset.
+    Its pixel coordinates are shifted back to the raster before any float
+    math, so the fit is bit-identical to one over the whole raster.
     """
-    r0, r1, c0, c1 = _bbox(mask) or (0, 0, 0, 0)
-    ys, xs = np.nonzero(mask[r0:r1, c0:c1])
-    ys += r0
-    xs += c0
+    ys, xs = np.nonzero(mask)
+    ys += offset[0]
+    xs += offset[1]
     n = xs.size
     if n < 5:
         raise FitError(f"mask has {n} pixels, need >= 5")
@@ -260,12 +259,13 @@ def plan(
     fg.validate()
     candidates: list[GraspCandidate] = []
     skipped: dict[int, str] = {}
-    for pid, mask in masks.masks:
+    for w in masks.windows:
+        rows, cols = w.slices
         try:
-            fit = fit_ellipse(mask)
-            cand = derive_grasp(fit, depth, archetype, pid)
+            fit = fit_ellipse(w.local, (rows.start, cols.start))
+            cand = derive_grasp(fit, depth, archetype, w.id)
         except (FitError, ParameterError) as exc:
-            skipped[pid] = str(exc)
+            skipped[w.id] = str(exc)
             continue
         candidates.append(cand)
     if filtering_enabled:

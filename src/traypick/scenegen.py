@@ -167,20 +167,25 @@ def make_stamp(
 
 
 def stamp_window(
-    scene: TrayScene, stamp: PieceStamp, position: tuple[float, float]
+    scene: TrayScene,
+    stamp: PieceStamp,
+    position: tuple[float, float],
+    region: tuple[slice, slice] | None = None,
 ) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
     """Raster and stamp slices of a stamp centred at position (x, y) mm,
-    clipped to the tray interior. A piece's pixels never leave this window."""
-    ny, nx = scene.shape
+    clipped to region (default: the tray interior, whose window holds every
+    pixel of the piece). A stamp outside the region gives empty slices."""
+    rows, cols = region or (slice(0, scene.shape[0]), slice(0, scene.shape[1]))
     cy = int(round(position[1] / scene.resolution))
     cx = int(round(position[0] / scene.resolution))
     hy, hx = stamp.center
     r0, r1 = cy - hy, cy + hy + 1
     c0, c1 = cx - hx, cx + hx + 1
-    sr0, sc0 = max(0, -r0), max(0, -c0)
-    sr1 = stamp.top.shape[0] - max(0, r1 - ny)
-    sc1 = stamp.top.shape[1] - max(0, c1 - nx)
-    win = (slice(max(r0, 0), min(r1, ny)), slice(max(c0, 0), min(c1, nx)))
+    sr0, sc0 = max(0, rows.start - r0), max(0, cols.start - c0)
+    sr1 = stamp.top.shape[0] - max(0, r1 - rows.stop)
+    sc1 = stamp.top.shape[1] - max(0, c1 - cols.stop)
+    win = (slice(max(r0, rows.start), min(r1, rows.stop)),
+           slice(max(c0, cols.start), min(c1, cols.stop)))
     return win, (slice(sr0, sr1), slice(sc0, sc1))
 
 
@@ -293,29 +298,38 @@ def generate_scene(config: SceneConfig, seed: int) -> TrayScene:
     return scene
 
 
-def _refresh_occlusion_flags(scene: TrayScene) -> None:
-    for piece in scene.pieces.values():
+def _refresh_occlusion_flags(scene: TrayScene, pieces: list[PieceInstance] | None = None) -> None:
+    for piece in scene.pieces.values() if pieces is None else pieces:
         win, _ = stamp_window(scene, piece.stamp, piece.position)
         piece.fully_occluded = not (scene.owner_map[win] == piece.id).any()
 
 
-def recompose(scene: TrayScene) -> None:
-    """Rebuild heightmap and owner map from the registry, in id (drop) order.
+def recompose(scene: TrayScene, region: tuple[slice, slice] | None = None) -> None:
+    """Rebuild heightmap and owner map from the registry, in id (drop) order,
+    inside region (default: the whole raster), and refresh the occlusion
+    flags of the pieces that reach into it.
 
-    Pieces keep their recorded rest heights; nothing resettles.
+    Pieces keep their recorded rest heights; nothing resettles. Outside the
+    region the maps must already be the composition of the registry, as
+    they are after pieces whose stamp windows lie inside it are removed.
     """
-    scene.heightmap = np.zeros(scene.shape)
-    scene.owner_map = np.zeros(scene.shape, dtype=np.int32)
+    region = region or (slice(0, scene.shape[0]), slice(0, scene.shape[1]))
+    scene.heightmap[region] = 0.0
+    scene.owner_map[region] = 0
+    touched: list[PieceInstance] = []
     for pid in sorted(scene.pieces):
         piece = scene.pieces[pid]
-        win, st = stamp_window(scene, piece.stamp, piece.position)
+        win, st = stamp_window(scene, piece.stamp, piece.position, region)
+        if win[0].stop <= win[0].start or win[1].stop <= win[1].start:
+            continue
+        touched.append(piece)
         mask = piece.stamp.mask[st]
         new_top = piece.rest_height + piece.stamp.top[st]
         window = scene.heightmap[win]
         raised = mask & (new_top > window)
         window[raised] = new_top[raised]
         scene.owner_map[win][raised] = pid
-    _refresh_occlusion_flags(scene)
+    _refresh_occlusion_flags(scene, touched)
 
 
 # ---------------------------------------------------------------------------

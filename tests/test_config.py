@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from traypick.archetypes import DEFAULT_ARCHETYPES
-from traypick.config import experiment_config_from_document
+from traypick.config import experiment_config_from_document, load_experiment_config
 from traypick.errors import ParameterError
 from traypick.experiment import FRESH, ExperimentConfig, run_trial
 from traypick.graspsim import (
@@ -75,6 +75,24 @@ CONSTRAINTS = [
     ("scene", "max_placement_retries", 2.5),
     ("scene", "max_placement_retries", 0),
 ]
+# NaN compares false with every bound, so each bounded real field gets a row.
+NAN = float("nan")
+CONSTRAINTS += [
+    ("depth", "sigma", NAN),
+    ("depth", "quant", NAN),
+    ("corruption", "merge_prob", NAN),
+    ("corruption", "drop_prob", NAN),
+    ("corruption", "confidence_floor", NAN),
+    ("finger_geometry", "width", NAN),
+    ("finger_geometry", "breadth", NAN),
+    ("finger_geometry", "clearance", NAN),
+    ("execution", "pierce_block", NAN),
+    ("execution", "grasp_depth_margin", NAN),
+    ("execution", "capture_fraction", NAN),
+    ("execution", "multipick_fraction", NAN),
+    ("scene", "tray_dims", [424.0, NAN, 160.0]),
+    ("scene", "resolution", NAN),
+]
 
 # Constraints on the document's shape, which no Python value mirrors.
 DOCUMENT_ONLY = [
@@ -124,6 +142,22 @@ def test_bad_value_rejected_in_python_api(row):
     cfg = python_config(*row)
     with pytest.raises(ParameterError):
         cfg.validate()
+
+
+def test_nan_literal_in_config_file_rejected(tmp_path):
+    """json accepts the NaN literal, so a config file can carry one."""
+    path = tmp_path / "config.json"
+    path.write_text('{"corruption": {"merge_prob": NaN}, "depth": {"sigma": NaN}}')
+    with pytest.raises(ParameterError, match="must be >= 0"):
+        load_experiment_config(path)
+
+
+def test_nan_rejected_by_unconfigured_bounds():
+    scene = generate_scene(SceneConfig(), 0)
+    with pytest.raises(ParameterError):
+        render_depth(scene, sigma=NAN, rng=np.random.default_rng(0))
+    with pytest.raises(ParameterError):
+        FingerModel(retraction_budget=NAN).validate()
 
 
 @pytest.mark.parametrize("doc", DOCUMENT_ONLY, ids=repr)

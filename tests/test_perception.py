@@ -1,4 +1,6 @@
 """Depth rendering, masks, corruption, and the mask-agreement metric."""
+import json
+
 import numpy as np
 import pytest
 
@@ -299,3 +301,12 @@ class TestMaskAndDepthFiles:
         assert loaded.confidences == {1: 0.9, 2: 0.8}
         np.testing.assert_array_equal(loaded.masks[0][1], a)
         np.testing.assert_array_equal(loaded.masks[1][1], b)
+
+    def test_id_map_manifest_rejects_non_positive_id(self, tmp_path):
+        masks = InstanceMaskSet([(1, square_mask((30, 30), 5, 5, 10))])
+        manifest = save_masks(masks, tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["ids"] = [0, 1]
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ParameterError, match="instance id 0"):
+            load_masks(manifest)

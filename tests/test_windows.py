@@ -1,15 +1,20 @@
 """Windowed per-mask computations equal the full-raster formulas they replace.
 
 Each oracle below is the full-raster implementation the windowed code
-replaced, kept verbatim so the property tests can require exact equality:
-same pixels, same medians, same fractions, same RNG draws.
+replaced, kept verbatim (render_masks as its definition, one owner-map
+compare per piece) so the property tests can require exact equality: same
+pixels, same medians, same fractions, same RNG draws.
 """
 from __future__ import annotations
 
 import math
 
+import copy
+import tempfile
+
 import numpy as np
 import pytest
+from scipy import ndimage
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -17,20 +22,26 @@ from hypothesis.extra.numpy import arrays
 from traypick.archetypes import DEFAULT_ARCHETYPES
 from traypick.errors import FitError
 from traypick.graspsim import (
+    FingerKind,
+    FingerModel,
     _jaw_region,
     _pieces_in_region,
     _visible_fraction_in,
     _visible_window,
+    execute_grasp,
 )
 from traypick.perception import (
     CorruptionParams,
     DepthImage,
     InstanceMaskSet,
-    _adjacent,
     _bbox,
-    _morph_jitter,
+    agreement,
     corrupt_masks,
+    load_masks,
+    mask_iou,
+    render_depth,
     render_masks,
+    save_masks,
 )
 from traypick.planner import (
     EllipseFit,
@@ -44,8 +55,15 @@ from traypick.planner import (
     ellipse_interior,
     filter_grasps,
     fit_ellipse,
+    plan,
 )
-from traypick.scenegen import SceneConfig, _refresh_occlusion_flags, generate_scene, recompose
+from traypick.scenegen import (
+    SceneConfig,
+    _refresh_occlusion_flags,
+    generate_scene,
+    recompose,
+    stamp_window,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -139,15 +157,60 @@ def oracle_visible_fraction_in(scene, pid, region) -> float:
     return int(np.count_nonzero(visible & region)) / total
 
 
+def oracle_render_masks(scene):
+    """render_masks with one full raster per mask."""
+    masks = []
+    for pid in sorted(scene.pieces):
+        full = scene.owner_map == pid
+        if full.any():
+            masks.append((pid, full))
+    return masks
+
+
+def oracle_adjacent(a, b, ba, bb):
+    if ba is None or bb is None:
+        return False
+    ny, nx = a.shape
+    r0 = max(ba[0] - 1, bb[0] - 1, 0)
+    r1 = min(ba[1] + 1, bb[1] + 1, ny)
+    c0 = max(ba[2] - 1, bb[2] - 1, 0)
+    c1 = min(ba[3] + 1, bb[3] + 1, nx)
+    if r1 <= r0 or c1 <= c0:
+        return False
+    win = (slice(r0, r1), slice(c0, c1))
+    return bool(
+        (ndimage.binary_dilation(a[win], structure=np.ones((3, 3), bool)) & b[win]).any()
+    )
+
+
+def oracle_morph_jitter(mask, steps):
+    box = _bbox(mask)
+    if box is None:
+        return mask
+    pad = abs(steps) + 1
+    r0 = max(box[0] - pad, 0)
+    r1 = min(box[1] + pad, mask.shape[0])
+    c0 = max(box[2] - pad, 0)
+    c1 = min(box[3] + pad, mask.shape[1])
+    win = (slice(r0, r1), slice(c0, c1))
+    out = np.zeros_like(mask)
+    if steps > 0:
+        out[win] = ndimage.binary_dilation(mask[win], iterations=steps)
+    else:
+        out[win] = ndimage.binary_erosion(mask[win], iterations=-steps)
+    return out
+
+
 def oracle_corrupt_masks(masks, params, rng):
-    """corrupt_masks with the unpruned O(n^2) merge scan."""
+    """corrupt_masks on full rasters with the unpruned O(n^2) merge scan;
+    returns (id, full raster) pairs and the confidences."""
     jittered = []
     for pid, mask in masks.masks:
         m = mask
         if params.boundary_jitter > 0:
             steps = int(rng.integers(-params.boundary_jitter, params.boundary_jitter + 1))
             if steps != 0:
-                m = _morph_jitter(m, steps)
+                m = oracle_morph_jitter(m, steps)
                 if not m.any():
                     continue
         jittered.append((pid, m))
@@ -165,7 +228,7 @@ def oracle_corrupt_masks(masks, params, rng):
         boxes = {pid: _bbox(by_id[pid]) for pid in ids}
         for i_idx, i in enumerate(ids):
             for j in ids[i_idx + 1 :]:
-                if _adjacent(by_id[i], by_id[j], boxes[i], boxes[j]) and (
+                if oracle_adjacent(by_id[i], by_id[j], boxes[i], boxes[j]) and (
                     rng.random() < params.merge_prob
                 ):
                     parent[find(j)] = find(i)
@@ -181,7 +244,27 @@ def oracle_corrupt_masks(masks, params, rng):
             continue
         out.append((root, merged))
         confidences[root] = float(rng.uniform(params.confidence_floor, 1.0))
-    return InstanceMaskSet(out, source="corrupted", confidences=confidences)
+    return out, confidences
+
+
+def oracle_agreement_ious(pred, gt):
+    return np.array([[mask_iou(pm, gm) for _, gm in gt.masks] for _, pm in pred.masks])
+
+
+def oracle_recompose(scene):
+    """recompose over fresh full rasters, every occlusion flag refreshed."""
+    heightmap = np.zeros(scene.shape)
+    owner_map = np.zeros(scene.shape, dtype=np.int32)
+    for pid in sorted(scene.pieces):
+        piece = scene.pieces[pid]
+        win, st = stamp_window(scene, piece.stamp, piece.position)
+        new_top = piece.rest_height + piece.stamp.top[st]
+        window = heightmap[win]
+        raised = piece.stamp.mask[st] & (new_top > window)
+        window[raised] = new_top[raised]
+        owner_map[win][raised] = pid
+    flags = {pid: not (owner_map == pid).any() for pid in scene.pieces}
+    return heightmap, owner_map, flags
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +353,8 @@ def test_fit_ellipse_bit_identical(mask):
             fit_ellipse(mask)
         return
     assert fit_ellipse(mask) == expected
+    (w,) = InstanceMaskSet([(1, mask)]).windows
+    assert fit_ellipse(w.local, (w.slices[0].start, w.slices[1].start)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +454,27 @@ def test_occlusion_flags_match_label_presence(scenes):
 
 
 # ---------------------------------------------------------------------------
-# pruned merge scan
+# windowed mask sets: render, corrupt (jitter, pruned merge scan, drop),
+# agreement and mask files
+
+
+def assert_windows_tight(masks):
+    """Every window is its mask's bounding box, placed inside the raster."""
+    for w in masks.windows:
+        rows, cols = w.slices
+        assert w.local.shape == (rows.stop - rows.start, cols.stop - cols.start)
+        if w.local.size:
+            assert _bbox(w.local) == (0, w.local.shape[0], 0, w.local.shape[1])
+            assert 0 <= rows.start and rows.stop <= masks.shape[0]
+            assert 0 <= cols.start and cols.stop <= masks.shape[1]
+
+
+def assert_same_masks(got, expected):
+    """got (a mask set) holds exactly the (id, full raster) pairs expected."""
+    assert got.ids() == [pid for pid, _ in expected]
+    for (_, a), (_, b) in zip(got.masks, expected):
+        np.testing.assert_array_equal(a, b)
+    assert_windows_tight(got)
 
 
 @st.composite
@@ -379,6 +484,14 @@ def label_maps(draw):
     return InstanceMaskSet([(int(p), labels == p) for p in np.unique(labels) if p != 0])
 
 
+corruptions = st.builds(
+    CorruptionParams,
+    boundary_jitter=st.integers(0, 2),
+    merge_prob=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    drop_prob=st.sampled_from([0.0, 0.3]),
+)
+
+
 @SETTINGS
 @given(masks=label_maps(), seed=st.integers(0, 2**32 - 1), jitter=st.integers(0, 2),
        merge=st.floats(0.05, 1.0), drop=st.sampled_from([0.0, 0.3]))
@@ -386,12 +499,78 @@ def test_pruned_merge_scan_matches_unpruned(masks, seed, jitter, merge, drop):
     params = CorruptionParams(boundary_jitter=jitter, merge_prob=merge, drop_prob=drop)
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
     got = corrupt_masks(masks, params, rng_new)
-    expected = oracle_corrupt_masks(masks, params, rng_old)
-    assert got.ids() == expected.ids()
-    assert got.confidences == expected.confidences
-    for (_, a), (_, b) in zip(got.masks, expected.masks):
-        np.testing.assert_array_equal(a, b)
+    expected, confidences = oracle_corrupt_masks(masks, params, rng_old)
+    assert_same_masks(got, expected)
+    assert got.confidences == confidences
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+@pytest.fixture(scope="module")
+def trays():
+    """Generated trays, two of them small enough that most stamp windows
+    are clipped at the raster edge."""
+    small = (60.0, 45.0, 160.0)
+    return [
+        generate_scene(SceneConfig(archetype="mushroom"), 34),
+        generate_scene(SceneConfig(archetype="gyoza"), 5),
+        generate_scene(SceneConfig(archetype="fried_chicken", tray_dims=small), 8),
+        generate_scene(SceneConfig(archetype="mushroom", tray_dims=small), 9),
+    ]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=list(HealthCheck))
+@given(idx=st.integers(0, 3), seed=st.integers(0, 2**32 - 1), params=corruptions)
+def test_render_and_corrupt_masks_on_trays_equal_full_raster(trays, idx, seed, params):
+    scene = trays[idx]
+    truth = render_masks(scene)
+    assert_same_masks(truth, oracle_render_masks(scene))
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = corrupt_masks(truth, params, rng_new)
+    expected, confidences = oracle_corrupt_masks(truth, params, rng_old)
+    assert_same_masks(got, expected)
+    assert got.confidences == confidences
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+@SETTINGS
+@given(pred=label_maps(), gt=label_maps(), seed=st.integers(0, 2**32 - 1), params=corruptions)
+def test_agreement_equals_every_pair_iou(pred, gt, seed, params):
+    pred = corrupt_masks(pred, params, np.random.default_rng(seed))  # may overlap
+    if pred.windows and gt.windows and pred.shape != gt.shape:
+        return
+    ious = oracle_agreement_ious(pred, gt)
+    pred_ids, gt_ids = pred.ids(), gt.ids()
+    pairs = sorted(
+        ((ious[i, j], i, j) for i in range(len(pred_ids)) for j in range(len(gt_ids))),
+        key=lambda t: (-t[0], pred_ids[t[1]], gt_ids[t[2]]),
+    )
+    thresholds = (0.0, 0.3, 0.5, 0.95, 1.0)
+    score = agreement(pred, gt, thresholds)
+    if not pred_ids:
+        return
+    for t in thresholds:
+        used_p, used_g = set(), set()
+        for iou, i, j in pairs:
+            if iou >= t and i not in used_p and j not in used_g:
+                used_p.add(i)
+                used_g.add(j)
+        assert score.per_threshold[t] == len(used_p) / len(pred_ids)
+
+
+@SETTINGS
+@given(masks=label_maps(), seed=st.integers(0, 2**32 - 1), jitter=st.integers(0, 2))
+def test_mask_files_round_trip(masks, seed, jitter):
+    params = CorruptionParams(boundary_jitter=jitter, merge_prob=0.3)
+    corrupted = corrupt_masks(masks, params, np.random.default_rng(seed))  # may overlap
+    for original in (masks, corrupted):
+        with tempfile.TemporaryDirectory() as out:
+            loaded = load_masks(save_masks(original, out))
+        assert loaded.source == original.source
+        assert loaded.confidences == original.confidences
+        assert loaded.ids() == original.ids()
+        for a, b in zip(loaded.windows, original.windows):
+            assert a.slices == b.slices
+            np.testing.assert_array_equal(a.local, b.local)
 
 
 def test_pruned_merge_scan_on_a_dense_tray():
@@ -399,7 +578,60 @@ def test_pruned_merge_scan_on_a_dense_tray():
     params = CorruptionParams(boundary_jitter=1, merge_prob=0.3, drop_prob=0.05)
     rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
     got = corrupt_masks(truth, params, rng_new)
-    expected = oracle_corrupt_masks(truth, params, rng_old)
-    assert got.ids() == expected.ids() and got.confidences == expected.confidences
-    assert all((a == b).all() for (_, a), (_, b) in zip(got.masks, expected.masks))
+    expected, confidences = oracle_corrupt_masks(truth, params, rng_old)
+    assert len(expected) < len(truth.windows)  # some masks merged or dropped
+    assert_same_masks(got, expected)
+    assert got.confidences == confidences
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# windowed recompose after removing pieces
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=list(HealthCheck))
+@given(idx=st.integers(0, 3), data=st.data())
+def test_windowed_recompose_equals_full_recompose(trays, idx, data):
+    scene = copy.deepcopy(trays[idx])
+    ids = sorted(scene.pieces)
+    removed = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4, unique=True))
+    wins = [stamp_window(scene, scene.pieces[pid].stamp, scene.pieces[pid].position)[0]
+            for pid in removed]
+    for pid in removed:
+        del scene.pieces[pid]
+    region = (slice(min(r.start for r, _ in wins), max(r.stop for r, _ in wins)),
+              slice(min(c.start for _, c in wins), max(c.stop for _, c in wins)))
+    recompose(scene, region)
+    heightmap, owner_map, flags = oracle_recompose(scene)
+    np.testing.assert_array_equal(scene.heightmap, heightmap)
+    np.testing.assert_array_equal(scene.owner_map, owner_map)
+    assert {pid: p.fully_occluded for pid, p in scene.pieces.items()} == flags
+
+
+def test_maps_after_picks_equal_full_recompose(trays):
+    """execute_grasp recomposes the union of the picked pieces' windows."""
+    tray = copy.deepcopy(trays[0])
+    rng = np.random.default_rng(0)
+    picked = []
+    for _ in range(12):  # merged masks make a multi-pick likely
+        masks = corrupt_masks(render_masks(tray), CorruptionParams(merge_prob=0.5), rng)
+        p = plan(masks, render_depth(tray), DEFAULT_ARCHETYPES["mushroom"])
+        outcome = execute_grasp(tray, p.target, FingerModel(kind=FingerKind.FIXED))
+        picked.append(len(outcome.picked))
+        heightmap, owner_map, flags = oracle_recompose(tray)
+        np.testing.assert_array_equal(tray.heightmap, heightmap)
+        np.testing.assert_array_equal(tray.owner_map, owner_map)
+        assert {pid: q.fully_occluded for pid, q in tray.pieces.items()} == flags
+    assert sum(n > 0 for n in picked) >= 5 and max(picked) >= 2
+
+
+def test_small_trays_clip_stamp_windows(trays):
+    """The small trays of the recompose test do reach the raster edge."""
+    for scene in trays[2:]:
+        clipped = 0
+        for piece in scene.pieces.values():
+            win, st_ = stamp_window(scene, piece.stamp, piece.position)
+            clipped += win[0].stop - win[0].start < piece.stamp.top.shape[0] or (
+                win[1].stop - win[1].start < piece.stamp.top.shape[1]
+            )
+        assert clipped >= len(scene.pieces) // 2
