@@ -10,16 +10,15 @@ pieces left behind.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError, check_number, check_type
 from .planner import (FingerGeometry, GraspCandidate, Window, _contact_rectangles,
-                      _contact_windows, _rectangle_window)
+                      _contact_windows, _rectangle_window, median)
 from .scenegen import TrayScene, recompose, stamp_window
-
-import math
 
 
 class FingerKind(enum.Enum):
@@ -279,7 +278,7 @@ def close_and_lift(
             win, visible = _visible_window(scene, pid)
             if not visible.any():
                 continue
-            med = float(np.median(scene.heightmap[win][visible]))
+            med = median(scene.heightmap[win][visible])
             if med > max_bottom:
                 picked.append(pid)
 

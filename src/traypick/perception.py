@@ -149,7 +149,10 @@ def render_depth(
         heights += rng.normal(0.0, sigma, heights.shape)
     np.maximum(heights, 0.0, out=heights)
     if quant > 0:
-        heights = np.ceil(heights / quant - 0.5) * quant
+        heights /= quant
+        heights -= 0.5
+        np.ceil(heights, out=heights)
+        heights *= quant
         np.maximum(heights, 0.0, out=heights)
     return DepthImage(heights, scene.resolution, sigma, quant)
 
@@ -341,10 +344,18 @@ def agreement(
 
     pred_ids = pred.ids()
     gt_ids = gt.ids()
+    # zero-IoU pairs sort last and can match only at a threshold that is
+    # not > 0 (NaN never ends the scan)
+    positive = ious > 0
     pairs = sorted(
-        ((ious[i, j], i, j) for i in range(n_pred) for j in range(n_gt)),
+        ((ious[i, j], i, j) for i, j in zip(*np.nonzero(positive))),
         key=lambda t: (-t[0], pred_ids[t[1]], gt_ids[t[2]]),
     )
+    if not all(t > 0 for t in iou_thresholds):
+        pairs += sorted(
+            ((0.0, i, j) for i, j in zip(*np.nonzero(~positive))),
+            key=lambda t: (pred_ids[t[1]], gt_ids[t[2]]),
+        )
     for t in iou_thresholds:
         used_p: set[int] = set()
         used_g: set[int] = set()

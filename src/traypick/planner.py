@@ -68,6 +68,24 @@ class Plan:
     filtering_enabled: bool = True
 
 
+def median(values: np.ndarray) -> float:
+    """float(np.median(values)) of a non-empty 1-D float array, bit for bit,
+    without np.median's fixed cost per call.
+
+    It partitions at the same indices (the middle one or two, and the last,
+    which holds any NaN), adds the middle values to 0.0 as np.mean's sum
+    does (so -0.0 comes out as 0.0) and halves an even-length pair's sum.
+    """
+    half = values.size // 2
+    if values.size % 2:
+        part = np.partition(values, [half, -1])
+        mid = 0.0 + part[half]
+    else:
+        part = np.partition(values, [half - 1, half, -1])
+        mid = (0.0 + part[half - 1] + part[half]) / 2.0
+    return float(part[-1] if math.isnan(part[-1]) else mid)
+
+
 def fit_ellipse(mask: np.ndarray, offset: tuple[int, int] = (0, 0)) -> EllipseFit:
     """Fit the moment-equivalent ellipse: centroid plus eigen-decomposition of
     the pixel covariance, with semi-axis = 2 * sqrt(eigenvalue).
@@ -124,7 +142,7 @@ def _rotated_window(
     dx = np.arange(c0, c1)[np.newaxis, :] - cx
     dy = np.arange(r0, r1)[:, np.newaxis] - cy
     c, s = math.cos(theta), math.sin(theta)
-    return (slice(r0, r1), slice(c0, c1)), inside(dx * c + dy * s, -dx * s + dy * c)
+    return (slice(r0, r1), slice(c0, c1)), inside(dx * c + dy * s, dy * c - dx * s)
 
 
 def _paste(shape: tuple[int, int], window: Window) -> np.ndarray:
@@ -163,9 +181,10 @@ def derive_grasp(
     floored at the tray floor.
     """
     win, interior = _ellipse_window(fit, depth.heights.shape)
-    if not interior.any():
+    heights = depth.heights[win][interior]
+    if not heights.size:
         raise ParameterError("ellipse lies entirely outside the raster")
-    food_median = float(np.median(depth.heights[win][interior]))
+    food_median = median(heights)
     h = max(0.0, food_median + archetype.grasp_height_offset)
     return GraspCandidate(
         instance_id=instance_id,
@@ -222,15 +241,16 @@ def filter_grasps(
     """
     retained: list[GraspCandidate] = []
     for c in cands:
-        (win_l, left), (win_r, right) = _contact_windows(
+        (win_l, in_l), (win_r, in_r) = _contact_windows(
             c, fg, depth.resolution, depth.heights.shape
         )
-        if not left.any() or not right.any():
+        left, right = depth.heights[win_l][in_l], depth.heights[win_r][in_r]
+        if not left.size or not right.size:
             c.filtered = True
             c.filter_reason = "out-of-tray"
             continue
-        med_l = float(np.median(depth.heights[win_l][left]))
-        med_r = float(np.median(depth.heights[win_r][right]))
+        med_l = median(left)
+        med_r = median(right)
         c.contact_medians = (med_l, med_r)
         if med_l < c.food_median and med_r < c.food_median:
             retained.append(c)

@@ -33,9 +33,8 @@ def default_resolution(tray_width_mm: float = DEFAULT_TRAY_DIMS[0]) -> float:
 class PieceStamp:
     """A single piece's rasterized geometry, relative to its own base plane."""
 
-    top: np.ndarray  # mm above the piece base plane
-    bottom: np.ndarray  # mm above the piece base plane (flat pieces: zeros)
-    mask: np.ndarray  # boolean support of both grids
+    top: np.ndarray  # mm above the piece base plane, whose bottom is flat
+    mask: np.ndarray  # boolean footprint
     rotation: float  # rad
     scale: float
     params: dict  # jittered shape parameters, enough to re-rasterize
@@ -114,17 +113,20 @@ def rasterize_stamp(
     half_px = int(math.ceil(half_mm / resolution)) + 1
     side = 2 * half_px + 1
     coords = (np.arange(side) - half_px) * resolution
-    xs, ys = np.meshgrid(coords, coords)
+    xs, ys = coords[np.newaxis, :], coords[:, np.newaxis]
     c, s = math.cos(rotation), math.sin(rotation)
-    u = xs * c + ys * s
-    v = -xs * s + ys * c
-    f = np.abs(u / semi_a) ** exponent + np.abs(v / semi_b) ** exponent
-    mask = f < 1.0
+    au = np.abs((xs * c + ys * s) / semi_a)
+    av = np.abs((ys * c - xs * s) / semi_b)
+    # a pixel with |u/a| >= 1 or |v/b| >= 1 has f >= 1 for every exponent > 0
+    box = (au < 1.0) & (av < 1.0)
+    f = au[box] ** exponent + av[box] ** exponent
+    inside = f < 1.0
+    mask = np.zeros((side, side), dtype=bool)
+    mask[box] = inside
     top = np.zeros((side, side))
-    top[mask] = peak * np.sqrt(1.0 - f[mask])
+    top[mask] = peak * np.sqrt(1.0 - f[inside])
     return PieceStamp(
         top=top,
-        bottom=np.zeros((side, side)),
         mask=mask,
         rotation=rotation,
         scale=1.0,
@@ -208,13 +210,12 @@ def drop_piece(
     if win[0].stop <= win[0].start or win[1].stop <= win[1].start:
         raise PlacementError("stamp footprint entirely outside tray")
     mask = stamp.mask[st]
-    if not mask.any():
+    window = scene.heightmap[win]
+    support = window[mask]
+    if not support.size:
         raise PlacementError("clipped footprint is empty")
     top = stamp.top[st]
-    bottom = stamp.bottom[st]
-
-    window = scene.heightmap[win]
-    rest = float(max(0.0, np.max(window[mask] - bottom[mask])))
+    rest = float(max(0.0, support.max()))
     new_top = rest + top
     raised = mask & (new_top > window)
 

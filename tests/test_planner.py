@@ -314,7 +314,6 @@ class TestPlan:
         def slab(w_px, h_px, thickness):
             s = rasterize_stamp(1.0, 1.0, 2.0, 0.0, 0.0, 1.0)
             s.top = np.full((h_px, w_px), float(thickness))
-            s.bottom = np.zeros((h_px, w_px))
             s.mask = np.ones((h_px, w_px), dtype=bool)
             return s
 

@@ -41,7 +41,6 @@ def flat_stamp(side_px, thickness, resolution=1.0):
     shape = (side_px, side_px)
     stamp = rasterize_stamp(1.0, 1.0, 2.0, 0.0, 0.0, resolution)
     stamp.top = np.full(shape, float(thickness))
-    stamp.bottom = np.zeros(shape)
     stamp.mask = np.ones(shape, dtype=bool)
     return stamp
 
@@ -154,9 +153,7 @@ class TestDropPiece:
                             continue
                         ty, tx = cy - hy + sy, cx - hx + sx
                         if 0 <= ty < before.shape[0] and 0 <= tx < before.shape[1]:
-                            expected = max(
-                                expected, before[ty, tx] - stamp.bottom[sy, sx]
-                            )
+                            expected = max(expected, before[ty, tx])
                 assert piece.rest_height == pytest.approx(expected)
 
     def test_monotone_composition(self):

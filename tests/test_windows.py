@@ -3,7 +3,9 @@
 Each oracle below is the full-raster implementation the windowed code
 replaced, kept verbatim (render_masks as its definition, one owner-map
 compare per piece) so the property tests can require exact equality: same
-pixels, same medians, same fractions, same RNG draws.
+pixels, same medians, same fractions, same RNG draws. The same holds for the
+box-limited stamp rasterizer, the in-place depth quantization and the
+partition median, each against the code it replaced or np.median.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import tempfile
 import numpy as np
 import pytest
 from scipy import ndimage
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -31,6 +33,7 @@ from traypick.graspsim import (
     execute_grasp,
 )
 from traypick.perception import (
+    IOU_THRESHOLDS,
     CorruptionParams,
     DepthImage,
     InstanceMaskSet,
@@ -55,12 +58,14 @@ from traypick.planner import (
     ellipse_interior,
     filter_grasps,
     fit_ellipse,
+    median,
     plan,
 )
 from traypick.scenegen import (
     SceneConfig,
     _refresh_occlusion_flags,
     generate_scene,
+    rasterize_stamp,
     recompose,
     stamp_window,
 )
@@ -267,6 +272,35 @@ def oracle_recompose(scene):
     return heightmap, owner_map, flags
 
 
+def oracle_rasterize_stamp(semi_a, semi_b, exponent, peak, rotation, resolution):
+    """(top, mask) of the superellipse evaluated over the whole square stamp."""
+    half_mm = max(semi_a, semi_b)
+    half_px = int(math.ceil(half_mm / resolution)) + 1
+    side = 2 * half_px + 1
+    coords = (np.arange(side) - half_px) * resolution
+    xs, ys = np.meshgrid(coords, coords)
+    c, s = math.cos(rotation), math.sin(rotation)
+    u = xs * c + ys * s
+    v = -xs * s + ys * c
+    f = np.abs(u / semi_a) ** exponent + np.abs(v / semi_b) ** exponent
+    mask = f < 1.0
+    top = np.zeros((side, side))
+    top[mask] = peak * np.sqrt(1.0 - f[mask])
+    return top, mask
+
+
+def oracle_render_depth(scene, sigma, quant, rng):
+    """Depth heights with quantization on freshly allocated temporaries."""
+    heights = scene.heightmap.copy()
+    if sigma > 0:
+        heights += rng.normal(0.0, sigma, heights.shape)
+    np.maximum(heights, 0.0, out=heights)
+    if quant > 0:
+        heights = np.ceil(heights / quant - 0.5) * quant
+        np.maximum(heights, 0.0, out=heights)
+    return heights
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -388,6 +422,69 @@ def test_food_median_equals_full_raster(shape, fit, seed):
         return
     cand = derive_grasp(fit, depth, DEFAULT_ARCHETYPES["mushroom"])
     assert cand.food_median == float(np.median(depth.heights[interior]))
+
+
+def float_bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+special_floats = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan])
+sample_values = st.one_of(special_floats, st.floats(-1e6, 1e6), st.floats(width=64))
+
+
+@st.composite
+def median_inputs(draw):
+    n = draw(st.integers(1, 600))
+    if draw(st.booleans()):  # a few values, each repeated many times
+        pool = draw(st.lists(sample_values, min_size=1, max_size=4))
+        return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    return draw(arrays(np.float64, n, elements=sample_values))
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=list(HealthCheck))
+@given(values=median_inputs())
+@example(values=np.array([-0.0]))
+@example(values=np.array([-0.0, -0.0]))
+@example(values=np.array([-5e-324, 0.0]))  # the halved sum rounds to -0.0
+@example(values=np.array([1.0, math.nan, 2.0, 3.0]))
+@example(values=np.array([math.inf, -math.inf]))
+def test_median_equals_numpy_bit_for_bit(values):
+    before = values.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = float(np.median(values))
+        got = median(values)
+    assert type(got) is float
+    assert float_bits(got) == float_bits(expected)
+    assert before.tobytes() == values.tobytes()  # the input is left as it was
+
+
+# ---------------------------------------------------------------------------
+# stamps and depth
+
+
+@SETTINGS
+@given(semi_a=st.floats(0.3, 40.0), semi_b=st.floats(0.3, 40.0),
+       exponent=st.floats(0.0, 8.0, exclude_min=True) | st.sampled_from([0.5, 1.0, 2.0, 2.5, 4.0, 8.0]),
+       peak=st.floats(0.0, 60.0), rotation=st.floats(0.0, math.pi),
+       res=st.floats(0.3, 3.0) | st.just(424.0 / 600))
+def test_rasterize_stamp_equals_full_square(semi_a, semi_b, exponent, peak, rotation, res):
+    stamp = rasterize_stamp(semi_a, semi_b, exponent, peak, rotation, res)
+    top, mask = oracle_rasterize_stamp(semi_a, semi_b, exponent, peak, rotation, res)
+    np.testing.assert_array_equal(stamp.mask, mask)
+    assert stamp.top.tobytes() == top.tobytes()
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=list(HealthCheck))
+@given(idx=st.integers(0, 3), seed=st.integers(0, 2**32 - 1), sigma=st.sampled_from([0.0, 0.5]),
+       quant=st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.7, 1.0, 2.5]))
+def test_render_depth_equals_fresh_temporaries(trays, idx, seed, sigma, quant):
+    scene = trays[idx]
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    before = scene.heightmap.copy()
+    got = render_depth(scene, sigma, quant, rng_new)
+    assert got.heights.tobytes() == oracle_render_depth(scene, sigma, quant, rng_old).tobytes()
+    assert scene.heightmap.tobytes() == before.tobytes()
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +630,9 @@ def test_render_and_corrupt_masks_on_trays_equal_full_raster(trays, idx, seed, p
 
 
 @SETTINGS
-@given(pred=label_maps(), gt=label_maps(), seed=st.integers(0, 2**32 - 1), params=corruptions)
-def test_agreement_equals_every_pair_iou(pred, gt, seed, params):
+@given(pred=label_maps(), gt=label_maps(), seed=st.integers(0, 2**32 - 1), params=corruptions,
+       thresholds=st.sampled_from([(0.0, 0.3, 0.5, 0.95, 1.0), (0.0, 0.5), IOU_THRESHOLDS]))
+def test_agreement_equals_every_pair_iou(pred, gt, seed, params, thresholds):
     pred = corrupt_masks(pred, params, np.random.default_rng(seed))  # may overlap
     if pred.windows and gt.windows and pred.shape != gt.shape:
         return
@@ -544,7 +642,6 @@ def test_agreement_equals_every_pair_iou(pred, gt, seed, params):
         ((ious[i, j], i, j) for i in range(len(pred_ids)) for j in range(len(gt_ids))),
         key=lambda t: (-t[0], pred_ids[t[1]], gt_ids[t[2]]),
     )
-    thresholds = (0.0, 0.3, 0.5, 0.95, 1.0)
     score = agreement(pred, gt, thresholds)
     if not pred_ids:
         return
@@ -555,6 +652,7 @@ def test_agreement_equals_every_pair_iou(pred, gt, seed, params):
                 used_p.add(i)
                 used_g.add(j)
         assert score.per_threshold[t] == len(used_p) / len(pred_ids)
+    assert score.value == sum(score.per_threshold[t] for t in thresholds) / len(thresholds)
 
 
 @SETTINGS
