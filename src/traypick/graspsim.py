@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, check_number, check_type
-from .planner import (FingerGeometry, GraspCandidate, Window, _contact_rectangles,
-                      _contact_windows, _rectangle_window, median)
+from .planner import (FingerGeometry, GraspCandidate, Window, _contact_pixels,
+                      _contact_rectangles, _finger_half_sizes, _rectangle_pixels, median)
 from .scenegen import TrayScene, recompose, stamp_window
 
 
@@ -95,10 +95,10 @@ class GraspOutcome:
     insertion: InsertionResult
 
 
-def _pieces_in_region(scene: TrayScene, region: Window) -> dict[int, np.ndarray]:
-    win, local = region
-    owners = scene.owner_map[win][local]
-    heights = scene.heightmap[win][local]
+def _pieces_in_region(scene: TrayScene, region: np.ndarray) -> dict[int, np.ndarray]:
+    """Heights of each piece's pixels among the flat raster indices region."""
+    owners = scene.owner_map.take(region)
+    heights = scene.heightmap.take(region)
     out: dict[int, np.ndarray] = {}
     for pid in np.unique(owners):
         if pid == 0:
@@ -117,10 +117,10 @@ def _wall_contacts(
     the raster collides with the wall on the way down.
     """
     ny, nx = scene.shape
-    ux, uy = math.cos(c.theta), math.sin(c.theta)
-    vx, vy = -uy, ux
+    hl, hb = _finger_half_sizes(fg, scene.resolution)
     hits = []
-    for cx, cy, hl, hb in _contact_rectangles(c, fg, scene.resolution):
+    for cx, cy, ux, uy in _contact_rectangles(c, fg, scene.resolution):
+        vx, vy = -uy, ux
         hit = False
         for su in (-1.0, 1.0):
             for sv in (-1.0, 1.0):
@@ -134,15 +134,14 @@ def _wall_contacts(
 
 def _insert_one(
     scene: TrayScene,
-    region: Window,
+    region: np.ndarray,
     h: float,
     fm: FingerModel,
     params: ExecutionParams,
 ) -> FingerInsertion:
-    win, local = region
-    if not local.any():
+    if not region.size:
         return FingerInsertion(h, h, 0.0, {}, False)
-    obstruction = max(0.0, float(scene.heightmap[win][local].max()) - h)
+    obstruction = max(0.0, float(scene.heightmap.take(region).max()) - h)
     by_piece = _pieces_in_region(scene, region)
     contacts: dict[int, float] = {}
     if fm.kind is FingerKind.FIXED:
@@ -178,7 +177,7 @@ def insert_fingers(
     """
     params = params or ExecutionParams()
     fm.validate()
-    left, right = _contact_windows(c, fm.geometry, scene.resolution, scene.shape)
+    left, right = _contact_pixels(c, fm.geometry, scene.resolution, scene.shape)
     wall_l, wall_r = _wall_contacts(scene, c, fm.geometry)
     fins = (
         FingerInsertion(c.h, c.h, 0.0, {}, True)
@@ -205,9 +204,10 @@ def insert_fingers(
 
 def _jaw_region(
     scene: TrayScene, c: GraspCandidate, fg: FingerGeometry, outer: bool
-) -> Window:
-    """Rectangle between the finger rectangles (outer=False) or the full
-    closure corridor including the finger start positions (outer=True).
+) -> np.ndarray:
+    """Flat raster indices of the rectangle between the finger rectangles
+    (outer=False) or of the full closure corridor including the finger start
+    positions (outer=True).
 
     A gripped piece is held even where it overhangs the fingers lengthwise,
     so the corridor spans the piece's own major extent when that exceeds the
@@ -216,9 +216,8 @@ def _jaw_region(
     if outer:
         half_len_mm += fg.width
     half_breadth_px = max(fg.breadth / 2.0 / scene.resolution, c.fit.axis_major / 2.0)
-    return _rectangle_window(
-        scene.shape, c.x, c.y, c.theta, half_len_mm / scene.resolution, half_breadth_px
-    )
+    rect = (c.x, c.y, math.cos(c.theta), math.sin(c.theta))
+    return _rectangle_pixels(scene.shape, [rect], half_len_mm / scene.resolution, half_breadth_px)[0]
 
 
 def _visible_window(scene: TrayScene, pid: int) -> Window:
@@ -253,12 +252,11 @@ def close_and_lift(
     Pieces swept laterally during closure but left behind take closure damage
     under the same force/penetration rules as insertion.
 
-    Regions are evaluated on their bounding windows; jaw fractions divide
+    The jaw and sweep regions are flat raster indices; jaw fractions divide
     label counts inside the jaw by counts on each piece's stamp window.
     """
     params = params or ExecutionParams()
-    jaw_win, jaw = _jaw_region(scene, c, fm.geometry, outer=False)
-    in_jaw = np.bincount(scene.owner_map[jaw_win][jaw])
+    in_jaw = np.bincount(scene.owner_map.take(_jaw_region(scene, c, fm.geometry, outer=False)))
     bottoms = [fin.achieved for fin in ins.fingers]
     max_bottom = max(bottoms)
     picked: list[int] = []

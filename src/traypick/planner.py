@@ -8,7 +8,6 @@ contact region has a median height at or above the food-area median.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,15 +103,18 @@ def fit_ellipse(mask: np.ndarray, offset: tuple[int, int] = (0, 0)) -> EllipseFi
     n = xs.size
     if n < 5:
         raise FitError(f"mask has {n} pixels, need >= 5")
-    mx, my = xs.mean(), ys.mean()
+    # what ndarray.mean computes for integer input, without its wrapper
+    mx = np.add.reduce(xs, dtype=np.float64) / n
+    my = np.add.reduce(ys, dtype=np.float64) / n
     dx, dy = xs - mx, ys - my
-    cov = np.array(
-        [
-            [dx @ dx / n, dx @ dy / n],
-            [dx @ dy / n, dy @ dy / n],
-        ]
-    )
-    if np.linalg.eigvalsh(cov)[0] <= 1e-9:
+    sxy = dx @ dy / n
+    cov = np.array([[dx @ dx / n, sxy], [sxy, dy @ dy / n]])
+    # The smallest eigenvalue is at least det / tr, and the margin over the
+    # 1e-9 rank test covers the rounding of det and of LAPACK, so eigvalsh
+    # only runs where its answer could differ.
+    tr = float(cov[0, 0] + cov[1, 1])
+    det = float(cov[0, 0] * cov[1, 1] - sxy * sxy)
+    if not det > 2e-9 * tr + 1e-12 * tr * tr and np.linalg.eigvalsh(cov)[0] <= 1e-9:
         raise FitError("degenerate mask: rank-deficient pixel covariance")
     cov[0, 0] += 1.0 / 12.0
     cov[1, 1] += 1.0 / 12.0
@@ -127,48 +129,109 @@ def fit_ellipse(mask: np.ndarray, offset: tuple[int, int] = (0, 0)) -> EllipseFi
 # (raster slices, boolean array of their shape): heights[slices][local]
 Window = tuple[tuple[slice, slice], np.ndarray]
 
-
-def _rotated_window(
-    shape: tuple[int, int], cx: float, cy: float, theta: float, r: int,
-    inside: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> Window:
-    """A region rotated by theta about (cx, cy) px, tested by inside(u, v) in
-    its own frame (u along theta) over the raster-clipped square of half-side
-    r around the centre. A window that misses the raster is empty."""
-    r0 = max(0, int(cy) - r)
-    r1 = max(r0, min(shape[0], int(cy) + r + 2))
-    c0 = max(0, int(cx) - r)
-    c1 = max(c0, min(shape[1], int(cx) + r + 2))
-    dx = np.arange(c0, c1)[np.newaxis, :] - cx
-    dy = np.arange(r0, r1)[:, np.newaxis] - cy
-    c, s = math.cos(theta), math.sin(theta)
-    return (slice(r0, r1), slice(c0, c1)), inside(dx * c + dy * s, dy * c - dx * s)
-
-
-def _paste(shape: tuple[int, int], window: Window) -> np.ndarray:
-    out = np.zeros(shape, dtype=bool)
-    out[window[0]] = window[1]
-    return out
+# Rectangles per vectorised pass of _rectangle_pixels. Over finger contacts
+# (34 x 34 px squares at the default tray) a pass of 8 keeps each float
+# temporary near 74 KB; passes of 16 (150 KB) and one pass over a whole
+# tray's rectangles were slower and raised peak RSS more. Each pass clips
+# and indexes its own hits, so no temporary spans all of them.
+_RECTANGLES_PER_PASS = 8
 
 
 def _ellipse_window(fit: EllipseFit, shape: tuple[int, int]) -> Window:
+    """Pixels inside the fitted ellipse, tested over its axis-aligned bounding
+    box plus 1 px and clipped to the raster (an empty window when it misses).
+
+    A pixel 1 px beyond the ellipse's extent has (u/a)^2 + (v/b)^2 >=
+    1 + 2/max(a, b), far above rounding, so the margin keeps every pixel
+    the test accepts."""
     a = fit.axis_minor / 2.0  # semi-axis along theta
     b = fit.axis_major / 2.0  # semi-axis along theta + pi/2
-    return _rotated_window(shape, fit.x, fit.y, fit.theta, math.ceil(max(a, b)) + 1,
-                           lambda u, v: (u / a) ** 2 + (v / b) ** 2 <= 1.0)
+    c, s = math.cos(fit.theta), math.sin(fit.theta)
+    half_x = math.sqrt(a * a * c * c + b * b * s * s)
+    half_y = math.sqrt(a * a * s * s + b * b * c * c)
+    r0 = max(0, math.ceil(fit.y - half_y) - 1)
+    r1 = max(r0, min(shape[0], math.floor(fit.y + half_y) + 2))
+    c0 = max(0, math.ceil(fit.x - half_x) - 1)
+    c1 = max(c0, min(shape[1], math.floor(fit.x + half_x) + 2))
+    dx = np.arange(c0, c1)[np.newaxis, :] - fit.x
+    dy = np.arange(r0, r1)[:, np.newaxis] - fit.y
+    u = dx * c + dy * s
+    v = dy * c - dx * s
+    return (slice(r0, r1), slice(c0, c1)), (u / a) ** 2 + (v / b) ** 2 <= 1.0
 
 
-def _rectangle_window(
-    shape: tuple[int, int], cx: float, cy: float, theta: float, half_len: float, half_breadth: float
-) -> Window:
-    """Rectangle of half-sizes half_len along theta and half_breadth across, in px."""
-    return _rotated_window(shape, cx, cy, theta, math.ceil(math.hypot(half_len, half_breadth)) + 1,
-                           lambda u, v: (np.abs(u) <= half_len) & (np.abs(v) <= half_breadth))
+def _rectangle_pixels(
+    shape: tuple[int, int], rects: list[tuple[float, float, float, float]],
+    half_len: float, half_breadth: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pixels inside rotated rectangles, as flat raster indices.
+
+    rects holds (cx, cy, cos theta, sin theta) per rectangle, in px; each is
+    half_len px long along theta and half_breadth px across it. A rectangle
+    is tested over the square of side 2r + 2, r = ceil(hypot(half_len,
+    half_breadth)) + 1, from int(cx) - r, int(cy) - r, in its own frame
+    (u along theta), and clipped to the raster after selection.
+
+    Returns the indices, grouped by rectangle in order and ascending within
+    each, and each rectangle's pixel count (0 when it misses the raster).
+    """
+    ny, nx = shape
+    r = math.ceil(math.hypot(half_len, half_breadth)) + 1
+    side = 2 * r + 2
+    geo = np.array(rects, dtype=float).reshape(-1, 4)
+    col0 = np.array([int(cx) for cx, _, _, _ in rects], dtype=np.int64) - r
+    row0 = np.array([int(cy) for _, cy, _, _ in rects], dtype=np.int64) - r
+    steps = np.arange(side)
+    dx = (col0[:, np.newaxis] + steps) - geo[:, 0:1]
+    dy = (row0[:, np.newaxis] + steps) - geo[:, 1:2]
+    cos, sin = geo[:, 2, np.newaxis, np.newaxis], geo[:, 3, np.newaxis, np.newaxis]
+    flats, counts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, len(rects), _RECTANGLES_PER_PASS):
+        k = slice(lo, lo + _RECTANGLES_PER_PASS)
+        x, y = dx[k, np.newaxis, :], dy[k, :, np.newaxis]
+        inside = np.abs(x * cos[k] + y * sin[k]) <= half_len
+        inside &= np.abs(y * cos[k] - x * sin[k]) <= half_breadth
+        rect, local = np.divmod(np.flatnonzero(inside), side * side)  # rect within this pass
+        row, col = np.divmod(local, side)
+        row += row0[k][rect]
+        col += col0[k][rect]
+        keep = (row >= 0) & (row < ny) & (col >= 0) & (col < nx)
+        flats.append((row * nx + col)[keep])
+        counts.append(np.bincount(rect[keep], minlength=inside.shape[0]))
+    return np.concatenate(flats), np.concatenate(counts)
+
+
+def _segment_medians(values: np.ndarray, counts: np.ndarray) -> list[float]:
+    """median() of each consecutive run of values with these lengths, bit for
+    bit, from one row sort: each run is padded with +inf, and the middle one
+    or two values are added to 0.0 as median() does. A run of length 0 gives
+    inf. A run holding NaN sorts it last; np.sort drops NaN payloads, so
+    such a run takes median() itself."""
+    width = int(counts.max(initial=0)) + 1
+    padded = np.full((counts.size, width), np.inf)
+    padded[np.arange(width) < counts[:, np.newaxis]] = values
+    padded.sort(axis=1)
+    rows = np.arange(counts.size)
+    half = counts // 2
+    hi = padded[rows, half]
+    odd = counts % 2 == 1
+    mid = np.empty(counts.size)
+    mid[odd] = 0.0 + hi[odd]
+    even = ~odd
+    mid[even] = (0.0 + padded[rows[even], half[even] - 1] + hi[even]) / 2.0
+    out = mid.tolist()
+    stops = np.cumsum(counts)
+    for i in np.flatnonzero(np.isnan(padded[:, -1])).tolist():
+        out[i] = median(values[stops[i] - counts[i] : stops[i]])
+    return out
 
 
 def ellipse_interior(fit: EllipseFit, shape: tuple[int, int]) -> np.ndarray:
     """Boolean grid of pixels inside the fitted ellipse, clipped to raster."""
-    return _paste(shape, _ellipse_window(fit, shape))
+    win, local = _ellipse_window(fit, shape)
+    out = np.zeros(shape, dtype=bool)
+    out[win] = local
+    return out
 
 
 def derive_grasp(
@@ -198,22 +261,28 @@ def derive_grasp(
     )
 
 
-def _contact_rectangles(c: GraspCandidate, fg: FingerGeometry, resolution: float) -> list[tuple]:
-    """(cx, cy, half_len along c.theta, half_breadth) in px of each contact rectangle."""
+def _finger_half_sizes(fg: FingerGeometry, resolution: float) -> tuple[float, float]:
+    """Half-sizes in px of a contact rectangle, along the grasp axis and across."""
+    return fg.width / 2.0 / resolution, fg.breadth / 2.0 / resolution
+
+
+def _contact_rectangles(
+    c: GraspCandidate, fg: FingerGeometry, resolution: float
+) -> list[tuple[float, float, float, float]]:
+    """(cx, cy, cos c.theta, sin c.theta) in px of each contact rectangle."""
     d_px = (c.w / 2.0 + fg.clearance + fg.width / 2.0) / resolution
     ux, uy = math.cos(c.theta), math.sin(c.theta)
-    hl, hb = fg.width / 2.0 / resolution, fg.breadth / 2.0 / resolution
-    return [(c.x + side * d_px * ux, c.y + side * d_px * uy, hl, hb) for side in (-1.0, 1.0)]
+    return [(c.x + side * d_px * ux, c.y + side * d_px * uy, ux, uy) for side in (-1.0, 1.0)]
 
 
-def _contact_windows(
+def _contact_pixels(
     c: GraspCandidate, fg: FingerGeometry, resolution: float, shape: tuple[int, int]
-) -> tuple[Window, Window]:
-    """The two contact_regions rectangles as windows."""
-    return tuple(
-        _rectangle_window(shape, cx, cy, c.theta, hl, hb)
-        for cx, cy, hl, hb in _contact_rectangles(c, fg, resolution)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat raster indices of the two contact_regions rectangles."""
+    flat, counts = _rectangle_pixels(
+        shape, _contact_rectangles(c, fg, resolution), *_finger_half_sizes(fg, resolution)
     )
+    return flat[: counts[0]], flat[counts[0] :]
 
 
 def contact_regions(
@@ -226,8 +295,10 @@ def contact_regions(
     direction, on opposite sides, and clipped to the raster. A rectangle
     fully outside the raster comes back empty.
     """
-    left, right = _contact_windows(c, fg, resolution, shape)
-    return _paste(shape, left), _paste(shape, right)
+    regions = np.zeros((2, shape[0] * shape[1]), dtype=bool)
+    for region, flat in zip(regions, _contact_pixels(c, fg, resolution, shape)):
+        region[flat] = True
+    return regions[0].reshape(shape), regions[1].reshape(shape)
 
 
 def filter_grasps(
@@ -237,20 +308,24 @@ def filter_grasps(
     medians are strictly below the food-area median.
 
     Filtered candidates stay in the input list with reason tags; the returned
-    list holds the retained ones.
+    list holds the retained ones. Every candidate's annotations are set
+    afresh, so a list can be filtered again. All 2N contact rectangles are
+    rasterized and their medians taken in a few vectorised passes.
     """
+    rects = [rect for c in cands for rect in _contact_rectangles(c, fg, depth.resolution)]
+    flat, counts = _rectangle_pixels(
+        depth.heights.shape, rects, *_finger_half_sizes(fg, depth.resolution)
+    )
+    medians = _segment_medians(depth.heights.take(flat), counts)
+    counts = counts.tolist()
     retained: list[GraspCandidate] = []
-    for c in cands:
-        (win_l, in_l), (win_r, in_r) = _contact_windows(
-            c, fg, depth.resolution, depth.heights.shape
-        )
-        left, right = depth.heights[win_l][in_l], depth.heights[win_r][in_r]
-        if not left.size or not right.size:
+    for i, c in enumerate(cands):
+        c.contact_medians, c.filtered, c.filter_reason = None, False, ""
+        if not counts[2 * i] or not counts[2 * i + 1]:
             c.filtered = True
             c.filter_reason = "out-of-tray"
             continue
-        med_l = median(left)
-        med_r = median(right)
+        med_l, med_r = medians[2 * i], medians[2 * i + 1]
         c.contact_medians = (med_l, med_r)
         if med_l < c.food_median and med_r < c.food_median:
             retained.append(c)

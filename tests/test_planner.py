@@ -1,4 +1,5 @@
 """Ellipse fitting, grasp derivation, contact regions, and filtering."""
+import dataclasses
 import math
 
 import numpy as np
@@ -240,6 +241,26 @@ class TestFilterGrasps:
         c = make_candidate(2.0, 100.0, 0.0, 40.0, 25.0)
         assert filter_grasps([c], depth, FingerGeometry()) == []
         assert c.filter_reason == "out-of-tray"
+
+    def test_refiltering_resets_annotations(self):
+        """Filtering again with a wider finger gives what filtering fresh
+        copies of the candidates gives: no stale filtered flag, reason or
+        contact medians."""
+        scene = generate_scene(SceneConfig(archetype="mushroom"), 21)
+        depth = render_depth(scene)
+        candidates = plan(render_masks(scene), depth, DEFAULT_ARCHETYPES["mushroom"]).candidates
+        wide = FingerGeometry(width=8.0, breadth=40.0, clearance=12.0)
+        fresh = [dataclasses.replace(c, contact_medians=None, filtered=False, filter_reason="")
+                 for c in candidates]
+        before = [(c.contact_medians, c.filtered, c.filter_reason) for c in candidates]
+        retained = filter_grasps(candidates, depth, wide)
+        fresh_retained = filter_grasps(fresh, depth, wide)
+        after = [(c.contact_medians, c.filtered, c.filter_reason) for c in candidates]
+        assert after == [(c.contact_medians, c.filtered, c.filter_reason) for c in fresh]
+        assert [c.instance_id for c in retained] == [c.instance_id for c in fresh_retained]
+        changed = {(b[1], a[1]) for b, a in zip(before, after) if b != a}
+        assert (True, False) in changed  # filtered before, retained now
+        assert any(a[2] == "out-of-tray" and b[0] is not None for b, a in zip(before, after))
 
     def test_depth_scale_invariance(self):
         rng = np.random.default_rng(1)

@@ -4,8 +4,9 @@ Each oracle below is the full-raster implementation the windowed code
 replaced, kept verbatim (render_masks as its definition, one owner-map
 compare per piece) so the property tests can require exact equality: same
 pixels, same medians, same fractions, same RNG draws. The same holds for the
-box-limited stamp rasterizer, the in-place depth quantization and the
-partition median, each against the code it replaced or np.median.
+box-limited stamp rasterizer, the in-place depth quantization, the
+partition median and the batched contact medians, each against the code it
+replaced or np.median.
 """
 from __future__ import annotations
 
@@ -50,9 +51,10 @@ from traypick.planner import (
     EllipseFit,
     FingerGeometry,
     GraspCandidate,
+    _RECTANGLES_PER_PASS,
     _ellipse_window,
-    _paste,
-    _rectangle_window,
+    _rectangle_pixels,
+    _segment_medians,
     contact_regions,
     derive_grasp,
     ellipse_interior,
@@ -342,25 +344,60 @@ def test_ellipse_window_equals_full_raster(shape, fit):
     np.testing.assert_array_equal(ellipse_interior(fit, shape), oracle_ellipse_interior(fit, shape))
 
 
+def paste_flat(shape, flat) -> np.ndarray:
+    out = np.zeros(shape[0] * shape[1], dtype=bool)
+    out[flat] = True
+    return out.reshape(shape)
+
+
+def segments(flat, counts):
+    return np.split(flat, np.cumsum(counts)[:-1])
+
+
+# rectangle counts on either side of the vectorised pass size
+batch_sizes = st.sampled_from([0, 1, _RECTANGLES_PER_PASS - 1, _RECTANGLES_PER_PASS,
+                               _RECTANGLES_PER_PASS + 1, 2 * _RECTANGLES_PER_PASS + 1])
+
+
 @SETTINGS
-@given(shape=shapes, cx=coords, cy=coords, theta=thetas,
+@given(shape=shapes, data=st.data(), k=batch_sizes,
        half_len=st.floats(0.1, 30.0), half_breadth=st.floats(0.1, 30.0))
-def test_rectangle_window_equals_full_raster(shape, cx, cy, theta, half_len, half_breadth):
-    win, local = _rectangle_window(shape, cx, cy, theta, half_len, half_breadth)
-    assert local.shape == np.zeros(shape)[win].shape
-    np.testing.assert_array_equal(
-        _paste(shape, (win, local)),
-        oracle_rectangle_mask(shape, (cx, cy), theta, half_len, half_breadth),
-    )
+def test_rectangle_pixels_equal_full_raster(shape, data, k, half_len, half_breadth):
+    centres_angles = data.draw(st.lists(st.tuples(coords, coords, thetas), min_size=k, max_size=k))
+    rects = [(cx, cy, math.cos(t), math.sin(t)) for cx, cy, t in centres_angles]
+    flat, counts = _rectangle_pixels(shape, rects, half_len, half_breadth)
+    assert counts.shape == (k,) and flat.size == counts.sum()
+    for (cx, cy, theta), seg in zip(centres_angles, segments(flat, counts)):
+        assert (np.diff(seg) > 0).all()  # raster order, as a window's pixels are
+        np.testing.assert_array_equal(
+            paste_flat(shape, seg), oracle_rectangle_mask(shape, (cx, cy), theta, half_len, half_breadth)
+        )
 
 
 def test_fully_clipped_windows_index_cleanly():
     heights = np.ones((20, 30))
     for cx, cy in [(-500.0, 10.0), (10.0, -500.0), (500.0, 500.0), (-500.0, -500.0), (60.0, 10.0)]:
-        win, local = _rectangle_window(heights.shape, cx, cy, 0.3, 2.0, 3.0)
-        assert heights[win][local].size == 0
+        flat, counts = _rectangle_pixels(heights.shape, [(cx, cy, math.cos(0.3), math.sin(0.3))], 2.0, 3.0)
+        assert heights.take(flat).size == 0 and counts.tolist() == [0]
         win, local = _ellipse_window(EllipseFit(cx, cy, 0.3, 4.0, 6.0), heights.shape)
         assert heights[win][local].size == 0
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=list(HealthCheck))
+@given(theta=thetas, a=st.floats(0.3, 25.0), b=st.floats(0.3, 25.0), quarter_ulps=st.integers(-8, 8),
+       axis=st.sampled_from("xy"))
+def test_ellipse_window_keeps_pixels_at_the_extent(theta, a, b, quarter_ulps, axis):
+    """The ellipse's extreme point in x (or y) sits within ulps of a pixel,
+    where rounding decides the test; the window keeps that pixel exactly as
+    the full square does. The centre is placed below 1.5 px on that axis so
+    its own rounding is finer than the extent's."""
+    c, s = math.cos(theta), math.sin(theta)
+    ext = math.hypot(a * c, b * s) if axis == "x" else math.hypot(a * s, b * c)
+    other = (a * a - b * b) * s * c / ext  # the extreme point's offset on the other axis
+    near = math.ceil(ext + 0.5) - ext + quarter_ulps * math.ulp(ext) / 4
+    x, y = (near, 60.0 - other) if axis == "x" else (60.0 - other, near)
+    fit = EllipseFit(x, y, theta, 2.0 * a, 2.0 * b)
+    np.testing.assert_array_equal(ellipse_interior(fit, (120, 120)), oracle_ellipse_interior(fit, (120, 120)))
 
 
 # ---------------------------------------------------------------------------
@@ -391,26 +428,109 @@ def test_fit_ellipse_bit_identical(mask):
     assert fit_ellipse(w.local, (w.slices[0].start, w.slices[1].start)) == expected
 
 
+@st.composite
+def near_degenerate_masks(draw):
+    """Masks whose covariance is singular or nearly so: digital lines at any
+    angle, 5-px masks and two-row slivers."""
+    mask = np.zeros((64, 64), dtype=bool)
+    kind = draw(st.sampled_from(["line", "five", "sliver"]))
+    if kind == "line":
+        angle = draw(st.floats(0.0, math.pi))
+        length = draw(st.integers(4, 60))
+        t = np.arange(length)
+        rows = np.rint(2.0 + 58.0 * (math.sin(angle) < 0) + t * math.sin(angle)).astype(int)
+        cols = np.rint(32.0 + t * math.cos(angle) / 2.0).astype(int)
+        mask[rows.clip(0, 63), cols.clip(0, 63)] = True
+        if draw(st.booleans()):  # one stray pixel beside the line
+            mask[min(rows[0] + 1, 63), cols[0]] = True
+    elif kind == "five":
+        cells = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                              min_size=5, max_size=5, unique=True))
+        for r, c in cells:
+            mask[30 + r, 30 + c] = True
+    else:
+        lo, hi = sorted(draw(st.lists(st.integers(0, 63), min_size=2, max_size=2, unique=True)))
+        mask[20, lo:hi + 1] = True
+        c0, c1 = sorted(draw(st.lists(st.integers(0, 64), min_size=2, max_size=2, unique=True)))
+        mask[21, c0:c1] = True
+    return mask
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=list(HealthCheck))
+@given(mask=near_degenerate_masks())
+@example(mask=np.eye(9, dtype=bool))
+@example(mask=np.pad(np.ones((1, 7), dtype=bool), 3))
+def test_fit_ellipse_near_degenerate_bit_identical(mask):
+    test_fit_ellipse_bit_identical.hypothesis.inner_test(mask)
+
+
 # ---------------------------------------------------------------------------
 # contact and food medians
 
 
+def float_bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+special_floats = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan])
+sample_values = st.one_of(special_floats, st.floats(-1e6, 1e6), st.floats(width=64))
+
+
+def special_heights(shape, seed, mode):
+    """Heights with ties, signed zeros or NaN, so medians land on -0.0 and NaN."""
+    rng = np.random.default_rng(seed)
+    heights = heights_for(shape, seed)
+    if mode == "signed-zeros":
+        heights = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    elif mode == "nan":
+        heights[rng.random(shape) < 0.02] = np.nan
+    elif mode == "ties":
+        heights = rng.integers(0, 3, shape) * 10.0
+    return heights
+
+
 @SETTINGS
-@given(shape=shapes, c=candidates(), seed=st.integers(0, 2**32 - 1),
+@given(shape=shapes, data=st.data(), seed=st.integers(0, 2**32 - 1),
+       n=st.sampled_from([1, 7, 8, 9, 16, 17]), mode=st.sampled_from(["plain", "signed-zeros", "nan", "ties"]),
        res=st.sampled_from([0.5, 0.7066666666666667, 1.3]))
-def test_filter_medians_equal_full_raster(shape, c, seed, res):
-    depth = DepthImage(heights_for(shape, seed), res)
+def test_filter_medians_equal_full_raster(shape, data, seed, n, mode, res):
+    """Every candidate of a tray, its 2n rectangles crossing the pass size,
+    gets the np.median of its full-raster contact regions, bit for bit, and
+    the decision those medians give."""
+    cands = data.draw(st.lists(candidates(), min_size=n, max_size=n))
+    depth = DepthImage(special_heights(shape, seed, mode), res)
     fg = FingerGeometry()
-    left, right = oracle_contact_regions(c, fg, res, shape)
-    np.testing.assert_array_equal(contact_regions(c, fg, res, shape)[0], left)
-    np.testing.assert_array_equal(contact_regions(c, fg, res, shape)[1], right)
-    filter_grasps([c], depth, fg)
-    if not left.any() or not right.any():
-        assert c.filter_reason == "out-of-tray"
-        return
-    assert c.contact_medians == (
-        float(np.median(depth.heights[left])), float(np.median(depth.heights[right]))
-    )
+    regions = [oracle_contact_regions(c, fg, res, shape) for c in cands]
+    retained = filter_grasps(cands, depth, fg)
+    expected_retained = []
+    for c, (left, right) in zip(cands, regions):
+        np.testing.assert_array_equal(contact_regions(c, fg, res, shape)[0], left)
+        np.testing.assert_array_equal(contact_regions(c, fg, res, shape)[1], right)
+        if not left.any() or not right.any():
+            assert (c.filtered, c.filter_reason, c.contact_medians) == (True, "out-of-tray", None)
+            continue
+        expected = (float(np.median(depth.heights[left])), float(np.median(depth.heights[right])))
+        assert [float_bits(m) for m in c.contact_medians] == [float_bits(m) for m in expected]
+        keep = expected[0] < c.food_median and expected[1] < c.food_median
+        assert (c.filtered, c.filter_reason) == (
+            (False, "") if keep else (True, "contact-median-too-high")
+        )
+        if keep:
+            expected_retained.append(c)
+    assert retained == expected_retained
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=list(HealthCheck))
+@given(runs=st.lists(st.lists(sample_values, max_size=40), max_size=20))
+def test_segment_medians_equal_median(runs):
+    """Each run's median from the padded row sort is median()'s, bit for bit;
+    an empty run gives inf."""
+    counts = np.array([len(r) for r in runs], dtype=np.int64)
+    values = np.array([v for r in runs for v in r], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _segment_medians(values, counts)
+        expected = [median(np.array(r)) if r else math.inf for r in runs]
+    assert [float_bits(m) for m in got] == [float_bits(m) for m in expected]
 
 
 @SETTINGS
@@ -422,14 +542,6 @@ def test_food_median_equals_full_raster(shape, fit, seed):
         return
     cand = derive_grasp(fit, depth, DEFAULT_ARCHETYPES["mushroom"])
     assert cand.food_median == float(np.median(depth.heights[interior]))
-
-
-def float_bits(x: float) -> bytes:
-    return np.float64(x).tobytes()
-
-
-special_floats = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan])
-sample_values = st.one_of(special_floats, st.floats(-1e6, 1e6), st.floats(width=64))
 
 
 @st.composite
@@ -510,17 +622,17 @@ def test_jaw_contents_and_fractions_equal_full_raster(scenes, idx, c, outer, bre
     c.x, c.y = c.x * 6.0, c.y * 3.0  # spread the candidates over the 600 x 436 raster
     fg = FingerGeometry(breadth=breadth)
     region = oracle_jaw_region(scene, c, fg, outer)
-    win, local = _jaw_region(scene, c, fg, outer)
-    np.testing.assert_array_equal(_paste(scene.shape, (win, local)), region)
+    flat = _jaw_region(scene, c, fg, outer)
+    np.testing.assert_array_equal(paste_flat(scene.shape, flat), region)
 
-    got = _pieces_in_region(scene, (win, local))
+    got = _pieces_in_region(scene, flat)
     owners = scene.owner_map[region]
     expected = {int(p): scene.heightmap[region][owners == p] for p in np.unique(owners) if p != 0}
     assert sorted(got) == sorted(expected)
     for pid in expected:
         np.testing.assert_array_equal(got[pid], expected[pid])
 
-    in_region = np.bincount(scene.owner_map[win][local])
+    in_region = np.bincount(scene.owner_map.take(flat))
     for pid in [0, -1, scene.next_id + 5, *scene.pieces]:
         assert _visible_fraction_in(scene, pid, in_region) == oracle_visible_fraction_in(
             scene, pid, region
