@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the parameter checks."""
 from __future__ import annotations
 
+import math
 import numbers
 
 
@@ -23,9 +24,9 @@ def check_type(name: str, value, kind: type | tuple[type, ...]) -> None:
 
 
 def check_number(name: str, value, *, integral: bool = False, low: float | None = None,
-                 high: float | None = None, low_open: bool = False) -> None:
-    """Raise ParameterError unless value is a number (an integer when
-    integral; never a bool) in [low, high], or in (low, high] when low_open.
+                 high: float | None = None, low_open: bool = False, finite: bool = False) -> None:
+    """Raise ParameterError unless value is a number (an integer when integral,
+    never a bool, not infinite when finite) in [low, high], or (low, high] when low_open.
 
     Each bound is a negated comparison, so NaN, which compares false with
     everything, fails every bound instead of passing it."""
@@ -37,3 +38,5 @@ def check_number(name: str, value, *, integral: bool = False, low: float | None 
         raise ParameterError(f"{name} must be {'>' if low_open else '>='} {low}, got {value!r}")
     if high is not None and not (value <= high):
         raise ParameterError(f"{name} must be <= {high}, got {value!r}")
+    if finite and not math.isfinite(value):
+        raise ParameterError(f"{name} must be finite, got {value!r}")

@@ -56,8 +56,8 @@ class ExperimentConfig:
         check_number("base_seed", self.base_seed, integral=True)
         if self.refill_policy not in (FRESH, DEPLETE):
             raise ParameterError(f"unknown refill policy {self.refill_policy!r}")
-        check_number("depth_sigma", self.depth_sigma, low=0)
-        check_number("depth_quant", self.depth_quant, low=0)
+        check_number("depth_sigma", self.depth_sigma, low=0, finite=True)
+        check_number("depth_quant", self.depth_quant, low=0, finite=True)
         check_type("output_dir", self.output_dir, (str, type(None)))
         check_type("scene", self.scene, (SceneConfig, type(None)))
         for name, kind in (("corruption", CorruptionParams), ("finger_geometry", FingerGeometry),
@@ -125,12 +125,12 @@ def run_trial(
         scene = generate_scene(cfg.scene_config(), seed)
         epoch += 1
 
-    depth_rng = np.random.default_rng((seed, 1))
-    corrupt_rng = np.random.default_rng((seed, 2))
+    # the stages' generators are independent: build one only for a stage that draws
+    depth_rng = np.random.default_rng((seed, 1)) if cfg.depth_sigma > 0 else None
     depth = render_depth(scene, cfg.depth_sigma, cfg.depth_quant, depth_rng)
     masks = render_masks(scene)
     if not cfg.corruption.is_identity:
-        masks = corrupt_masks(masks, cfg.corruption, corrupt_rng)
+        masks = corrupt_masks(masks, cfg.corruption, np.random.default_rng((seed, 2)))
 
     arch = scene.archetypes[cfg.archetype]
     p = plan(masks, depth, arch, cfg.finger_geometry, cfg.filtering)

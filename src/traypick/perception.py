@@ -8,6 +8,7 @@ greedy-matched precision over IoU thresholds 0.50:0.95.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -140,13 +141,18 @@ def render_depth(
     Quantization rounds half-down: 12.5 mm at 1 mm steps yields 12 mm.
     sigma = quant = 0 returns the exact heightmap.
     """
-    if not (sigma >= 0 and quant >= 0):
-        raise ParameterError("sigma and quant must be >= 0")
-    heights = scene.heightmap.copy()
+    if not (0 <= sigma < math.inf and 0 <= quant < math.inf):
+        raise ParameterError("sigma and quant must be finite and >= 0")
     if sigma > 0:
         if rng is None:
             raise ParameterError("rng required when sigma > 0")
-        heights += rng.normal(0.0, sigma, heights.shape)
+        # rng.normal(0.0, sigma) is 0.0 + sigma * z from these draws; adding the
+        # heightmap after differs only at a -0.0 height, which no heightmap holds
+        heights = rng.standard_normal(scene.heightmap.shape)
+        heights *= sigma
+        heights += scene.heightmap
+    else:
+        heights = scene.heightmap.copy()
     np.maximum(heights, 0.0, out=heights)
     if quant > 0:
         heights /= quant

@@ -113,7 +113,9 @@ def rasterize_stamp(
     half_px = int(math.ceil(half_mm / resolution)) + 1
     side = 2 * half_px + 1
     coords = (np.arange(side) - half_px) * resolution
-    xs, ys = coords[np.newaxis, :], coords[:, np.newaxis]
+    # coords[side - 1 - i] == -coords[i] exactly, so u and v negate exactly
+    # at the mirrored pixel: evaluate rows 0..half_px and mirror the rest
+    xs, ys = coords[np.newaxis, :], coords[: half_px + 1, np.newaxis]
     c, s = math.cos(rotation), math.sin(rotation)
     au = np.abs((xs * c + ys * s) / semi_a)
     av = np.abs((ys * c - xs * s) / semi_b)
@@ -122,9 +124,11 @@ def rasterize_stamp(
     f = au[box] ** exponent + av[box] ** exponent
     inside = f < 1.0
     mask = np.zeros((side, side), dtype=bool)
-    mask[box] = inside
+    mask[: half_px + 1][box] = inside
     top = np.zeros((side, side))
-    top[mask] = peak * np.sqrt(1.0 - f[inside])
+    top[: half_px + 1][mask[: half_px + 1]] = peak * np.sqrt(1.0 - f[inside])
+    mask[half_px + 1 :] = mask[half_px - 1 :: -1, ::-1]
+    top[half_px + 1 :] = top[half_px - 1 :: -1, ::-1]
     return PieceStamp(
         top=top,
         mask=mask,

@@ -93,6 +93,12 @@ CONSTRAINTS += [
     ("scene", "tray_dims", [424.0, NAN, 160.0]),
     ("scene", "resolution", NAN),
 ]
+# Infinity passes every lower bound; depth noise and quantization must be finite.
+INF = float("inf")
+CONSTRAINTS += [
+    ("depth", "sigma", INF),
+    ("depth", "quant", INF),
+]
 
 # Constraints on the document's shape, which no Python value mirrors.
 DOCUMENT_ONLY = [
@@ -150,6 +156,24 @@ def test_nan_literal_in_config_file_rejected(tmp_path):
     path.write_text('{"corruption": {"merge_prob": NaN}, "depth": {"sigma": NaN}}')
     with pytest.raises(ParameterError, match="must be >= 0"):
         load_experiment_config(path)
+
+
+def test_infinity_literal_in_config_file_rejected(tmp_path):
+    """json accepts the Infinity literal too; infinite depth noise turned
+    every height into NaN and every attempt into a silent no-target."""
+    for key in ("sigma", "quant"):
+        path = tmp_path / f"{key}.json"
+        path.write_text(f'{{"n_attempts": 3, "depth": {{"{key}": Infinity}}}}')
+        with pytest.raises(ParameterError, match=f"depth_{key} must be finite"):
+            load_experiment_config(path)
+
+
+@pytest.mark.parametrize("sigma, quant", [(INF, 0.0), (0.0, INF), (INF, INF), (-INF, 0.0),
+                                          (0.0, -INF), (0.5, INF)])
+def test_render_depth_rejects_infinite_noise_and_quantization(sigma, quant):
+    scene = generate_scene(SceneConfig(), 0)
+    with pytest.raises(ParameterError, match="finite"):
+        render_depth(scene, sigma=sigma, quant=quant, rng=np.random.default_rng(0))
 
 
 def test_nan_rejected_by_unconfigured_bounds():
