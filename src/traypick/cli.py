@@ -82,12 +82,12 @@ def cmd_generate(args) -> int:
 def cmd_plan(args) -> int:
     cfg = _base_config(args)
     masks = load_masks(args.masks)
-    resolution = args.resolution or default_resolution()
+    sc = cfg.scene_config()
+    resolution = default_resolution(sc.tray_dims[0]) if sc.resolution is None else sc.resolution
     depth = load_depth(args.depth, resolution)
-    archetypes = cfg.scene_config().archetypes
-    if args.archetype not in archetypes:
-        raise ParameterError(f"unknown archetype {args.archetype!r}; known: {sorted(archetypes)}")
-    p = plan(masks, depth, archetypes[args.archetype], cfg.finger_geometry, not args.no_filter)
+    if args.archetype not in sc.archetypes:
+        raise ParameterError(f"unknown archetype {args.archetype!r}; known: {sorted(sc.archetypes)}")
+    p = plan(masks, depth, sc.archetypes[args.archetype], cfg.finger_geometry, not args.no_filter)
     doc = plan_to_dict(p)
     doc["archetype"] = args.archetype
     text = json.dumps(doc, indent=2, sort_keys=True)
@@ -196,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--masks", required=True, help="mask manifest JSON")
     p.add_argument("--depth", required=True, help="depth PGM (0.01 mm per level)")
     p.add_argument("--archetype", required=True, help="a name in the config's archetype set")
-    p.add_argument("--resolution", type=float, help="mm per pixel (default: tray/600)")
     p.add_argument("--no-filter", action="store_true", help="disable grasp filtering")
     p.set_defaults(func=cmd_plan)
 

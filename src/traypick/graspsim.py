@@ -57,7 +57,7 @@ class ExecutionParams:
 
     def validate(self) -> None:
         check_number("pierce_block", self.pierce_block, low=0, low_open=True)
-        check_number("grasp_depth_margin", self.grasp_depth_margin, low=0)
+        check_number("grasp_depth_margin", self.grasp_depth_margin, low=0, finite=True)
         for name in ("capture_fraction", "multipick_fraction"):
             check_number(name, getattr(self, name), low=0, high=1)
 

@@ -1,6 +1,6 @@
 """16-bit PGM raster I/O.
 
-Heightmaps and depth images are stored at 0.01 mm per level; owner/id maps
+Heightmaps and depth images are stored at 0.01 mm per level; owner maps
 store raw instance ids. All files are binary (P5) with maxval 65535,
 big-endian sample order per the netpbm format.
 """

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -86,33 +86,24 @@ class _Rasters(Sequence):
         w = self._windows[i]
         return w.id, _pixels_in(w, 0, self._shape[0], 0, self._shape[1])
 
-    def __eq__(self, other) -> bool:
-        return list(self) == other
 
-
+@dataclass(eq=False)  # identity equality: == on the windows' arrays has no single truth value
 class InstanceMaskSet:
-    """Instance masks held as windows on a raster of the given shape.
+    """Instance masks held as windows on a raster of the given shape."""
 
-    The constructor takes (id, full raster) pairs and crops each to its
-    bounding box; code that already has windows passes windows= and shape=.
-    """
+    windows: list[MaskWindow]
+    shape: tuple[int, int] | None
+    source: str = "ground_truth"  # ground_truth | corrupted | external
+    confidences: dict[int, float] = field(default_factory=dict)
 
-    def __init__(
-        self,
-        masks: list[tuple[int, np.ndarray]] = (),
-        source: str = "ground_truth",  # ground_truth | corrupted | external
-        confidences: dict[int, float] | None = None,
-        *,
-        windows: list[MaskWindow] | None = None,
-        shape: tuple[int, int] | None = None,
-    ) -> None:
-        if windows is None:
-            windows = [_cropped(pid, m) for pid, m in masks]
-            shape = masks[0][1].shape if masks else shape
-        self.windows = windows
-        self.shape = shape
-        self.source = source
-        self.confidences = {} if confidences is None else confidences
+    @classmethod
+    def from_rasters(cls, masks: list[tuple[int, np.ndarray]], source: str = "ground_truth",
+                     confidences: dict[int, float] | None = None,
+                     shape: tuple[int, int] | None = None) -> InstanceMaskSet:
+        """(id, full raster) pairs, each cropped to its bounding box; shape
+        is the rasters' shape, or the given one when there are none."""
+        shape = masks[0][1].shape if masks else shape
+        return cls([_cropped(pid, m) for pid, m in masks], shape, source, confidences or {})
 
     @property
     def masks(self) -> Sequence[tuple[int, np.ndarray]]:
@@ -173,7 +164,7 @@ def render_masks(scene: TrayScene) -> InstanceMaskSet:
             scene.pieces[pid].fully_occluded = True
             continue
         windows.append(MaskWindow(pid, sl, scene.owner_map[sl] == pid))
-    return InstanceMaskSet(source="ground_truth", windows=windows, shape=scene.shape)
+    return InstanceMaskSet(windows, scene.shape, "ground_truth")
 
 
 @dataclass
@@ -309,7 +300,7 @@ def corrupt_masks(
             continue
         out.append(merged)
         confidences[root] = float(rng.uniform(params.confidence_floor, 1.0))
-    return InstanceMaskSet(source="corrupted", confidences=confidences, windows=out, shape=shape)
+    return InstanceMaskSet(out, shape, "corrupted", confidences)
 
 
 def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
@@ -398,56 +389,66 @@ def load_depth(path: str | Path, resolution: float) -> DepthImage:
     return DepthImage(levels_to_heights(read_pgm16(path)), resolution)
 
 
+def _rle_counts(w: MaskWindow, shape: tuple[int, int]) -> list[int]:
+    """COCO uncompressed RLE of w's mask over the raster: run lengths in
+    column-major order, starting with a run of zeros. Only the columns of
+    w's box are laid out, at full height, between two zeros."""
+    h, width = shape
+    rows, cols = w.slices
+    padded = np.zeros(w.local.shape[1] * h + 2, dtype=bool)
+    padded[1:-1].reshape(-1, h)[:, rows] = w.local.T
+    edges = np.flatnonzero(padded[1:] != padded[:-1]) + cols.start * h
+    return np.diff(edges, prepend=0, append=h * width).tolist()
+
+
+def _rle_window(pid: int, counts: list[int], h: int) -> MaskWindow:
+    """The tight window of a COCO uncompressed RLE over a raster of height h,
+    decoded on the columns from its first run of ones to its last."""
+    ends = np.cumsum(counts, dtype=np.int64)
+    starts, stops = ends[0:-1:2], ends[1::2]  # [start, stop) of each run of ones
+    c0, c1 = (int(starts[0]) // h, (int(stops[-1]) - 1) // h + 1) if starts.size else (0, 0)
+    strip = np.zeros((c1 - c0, h), dtype=bool)  # one row per raster column
+    flat = strip.reshape(-1)
+    for start, stop in zip((starts - c0 * h).tolist(), (stops - c0 * h).tolist()):
+        flat[start:stop] = True
+    return _cropped(pid, strip.T, 0, c0)
+
+
 def save_masks(masks: InstanceMaskSet, out_dir: str | Path, stem: str = "masks") -> Path:
-    """Write a mask manifest: a 16-bit id map when masks are disjoint,
-    otherwise one 8-bit-style PGM per instance."""
+    """Write <stem>_manifest.json: the source, the raster size [h, w] and per
+    instance its id, its confidence when one is set and counts, its mask as
+    COCO uncompressed RLE (see _rle_counts)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {"source": masks.source, "ids": masks.ids()}
-    if masks.confidences:
-        manifest["confidences"] = {str(k): v for k, v in masks.confidences.items()}
-    disjoint = True
-    if masks.windows:
-        union = np.zeros(masks.shape, dtype=bool)
-        for w in masks.windows:
-            covered = union[w.slices]
-            if (covered & w.local).any():
-                disjoint = False
-                break
-            covered |= w.local
-    if disjoint and masks.windows:
-        id_map = np.zeros(masks.shape, dtype=np.uint16)
-        for w in masks.windows:
-            id_map[w.slices][w.local] = w.id
-        write_pgm16(out / f"{stem}_idmap.pgm", id_map)
-        manifest["id_map"] = f"{stem}_idmap.pgm"
-    else:
-        files = {}
-        for pid, m in masks.masks:
-            name = f"{stem}_{pid}.pgm"
-            write_pgm16(out / name, m.astype(np.uint16) * 65535)
-            files[str(pid)] = name
-        manifest["files"] = files
+    instances = []
+    for w in masks.windows:
+        entry = {"id": w.id, "counts": _rle_counts(w, masks.shape)}
+        if w.id in masks.confidences:
+            entry["confidence"] = masks.confidences[w.id]
+        instances.append(entry)
+    manifest = {"source": masks.source, "size": list(masks.shape), "instances": instances}
     manifest_path = out / f"{stem}_manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    manifest_path.write_text(json.dumps(manifest, separators=(",", ":")))
     return manifest_path
 
 
 def load_masks(manifest_path: str | Path) -> InstanceMaskSet:
-    src = Path(manifest_path)
-    manifest = json.loads(src.read_text())
-    confidences = {int(k): v for k, v in manifest.get("confidences", {}).items()}
-    if "id_map" not in manifest:
-        masks = [(pid, read_pgm16(src.parent / manifest["files"][str(pid)]) > 0)
-                 for pid in manifest["ids"]]
-        return InstanceMaskSet(masks, manifest["source"], confidences)
-    id_map = read_pgm16(src.parent / manifest["id_map"])
-    slices = ndimage.find_objects(id_map)
-    windows: list[MaskWindow] = []
-    for pid in manifest["ids"]:
-        if pid < 1:
-            raise ParameterError(f"id map cannot hold instance id {pid}")
-        sl = (slices[pid - 1] if pid - 1 < len(slices) else None) or _EMPTY_BOX
-        windows.append(MaskWindow(pid, sl, id_map[sl] == pid))
-    return InstanceMaskSet(source=manifest["source"], confidences=confidences,
-                           windows=windows, shape=id_map.shape)
+    """Read a manifest written by save_masks. It is outside input: a size
+    that is not two positive integers, a non-integer or repeated id, or counts
+    that are not non-negative integers summing to h * w raise ParameterError."""
+    manifest = json.loads(Path(manifest_path).read_text())
+    size = manifest["size"]
+    if not (isinstance(size, list) and len(size) == 2 and all(type(n) is int and n > 0 for n in size)):
+        raise ParameterError(f"mask size must be [height, width], two positive integers, got {size!r}")
+    windows: dict[int, MaskWindow] = {}
+    for entry in manifest["instances"]:
+        pid, counts = entry["id"], entry["counts"]
+        check_number("instance id", pid, integral=True)
+        if pid in windows:
+            raise ParameterError(f"duplicate instance id {pid}")
+        if not (isinstance(counts, list) and all(type(c) is int and c >= 0 for c in counts)
+                and sum(counts) == size[0] * size[1]):
+            raise ParameterError(f"instance {pid}: counts must be non-negative integers summing to h * w")
+        windows[pid] = _rle_window(pid, counts, size[0])
+    confidences = {e["id"]: e["confidence"] for e in manifest["instances"] if "confidence" in e}
+    return InstanceMaskSet(list(windows.values()), tuple(size), manifest["source"], confidences)

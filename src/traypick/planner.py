@@ -41,7 +41,7 @@ class FingerGeometry:
 
     def validate(self) -> None:
         for name in ("width", "breadth", "clearance"):
-            check_number(name, getattr(self, name), low=0, low_open=True)
+            check_number(name, getattr(self, name), low=0, low_open=True, finite=True)
 
 
 @dataclass

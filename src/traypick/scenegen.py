@@ -258,9 +258,9 @@ class SceneConfig:
         if len(self.tray_dims) != 3:
             raise ParameterError(f"tray_dims must hold 3 numbers, got {self.tray_dims!r}")
         for dim in self.tray_dims:
-            check_number("tray_dims", dim, low=0, low_open=True)
+            check_number("tray_dims", dim, low=0, low_open=True, finite=True)
         if self.resolution is not None:
-            check_number("resolution", self.resolution, low=0, low_open=True)
+            check_number("resolution", self.resolution, low=0, low_open=True, finite=True)
         check_number("max_placement_retries", self.max_placement_retries, integral=True, low=1)
 
 

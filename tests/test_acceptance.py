@@ -205,8 +205,8 @@ def test_agreement_metric_fixtures():
     # (b) fully disjoint prediction
     shape = (60, 60)
     disjoint = agreement(
-        InstanceMaskSet([(1, square(shape, 40, 40, 10))]),
-        InstanceMaskSet([(1, square(shape, 5, 5, 10))]),
+        InstanceMaskSet.from_rasters([(1, square(shape, 40, 40, 10))]),
+        InstanceMaskSet.from_rasters([(1, square(shape, 5, 5, 10))]),
     ).value
     # (c) hand-computed 0.15 case: one of two predictions overlaps the single
     # ground-truth square at IoU 77/120 ~ 0.642, so precision is 0.5 at the
@@ -216,11 +216,11 @@ def test_agreement_metric_fixtures():
     pred_hit[10:13, 12] = False
     assert 0.60 <= mask_iou(pred_hit, gt_mask) < 0.65
     fixture = agreement(
-        InstanceMaskSet([(1, pred_hit), (2, square(shape, 40, 40, 10))]),
-        InstanceMaskSet([(1, gt_mask)]),
+        InstanceMaskSet.from_rasters([(1, pred_hit), (2, square(shape, 40, 40, 10))]),
+        InstanceMaskSet.from_rasters([(1, gt_mask)]),
     ).value
     # (d) invariance under id relabeling
-    relabeled = InstanceMaskSet(
+    relabeled = InstanceMaskSet.from_rasters(
         [(5000 + i, m) for i, (_, m) in enumerate(reversed(masks.masks))]
     )
     relabel_score = agreement(relabeled, masks).value

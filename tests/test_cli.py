@@ -7,7 +7,8 @@ import pytest
 from traypick.archetypes import DEFAULT_ARCHETYPES, save_archetypes
 from traypick.cli import main
 from traypick.errors import ParameterError
-from traypick.perception import load_masks
+from traypick.perception import load_depth, load_masks
+from traypick.planner import plan, plan_to_dict
 from traypick.scenegen import load_scene
 
 
@@ -104,6 +105,29 @@ class TestPlan:
         # the default set is not consulted once the config names its own
         with pytest.raises(ParameterError, match="gyoza"):
             main(args + ["--archetype", "gyoza"])
+
+    def test_resolution_follows_the_config_tray(self, tmp_path, capsys):
+        """plan reads depth at the config's mm per pixel, as generate drew it;
+        it used to assume the default 424-mm tray, and on this 212-mm tray
+        gave grasp widths and contact rectangles twice too large."""
+        cfg = write_config(tmp_path, archetype="mushroom", scene={"tray_dims": [212, 154, 160]})
+        out = tmp_path / "s"
+        assert main(["generate", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+        d = out / "scene_3"
+        args = ["plan", "--config", cfg, "--masks", str(d / "masks_manifest.json"),
+                "--depth", str(d / "depth.pgm"), "--archetype", "mushroom"]
+        plan_path = tmp_path / "plan.json"
+        assert main(args + ["--out", str(plan_path)]) == 0
+        resolution = load_scene(d).resolution
+        assert resolution == 212 / 600
+        expected = plan_to_dict(plan(load_masks(d / "masks_manifest.json"),
+                                     load_depth(d / "depth.pgm", resolution),
+                                     DEFAULT_ARCHETYPES["mushroom"]))
+        assert expected["target"] is not None
+        assert json.loads(plan_path.read_text()) == {**expected, "archetype": "mushroom"}
+        with pytest.raises(SystemExit):  # the option that overrode it is gone
+            main(args + ["--resolution", "0.7"])
+        assert "--resolution" in capsys.readouterr().err
 
     def test_unknown_archetype_rejected(self, tmp_path):
         d = generate_scene_dir(tmp_path)

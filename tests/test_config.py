@@ -93,11 +93,18 @@ CONSTRAINTS += [
     ("scene", "tray_dims", [424.0, NAN, 160.0]),
     ("scene", "resolution", NAN),
 ]
-# Infinity passes every lower bound; depth noise and quantization must be finite.
+# Infinity passes every lower bound, so each real field with no infinite
+# meaning gets a row (an infinite pierce_block means "never blocks").
 INF = float("inf")
 CONSTRAINTS += [
     ("depth", "sigma", INF),
     ("depth", "quant", INF),
+    ("finger_geometry", "width", INF),
+    ("finger_geometry", "breadth", INF),
+    ("finger_geometry", "clearance", INF),
+    ("execution", "grasp_depth_margin", INF),
+    ("scene", "tray_dims", [424.0, INF, 160.0]),
+    ("scene", "resolution", INF),
 ]
 
 # Constraints on the document's shape, which no Python value mirrors.

@@ -98,7 +98,7 @@ class TestCorruptMasks:
         shape = (40, 40)
         a = square_mask(shape, 10, 10, 10)
         b = square_mask(shape, 10, 20, 10)
-        return InstanceMaskSet([(1, a), (2, b)], source="ground_truth")
+        return InstanceMaskSet.from_rasters([(1, a), (2, b)], source="ground_truth")
 
     def test_identity_params(self):
         masks = self.two_touching()
@@ -112,7 +112,7 @@ class TestCorruptMasks:
         out = corrupt_masks(
             self.two_touching(), CorruptionParams(drop_prob=1.0), np.random.default_rng(0)
         )
-        assert out.masks == []
+        assert out.windows == []
 
     def test_merge_touching_pair(self):
         masks = self.two_touching()
@@ -126,7 +126,7 @@ class TestCorruptMasks:
 
     def test_non_adjacent_never_merged(self):
         shape = (40, 40)
-        masks = InstanceMaskSet(
+        masks = InstanceMaskSet.from_rasters(
             [(1, square_mask(shape, 5, 5, 5)), (2, square_mask(shape, 25, 25, 5))],
             source="ground_truth",
         )
@@ -211,8 +211,8 @@ class TestAgreement:
 
     def test_disjoint_sets_zero(self):
         shape = (40, 40)
-        a = InstanceMaskSet([(1, square_mask(shape, 0, 0, 5))])
-        b = InstanceMaskSet([(1, square_mask(shape, 20, 20, 5))])
+        a = InstanceMaskSet.from_rasters([(1, square_mask(shape, 0, 0, 5))])
+        b = InstanceMaskSet.from_rasters([(1, square_mask(shape, 20, 20, 5))])
         assert agreement(a, b).value == 0.0
 
     def test_single_match_at_iou_062(self):
@@ -228,8 +228,8 @@ class TestAgreement:
         iou = mask_iou(pred_hit, gt_mask)
         assert 0.60 <= iou < 0.65
         pred_miss = square_mask(shape, 40, 40, 10)
-        pred = InstanceMaskSet([(1, pred_hit), (2, pred_miss)])
-        gt = InstanceMaskSet([(1, gt_mask)])
+        pred = InstanceMaskSet.from_rasters([(1, pred_hit), (2, pred_miss)])
+        gt = InstanceMaskSet.from_rasters([(1, gt_mask)])
         score = agreement(pred, gt)
         assert score.per_threshold[0.50] == 0.5
         assert score.per_threshold[0.60] == 0.5
@@ -237,19 +237,19 @@ class TestAgreement:
         assert score.value == pytest.approx(0.15)
 
     def test_empty_pred_vs_empty_gt(self):
-        empty = InstanceMaskSet([])
+        empty = InstanceMaskSet([], (20, 20))
         assert agreement(empty, empty).value == 1.0
 
     def test_empty_pred_vs_nonempty_gt(self):
-        empty = InstanceMaskSet([])
-        gt = InstanceMaskSet([(1, square_mask((20, 20), 5, 5, 5))])
+        empty = InstanceMaskSet([], (20, 20))
+        gt = InstanceMaskSet.from_rasters([(1, square_mask((20, 20), 5, 5, 5))])
         assert agreement(empty, gt).value == 0.0
 
     def test_precision_normalizes_by_pred_count(self):
         shape = (40, 40)
         m = square_mask(shape, 5, 5, 8)
-        pred = InstanceMaskSet([(1, m), (2, square_mask(shape, 25, 25, 8))])
-        gt = InstanceMaskSet([(1, m)])
+        pred = InstanceMaskSet.from_rasters([(1, m), (2, square_mask(shape, 25, 25, 8))])
+        gt = InstanceMaskSet.from_rasters([(1, m)])
         assert agreement(pred, gt).value == pytest.approx(0.5)
         # swapping roles changes the normalizer: 1 pred, 1 match -> 1.0
         assert agreement(gt, pred).value == pytest.approx(1.0)
@@ -257,7 +257,7 @@ class TestAgreement:
     def test_invariant_under_relabeling(self):
         scene = generate_scene(SceneConfig(), 8)
         masks = render_masks(scene)
-        relabeled = InstanceMaskSet(
+        relabeled = InstanceMaskSet.from_rasters(
             [(1000 + i, m) for i, (_, m) in enumerate(reversed(masks.masks))]
         )
         assert agreement(relabeled, masks).value == 1.0
@@ -266,8 +266,8 @@ class TestAgreement:
         # two predictions over one gt: only one can match per threshold
         shape = (40, 40)
         m = square_mask(shape, 5, 5, 10)
-        pred = InstanceMaskSet([(1, m), (2, m.copy())])
-        gt = InstanceMaskSet([(9, m)])
+        pred = InstanceMaskSet.from_rasters([(1, m), (2, m.copy())])
+        gt = InstanceMaskSet.from_rasters([(9, m)])
         assert agreement(pred, gt).value == pytest.approx(0.5)
 
 
@@ -279,34 +279,95 @@ class TestMaskAndDepthFiles:
         loaded = load_depth(tmp_path / "d.pgm", scene.resolution)
         np.testing.assert_allclose(loaded.heights, depth.heights, atol=0.005 + 1e-12)
 
-    def test_disjoint_masks_round_trip_as_id_map(self, tmp_path):
+    def test_scene_masks_round_trip_as_one_manifest(self, tmp_path):
         scene = generate_scene(SceneConfig(), 5)
         masks = render_masks(scene)
         manifest = save_masks(masks, tmp_path)
-        assert (tmp_path / "masks_idmap.pgm").exists()
+        assert [p.name for p in tmp_path.iterdir()] == [manifest.name]
         loaded = load_masks(manifest)
         assert loaded.ids() == masks.ids()
+        assert loaded.shape == scene.shape
         for (_, a), (_, b) in zip(loaded.masks, masks.masks):
             np.testing.assert_array_equal(a, b)
 
-    def test_overlapping_masks_round_trip_per_instance(self, tmp_path):
+    def test_overlapping_masks_round_trip(self, tmp_path):
         shape = (30, 30)
         a = square_mask(shape, 5, 5, 10)
         b = square_mask(shape, 8, 8, 10)
-        masks = InstanceMaskSet([(1, a), (2, b)], source="corrupted",
-                                confidences={1: 0.9, 2: 0.8})
+        masks = InstanceMaskSet.from_rasters([(1, a), (2, b)], source="corrupted",
+                                             confidences={1: 0.9, 2: 0.8})
         manifest = save_masks(masks, tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [manifest.name]
         loaded = load_masks(manifest)
         assert loaded.source == "corrupted"
         assert loaded.confidences == {1: 0.9, 2: 0.8}
         np.testing.assert_array_equal(loaded.masks[0][1], a)
         np.testing.assert_array_equal(loaded.masks[1][1], b)
 
-    def test_id_map_manifest_rejects_non_positive_id(self, tmp_path):
-        masks = InstanceMaskSet([(1, square_mask((30, 30), 5, 5, 10))])
+    def test_counts_are_coco_rle(self, tmp_path):
+        """Hand-computed: column-major run lengths over the whole raster,
+        starting with a run of zeros (of length 0 when pixel (0, 0) is set),
+        so {"size": size, "counts": counts} is a COCO RLE object."""
+        raster = np.array([[1, 0, 0, 1],
+                           [0, 0, 1, 1],
+                           [1, 1, 1, 0]], dtype=bool)
+        # columns read top to bottom: 1 0 1 | 0 0 1 | 0 1 1 | 1 1 0; the run
+        # of four ones crosses from the third column into the fourth
+        hole = np.zeros((3, 4), dtype=bool)
+        hole[1, 1] = True
+        wrap = np.zeros((3, 4), dtype=bool)  # one run, bottom of column 0 to top of 1
+        wrap[2, 0] = wrap[0, 1] = True
+        pairs = [(5, raster), (6, hole), (8, wrap), (7, np.zeros((3, 4), bool))]
+        masks = InstanceMaskSet.from_rasters(pairs, confidences={6: 0.25})
+        manifest = save_masks(masks, tmp_path)
+        assert json.loads(manifest.read_text()) == {
+            "source": "ground_truth",
+            "size": [3, 4],
+            "instances": [
+                {"id": 5, "counts": [0, 1, 1, 1, 2, 1, 1, 4, 1]},
+                {"id": 6, "counts": [4, 1, 7], "confidence": 0.25},
+                {"id": 8, "counts": [2, 2, 8]},
+                {"id": 7, "counts": [12]},
+            ],
+        }
+        loaded = load_masks(manifest)
+        assert [w.slices for w in loaded.windows] == [w.slices for w in masks.windows]
+        assert loaded.windows[2].slices == (slice(0, 3), slice(0, 2))
+        for (pid, got), (expected_id, expected) in zip(loaded.masks, pairs):
+            assert pid == expected_id
+            np.testing.assert_array_equal(got, expected)
+        # runs of length 0 anywhere decode to the same tight windows
+        manifest.write_text(json.dumps({"source": "external", "size": [3, 4], "instances": [
+            {"id": 6, "counts": [0, 0, 4, 1, 0, 0, 7, 0]},
+            {"id": 8, "counts": [2, 1, 0, 1, 0, 0, 8]},
+        ]}))
+        for got, expected in zip(load_masks(manifest).windows, masks.windows[1:3]):
+            assert got.slices == expected.slices
+            np.testing.assert_array_equal(got.local, expected.local)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda d: d["instances"][0].update(counts=[-1, 901]), "non-negative integers"),
+        (lambda d: d["instances"][0].update(counts=[50.0, 850]), "non-negative integers"),
+        (lambda d: d["instances"][0].update(counts=[50, True, 849]), "non-negative integers"),
+        (lambda d: d["instances"][0].update(counts="900"), "non-negative integers"),
+        (lambda d: d["instances"][0]["counts"].append(1), "summing to h"),
+        (lambda d: d["instances"][0].update(counts=[450]), "summing to h"),
+        (lambda d: d.update(size=[30]), "size must be"),
+        (lambda d: d.update(size=[30, 30.0]), "mask size must be"),
+        (lambda d: d.update(size=[30, -30]), "mask size must be"),
+        (lambda d: d.update(size=[0, 30]), "mask size must be"),
+        (lambda d: d.update(size=None), "size must be"),
+        (lambda d: d["instances"].append(dict(d["instances"][0])), "duplicate instance id 1"),
+        (lambda d: d["instances"][0].update(id="1"), "instance id must be an integer"),
+    ], ids=["negative count", "float count", "bool count", "counts not a list",
+            "counts sum above h*w", "counts sum below h*w", "size of one number",
+            "float size", "negative size", "zero size", "null size", "duplicate ids",
+            "string id"])
+    def test_malformed_manifest_rejected(self, tmp_path, edit, match):
+        masks = InstanceMaskSet.from_rasters([(1, square_mask((30, 30), 5, 5, 10))])
         manifest = save_masks(masks, tmp_path)
         doc = json.loads(manifest.read_text())
-        doc["ids"] = [0, 1]
+        edit(doc)
         manifest.write_text(json.dumps(doc))
-        with pytest.raises(ParameterError, match="instance id 0"):
+        with pytest.raises(ParameterError, match=match):
             load_masks(manifest)

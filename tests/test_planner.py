@@ -304,7 +304,7 @@ class TestSelectGrasp:
 class TestPlan:
     def test_empty_mask_set(self):
         depth = flat_depth((100, 100), 0.0)
-        p = plan(InstanceMaskSet([]), depth, DEFAULT_ARCHETYPES["fried_chicken"])
+        p = plan(InstanceMaskSet([], (100, 100)), depth, DEFAULT_ARCHETYPES["fried_chicken"])
         assert p.target is None
         assert p.candidates == []
 

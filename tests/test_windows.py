@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 
 import copy
+import os
 import tempfile
 import tracemalloc
 
@@ -425,7 +426,7 @@ def test_fit_ellipse_bit_identical(mask):
             fit_ellipse(mask)
         return
     assert fit_ellipse(mask) == expected
-    (w,) = InstanceMaskSet([(1, mask)]).windows
+    (w,) = InstanceMaskSet.from_rasters([(1, mask)]).windows
     assert fit_ellipse(w.local, (w.slices[0].start, w.slices[1].start)) == expected
 
 
@@ -719,7 +720,9 @@ def assert_same_masks(got, expected):
 def label_maps(draw):
     h, w = draw(shapes)
     labels = draw(arrays(np.int32, (h, w), elements=st.integers(0, 9)))
-    return InstanceMaskSet([(int(p), labels == p) for p in np.unique(labels) if p != 0])
+    return InstanceMaskSet.from_rasters(
+        [(int(p), labels == p) for p in np.unique(labels) if p != 0], shape=(h, w)
+    )
 
 
 corruptions = st.builds(
@@ -796,14 +799,33 @@ def test_agreement_equals_every_pair_iou(pred, gt, seed, params, thresholds):
     assert score.value == sum(score.per_threshold[t] for t in thresholds) / len(thresholds)
 
 
+def _square(shape, r0, c0, size):
+    m = np.zeros(shape, dtype=bool)
+    m[r0 : r0 + size, c0 : c0 + size] = True
+    return m
+
+
 @SETTINGS
 @given(masks=label_maps(), seed=st.integers(0, 2**32 - 1), jitter=st.integers(0, 2))
+@example(masks=InstanceMaskSet([], (5, 7)), seed=0, jitter=1)
+@example(  # the corner pixel that ends the column-major order; a mask of every pixel
+    masks=InstanceMaskSet.from_rasters([(2, _square((6, 5), 3, 2, 3)), (7, np.ones((6, 5), bool))]),
+    seed=0, jitter=0,
+)
+@example(  # overlapping masks that merge_prob 0.3 does not merge at this seed
+    masks=InstanceMaskSet.from_rasters([(1, _square((30, 30), 5, 5, 10)),
+                                        (2, _square((30, 30), 8, 8, 10))]),
+    seed=1, jitter=0,
+)
 def test_mask_files_round_trip(masks, seed, jitter):
     params = CorruptionParams(boundary_jitter=jitter, merge_prob=0.3)
     corrupted = corrupt_masks(masks, params, np.random.default_rng(seed))  # may overlap
     for original in (masks, corrupted):
         with tempfile.TemporaryDirectory() as out:
-            loaded = load_masks(save_masks(original, out))
+            manifest = save_masks(original, out)
+            assert os.listdir(out) == [manifest.name]  # the manifest alone, no .pgm
+            loaded = load_masks(manifest)
+        assert loaded.shape == original.shape
         assert loaded.source == original.source
         assert loaded.confidences == original.confidences
         assert loaded.ids() == original.ids()
