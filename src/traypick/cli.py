@@ -11,42 +11,29 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import load_experiment_config
-from .errors import ParameterError
-from .experiment import (
-    ExperimentConfig,
-    compare_conditions,
-    run_experiment,
-    summary_csv,
-)
-from .graspsim import FingerKind, FingerModel, execute_grasp
-from .perception import (
-    agreement,
-    corrupt_masks,
-    load_depth,
-    load_masks,
-    render_depth,
-    render_masks,
-    save_depth,
-    save_masks,
-)
+from .experiment import ExperimentConfig, compare_conditions, observe, run_experiment, summary_csv
+from .graspsim import execute_grasp
+from .perception import agreement, load_depth, load_masks, save_depth, save_masks
 from .planner import candidate_from_dict, plan, plan_to_dict
-from .scenegen import default_resolution, generate_scene, load_scene, save_scene
-
-import dataclasses
-
-import numpy as np
+from .scenegen import generate_scene, load_scene, mm_per_pixel, save_scene
 
 
 def _base_config(args) -> ExperimentConfig:
-    if args.config:
-        cfg = load_experiment_config(args.config)
-    else:
-        cfg = ExperimentConfig()
+    cfg = load_experiment_config(args.config) if args.config else ExperimentConfig()
     if getattr(args, "seed", None) is not None:
         cfg.base_seed = args.seed
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         cfg.output_dir = args.out
     return cfg
+
+
+def _emit(doc: dict, out: str | None) -> int:
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    if out:
+        Path(out).write_text(text)
+    else:
+        print(text)
+    return 0
 
 
 def _generate_one(task) -> str:
@@ -54,21 +41,17 @@ def _generate_one(task) -> str:
     scene = generate_scene(cfg.scene_config(), seed)
     scene_dir = Path(out) / f"scene_{seed}"
     save_scene(scene, scene_dir)
-    depth = render_depth(scene, cfg.depth_sigma, cfg.depth_quant,
-                         np.random.default_rng((seed, 1)))
+    depth, masks, corrupted = observe(cfg, scene, seed)
     save_depth(depth, scene_dir / "depth.pgm")
-    masks = render_masks(scene)
     save_masks(masks, scene_dir, stem="masks")
-    if not cfg.corruption.is_identity:
-        corrupted = corrupt_masks(masks, cfg.corruption, np.random.default_rng((seed, 2)))
+    if corrupted is not None:
         save_masks(corrupted, scene_dir, stem="masks_corrupted")
     return str(scene_dir)
 
 
 def cmd_generate(args) -> int:
     cfg = _base_config(args)
-    out = args.out or cfg.output_dir or "scenes"
-    tasks = [(cfg, cfg.base_seed + i, out) for i in range(args.count)]
+    tasks = [(cfg, cfg.base_seed + i, cfg.output_dir or "scenes") for i in range(args.count)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             dirs = list(pool.map(_generate_one, tasks))
@@ -81,21 +64,11 @@ def cmd_generate(args) -> int:
 
 def cmd_plan(args) -> int:
     cfg = _base_config(args)
-    masks = load_masks(args.masks)
     sc = cfg.scene_config()
-    resolution = default_resolution(sc.tray_dims[0]) if sc.resolution is None else sc.resolution
-    depth = load_depth(args.depth, resolution)
-    if args.archetype not in sc.archetypes:
-        raise ParameterError(f"unknown archetype {args.archetype!r}; known: {sorted(sc.archetypes)}")
-    p = plan(masks, depth, sc.archetypes[args.archetype], cfg.finger_geometry, not args.no_filter)
-    doc = plan_to_dict(p)
-    doc["archetype"] = args.archetype
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text)
-    return 0
+    depth = load_depth(args.depth, mm_per_pixel(sc.tray_dims, sc.resolution))
+    p = plan(load_masks(args.masks), depth, sc.archetypes[cfg.archetype], cfg.finger_geometry,
+             cfg.filtering)
+    return _emit({**plan_to_dict(p), "archetype": cfg.archetype}, args.out)
 
 
 def cmd_grasp(args) -> int:
@@ -106,10 +79,8 @@ def cmd_grasp(args) -> int:
         print("plan has no target; nothing to execute", file=sys.stderr)
         return 1
     candidate = candidate_from_dict(plan_doc["target"])
-    fm = FingerModel(kind=FingerKind(args.finger), geometry=cfg.finger_geometry)
-    outcome = execute_grasp(scene, candidate, fm, cfg.execution)
-    out_scene = args.out_scene or args.scene
-    save_scene(scene, out_scene)
+    outcome = execute_grasp(scene, candidate, cfg.finger_model(), cfg.execution)
+    save_scene(scene, args.out_scene or args.scene)
     doc = {
         "classification": outcome.classification.value,
         "picked": sorted(outcome.picked),
@@ -125,12 +96,7 @@ def cmd_grasp(args) -> int:
             for f in outcome.insertion.fingers
         ],
     }
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text)
-    return 0
+    return _emit(doc, args.out)
 
 
 def cmd_experiment(args) -> int:
@@ -141,21 +107,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    base = _base_config(args)
-    cfgs = []
-    for finger in (FingerKind.ADAPTIVE, FingerKind.FIXED):
-        for filtering in (True, False):
-            cfg = dataclasses.replace(base, finger=finger, filtering=filtering)
-            cfg.output_dir = (
-                str(Path(base.output_dir) / f"{finger.value}_{'on' if filtering else 'off'}")
-                if base.output_dir
-                else None
-            )
-            cfgs.append(cfg)
-    csv_text, _ = compare_conditions(cfgs)
-    if base.output_dir:
-        Path(base.output_dir).mkdir(parents=True, exist_ok=True)
-        (Path(base.output_dir) / "comparison.csv").write_text(csv_text)
+    csv_text, _ = compare_conditions(_base_config(args))
     print(csv_text, end="")
     return 0
 
@@ -180,39 +132,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    # pipeline values come from --config only; options name files and seeds
+    def add_common(p, seed: bool):
         p.add_argument("--config", help="pipeline config JSON")
-        p.add_argument("--seed", type=int, help="base seed override")
+        if seed:
+            p.add_argument("--seed", type=int, help="base seed override")
         p.add_argument("--out", help="output directory or file")
 
     g = sub.add_parser("generate", help="generate scenes with depth and mask files")
-    add_common(g)
+    add_common(g, seed=True)
     g.add_argument("--count", type=int, default=1, help="number of scenes")
     g.add_argument("--jobs", type=int, default=1, help="parallel workers")
     g.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("plan", help="plan a grasp from a mask manifest and depth PGM")
-    add_common(p)
+    add_common(p, seed=False)
     p.add_argument("--masks", required=True, help="mask manifest JSON")
     p.add_argument("--depth", required=True, help="depth PGM (0.01 mm per level)")
-    p.add_argument("--archetype", required=True, help="a name in the config's archetype set")
-    p.add_argument("--no-filter", action="store_true", help="disable grasp filtering")
     p.set_defaults(func=cmd_plan)
 
     gr = sub.add_parser("grasp", help="execute a plan's target grasp on a scene")
-    add_common(gr)
+    add_common(gr, seed=False)
     gr.add_argument("--scene", required=True, help="scene directory")
     gr.add_argument("--plan", required=True, help="plan JSON from the plan subcommand")
-    gr.add_argument("--finger", choices=["fixed", "adaptive"], default="adaptive")
     gr.add_argument("--out-scene", help="directory for the updated scene (default: in place)")
     gr.set_defaults(func=cmd_grasp)
 
     e = sub.add_parser("experiment", help="run a seeded grasp campaign")
-    add_common(e)
+    add_common(e, seed=True)
     e.set_defaults(func=cmd_experiment)
 
     c = sub.add_parser("compare", help="run the finger x filtering comparison grid")
-    add_common(c)
+    add_common(c, seed=True)
     c.set_defaults(func=cmd_compare)
 
     a = sub.add_parser("agreement", help="mask-agreement score matrix for two manifests")

@@ -11,20 +11,15 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParameterError, check_number, check_type
-from .graspsim import (
-    Classification,
-    ExecutionParams,
-    FingerKind,
-    FingerModel,
-    execute_grasp,
-)
-from .perception import CorruptionParams, corrupt_masks, render_depth, render_masks
+from .graspsim import Classification, ExecutionParams, FingerKind, FingerModel, execute_grasp
+from .perception import (CorruptionParams, DepthImage, InstanceMaskSet, corrupt_masks,
+                         render_depth, render_masks)
 from .planner import FingerGeometry, plan
 from .scenegen import SceneConfig, TrayScene, generate_scene
 
@@ -107,6 +102,24 @@ class SummaryStats:
     no_target_count: int
 
 
+def observe(
+    cfg: ExperimentConfig, scene: TrayScene, seed: int
+) -> tuple[DepthImage, InstanceMaskSet, InstanceMaskSet | None]:
+    """The camera stage of an attempt on scene: (depth, ground-truth masks,
+    corrupted masks or None when corruption is off).
+
+    Depth noise draws from stream (seed, 1) and corruption from (seed, 2);
+    the streams are independent, so a generator is built only for a stage
+    that draws.
+    """
+    depth_rng = np.random.default_rng((seed, 1)) if cfg.depth_sigma > 0 else None
+    depth = render_depth(scene, cfg.depth_sigma, cfg.depth_quant, depth_rng)
+    masks = render_masks(scene)
+    if cfg.corruption.is_identity:
+        return depth, masks, None
+    return depth, masks, corrupt_masks(masks, cfg.corruption, np.random.default_rng((seed, 2)))
+
+
 def run_trial(
     cfg: ExperimentConfig,
     attempt_idx: int,
@@ -125,15 +138,10 @@ def run_trial(
         scene = generate_scene(cfg.scene_config(), seed)
         epoch += 1
 
-    # the stages' generators are independent: build one only for a stage that draws
-    depth_rng = np.random.default_rng((seed, 1)) if cfg.depth_sigma > 0 else None
-    depth = render_depth(scene, cfg.depth_sigma, cfg.depth_quant, depth_rng)
-    masks = render_masks(scene)
-    if not cfg.corruption.is_identity:
-        masks = corrupt_masks(masks, cfg.corruption, np.random.default_rng((seed, 2)))
-
+    depth, masks, corrupted = observe(cfg, scene, seed)
     arch = scene.archetypes[cfg.archetype]
-    p = plan(masks, depth, arch, cfg.finger_geometry, cfg.filtering)
+    p = plan(masks if corrupted is None else corrupted, depth, arch, cfg.finger_geometry,
+             cfg.filtering)
     retained = sum(not c.filtered for c in p.candidates)  # all of them when unfiltered
     if p.target is None:
         record = TrialRecord(
@@ -255,35 +263,38 @@ def summary_csv(rows: list[tuple[str, ExperimentConfig, SummaryStats]]) -> str:
 
 
 def compare_conditions(
-    cfgs: list[ExperimentConfig],
+    base: ExperimentConfig,
 ) -> tuple[str, dict[tuple[str, bool], SummaryStats]]:
-    """Run several campaigns over one archetype and tabulate a finger x
-    filtering grid with per-finger filtering deltas. Returns (CSV, grid)."""
-    if len(cfgs) < 2:
-        raise ParameterError("compare_conditions needs >= 2 configs")
-    archetypes = {c.archetype for c in cfgs}
-    if len(archetypes) != 1:
-        raise ParameterError(f"configs must share an archetype, got {sorted(archetypes)}")
+    """Run base under each finger (adaptive, fixed) with filtering on then off.
+
+    With base.output_dir set, each campaign persists to
+    <output_dir>/<finger>_<on|off> and the table to
+    <output_dir>/comparison.csv. Returns (CSV: one row per condition, then
+    each finger's filtering-on minus -off deltas; grid keyed by
+    (finger, filtering)).
+    """
+    base.validate()
     grid: dict[tuple[str, bool], SummaryStats] = {}
     rows = []
-    for cfg in cfgs:
-        summary, _ = run_experiment(cfg)
-        key = (cfg.finger.value, cfg.filtering)
-        grid[key] = summary
-        rows.append((f"{cfg.finger.value}/{'filter' if cfg.filtering else 'nofilter'}", cfg, summary))
+    for finger in (FingerKind.ADAPTIVE, FingerKind.FIXED):
+        for filtering in (True, False):
+            out = (str(Path(base.output_dir) / f"{finger.value}_{'on' if filtering else 'off'}")
+                   if base.output_dir else None)
+            cfg = replace(base, finger=finger, filtering=filtering, output_dir=out)
+            summary, _ = run_experiment(cfg)
+            grid[finger.value, filtering] = summary
+            rows.append((f"{finger.value}/{'filter' if filtering else 'nofilter'}", cfg, summary))
     csv_text = summary_csv(rows)
-    delta_lines = []
     for finger in (FingerKind.ADAPTIVE.value, FingerKind.FIXED.value):
-        on = grid.get((finger, True))
-        off = grid.get((finger, False))
-        if on and off:
-            delta_lines.append(
-                f"delta_{finger},success_single,{on.success_single_rate - off.success_single_rate:+.4f},"
-                f"multi_pick,{on.multi_pick_rate - off.multi_pick_rate:+.4f},"
-                f"damaged,{on.damaged_piece_total - off.damaged_piece_total:+d}"
-            )
-    if delta_lines:
-        csv_text += "\n".join(delta_lines) + "\n"
+        on, off = grid[finger, True], grid[finger, False]
+        csv_text += (
+            f"delta_{finger},success_single,{on.success_single_rate - off.success_single_rate:+.4f},"
+            f"multi_pick,{on.multi_pick_rate - off.multi_pick_rate:+.4f},"
+            f"damaged,{on.damaged_piece_total - off.damaged_piece_total:+d}\n"
+        )
+    if base.output_dir:
+        Path(base.output_dir).mkdir(parents=True, exist_ok=True)
+        (Path(base.output_dir) / "comparison.csv").write_text(csv_text)
     return csv_text, grid
 
 

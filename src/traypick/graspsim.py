@@ -162,6 +162,22 @@ def _insert_one(
     return FingerInsertion(h, h + retraction, retraction, contacts, obstruction > fm.retraction_budget)
 
 
+def _damage(
+    scene: TrayScene, fm: FingerModel, pid: int, magnitude: float, damaged: dict[int, float]
+) -> None:
+    """Max-merge magnitude into damaged[pid] when it exceeds the piece's
+    threshold for this finger: damage_tolerance (mm of penetration) for a
+    fixed finger, fragility_force (N of spring force) for an adaptive one.
+    An id that names no piece is skipped."""
+    piece = scene.pieces.get(pid)
+    if piece is None:
+        return
+    arch = scene.archetypes[piece.archetype]
+    threshold = arch.damage_tolerance if fm.kind is FingerKind.FIXED else arch.fragility_force
+    if magnitude > threshold:
+        damaged[pid] = max(damaged.get(pid, 0.0), magnitude)
+
+
 def insert_fingers(
     scene: TrayScene,
     c: GraspCandidate,
@@ -190,15 +206,7 @@ def insert_fingers(
     damaged: dict[int, float] = {}
     for fin in fins:
         for pid, magnitude in fin.contacts.items():
-            piece = scene.pieces.get(pid)
-            if piece is None:
-                continue
-            arch = scene.archetypes[piece.archetype]
-            threshold = (
-                arch.damage_tolerance if fm.kind is FingerKind.FIXED else arch.fragility_force
-            )
-            if magnitude > threshold:
-                damaged[pid] = max(damaged.get(pid, 0.0), magnitude)
+            _damage(scene, fm, pid, magnitude, damaged)
     return InsertionResult(fins, damaged)
 
 
@@ -288,18 +296,9 @@ def close_and_lift(
         overlap = float(heights.max()) - max_bottom
         if overlap <= 0:
             continue
-        piece = scene.pieces.get(pid)
-        if piece is None:
-            continue
-        arch = scene.archetypes[piece.archetype]
-        if fm.kind is FingerKind.FIXED:
-            magnitude = overlap
-            threshold = arch.damage_tolerance
-        else:
-            magnitude = fm.stiffness * min(overlap, fm.retraction_budget)
-            threshold = arch.fragility_force
-        if magnitude > threshold:
-            damaged[pid] = max(damaged.get(pid, 0.0), magnitude)
+        magnitude = (overlap if fm.kind is FingerKind.FIXED
+                     else fm.stiffness * min(overlap, fm.retraction_budget))
+        _damage(scene, fm, pid, magnitude, damaged)
 
     if len(picked) == 1:
         classification = Classification.SUCCESS_SINGLE

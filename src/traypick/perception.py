@@ -87,13 +87,16 @@ class _Rasters(Sequence):
         return w.id, _pixels_in(w, 0, self._shape[0], 0, self._shape[1])
 
 
+MASK_SOURCES = ("ground_truth", "corrupted", "external")
+
+
 @dataclass(eq=False)  # identity equality: == on the windows' arrays has no single truth value
 class InstanceMaskSet:
     """Instance masks held as windows on a raster of the given shape."""
 
     windows: list[MaskWindow]
     shape: tuple[int, int] | None
-    source: str = "ground_truth"  # ground_truth | corrupted | external
+    source: str = "ground_truth"  # one of MASK_SOURCES
     confidences: dict[int, float] = field(default_factory=dict)
 
     @classmethod
@@ -433,15 +436,27 @@ def save_masks(masks: InstanceMaskSet, out_dir: str | Path, stem: str = "masks")
 
 
 def load_masks(manifest_path: str | Path) -> InstanceMaskSet:
-    """Read a manifest written by save_masks. It is outside input: a size
-    that is not two positive integers, a non-integer or repeated id, or counts
-    that are not non-negative integers summing to h * w raise ParameterError."""
+    """Read a manifest written by save_masks. It is outside input: a document
+    that is not an object holding source, size and instances, a source other
+    than ground_truth, corrupted or external, a size that is not two positive
+    integers, an instance that is not an object holding id and counts, a
+    non-integer or repeated id, counts that are not non-negative integers
+    summing to h * w, or a confidence outside [0, 1] raise ParameterError."""
     manifest = json.loads(Path(manifest_path).read_text())
-    size = manifest["size"]
+    if not (isinstance(manifest, dict) and {"source", "size", "instances"} <= manifest.keys()):
+        raise ParameterError("a mask manifest must be an object with source, size and instances")
+    source, size, instances = manifest["source"], manifest["size"], manifest["instances"]
+    if source not in MASK_SOURCES:
+        raise ParameterError(f"mask source must be one of {', '.join(MASK_SOURCES)}, got {source!r}")
     if not (isinstance(size, list) and len(size) == 2 and all(type(n) is int and n > 0 for n in size)):
         raise ParameterError(f"mask size must be [height, width], two positive integers, got {size!r}")
+    if not isinstance(instances, list):
+        raise ParameterError("mask instances must be a list")
     windows: dict[int, MaskWindow] = {}
-    for entry in manifest["instances"]:
+    confidences: dict[int, float] = {}
+    for entry in instances:
+        if not (isinstance(entry, dict) and {"id", "counts"} <= entry.keys()):
+            raise ParameterError("each mask instance must be an object with id and counts")
         pid, counts = entry["id"], entry["counts"]
         check_number("instance id", pid, integral=True)
         if pid in windows:
@@ -449,6 +464,8 @@ def load_masks(manifest_path: str | Path) -> InstanceMaskSet:
         if not (isinstance(counts, list) and all(type(c) is int and c >= 0 for c in counts)
                 and sum(counts) == size[0] * size[1]):
             raise ParameterError(f"instance {pid}: counts must be non-negative integers summing to h * w")
+        if "confidence" in entry:
+            check_number(f"instance {pid} confidence", entry["confidence"], low=0, high=1)
+            confidences[pid] = entry["confidence"]
         windows[pid] = _rle_window(pid, counts, size[0])
-    confidences = {e["id"]: e["confidence"] for e in manifest["instances"] if "confidence" in e}
-    return InstanceMaskSet(list(windows.values()), tuple(size), manifest["source"], confidences)
+    return InstanceMaskSet(list(windows.values()), tuple(size), source, confidences)

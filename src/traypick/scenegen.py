@@ -25,8 +25,12 @@ DEFAULT_TRAY_DIMS = (424.0, 308.0, 160.0)  # mm, industry-standard food tray
 RASTER_WIDTH_PX = 600  # tray width maps to 600 px
 
 
-def default_resolution(tray_width_mm: float = DEFAULT_TRAY_DIMS[0]) -> float:
-    return tray_width_mm / RASTER_WIDTH_PX
+def mm_per_pixel(
+    tray_dims: tuple[float, float, float] = DEFAULT_TRAY_DIMS, resolution: float | None = None
+) -> float:
+    """A raster's mm per pixel: resolution when given, else the tray width
+    over RASTER_WIDTH_PX."""
+    return tray_dims[0] / RASTER_WIDTH_PX if resolution is None else resolution
 
 
 @dataclass
@@ -80,7 +84,7 @@ def empty_scene(
     resolution: float | None = None,
     seed: int = 0,
 ) -> TrayScene:
-    res = default_resolution(tray_dims[0]) if resolution is None else resolution
+    res = mm_per_pixel(tray_dims, resolution)
     nx = int(round(tray_dims[0] / res))
     ny = int(round(tray_dims[1] / res))
     return TrayScene(
@@ -161,7 +165,7 @@ def make_stamp(
         raise ParameterError(
             f"scale {scale} outside {archetype.name} range [{lo}, {hi}]"
         )
-    res = default_resolution() if resolution is None else resolution
+    res = mm_per_pixel(resolution=resolution)
     j = archetype.jitter
     ja, jb, jd = 1.0 + rng.uniform(-j, j, 3)
     semi_a = archetype.semi_axes_mm[0] * scale * ja

@@ -6,10 +6,13 @@ import pytest
 
 from traypick.archetypes import DEFAULT_ARCHETYPES, save_archetypes
 from traypick.cli import main
+from traypick.config import load_experiment_config
 from traypick.errors import ParameterError
-from traypick.perception import load_depth, load_masks
-from traypick.planner import plan, plan_to_dict
-from traypick.scenegen import load_scene
+from traypick.experiment import compare_conditions, observe
+from traypick.graspsim import execute_grasp
+from traypick.perception import load_depth, load_masks, save_depth, save_masks
+from traypick.planner import candidate_from_dict, plan, plan_to_dict
+from traypick.scenegen import generate_scene, load_scene
 
 
 def write_config(tmp_path, **overrides):
@@ -59,16 +62,34 @@ class TestGenerate:
         main(["generate", "--config", cfg, "--seed", "11", "--out", str(out), "--count", "1"])
         assert (out / "scene_11" / "masks_corrupted_manifest.json").exists()
 
+    def test_files_are_the_observation_stage(self, tmp_path):
+        """generate writes what run_trial plans from: the shared observation
+        stage's depth, ground-truth masks and corrupted masks for the seed."""
+        cfg_path = write_config(tmp_path, depth={"sigma": 0.5, "quant": 0.25},
+                                corruption={"boundary_jitter": 1, "merge_prob": 0.3})
+        out = tmp_path / "s"
+        assert main(["generate", "--config", cfg_path, "--seed", "11", "--out", str(out)]) == 0
+        cfg = load_experiment_config(cfg_path)
+        depth, masks, corrupted = observe(cfg, generate_scene(cfg.scene_config(), 11), 11)
+        assert corrupted is not None
+        ref = tmp_path / "ref"
+        save_masks(masks, ref, stem="masks")
+        save_masks(corrupted, ref, stem="masks_corrupted")
+        save_depth(depth, ref / "depth.pgm")
+        for name in ("depth.pgm", "masks_manifest.json", "masks_corrupted_manifest.json"):
+            assert (out / "scene_11" / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def plan_args(d, *extra):
+    return ["plan", "--masks", str(d / "masks_manifest.json"), "--depth", str(d / "depth.pgm"),
+            *extra]
+
 
 class TestPlan:
     def test_plan_writes_target_json(self, tmp_path):
         d = generate_scene_dir(tmp_path)
         plan_path = tmp_path / "plan.json"
-        rc = main([
-            "plan", "--masks", str(d / "masks_manifest.json"),
-            "--depth", str(d / "depth.pgm"),
-            "--archetype", "fried_chicken", "--out", str(plan_path),
-        ])
+        rc = main(plan_args(d, "--config", write_config(tmp_path), "--out", str(plan_path)))
         assert rc == 0
         doc = json.loads(plan_path.read_text())
         assert doc["archetype"] == "fried_chicken"
@@ -76,14 +97,19 @@ class TestPlan:
         assert doc["target"]["instance_id"] in [c["instance_id"] for c in doc["candidates"]]
 
     def test_no_filter_retains_every_candidate(self, tmp_path):
+        """"filtering": false in the config reaches plan; the plan used to
+        filter whatever the config said unless --no-filter was given."""
         d = generate_scene_dir(tmp_path)
-        args = ["plan", "--masks", str(d / "masks_manifest.json"),
-                "--depth", str(d / "depth.pgm"), "--archetype", "fried_chicken"]
+        (tmp_path / "on").mkdir()
+        (tmp_path / "off").mkdir()
         p1, p2 = tmp_path / "on.json", tmp_path / "off.json"
-        main(args + ["--out", str(p1)])
-        main(args + ["--no-filter", "--out", str(p2)])
+        main(plan_args(d, "--config", write_config(tmp_path / "on"), "--out", str(p1)))
+        main(plan_args(d, "--config", write_config(tmp_path / "off", filtering=False),
+                       "--out", str(p2)))
         on = json.loads(p1.read_text())
         off = json.loads(p2.read_text())
+        assert on["filtering_enabled"] and any(c["filtered"] for c in on["candidates"])
+        assert not off["filtering_enabled"]
         assert all(not c["filtered"] for c in off["candidates"])
         assert len(on["candidates"]) == len(off["candidates"])
 
@@ -95,16 +121,16 @@ class TestPlan:
         out = tmp_path / "s"
         assert main(["generate", "--config", cfg, "--seed", "5", "--out", str(out)]) == 0
         d = out / "scene_5"
-        args = ["plan", "--config", cfg, "--masks", str(d / "masks_manifest.json"),
-                "--depth", str(d / "depth.pgm")]
         plan_path = tmp_path / "plan.json"
-        assert main(args + ["--archetype", "dumpling", "--out", str(plan_path)]) == 0
+        assert main(plan_args(d, "--config", cfg, "--out", str(plan_path))) == 0
         doc = json.loads(plan_path.read_text())
         assert doc["archetype"] == "dumpling"
         assert doc["target"] is not None
         # the default set is not consulted once the config names its own
+        gyoza = write_config(tmp_path, archetype="gyoza",
+                             scene={"archetypes_path": "archetypes.json"})
         with pytest.raises(ParameterError, match="gyoza"):
-            main(args + ["--archetype", "gyoza"])
+            main(plan_args(d, "--config", gyoza))
 
     def test_resolution_follows_the_config_tray(self, tmp_path, capsys):
         """plan reads depth at the config's mm per pixel, as generate drew it;
@@ -114,8 +140,7 @@ class TestPlan:
         out = tmp_path / "s"
         assert main(["generate", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
         d = out / "scene_3"
-        args = ["plan", "--config", cfg, "--masks", str(d / "masks_manifest.json"),
-                "--depth", str(d / "depth.pgm"), "--archetype", "mushroom"]
+        args = plan_args(d, "--config", cfg)
         plan_path = tmp_path / "plan.json"
         assert main(args + ["--out", str(plan_path)]) == 0
         resolution = load_scene(d).resolution
@@ -132,25 +157,43 @@ class TestPlan:
     def test_unknown_archetype_rejected(self, tmp_path):
         d = generate_scene_dir(tmp_path)
         with pytest.raises(ParameterError, match="tofu"):
-            main(["plan", "--masks", str(d / "masks_manifest.json"),
-                  "--depth", str(d / "depth.pgm"), "--archetype", "tofu"])
+            main(plan_args(d, "--config", write_config(tmp_path, archetype="tofu")))
+
+
+@pytest.mark.parametrize("command, option", [
+    ("plan", ["--archetype", "gyoza"]),
+    ("plan", ["--no-filter"]),
+    ("plan", ["--seed", "3"]),
+    ("grasp", ["--finger", "fixed"]),
+    ("grasp", ["--seed", "3"]),
+], ids=["plan --archetype", "plan --no-filter", "plan --seed", "grasp --finger", "grasp --seed"])
+def test_deleted_options_are_usage_errors(tmp_path, capsys, command, option):
+    """Every pipeline value comes from the config document; these options
+    kept second copies of the archetype, filtering and finger, and --seed
+    was accepted and ignored by plan and grasp."""
+    cfg = write_config(tmp_path)
+    files = (["--masks", "m.json", "--depth", "d.pgm"] if command == "plan"
+             else ["--scene", "s", "--plan", "p.json"])
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, *files, *option])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
 class TestGrasp:
-    def run_plan(self, tmp_path, d):
+    def run_plan(self, tmp_path, d, cfg):
         plan_path = tmp_path / "plan.json"
-        main(["plan", "--masks", str(d / "masks_manifest.json"),
-              "--depth", str(d / "depth.pgm"),
-              "--archetype", "fried_chicken", "--out", str(plan_path)])
+        main(plan_args(d, "--config", cfg, "--out", str(plan_path)))
         return plan_path
 
     def test_success_removes_picked_pieces(self, tmp_path):
         d = generate_scene_dir(tmp_path)
         n_before = len(load_scene(d).pieces)
-        plan_path = self.run_plan(tmp_path, d)
+        cfg = write_config(tmp_path)
+        plan_path = self.run_plan(tmp_path, d, cfg)
         out_json = tmp_path / "outcome.json"
         updated = tmp_path / "updated_scene"
-        rc = main(["grasp", "--scene", str(d), "--plan", str(plan_path),
+        rc = main(["grasp", "--config", cfg, "--scene", str(d), "--plan", str(plan_path),
                    "--out", str(out_json), "--out-scene", str(updated)])
         assert rc == 0
         doc = json.loads(out_json.read_text())
@@ -161,6 +204,27 @@ class TestGrasp:
                 assert pid not in after.pieces
         else:
             assert len(after.pieces) == n_before
+
+    def test_fixed_finger_from_config(self, tmp_path):
+        """"finger": "fixed" in the config reaches grasp; grasp used to run
+        the adaptive finger unless --finger was given."""
+        d = generate_scene_dir(tmp_path)
+        cfg_path = write_config(tmp_path, finger="fixed")
+        plan_path = self.run_plan(tmp_path, d, cfg_path)
+        out_json = tmp_path / "outcome.json"
+        assert main(["grasp", "--config", cfg_path, "--scene", str(d), "--plan", str(plan_path),
+                     "--out", str(out_json), "--out-scene", str(tmp_path / "after")]) == 0
+        doc = json.loads(out_json.read_text())
+        assert all(f["retraction"] == 0.0 for f in doc["insertion"])
+        cfg = load_experiment_config(cfg_path)
+        candidate = candidate_from_dict(json.loads(plan_path.read_text())["target"])
+        expected = execute_grasp(load_scene(d), candidate, cfg.finger_model(), cfg.execution)
+        assert doc["classification"] == expected.classification.value
+        assert doc["picked"] == sorted(expected.picked)
+        assert doc["damaged"] == {str(k): v for k, v in sorted(expected.damaged.items())}
+        assert [f["contacts"] for f in doc["insertion"]] == [
+            {str(k): v for k, v in sorted(f.contacts.items())} for f in expected.insertion.fingers
+        ]
 
     def test_empty_plan_exits_nonzero(self, tmp_path):
         d = generate_scene_dir(tmp_path)
@@ -216,6 +280,19 @@ class TestCompare:
             assert label in text
         assert "delta_adaptive" in text and "delta_fixed" in text
         assert (out / "comparison.csv").read_text() == text
+
+    def test_matches_the_python_api(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, n_attempts=2, finger="fixed", filtering=False)
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "cli")]) == 0
+        capsys.readouterr()
+        base = load_experiment_config(cfg)
+        base.output_dir = str(tmp_path / "api")
+        csv_text, grid = compare_conditions(base)
+        assert list(grid) == [("adaptive", True), ("adaptive", False),
+                              ("fixed", True), ("fixed", False)]
+        for name in ("comparison.csv", "fixed_off/records.jsonl", "adaptive_on/summary.csv"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "api" / name).read_bytes()
+        assert (tmp_path / "api" / "comparison.csv").read_text() == csv_text
 
 
 class TestAgreement:

@@ -208,22 +208,26 @@ class TestRunExperiment:
 
 
 class TestCompareConditions:
-    def test_rejects_mixed_archetypes(self):
-        with pytest.raises(ParameterError):
-            compare_conditions([small_config(), small_config(archetype="gyoza",
-                                                             scene=SceneConfig(archetype="gyoza"))])
-
-    def test_rejects_single_config(self):
-        with pytest.raises(ParameterError):
-            compare_conditions([small_config()])
-
-    def test_identical_configs_zero_delta(self):
-        cfg_a = small_config(finger=FingerKind.ADAPTIVE, filtering=True)
-        cfg_b = small_config(finger=FingerKind.ADAPTIVE, filtering=False)
-        csv_text, grid = compare_conditions([cfg_a, cfg_b])
-        assert ("adaptive", True) in grid
-        assert ("adaptive", False) in grid
-        assert "delta_adaptive" in csv_text
+    def test_runs_the_four_conditions_of_one_base(self, tmp_path):
+        """The base's own finger and filtering do not matter: the grid is
+        adaptive then fixed, filtering on then off, each condition a campaign
+        of the base in <out>/<finger>_<on|off>."""
+        base = small_config(n_attempts=2, finger=FingerKind.FIXED, filtering=False,
+                            refill_policy=FRESH, output_dir=str(tmp_path / "cmp"))
+        csv_text, grid = compare_conditions(base)
+        keys = [("adaptive", True), ("adaptive", False), ("fixed", True), ("fixed", False)]
+        assert list(grid) == keys
+        assert [line.split(",")[0] for line in csv_text.splitlines()] == [
+            "label", "adaptive/filter", "adaptive/nofilter", "fixed/filter", "fixed/nofilter",
+            "delta_adaptive", "delta_fixed",
+        ]
+        for finger, filtering in keys:
+            cfg = dataclasses.replace(base, finger=FingerKind(finger), filtering=filtering,
+                                      output_dir=None)
+            out = tmp_path / "cmp" / f"{finger}_{'on' if filtering else 'off'}"
+            assert read_records(out / "records.jsonl") == run_experiment(cfg)[1]
+        assert (tmp_path / "cmp" / "comparison.csv").read_text() == csv_text
+        assert base.output_dir == str(tmp_path / "cmp") and base.finger is FingerKind.FIXED
 
     def test_csv_has_header_and_rows(self):
         cfg = small_config()

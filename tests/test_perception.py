@@ -271,6 +271,10 @@ class TestAgreement:
         assert agreement(pred, gt).value == pytest.approx(0.5)
 
 
+def without(d, key):
+    del d[key]
+
+
 class TestMaskAndDepthFiles:
     def test_depth_round_trip(self, tmp_path):
         scene = generate_scene(SceneConfig(), 5)
@@ -359,15 +363,30 @@ class TestMaskAndDepthFiles:
         (lambda d: d.update(size=None), "size must be"),
         (lambda d: d["instances"].append(dict(d["instances"][0])), "duplicate instance id 1"),
         (lambda d: d["instances"][0].update(id="1"), "instance id must be an integer"),
+        (lambda d: without(d, "instances"), "object with source, size and instances"),
+        (lambda d: without(d, "size"), "object with source, size and instances"),
+        (lambda d: without(d, "source"), "object with source, size and instances"),
+        (lambda d: [d], "object with source, size and instances"),
+        (lambda d: d.update(instances={"1": d["instances"][0]}), "instances must be a list"),
+        (lambda d: without(d["instances"][0], "counts"), "object with id and counts"),
+        (lambda d: without(d["instances"][0], "id"), "object with id and counts"),
+        (lambda d: d["instances"].append(7), "object with id and counts"),
+        (lambda d: d["instances"][0].update(confidence="high"), "confidence must be a number"),
+        (lambda d: d["instances"][0].update(confidence=7.0), r"confidence must be <= 1"),
+        (lambda d: d["instances"][0].update(confidence=-0.5), r"confidence must be >= 0"),
+        (lambda d: d.update(source="bogus"), "source must be one of"),
     ], ids=["negative count", "float count", "bool count", "counts not a list",
             "counts sum above h*w", "counts sum below h*w", "size of one number",
             "float size", "negative size", "zero size", "null size", "duplicate ids",
-            "string id"])
+            "string id", "no instances", "no size", "no source", "top-level list",
+            "instances not a list", "entry without counts", "entry without id",
+            "entry not an object", "string confidence", "confidence above 1",
+            "negative confidence", "unknown source"])
     def test_malformed_manifest_rejected(self, tmp_path, edit, match):
         masks = InstanceMaskSet.from_rasters([(1, square_mask((30, 30), 5, 5, 10))])
         manifest = save_masks(masks, tmp_path)
         doc = json.loads(manifest.read_text())
-        edit(doc)
+        doc = edit(doc) or doc  # an edit changes doc in place or returns its replacement
         manifest.write_text(json.dumps(doc))
         with pytest.raises(ParameterError, match=match):
             load_masks(manifest)

@@ -10,12 +10,12 @@ from traypick.errors import ParameterError, PlacementError
 from traypick.scenegen import (
     DEFAULT_TRAY_DIMS,
     SceneConfig,
-    default_resolution,
     drop_piece,
     empty_scene,
     generate_scene,
     load_scene,
     make_stamp,
+    mm_per_pixel,
     rasterize_stamp,
     recompose,
     save_scene,
@@ -229,7 +229,7 @@ class TestGenerateScene:
     def test_default_raster_dimensions(self):
         scene = generate_scene(SceneConfig(), 0)
         assert scene.shape[1] == 600
-        assert scene.shape[0] == int(round(308.0 / default_resolution()))
+        assert scene.shape[0] == int(round(308.0 / mm_per_pixel()))
         assert scene.resolution == pytest.approx(DEFAULT_TRAY_DIMS[0] / 600)
 
 
