@@ -42,7 +42,8 @@ class FoodArchetype:
         cmin, cmax = self.count_range
         if not (1 <= cmin <= cmax <= 200):
             raise ParameterError(f"{self.name}: bad count_range {self.count_range}")
-        if min(self.semi_axes_mm) <= 0 or self.exponent <= 0:
+        # negated, so that NaN fails: generate_scene relies on f(0, 0) = 0
+        if not (all(a > 0 for a in self.semi_axes_mm) and self.exponent > 0):
             raise ParameterError(f"{self.name}: bad footprint parameters")
         if not (0 <= self.jitter < 1):
             raise ParameterError(f"{self.name}: jitter must be in [0, 1)")

@@ -385,6 +385,7 @@ def agreement(
 
 
 def save_depth(depth: DepthImage, path: str | Path) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     write_pgm16(path, heights_to_levels(depth.heights))
 
 

@@ -99,6 +99,60 @@ def empty_scene(
     )
 
 
+def rasterize_stamps(
+    shapes: list[tuple[float, float, float, float, float]], resolution: float
+) -> list[PieceStamp]:
+    """Rasterize superellipse footprints with dome tops, one stamp per
+    (semi_a, semi_b, exponent, peak, rotation) in shapes.
+
+    The footprint is |u/a|^n + |v/b|^n < 1 in the piece frame (u along the
+    rotation direction); the top surface is peak * sqrt(1 - f), so height
+    tapers to zero at the boundary. Bottoms are flat. Stamps that share a
+    square side and an exponent are evaluated as one batch; every pixel gets
+    the same arithmetic as when it is rasterized alone.
+    """
+    batches: dict[tuple[int, float], list[int]] = {}
+    for i, (semi_a, semi_b, exponent, _, _) in enumerate(shapes):
+        half_px = int(math.ceil(max(semi_a, semi_b) / resolution)) + 1
+        batches.setdefault((half_px, exponent), []).append(i)
+    stamps: list = [None] * len(shapes)
+    for (half_px, exponent), members in batches.items():
+        side = 2 * half_px + 1
+        coords = (np.arange(side) - half_px) * resolution
+        # coords[side - 1 - i] == -coords[i] exactly, so u and v negate exactly
+        # at the mirrored pixel: evaluate rows 0..half_px and mirror the rest
+        xs, ys = coords[np.newaxis, np.newaxis, :], coords[np.newaxis, : half_px + 1, np.newaxis]
+        semi_a, semi_b, _, peak, rotation = (
+            np.array(column)[:, np.newaxis, np.newaxis] for column in zip(*(shapes[i] for i in members))
+        )
+        c = np.array([math.cos(r) for r in rotation.flat])[:, np.newaxis, np.newaxis]
+        s = np.array([math.sin(r) for r in rotation.flat])[:, np.newaxis, np.newaxis]
+        au = np.abs((xs * c + ys * s) / semi_a)
+        av = np.abs((ys * c - xs * s) / semi_b)
+        # a pixel with |u/a| >= 1 or |v/b| >= 1 has f >= 1 for every exponent > 0
+        box = (au < 1.0) & (av < 1.0)
+        f = au[box] ** exponent + av[box] ** exponent
+        inside = f < 1.0
+        masks = np.zeros((len(members), side, side), dtype=bool)
+        upper = masks[:, : half_px + 1]
+        upper[box] = inside
+        tops = np.zeros((len(members), side, side))
+        peaks = np.repeat(peak.ravel(), np.count_nonzero(upper, axis=(1, 2)))
+        tops[:, : half_px + 1][upper] = peaks * np.sqrt(1.0 - f[inside])
+        masks[:, half_px + 1 :] = masks[:, half_px - 1 :: -1, ::-1]
+        tops[:, half_px + 1 :] = tops[:, half_px - 1 :: -1, ::-1]
+        for k, i in enumerate(members):
+            a, b, n, pk, rot = shapes[i]
+            stamps[i] = PieceStamp(
+                top=tops[k],
+                mask=masks[k],
+                rotation=rot,
+                scale=1.0,
+                params={"semi_a": a, "semi_b": b, "exponent": n, "peak": pk, "rotation": rot},
+            )
+    return stamps
+
+
 def rasterize_stamp(
     semi_a: float,
     semi_b: float,
@@ -107,45 +161,27 @@ def rasterize_stamp(
     rotation: float,
     resolution: float,
 ) -> PieceStamp:
-    """Rasterize a superellipse footprint with a dome top.
+    """One stamp of rasterize_stamps."""
+    return rasterize_stamps([(semi_a, semi_b, exponent, peak, rotation)], resolution)[0]
 
-    The footprint is |u/a|^n + |v/b|^n < 1 in the piece frame (u along the
-    rotation direction); the top surface is peak * sqrt(1 - f), so height
-    tapers to zero at the boundary. Bottoms are flat.
-    """
-    half_mm = max(semi_a, semi_b)
-    half_px = int(math.ceil(half_mm / resolution)) + 1
-    side = 2 * half_px + 1
-    coords = (np.arange(side) - half_px) * resolution
-    # coords[side - 1 - i] == -coords[i] exactly, so u and v negate exactly
-    # at the mirrored pixel: evaluate rows 0..half_px and mirror the rest
-    xs, ys = coords[np.newaxis, :], coords[: half_px + 1, np.newaxis]
-    c, s = math.cos(rotation), math.sin(rotation)
-    au = np.abs((xs * c + ys * s) / semi_a)
-    av = np.abs((ys * c - xs * s) / semi_b)
-    # a pixel with |u/a| >= 1 or |v/b| >= 1 has f >= 1 for every exponent > 0
-    box = (au < 1.0) & (av < 1.0)
-    f = au[box] ** exponent + av[box] ** exponent
-    inside = f < 1.0
-    mask = np.zeros((side, side), dtype=bool)
-    mask[: half_px + 1][box] = inside
-    top = np.zeros((side, side))
-    top[: half_px + 1][mask[: half_px + 1]] = peak * np.sqrt(1.0 - f[inside])
-    mask[half_px + 1 :] = mask[half_px - 1 :: -1, ::-1]
-    top[half_px + 1 :] = top[half_px - 1 :: -1, ::-1]
-    return PieceStamp(
-        top=top,
-        mask=mask,
-        rotation=rotation,
-        scale=1.0,
-        params={
-            "semi_a": semi_a,
-            "semi_b": semi_b,
-            "exponent": exponent,
-            "peak": peak,
-            "rotation": rotation,
-        },
-    )
+
+def _piece_shape(
+    archetype: FoodArchetype, scale: float, rotation: float, rng: np.random.Generator
+) -> tuple[float, float, float, float, float]:
+    """The rasterize_stamps shape (semi_a, semi_b, exponent, peak, rotation)
+    of one piece at scale, from exactly three rng draws (axis-a, axis-b and
+    dome jitter)."""
+    lo, hi = archetype.scale_range
+    if not (lo <= scale <= hi):
+        raise ParameterError(
+            f"scale {scale} outside {archetype.name} range [{lo}, {hi}]"
+        )
+    j = archetype.jitter
+    ja, jb, jd = 1.0 + rng.uniform(-j, j, 3)
+    semi_a = archetype.semi_axes_mm[0] * scale * ja
+    semi_b = archetype.semi_axes_mm[1] * scale * jb
+    peak = archetype.dome_ratio * 0.5 * (semi_a + semi_b) * jd
+    return semi_a, semi_b, archetype.exponent, peak, rotation
 
 
 def make_stamp(
@@ -160,18 +196,8 @@ def make_stamp(
     Consumes exactly three rng draws (axis-a, axis-b, dome jitter) so scene
     generation stays reproducible.
     """
-    lo, hi = archetype.scale_range
-    if not (lo <= scale <= hi):
-        raise ParameterError(
-            f"scale {scale} outside {archetype.name} range [{lo}, {hi}]"
-        )
-    res = mm_per_pixel(resolution=resolution)
-    j = archetype.jitter
-    ja, jb, jd = 1.0 + rng.uniform(-j, j, 3)
-    semi_a = archetype.semi_axes_mm[0] * scale * ja
-    semi_b = archetype.semi_axes_mm[1] * scale * jb
-    peak = archetype.dome_ratio * 0.5 * (semi_a + semi_b) * jd
-    stamp = rasterize_stamp(semi_a, semi_b, archetype.exponent, peak, rotation, res)
+    shape = _piece_shape(archetype, scale, rotation, rng)
+    stamp = rasterize_stamp(*shape, mm_per_pixel(resolution=resolution))
     stamp.scale = scale
     return stamp
 
@@ -222,14 +248,14 @@ def drop_piece(
     support = window[mask]
     if not support.size:
         raise PlacementError("clipped footprint is empty")
-    top = stamp.top[st]
     rest = float(max(0.0, support.max()))
-    new_top = rest + top
-    raised = mask & (new_top > window)
+    new_top = stamp.top[st] + rest
+    raised = new_top > window
+    raised &= mask
 
     piece_id = scene.next_id
     scene.next_id += 1
-    window[raised] = new_top[raised]
+    np.copyto(window, new_top, where=raised)
     scene.owner_map[win][raised] = piece_id
 
     piece = PieceInstance(
@@ -238,8 +264,8 @@ def drop_piece(
         stamp=stamp,
         position=(x, y),
         rest_height=rest,
+        fully_occluded=not raised.any(),
     )
-    piece.fully_occluded = not raised.any()
     scene.pieces[piece_id] = piece
     return piece
 
@@ -258,6 +284,7 @@ class SceneConfig:
         check_type("archetypes", self.archetypes, dict)
         if not isinstance(self.archetype, str) or self.archetype not in self.archetypes:
             raise ParameterError(f"unknown archetype {self.archetype!r}")
+        self.archetypes[self.archetype].validate()
         check_type("tray_dims", self.tray_dims, (tuple, list))
         if len(self.tray_dims) != 3:
             raise ParameterError(f"tray_dims must hold 3 numbers, got {self.tray_dims!r}")
@@ -288,20 +315,40 @@ def generate_scene(config: SceneConfig, seed: int) -> TrayScene:
         "shadows": bool(rng.random() < 0.5),
     }
 
+    # Three passes: draw every piece's shape and position in the stream's
+    # order, rasterize the placed pieces' stamps in batches, drop them in order.
+    width, depth = config.tray_dims[0], config.tray_dims[1]
+    ny, nx = scene.shape
+    placed: list[tuple[float, tuple, float, float]] = []  # scale, shape, x, y
     count = int(rng.integers(arch.count_range[0], arch.count_range[1] + 1))
     for _ in range(count):
         scale = float(rng.uniform(*arch.scale_range))
         rotation = float(rng.uniform(0.0, math.pi))
-        stamp = make_stamp(arch, scale, rotation, rng, scene.resolution)
+        shape = _piece_shape(arch, scale, rotation, rng)
+        edge_stamp = None
         # a piece that cannot be placed within the retry budget is skipped
         for _ in range(config.max_placement_retries):
-            x = float(rng.uniform(0.0, config.tray_dims[0]))
-            y = float(rng.uniform(0.0, config.tray_dims[1]))
-            try:
-                drop_piece(scene, stamp, x, y, arch.name)
-            except PlacementError:
-                continue
+            x = float(rng.uniform(0.0, width))
+            y = float(rng.uniform(0.0, depth))
+            # drop_piece's tests, decided before any drop. The position is in
+            # the tray: 0.0 + high * r with r < 1 rounds below high. f(0, 0) = 0
+            # puts the centre pixel in every footprint, so a centre inside the
+            # raster always places; only a centre in row ny or column nx needs
+            # the clipped footprint.
+            if int(round(y / scene.resolution)) >= ny or int(round(x / scene.resolution)) >= nx:
+                if edge_stamp is None:
+                    edge_stamp = rasterize_stamp(*shape, scene.resolution)
+                win, st = stamp_window(scene, edge_stamp, (x, y))
+                outside = win[0].stop <= win[0].start or win[1].stop <= win[1].start
+                if outside or not edge_stamp.mask[st].any():
+                    continue
+            placed.append((scale, shape, x, y))
             break
+
+    stamps = rasterize_stamps([shape for _, shape, _, _ in placed], scene.resolution)
+    for (scale, _, x, y), stamp in zip(placed, stamps):
+        stamp.scale = scale
+        drop_piece(scene, stamp, x, y, arch.name)
 
     _refresh_occlusion_flags(scene)
     return scene
@@ -386,12 +433,11 @@ def load_scene(in_dir: str | Path) -> TrayScene:
         doc["seed"],
     )
     scene.randomization = doc["randomization"]
-    for pd in doc["pieces"]:
-        sp = pd["stamp"]
-        stamp = rasterize_stamp(
-            sp["semi_a"], sp["semi_b"], sp["exponent"], sp["peak"],
-            sp["rotation"], scene.resolution,
-        )
+    keys = ("semi_a", "semi_b", "exponent", "peak", "rotation")
+    stamps = rasterize_stamps(
+        [tuple(pd["stamp"][k] for k in keys) for pd in doc["pieces"]], scene.resolution
+    )
+    for pd, stamp in zip(doc["pieces"], stamps):
         stamp.scale = pd["scale"]
         piece = PieceInstance(
             id=pd["id"],

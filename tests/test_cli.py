@@ -73,9 +73,9 @@ class TestGenerate:
         depth, masks, corrupted = observe(cfg, generate_scene(cfg.scene_config(), 11), 11)
         assert corrupted is not None
         ref = tmp_path / "ref"
+        save_depth(depth, ref / "depth.pgm")
         save_masks(masks, ref, stem="masks")
         save_masks(corrupted, ref, stem="masks_corrupted")
-        save_depth(depth, ref / "depth.pgm")
         for name in ("depth.pgm", "masks_manifest.json", "masks_corrupted_manifest.json"):
             assert (out / "scene_11" / name).read_bytes() == (ref / name).read_bytes(), name
 

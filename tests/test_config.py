@@ -4,6 +4,7 @@ Each bad value must be rejected with ParameterError both when it arrives in
 a JSON document and when it is set through the Python constructors.
 """
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -296,6 +297,15 @@ class TestSilentMisconfigurations:
             execute_grasp(scene, target, FingerModel(), ExecutionParams(capture_fraction=1.5))
         with pytest.raises(ParameterError, match="capture_fraction"):
             run_trial(ExperimentConfig(execution=ExecutionParams(capture_fraction=1.5)), 0)
+
+    def test_archetype_without_a_centre_pixel(self):
+        """An archetype built without validate() whose footprint misses its own
+        centre pixel generated an empty tray: every drop was rejected."""
+        base = DEFAULT_ARCHETYPES["fried_chicken"]
+        for bad in ({"exponent": 0.0}, {"exponent": math.nan}, {"semi_axes_mm": (19.0, math.nan)}):
+            arch = dataclasses.replace(base, **bad)
+            with pytest.raises(ParameterError, match="footprint"):
+                generate_scene(SceneConfig(archetypes={"fried_chicken": arch}), 0)
 
     def test_zero_placement_retries(self):
         with pytest.raises(ParameterError, match="max_placement_retries"):

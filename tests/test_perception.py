@@ -283,6 +283,13 @@ class TestMaskAndDepthFiles:
         loaded = load_depth(tmp_path / "d.pgm", scene.resolution)
         np.testing.assert_allclose(loaded.heights, depth.heights, atol=0.005 + 1e-12)
 
+    def test_depth_written_first_creates_its_directory(self, tmp_path):
+        depth = render_depth(generate_scene(SceneConfig(), 5))
+        path = tmp_path / "fresh" / "scene_5" / "depth.pgm"
+        save_depth(depth, path)
+        assert [p.name for p in path.parent.iterdir()] == ["depth.pgm"]
+        assert load_depth(path, depth.resolution).heights.shape == depth.heights.shape
+
     def test_scene_masks_round_trip_as_one_manifest(self, tmp_path):
         scene = generate_scene(SceneConfig(), 5)
         masks = render_masks(scene)

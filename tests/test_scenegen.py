@@ -171,6 +171,15 @@ class TestDropPiece:
         with pytest.raises(PlacementError):
             drop_piece(scene, stamp, 150.0, 50.0)
 
+    def test_no_pixel_in_the_tray_rejected(self):
+        scene = empty_scene(resolution=1.0, tray_dims=(100.0, 100.0, 50.0))
+        dot = rasterize_stamp(0.3, 0.3, 2.0, 1.0, 0.0, 1.0)  # the centre pixel alone
+        with pytest.raises(PlacementError, match="clipped footprint is empty"):
+            drop_piece(scene, dot, 99.7, 50.0)  # centre in column nx
+        with pytest.raises(PlacementError, match="entirely outside"):
+            drop_piece(scene, flat_stamp(1, 5.0), 50.0, 99.7)  # a 1 x 1 stamp in row ny
+        assert scene.next_id == 1 and not scene.pieces and not scene.heightmap.any()
+
     def test_partial_overlap_with_wall_clips(self):
         scene = empty_scene(resolution=1.0, tray_dims=(100.0, 100.0, 50.0))
         stamp = rasterize_stamp(10.0, 10.0, 2.0, 5.0, 0.0, 1.0)

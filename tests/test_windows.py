@@ -6,13 +6,16 @@ compare per piece) so the property tests can require exact equality: same
 pixels, same medians, same fractions, same RNG draws. The same holds for the
 box-limited stamp rasterizer, the in-place depth quantization, the
 partition median and the batched contact medians, each against the code it
-replaced or np.median.
+replaced or np.median, and for scene generation, whose oracle tries each drop
+as it draws it, rasterizing every stamp on its own over the full square.
 """
 from __future__ import annotations
 
 import math
 
 import copy
+import dataclasses
+from collections import Counter
 import os
 import tempfile
 import tracemalloc
@@ -25,7 +28,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from traypick.archetypes import DEFAULT_ARCHETYPES
-from traypick.errors import FitError
+from traypick.errors import FitError, ParameterError, PlacementError
 from traypick.graspsim import (
     FingerKind,
     FingerModel,
@@ -66,10 +69,15 @@ from traypick.planner import (
     plan,
 )
 from traypick.scenegen import (
+    PieceInstance,
+    PieceStamp,
     SceneConfig,
     _refresh_occlusion_flags,
+    empty_scene,
     generate_scene,
+    mm_per_pixel,
     rasterize_stamp,
+    rasterize_stamps,
     recompose,
     stamp_window,
 )
@@ -291,6 +299,103 @@ def oracle_rasterize_stamp(semi_a, semi_b, exponent, peak, rotation, resolution)
     top = np.zeros((side, side))
     top[mask] = peak * np.sqrt(1.0 - f[mask])
     return top, mask
+
+
+def oracle_make_stamp(archetype, scale, rotation, rng, resolution=None):
+    """make_stamp with its own jitter draw, on the full-square rasterizer."""
+    lo, hi = archetype.scale_range
+    if not (lo <= scale <= hi):
+        raise ParameterError(
+            f"scale {scale} outside {archetype.name} range [{lo}, {hi}]"
+        )
+    res = mm_per_pixel(resolution=resolution)
+    j = archetype.jitter
+    ja, jb, jd = 1.0 + rng.uniform(-j, j, 3)
+    semi_a = archetype.semi_axes_mm[0] * scale * ja
+    semi_b = archetype.semi_axes_mm[1] * scale * jb
+    peak = archetype.dome_ratio * 0.5 * (semi_a + semi_b) * jd
+    top, mask = oracle_rasterize_stamp(semi_a, semi_b, archetype.exponent, peak, rotation, res)
+    params = {"semi_a": semi_a, "semi_b": semi_b, "exponent": archetype.exponent,
+              "peak": peak, "rotation": rotation}
+    return PieceStamp(top=top, mask=mask, rotation=rotation, scale=scale, params=params)
+
+
+def oracle_drop_piece(scene, stamp, x, y, archetype_name=""):
+    """drop_piece with its support and raised pixels gathered by indexing."""
+    if not (0 <= x < scene.tray_dims[0] and 0 <= y < scene.tray_dims[1]):
+        raise PlacementError(f"drop position ({x}, {y}) outside tray")
+    win, st = stamp_window(scene, stamp, (x, y))
+    if win[0].stop <= win[0].start or win[1].stop <= win[1].start:
+        raise PlacementError("stamp footprint entirely outside tray")
+    mask = stamp.mask[st]
+    window = scene.heightmap[win]
+    support = window[mask]
+    if not support.size:
+        raise PlacementError("clipped footprint is empty")
+    top = stamp.top[st]
+    rest = float(max(0.0, support.max()))
+    new_top = rest + top
+    raised = mask & (new_top > window)
+
+    piece_id = scene.next_id
+    scene.next_id += 1
+    window[raised] = new_top[raised]
+    scene.owner_map[win][raised] = piece_id
+
+    piece = PieceInstance(
+        id=piece_id,
+        archetype=archetype_name,
+        stamp=stamp,
+        position=(x, y),
+        rest_height=rest,
+    )
+    piece.fully_occluded = not raised.any()
+    scene.pieces[piece_id] = piece
+    return piece
+
+
+def oracle_generate_scene(config, seed):
+    """generate_scene as one draw, rasterize, try-drop loop per piece, with
+    full-raster occlusion flags. Also returns how many drop positions were
+    rejected and how many pieces were skipped."""
+    config.validate()
+    arch = config.archetypes[config.archetype]
+    rng = np.random.default_rng(seed)
+    scene = empty_scene(config.archetypes, config.tray_dims, config.resolution, seed)
+
+    azimuth = rng.uniform(0.0, 2.0 * math.pi)
+    elevation = rng.uniform(math.pi / 6, math.pi / 2)
+    scene.randomization = {
+        "tray_color": [round(v, 6) for v in rng.uniform(0.5, 1.0, 3)],
+        "light_direction": [
+            round(math.cos(azimuth) * math.cos(elevation), 6),
+            round(math.sin(azimuth) * math.cos(elevation), 6),
+            round(math.sin(elevation), 6),
+        ],
+        "shadows": bool(rng.random() < 0.5),
+    }
+
+    rejected = skipped = 0
+    count = int(rng.integers(arch.count_range[0], arch.count_range[1] + 1))
+    for _ in range(count):
+        scale = float(rng.uniform(*arch.scale_range))
+        rotation = float(rng.uniform(0.0, math.pi))
+        stamp = oracle_make_stamp(arch, scale, rotation, rng, scene.resolution)
+        for _ in range(config.max_placement_retries):
+            x = float(rng.uniform(0.0, config.tray_dims[0]))
+            y = float(rng.uniform(0.0, config.tray_dims[1]))
+            try:
+                oracle_drop_piece(scene, stamp, x, y, arch.name)
+            except PlacementError:
+                rejected += 1
+                continue
+            break
+        else:
+            skipped += 1
+
+    for piece in scene.pieces.values():
+        piece.fully_occluded = not (scene.owner_map == piece.id).any()
+    return scene, rejected, skipped
 
 
 def oracle_render_depth(scene, sigma, quant, rng):
@@ -596,6 +701,27 @@ def test_rasterize_stamp_equals_full_square(semi_a, semi_b, exponent, peak, rota
     assert stamp.top.tobytes() == top.tobytes()
 
 
+@pytest.mark.parametrize("res", [424.0 / 600, 0.5, 1.3])
+def test_rasterize_stamp_equals_its_slice_of_a_batch(res):
+    """Stamps batched by side and exponent equal the same stamps rasterized
+    one at a time, bit for bit."""
+    rng = np.random.default_rng(17)
+    rotations = [0.0, math.pi / 2, math.nextafter(math.pi, 0.0), *rng.uniform(0.0, math.pi, 87)]
+    shapes = [
+        (float(rng.uniform(3.0, 20.0)), float(rng.uniform(3.0, 20.0)),
+         float(rng.choice([2.0, 2.5, 4.0])), float(rng.uniform(1.0, 30.0)), float(rot))
+        for rot in rotations
+    ]
+    batches = Counter((int(math.ceil(max(a, b) / res)) + 1, n) for a, b, n, _, _ in shapes)
+    assert sum(k for k in batches.values() if k > 1) >= len(shapes) // 2
+    for shape, got in zip(shapes, rasterize_stamps(shapes, res)):
+        alone = rasterize_stamp(*shape, res)
+        assert got.top.tobytes() == alone.top.tobytes()
+        assert got.mask.tobytes() == alone.mask.tobytes()
+        assert got.top.shape == alone.top.shape
+        assert (got.rotation, got.scale, got.params) == (alone.rotation, alone.scale, alone.params)
+
+
 # At sigma 5e-324 most of sigma * z rounds to +-0.0: the noise is then drawn
 # into the output and the heightmap added after, which equals adding
 # rng.normal's 0.0 + sigma * z to a copy only because no height is -0.0.
@@ -896,3 +1022,62 @@ def test_small_trays_clip_stamp_windows(trays):
                 win[1].stop - win[1].start < piece.stamp.top.shape[1]
             )
         assert clipped >= len(scene.pieces) // 2
+
+
+# ---------------------------------------------------------------------------
+# scene generation: draw, rasterize in batches, drop
+
+
+def assert_same_scene(got, expected):
+    assert got.heightmap.tobytes() == expected.heightmap.tobytes()
+    assert got.owner_map.tobytes() == expected.owner_map.tobytes()
+    assert (got.shape, got.resolution, got.next_id, got.seed) == (
+        expected.shape, expected.resolution, expected.next_id, expected.seed)
+    assert got.randomization == expected.randomization
+    assert sorted(got.pieces) == sorted(expected.pieces)
+    for pid, p in expected.pieces.items():
+        q = got.pieces[pid]
+        assert (q.id, q.archetype, q.fully_occluded) == (p.id, p.archetype, p.fully_occluded)
+        assert [float_bits(v) for v in (*q.position, q.rest_height)] == [
+            float_bits(v) for v in (*p.position, p.rest_height)]
+        assert list(q.stamp.params) == list(p.stamp.params)
+        assert [float_bits(v) for v in (*q.stamp.params.values(), q.stamp.scale, q.stamp.rotation)] == [
+            float_bits(v) for v in (*p.stamp.params.values(), p.stamp.scale, p.stamp.rotation)]
+        assert q.stamp.top.shape == p.stamp.top.shape
+        assert q.stamp.top.tobytes() == p.stamp.top.tobytes()
+        assert q.stamp.mask.tobytes() == p.stamp.mask.tobytes()
+
+
+GENERATION_CASES = [
+    *((SceneConfig(archetype=name), seed) for name in sorted(DEFAULT_ARCHETYPES) for seed in range(20)),
+    *((SceneConfig(archetype=name, tray_dims=(106.0, 106.0, 160.0)), seed)
+      for seed, name in enumerate(sorted(DEFAULT_ARCHETYPES) * 3)),
+    *((SceneConfig(archetype=name, resolution=1.3), seed)
+      for seed, name in enumerate(sorted(DEFAULT_ARCHETYPES) * 3)),
+]
+
+
+@pytest.mark.parametrize("config, seed", GENERATION_CASES,
+                         ids=[f"{c.archetype}-{c.tray_dims[0]:g}mm-res{c.resolution}-{s}"
+                              for c, s in GENERATION_CASES])
+def test_generate_scene_equals_try_drop_loop(config, seed):
+    expected, _, _ = oracle_generate_scene(config, seed)
+    assert_same_scene(generate_scene(config, seed), expected)
+
+
+@pytest.mark.parametrize("retries", [1, 2])
+def test_sub_pixel_pieces_rejected_and_skipped_as_by_the_loop(retries):
+    """Pieces smaller than a pixel: a centre one past the last row or column
+    leaves an empty clipped footprint, so positions are rejected and, within
+    a budget of one or two, whole pieces skipped."""
+    tiny = dataclasses.replace(DEFAULT_ARCHETYPES["mushroom"], name="tiny", semi_axes_mm=(0.3, 0.2))
+    config = SceneConfig(archetype="tiny", archetypes={"tiny": tiny}, tray_dims=(40.0, 30.0, 50.0),
+                         resolution=5.0, max_placement_retries=retries)
+    rejected = skipped = 0
+    for seed in range(20):
+        expected, r, k = oracle_generate_scene(config, seed)
+        rejected, skipped = rejected + r, skipped + k
+        assert_same_scene(generate_scene(config, seed), expected)
+    assert skipped > 0
+    if retries > 1:
+        assert rejected > retries * skipped  # some pieces placed after a rejection
