@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ParameterError, check_number, check_type
 from .planner import (FingerGeometry, GraspCandidate, Window, _contact_pixels,
                       _contact_rectangles, _finger_half_sizes, _rectangle_pixels, median)
-from .scenegen import TrayScene, recompose, stamp_window
+from .scenegen import TrayScene, recompose
 
 
 class FingerKind(enum.Enum):
@@ -210,29 +210,36 @@ def insert_fingers(
     return InsertionResult(fins, damaged)
 
 
-def _jaw_region(
-    scene: TrayScene, c: GraspCandidate, fg: FingerGeometry, outer: bool
-) -> np.ndarray:
-    """Flat raster indices of the rectangle between the finger rectangles
-    (outer=False) or of the full closure corridor including the finger start
-    positions (outer=True).
+def _jaw_regions(
+    scene: TrayScene, c: GraspCandidate, fg: FingerGeometry
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat raster indices of the jaw, the rectangle between the finger
+    rectangles, and of the sweep, the full closure corridor including the
+    finger start positions.
 
     A gripped piece is held even where it overhangs the fingers lengthwise,
     so the corridor spans the piece's own major extent when that exceeds the
-    finger breadth."""
-    half_len_mm = c.w / 2.0 + fg.clearance
-    if outer:
-        half_len_mm += fg.width
+    finger breadth.
+
+    Only the sweep is rasterized. The jaw has its centre, axis and breadth
+    and a shorter length, and _rectangle_pixels' per-pixel u does not depend
+    on where the tested square starts, so the jaw is the sweep's pixels
+    with |u| within its half-length, in the same ascending order."""
+    jaw_half_len = (c.w / 2.0 + fg.clearance) / scene.resolution
     half_breadth_px = max(fg.breadth / 2.0 / scene.resolution, c.fit.axis_major / 2.0)
-    rect = (c.x, c.y, math.cos(c.theta), math.sin(c.theta))
-    return _rectangle_pixels(scene.shape, [rect], half_len_mm / scene.resolution, half_breadth_px)[0]
+    cos, sin = math.cos(c.theta), math.sin(c.theta)
+    sweep = _rectangle_pixels(scene.shape, [(c.x, c.y, cos, sin)],
+                              (c.w / 2.0 + fg.clearance + fg.width) / scene.resolution, half_breadth_px)[0]
+    rows, cols = np.divmod(sweep, scene.shape[1])
+    u = (cols - c.x) * cos + (rows - c.y) * sin  # _rectangle_pixels' formula
+    return sweep[np.abs(u) <= jaw_half_len], sweep
 
 
 def _visible_window(scene: TrayScene, pid: int) -> Window:
     """Visible pixels of piece pid on its stamp window, which holds all of
     them; an id that names no piece is looked up over the whole raster."""
     piece = scene.pieces.get(pid)
-    win = (slice(None),) * 2 if piece is None else stamp_window(scene, piece.stamp, piece.position)[0]
+    win = (slice(None),) * 2 if piece is None else piece.window[0]
     return win, scene.owner_map[win] == pid
 
 
@@ -261,35 +268,36 @@ def close_and_lift(
     under the same force/penetration rules as insertion.
 
     The jaw and sweep regions are flat raster indices; jaw fractions divide
-    label counts inside the jaw by counts on each piece's stamp window.
+    label counts inside the jaw by counts on each piece's stamp window. Only
+    pieces with a pixel inside the jaw are captured or co-picked, whatever
+    the fractions asked for.
     """
     params = params or ExecutionParams()
-    in_jaw = np.bincount(scene.owner_map.take(_jaw_region(scene, c, fm.geometry, outer=False)))
+    jaw, sweep = _jaw_regions(scene, c, fm.geometry)
+    in_jaw = np.bincount(scene.owner_map.take(jaw))
     bottoms = [fin.achieved for fin in ins.fingers]
     max_bottom = max(bottoms)
     picked: list[int] = []
 
+    target_fraction = _visible_fraction_in(scene, c.instance_id, in_jaw)
     target_ok = (
         not ins.blocked
         and all(b <= c.food_median - params.grasp_depth_margin for b in bottoms)
-        and _visible_fraction_in(scene, c.instance_id, in_jaw) >= params.capture_fraction
+        and target_fraction > 0.0
+        and target_fraction >= params.capture_fraction
     )
     if target_ok:
         picked.append(c.instance_id)
-        for pid in sorted(scene.pieces):
-            if pid == c.instance_id:
+        for pid in np.flatnonzero(in_jaw).tolist():  # ascending labels with a jaw pixel
+            if pid == c.instance_id or pid not in scene.pieces:
                 continue
             if _visible_fraction_in(scene, pid, in_jaw) < params.multipick_fraction:
                 continue
             win, visible = _visible_window(scene, pid)
-            if not visible.any():
-                continue
-            med = median(scene.heightmap[win][visible])
-            if med > max_bottom:
+            if median(scene.heightmap[win][visible]) > max_bottom:
                 picked.append(pid)
 
     damaged = dict(ins.damaged)
-    sweep = _jaw_region(scene, c, fm.geometry, outer=True)
     for pid, heights in _pieces_in_region(scene, sweep).items():
         if pid in picked:
             continue
@@ -332,7 +340,7 @@ def execute_grasp(
             piece.damage_magnitude = max(piece.damage_magnitude, magnitude)
     removed = [scene.pieces.pop(pid) for pid in outcome.picked if pid in scene.pieces]
     if removed:
-        wins = [stamp_window(scene, p.stamp, p.position)[0] for p in removed]
+        wins = [p.window[0] for p in removed]
         recompose(scene, (slice(min(r.start for r, _ in wins), max(r.stop for r, _ in wins)),
                           slice(min(c.start for _, c in wins), max(c.stop for _, c in wins))))
     return outcome

@@ -158,15 +158,14 @@ def render_depth(
 
 
 def render_masks(scene: TrayScene) -> InstanceMaskSet:
-    """Ground-truth visible-region masks, one per non-occluded piece."""
+    """Ground-truth visible-region masks, one per non-occluded piece. The
+    scene is not changed: its occlusion flags are kept by scenegen."""
     windows: list[MaskWindow] = []
     slices = ndimage.find_objects(scene.owner_map, max_label=scene.next_id - 1)
     for pid in sorted(scene.pieces):
         sl = slices[pid - 1] if pid - 1 < len(slices) else None
-        if sl is None:
-            scene.pieces[pid].fully_occluded = True
-            continue
-        windows.append(MaskWindow(pid, sl, scene.owner_map[sl] == pid))
+        if sl is not None:
+            windows.append(MaskWindow(pid, sl, scene.owner_map[sl] == pid))
     return InstanceMaskSet(windows, scene.shape, "ground_truth")
 
 

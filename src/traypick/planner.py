@@ -85,45 +85,71 @@ def median(values: np.ndarray) -> float:
     return float(part[-1] if math.isnan(part[-1]) else mid)
 
 
-def fit_ellipse(mask: np.ndarray, offset: tuple[int, int] = (0, 0)) -> EllipseFit:
-    """Fit the moment-equivalent ellipse: centroid plus eigen-decomposition of
-    the pixel covariance, with semi-axis = 2 * sqrt(eigenvalue).
+def fit_ellipses(
+    windows: list[tuple[np.ndarray, tuple[int, int]]],
+) -> list[EllipseFit | FitError]:
+    """Fit the moment-equivalent ellipse of each (mask, offset): centroid plus
+    eigen-decomposition of the pixel covariance, with semi-axis =
+    2 * sqrt(eigenvalue). A mask that cannot be fitted gets a FitError in
+    its place: one smaller than 5 px or with rank-deficient covariance.
 
     Pixels are treated as unit squares (a 1/12 variance term) so rasterized
-    shapes recover their continuous axes. Raises FitError for masks smaller
-    than 5 px or with rank-deficient covariance.
+    shapes recover their continuous axes.
 
-    mask may be a window whose [0, 0] sits at raster (row, col) = offset.
+    A mask may be a window whose [0, 0] sits at raster (row, col) = offset.
     Its pixel coordinates are shifted back to the raster before any float
     math, so the fit is bit-identical to one over the whole raster.
+
+    Moments and the rank test run per mask; one eigh call then solves every
+    fitted mask's covariance as one (N, 2, 2) stack, which LAPACK solves
+    matrix by matrix exactly as it solves one.
     """
-    ys, xs = np.nonzero(mask)
-    ys += offset[0]
-    xs += offset[1]
-    n = xs.size
-    if n < 5:
-        raise FitError(f"mask has {n} pixels, need >= 5")
-    # what ndarray.mean computes for integer input, without its wrapper
-    mx = np.add.reduce(xs, dtype=np.float64) / n
-    my = np.add.reduce(ys, dtype=np.float64) / n
-    dx, dy = xs - mx, ys - my
-    sxy = dx @ dy / n
-    cov = np.array([[dx @ dx / n, sxy], [sxy, dy @ dy / n]])
-    # The smallest eigenvalue is at least det / tr, and the margin over the
-    # 1e-9 rank test covers the rounding of det and of LAPACK, so eigvalsh
-    # only runs where its answer could differ.
-    tr = float(cov[0, 0] + cov[1, 1])
-    det = float(cov[0, 0] * cov[1, 1] - sxy * sxy)
-    if not det > 2e-9 * tr + 1e-12 * tr * tr and np.linalg.eigvalsh(cov)[0] <= 1e-9:
-        raise FitError("degenerate mask: rank-deficient pixel covariance")
-    cov[0, 0] += 1.0 / 12.0
-    cov[1, 1] += 1.0 / 12.0
-    evals, evecs = np.linalg.eigh(cov)  # ascending
-    minor_vec = evecs[:, 0]
-    theta = math.atan2(minor_vec[1], minor_vec[0]) % math.pi
-    axis_minor = 4.0 * math.sqrt(evals[0])
-    axis_major = 4.0 * math.sqrt(evals[1])
-    return EllipseFit(float(mx), float(my), theta, axis_minor, axis_major)
+    fits: list[EllipseFit | FitError | None] = []
+    centroids: list[tuple[float, float]] = []
+    covs: list[tuple[tuple[float, float], tuple[float, float]]] = []
+    for mask, offset in windows:
+        ys, xs = np.nonzero(mask)
+        ys += offset[0]
+        xs += offset[1]
+        n = xs.size
+        if n < 5:
+            fits.append(FitError(f"mask has {n} pixels, need >= 5"))
+            continue
+        # what ndarray.mean computes for integer input, without its wrapper
+        mx = np.add.reduce(xs, dtype=np.float64) / n
+        my = np.add.reduce(ys, dtype=np.float64) / n
+        dx, dy = xs - mx, ys - my
+        sxx, sxy, syy = dx @ dx / n, dx @ dy / n, dy @ dy / n
+        # The smallest eigenvalue is at least det / tr, and the margin over the
+        # 1e-9 rank test covers the rounding of det and of LAPACK, so eigvalsh
+        # only runs where its answer could differ.
+        tr = float(sxx + syy)
+        det = float(sxx * syy - sxy * sxy)
+        if not det > 2e-9 * tr + 1e-12 * tr * tr and (
+            np.linalg.eigvalsh(np.array([[sxx, sxy], [sxy, syy]]))[0] <= 1e-9
+        ):
+            fits.append(FitError("degenerate mask: rank-deficient pixel covariance"))
+            continue
+        fits.append(None)
+        centroids.append((float(mx), float(my)))
+        covs.append(((sxx + 1.0 / 12.0, sxy), (sxy, syy + 1.0 / 12.0)))
+    if covs:
+        evals, evecs = np.linalg.eigh(np.array(covs))  # ascending
+        solved = zip(centroids, evals.tolist(), evecs[:, :, 0].tolist())  # minor axis: column 0
+        for i, fit in enumerate(fits):
+            if fit is None:
+                (x, y), (e_minor, e_major), (vx, vy) = next(solved)
+                fits[i] = EllipseFit(x, y, math.atan2(vy, vx) % math.pi,
+                                     4.0 * math.sqrt(e_minor), 4.0 * math.sqrt(e_major))
+    return fits
+
+
+def fit_ellipse(mask: np.ndarray, offset: tuple[int, int] = (0, 0)) -> EllipseFit:
+    """The one-mask case of fit_ellipses; raises its FitError."""
+    (fit,) = fit_ellipses([(mask, offset)])
+    if isinstance(fit, FitError):
+        raise fit
+    return fit
 
 
 # (raster slices, boolean array of their shape): heights[slices][local]
@@ -354,12 +380,14 @@ def plan(
     fg.validate()
     candidates: list[GraspCandidate] = []
     skipped: dict[int, str] = {}
-    for w in masks.windows:
-        rows, cols = w.slices
+    fits = fit_ellipses([(w.local, (w.slices[0].start, w.slices[1].start)) for w in masks.windows])
+    for w, fit in zip(masks.windows, fits):
+        if isinstance(fit, FitError):
+            skipped[w.id] = str(fit)
+            continue
         try:
-            fit = fit_ellipse(w.local, (rows.start, cols.start))
             cand = derive_grasp(fit, depth, archetype, w.id)
-        except (FitError, ParameterError) as exc:
+        except ParameterError as exc:
             skipped[w.id] = str(exc)
             continue
         candidates.append(cand)

@@ -49,12 +49,17 @@ class PieceStamp:
         return self.top.shape[0] // 2, self.top.shape[1] // 2
 
 
+# (raster slices, stamp slices): scene.heightmap[raster] lies under stamp.top[stamp]
+StampWindow = tuple[tuple[slice, slice], tuple[slice, slice]]
+
+
 @dataclass
 class PieceInstance:
     id: int
     archetype: str
     stamp: PieceStamp
     position: tuple[float, float]  # (x, y) mm in tray frame
+    window: StampWindow  # stamp_window at position, recorded when the piece is placed
     rest_height: float = 0.0  # mm, base plane above tray floor
     fully_occluded: bool = False
     damaged: bool = False
@@ -202,27 +207,34 @@ def make_stamp(
     return stamp
 
 
+def _clip_window(window: StampWindow, region: tuple[slice, slice]) -> StampWindow:
+    """window with its raster slices clipped to region and its stamp slices
+    cut by as much. A window outside the region gets empty raster slices."""
+    (rows, cols), (srows, scols) = window
+    r0, r1 = max(rows.start, region[0].start), min(rows.stop, region[0].stop)
+    c0, c1 = max(cols.start, region[1].start), min(cols.stop, region[1].stop)
+    return ((slice(r0, r1), slice(c0, c1)),
+            (slice(srows.start + r0 - rows.start, srows.stop - rows.stop + r1),
+             slice(scols.start + c0 - cols.start, scols.stop - cols.stop + c1)))
+
+
 def stamp_window(
     scene: TrayScene,
     stamp: PieceStamp,
     position: tuple[float, float],
     region: tuple[slice, slice] | None = None,
-) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
+) -> StampWindow:
     """Raster and stamp slices of a stamp centred at position (x, y) mm,
     clipped to region (default: the tray interior, whose window holds every
     pixel of the piece). A stamp outside the region gives empty slices."""
-    rows, cols = region or (slice(0, scene.shape[0]), slice(0, scene.shape[1]))
     cy = int(round(position[1] / scene.resolution))
     cx = int(round(position[0] / scene.resolution))
     hy, hx = stamp.center
-    r0, r1 = cy - hy, cy + hy + 1
-    c0, c1 = cx - hx, cx + hx + 1
-    sr0, sc0 = max(0, rows.start - r0), max(0, cols.start - c0)
-    sr1 = stamp.top.shape[0] - max(0, r1 - rows.stop)
-    sc1 = stamp.top.shape[1] - max(0, c1 - cols.stop)
-    win = (slice(max(r0, rows.start), min(r1, rows.stop)),
-           slice(max(c0, cols.start), min(c1, cols.stop)))
-    return win, (slice(sr0, sr1), slice(sc0, sc1))
+    side_y, side_x = stamp.top.shape
+    return _clip_window(
+        ((slice(cy - hy, cy + hy + 1), slice(cx - hx, cx + hx + 1)), (slice(0, side_y), slice(0, side_x))),
+        region or (slice(0, scene.shape[0]), slice(0, scene.shape[1])),
+    )
 
 
 def drop_piece(
@@ -263,6 +275,7 @@ def drop_piece(
         archetype=archetype_name,
         stamp=stamp,
         position=(x, y),
+        window=(win, st),
         rest_height=rest,
         fully_occluded=not raised.any(),
     )
@@ -356,7 +369,7 @@ def generate_scene(config: SceneConfig, seed: int) -> TrayScene:
 
 def _refresh_occlusion_flags(scene: TrayScene, pieces: list[PieceInstance] | None = None) -> None:
     for piece in scene.pieces.values() if pieces is None else pieces:
-        win, _ = stamp_window(scene, piece.stamp, piece.position)
+        win = piece.window[0]
         piece.fully_occluded = not (scene.owner_map[win] == piece.id).any()
 
 
@@ -375,7 +388,7 @@ def recompose(scene: TrayScene, region: tuple[slice, slice] | None = None) -> No
     touched: list[PieceInstance] = []
     for pid in sorted(scene.pieces):
         piece = scene.pieces[pid]
-        win, st = stamp_window(scene, piece.stamp, piece.position, region)
+        win, st = _clip_window(piece.window, region)
         if win[0].stop <= win[0].start or win[1].stop <= win[1].start:
             continue
         touched.append(piece)
@@ -439,11 +452,13 @@ def load_scene(in_dir: str | Path) -> TrayScene:
     )
     for pd, stamp in zip(doc["pieces"], stamps):
         stamp.scale = pd["scale"]
+        position = tuple(pd["position"])
         piece = PieceInstance(
             id=pd["id"],
             archetype=pd["archetype"],
             stamp=stamp,
-            position=tuple(pd["position"]),
+            position=position,
+            window=stamp_window(scene, stamp, position),
             rest_height=pd["rest_height"],
             fully_occluded=pd["fully_occluded"],
             damaged=pd["damaged"],

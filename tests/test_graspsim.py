@@ -1,5 +1,6 @@
 """Grasp execution: insertion mechanics, capture, damage, scene updates."""
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from traypick.archetypes import DEFAULT_ARCHETYPES
 from traypick.errors import ParameterError
 from traypick.graspsim import (
     Classification,
+    ExecutionParams,
     FingerKind,
     FingerModel,
     close_and_lift,
@@ -205,6 +207,31 @@ class TestCloseAndLift:
         assert bystander.id not in out.picked
         # gyoza damage_tolerance 1 mm; the bystander stands far above the bottoms
         assert bystander.id in out.damaged
+
+    @pytest.mark.parametrize("kind", list(FingerKind))
+    def test_zero_fractions_still_need_a_pixel_in_the_jaw(self, kind):
+        """capture_fraction and multipick_fraction of 0 are valid, and a
+        piece with no pixel inside the jaw is still neither co-picked nor
+        captured: 0 behaves as the smallest positive fraction does."""
+        scene = generate_scene(SceneConfig(archetype="fried_chicken"), 3)
+        masks = render_masks(scene)
+        p = plan(masks, render_depth(scene), DEFAULT_ARCHETYPES["fried_chicken"])
+        fm = FingerModel(kind=kind)
+        ins = insert_fingers(scene, p.target, fm)
+
+        def picked(c, **fractions):
+            params = ExecutionParams(**fractions)
+            params.validate()
+            return close_and_lift(scene, c, ins, fm, params).picked
+
+        assert picked(p.target, multipick_fraction=0.0) == picked(p.target, multipick_fraction=1e-9)
+        assert picked(p.target, multipick_fraction=0.0)[0] == p.target.instance_id
+        # the same grasp, aimed at the visible piece farthest from the jaw
+        far = max(masks.windows, key=lambda w: math.hypot(
+            (w.slices[1].start + w.slices[1].stop) / 2 - p.target.x,
+            (w.slices[0].start + w.slices[0].stop) / 2 - p.target.y))
+        elsewhere = dataclasses.replace(p.target, instance_id=far.id)
+        assert picked(elsewhere, capture_fraction=0.0) == picked(elsewhere, capture_fraction=1e-9) == []
 
 
 class TestExecuteGrasp:

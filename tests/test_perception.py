@@ -18,7 +18,8 @@ from traypick.perception import (
     save_depth,
     save_masks,
 )
-from traypick.scenegen import SceneConfig, empty_scene, generate_scene, rasterize_stamp, drop_piece
+from traypick.scenegen import (SceneConfig, drop_piece, empty_scene, generate_scene, rasterize_stamp,
+                               recompose)
 
 
 def square_mask(shape, r0, c0, size):
@@ -88,6 +89,8 @@ class TestRenderMasks:
         buried = drop_piece(scene, small, 50.0, 50.0)
         big = rasterize_stamp(15.0, 15.0, 2.0, 10.0, 0.0, 1.0)
         drop_piece(scene, big, 50.0, 50.0)
+        recompose(scene)  # drop_piece flags only the piece it drops
+        assert scene.pieces[buried.id].fully_occluded
         masks = render_masks(scene)
         assert buried.id not in masks.ids()
         assert scene.pieces[buried.id].fully_occluded

@@ -8,6 +8,9 @@ box-limited stamp rasterizer, the in-place depth quantization, the
 partition median and the batched contact medians, each against the code it
 replaced or np.median, and for scene generation, whose oracle tries each drop
 as it draws it, rasterizing every stamp on its own over the full square.
+plan's one stacked eigen-solve per tray is held to one fit_ellipse and
+derive_grasp per window, the one-pass jaw to its own rectangle, and each
+piece's recorded window to a fresh stamp_window.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from traypick.errors import FitError, ParameterError, PlacementError
 from traypick.graspsim import (
     FingerKind,
     FingerModel,
-    _jaw_region,
+    _jaw_regions,
     _pieces_in_region,
     _visible_fraction_in,
     _visible_window,
@@ -56,6 +59,7 @@ from traypick.planner import (
     EllipseFit,
     FingerGeometry,
     GraspCandidate,
+    Plan,
     _RECTANGLES_PER_PASS,
     _ellipse_window,
     _rectangle_pixels,
@@ -67,6 +71,8 @@ from traypick.planner import (
     fit_ellipse,
     median,
     plan,
+    plan_to_dict,
+    select_grasp,
 )
 from traypick.scenegen import (
     PieceInstance,
@@ -75,10 +81,12 @@ from traypick.scenegen import (
     _refresh_occlusion_flags,
     empty_scene,
     generate_scene,
+    load_scene,
     mm_per_pixel,
     rasterize_stamp,
     rasterize_stamps,
     recompose,
+    save_scene,
     stamp_window,
 )
 
@@ -347,6 +355,7 @@ def oracle_drop_piece(scene, stamp, x, y, archetype_name=""):
         archetype=archetype_name,
         stamp=stamp,
         position=(x, y),
+        window=(win, st),
         rest_height=rest,
     )
     piece.fully_occluded = not raised.any()
@@ -572,6 +581,96 @@ def test_fit_ellipse_near_degenerate_bit_identical(mask):
 
 
 # ---------------------------------------------------------------------------
+# plan: every window's moments, then one stacked eigen-solve
+
+
+def oracle_plan(masks, depth, archetype, fg, filtering_enabled):
+    """plan with one fit_ellipse and one derive_grasp per window."""
+    candidates, skipped = [], {}
+    for w in masks.windows:
+        rows, cols = w.slices
+        try:
+            fit = fit_ellipse(w.local, (rows.start, cols.start))
+            cand = derive_grasp(fit, depth, archetype, w.id)
+        except (FitError, ParameterError) as exc:
+            skipped[w.id] = str(exc)
+            continue
+        candidates.append(cand)
+    retained = filter_grasps(candidates, depth, fg) if filtering_enabled else list(candidates)
+    return Plan(candidates, select_grasp(retained), skipped, filtering_enabled)
+
+
+def assert_plan_equals_per_window_fits(masks, depth, filtering_enabled):
+    archetype, fg = DEFAULT_ARCHETYPES["mushroom"], FingerGeometry()
+    got = plan(masks, depth, archetype, fg, filtering_enabled)
+    expected = oracle_plan(masks, depth, archetype, fg, filtering_enabled)
+    assert [c.fit for c in got.candidates] == [c.fit for c in expected.candidates]
+    assert list(got.skipped.items()) == list(expected.skipped.items())  # same ids, order, messages
+    assert repr(plan_to_dict(got)) == repr(plan_to_dict(expected))  # repr tells every float apart
+    return got
+
+
+@st.composite
+def mixed_mask_sets(draw):
+    """(mask set, depth shape): scattered label masks, some under 5 px,
+    digital lines, whose covariance is rank-deficient, and compact blobs;
+    when the depth raster is cut short, blobs beyond it have an ellipse
+    entirely outside it. Ids come in shuffled order."""
+    h, w = draw(st.tuples(st.integers(1, 40), st.integers(1, 40)))
+    labels = draw(arrays(np.int32, (h, w), elements=st.integers(0, 6)))
+    rasters = [labels == p for p in range(1, 7)]
+    for kind in draw(st.lists(st.sampled_from(["row", "column", "diagonal", "blob"]), max_size=6)):
+        r, c = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        k = draw(st.integers(2, 12))
+        mask = np.zeros((h, w), dtype=bool)
+        if kind == "row":
+            mask[r, c:c + k] = True
+        elif kind == "column":
+            mask[r:r + k, c] = True
+        elif kind == "diagonal":
+            idx = np.arange(min(k, h - r, w - c))
+            mask[r + idx, c + idx] = True
+        else:
+            mask[r:r + k // 4 + 2, c:c + k // 3 + 2] = True
+        rasters.append(mask)
+    ids = draw(st.permutations(range(1, len(rasters) + 1)))
+    masks = InstanceMaskSet.from_rasters([(i, m) for i, m in zip(ids, rasters) if m.any()], shape=(h, w))
+    depth_shape = (draw(st.integers(1, h)), draw(st.integers(1, w)))
+    return masks, depth_shape
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=list(HealthCheck))
+@given(case=mixed_mask_sets(), seed=st.integers(0, 2**32 - 1), filtering_enabled=st.booleans())
+@example(case=(InstanceMaskSet([], (5, 7)), (5, 7)), seed=0, filtering_enabled=True)
+def test_plan_batched_fit_equals_per_window_fits(case, seed, filtering_enabled):
+    masks, depth_shape = case
+    assert_plan_equals_per_window_fits(masks, DepthImage(heights_for(depth_shape, seed), 0.7), filtering_enabled)
+
+
+def test_plan_batched_fit_skips_as_per_window_fits():
+    """Each way a window fails, between windows that fit, and a set where
+    every window fails."""
+    shape = (30, 40)
+    rasters = {}
+    for pid, (r0, r1, c0, c1) in {4: (2, 9, 3, 12), 9: (1, 2, 5, 9), 2: (12, 20, 20, 27),
+                                  7: (5, 6, 2, 30), 3: (25, 29, 33, 39), 8: (15, 28, 3, 4)}.items():
+        rasters[pid] = np.zeros(shape, dtype=bool)
+        rasters[pid][r0:r1, c0:c1] = True
+    rasters[5] = np.eye(*shape, dtype=bool)  # a diagonal line
+    depth = DepthImage(heights_for((24, 32), 1), 0.7)  # blob 3 lies beyond it
+    masks = InstanceMaskSet.from_rasters(list(rasters.items()), shape=shape)
+    got = assert_plan_equals_per_window_fits(masks, depth, True)
+    assert [c.instance_id for c in got.candidates] == [4, 2]
+    assert list(got.skipped) == [9, 7, 3, 8, 5]
+    assert {*got.skipped.values()} == {
+        "mask has 4 pixels, need >= 5", "degenerate mask: rank-deficient pixel covariance",
+        "ellipse lies entirely outside the raster"}
+    failing = InstanceMaskSet.from_rasters([(i, rasters[i]) for i in (9, 7, 3, 8, 5)], shape=shape)
+    got = assert_plan_equals_per_window_fits(failing, depth, True)
+    assert (got.candidates, got.target, list(got.skipped)) == ([], None, [9, 7, 3, 8, 5])
+
+
+# ---------------------------------------------------------------------------
 # contact and food medians
 
 
@@ -777,9 +876,12 @@ def test_jaw_contents_and_fractions_equal_full_raster(scenes, idx, c, outer, bre
     scene = scenes[idx]
     c.x, c.y = c.x * 6.0, c.y * 3.0  # spread the candidates over the 600 x 436 raster
     fg = FingerGeometry(breadth=breadth)
+    jaw, sweep = _jaw_regions(scene, c, fg)
+    for got, rect_is_outer in ((jaw, False), (sweep, True)):
+        assert (np.diff(got) > 0).all()
+        np.testing.assert_array_equal(paste_flat(scene.shape, got), oracle_jaw_region(scene, c, fg, rect_is_outer))
     region = oracle_jaw_region(scene, c, fg, outer)
-    flat = _jaw_region(scene, c, fg, outer)
-    np.testing.assert_array_equal(paste_flat(scene.shape, flat), region)
+    flat = sweep if outer else jaw
 
     got = _pieces_in_region(scene, flat)
     owners = scene.owner_map[region]
@@ -993,6 +1095,7 @@ def test_windowed_recompose_equals_full_recompose(trays, idx, data):
     np.testing.assert_array_equal(scene.heightmap, heightmap)
     np.testing.assert_array_equal(scene.owner_map, owner_map)
     assert {pid: p.fully_occluded for pid, p in scene.pieces.items()} == flags
+    assert_windows_recorded(scene)
 
 
 def test_maps_after_picks_equal_full_recompose(trays):
@@ -1009,6 +1112,7 @@ def test_maps_after_picks_equal_full_recompose(trays):
         np.testing.assert_array_equal(tray.heightmap, heightmap)
         np.testing.assert_array_equal(tray.owner_map, owner_map)
         assert {pid: q.fully_occluded for pid, q in tray.pieces.items()} == flags
+        assert_windows_recorded(tray)
     assert sum(n > 0 for n in picked) >= 5 and max(picked) >= 2
 
 
@@ -1025,6 +1129,61 @@ def test_small_trays_clip_stamp_windows(trays):
 
 
 # ---------------------------------------------------------------------------
+# recorded piece windows and occlusion flags, kept by scenegen
+
+
+def assert_windows_recorded(scene):
+    for piece in scene.pieces.values():
+        assert piece.window == stamp_window(scene, piece.stamp, piece.position)
+
+
+def occlusion_flags(scene):
+    return {pid: p.fully_occluded for pid, p in scene.pieces.items()}
+
+
+@pytest.fixture(scope="module")
+def kept_scenes(trays, tmp_path_factory):
+    """(name, scene) after drops, after picks (windowed recompose) and
+    after a save and load, on the default tray and a small clipped one."""
+    out = []
+    for i in (0, 2):
+        generated = trays[i]
+        picked = copy.deepcopy(generated)
+        archetype = DEFAULT_ARCHETYPES[next(iter(picked.pieces.values())).archetype]
+        rng = np.random.default_rng(i)
+        for _ in range(4):
+            masks = corrupt_masks(render_masks(picked), CorruptionParams(merge_prob=0.5), rng)
+            p = plan(masks, render_depth(picked), archetype)
+            if p.target is not None:
+                execute_grasp(picked, p.target, FingerModel(kind=FingerKind.FIXED))
+        out_dir = tmp_path_factory.mktemp(f"scene{i}")
+        save_scene(picked, out_dir)
+        out += [(f"generated-{i}", generated), (f"picked-{i}", picked), (f"loaded-{i}", load_scene(out_dir))]
+    assert len(out[1][1].pieces) < len(out[0][1].pieces)  # the picks removed pieces
+    return out
+
+
+def test_recorded_windows_equal_stamp_window(kept_scenes):
+    for _, scene in kept_scenes:
+        assert_windows_recorded(scene)
+
+
+def test_render_masks_leaves_occlusion_flags(kept_scenes):
+    """The flags are current without render_masks, which leaves them as
+    they are."""
+    occluded = 0
+    for _, scene in kept_scenes:
+        before = occlusion_flags(scene)
+        present = set(np.unique(scene.owner_map).tolist())
+        assert before == {pid: pid not in present for pid in scene.pieces}
+        masks = render_masks(scene)
+        assert occlusion_flags(scene) == before
+        assert masks.ids() == sorted(pid for pid, hidden in before.items() if not hidden)
+        occluded += sum(before.values())
+    assert occluded > 0
+
+
+# ---------------------------------------------------------------------------
 # scene generation: draw, rasterize in batches, drop
 
 
@@ -1037,7 +1196,8 @@ def assert_same_scene(got, expected):
     assert sorted(got.pieces) == sorted(expected.pieces)
     for pid, p in expected.pieces.items():
         q = got.pieces[pid]
-        assert (q.id, q.archetype, q.fully_occluded) == (p.id, p.archetype, p.fully_occluded)
+        assert (q.id, q.archetype, q.fully_occluded, q.window) == (
+            p.id, p.archetype, p.fully_occluded, p.window)
         assert [float_bits(v) for v in (*q.position, q.rest_height)] == [
             float_bits(v) for v in (*p.position, p.rest_height)]
         assert list(q.stamp.params) == list(p.stamp.params)
