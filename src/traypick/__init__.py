@@ -43,7 +43,6 @@ from .planner import (
     FingerGeometry,
     GraspCandidate,
     Plan,
-    contact_regions,
     derive_grasp,
     filter_grasps,
     fit_ellipse,

@@ -28,8 +28,6 @@ IOU_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 class DepthImage:
     heights: np.ndarray  # mm above tray floor, orthographic top-down
     resolution: float  # mm per pixel
-    sigma: float = 0.0  # noise record
-    quant: float = 0.0
 
 
 class MaskWindow(NamedTuple):
@@ -75,7 +73,7 @@ class _Rasters(Sequence):
     """Read-only (id, full raster) view of windows, each raster built on
     access; len() builds none."""
 
-    def __init__(self, windows: list[MaskWindow], shape: tuple[int, int] | None) -> None:
+    def __init__(self, windows: list[MaskWindow], shape: tuple[int, int]) -> None:
         self._windows = windows
         self._shape = shape
 
@@ -95,7 +93,7 @@ class InstanceMaskSet:
     """Instance masks held as windows on a raster of the given shape."""
 
     windows: list[MaskWindow]
-    shape: tuple[int, int] | None
+    shape: tuple[int, int]
     source: str = "ground_truth"  # one of MASK_SOURCES
     confidences: dict[int, float] = field(default_factory=dict)
 
@@ -104,8 +102,11 @@ class InstanceMaskSet:
                      confidences: dict[int, float] | None = None,
                      shape: tuple[int, int] | None = None) -> InstanceMaskSet:
         """(id, full raster) pairs, each cropped to its bounding box; shape
-        is the rasters' shape, or the given one when there are none."""
+        is the rasters' shape, or the given one when there are none. No
+        masks and no shape raise ParameterError."""
         shape = masks[0][1].shape if masks else shape
+        if shape is None:
+            raise ParameterError("an empty mask set needs a shape")
         return cls([_cropped(pid, m) for pid, m in masks], shape, source, confidences or {})
 
     @property
@@ -121,7 +122,6 @@ class InstanceMaskSet:
 class AgreementScore:
     value: float
     per_threshold: dict[float, float]
-    iou_thresholds: tuple[float, ...] = IOU_THRESHOLDS
 
 
 def render_depth(
@@ -154,7 +154,7 @@ def render_depth(
         np.ceil(heights, out=heights)
         heights *= quant
         np.maximum(heights, 0.0, out=heights)
-    return DepthImage(heights, scene.resolution, sigma, quant)
+    return DepthImage(heights, scene.resolution)
 
 
 def render_masks(scene: TrayScene) -> InstanceMaskSet:
@@ -315,68 +315,51 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     return int(np.count_nonzero(a & b)) / union
 
 
-def agreement(
-    pred: InstanceMaskSet,
-    gt: InstanceMaskSet,
-    iou_thresholds: tuple[float, ...] = IOU_THRESHOLDS,
-) -> AgreementScore:
-    """Threshold-averaged greedy-matched precision of pred against gt.
+def agreement(pred: InstanceMaskSet, gt: InstanceMaskSet) -> AgreementScore:
+    """Threshold-averaged greedy-matched precision of pred against gt over
+    IOU_THRESHOLDS.
 
-    At each threshold, (pred, gt) pairs are matched one-to-one greedily in
-    descending IoU order (ties broken by lower pred id, then gt id);
-    precision is matches / |pred|. Empty-vs-empty scores 1,
-    empty-pred-vs-nonempty-gt scores 0. Not symmetric by design.
+    (pred, gt) pairs are matched one-to-one greedily in descending IoU order
+    (ties broken by lower pred id, then gt id); precision at a threshold is
+    the matches with IoU at or above it over |pred|. The pairs come sorted,
+    so one greedy pass over every pair with IoU > 0 gives the matches of
+    every threshold. Empty-vs-empty scores 1, empty-pred-vs-nonempty-gt
+    scores 0. Not symmetric by design.
     """
     n_pred, n_gt = len(pred.windows), len(gt.windows)
-    per_threshold: dict[float, float] = {}
     if n_pred == 0:
         p = 1.0 if n_gt == 0 else 0.0
-        per_threshold = {t: p for t in iou_thresholds}
-        return AgreementScore(p, per_threshold, iou_thresholds)
+        return AgreementScore(p, {t: p for t in IOU_THRESHOLDS})
     if n_gt and pred.shape != gt.shape:
         raise ParameterError(f"mask shape mismatch: {pred.shape} vs {gt.shape}")
 
     # a pair whose boxes do not intersect shares no pixel: its IoU is 0
-    ious = np.zeros((n_pred, n_gt))
     pb = np.array([_box(w) for w in pred.windows]).reshape(-1, 4)
     gb = np.array([_box(w) for w in gt.windows]).reshape(-1, 4)
     lo = np.maximum(pb[:, None, ::2], gb[None, :, ::2])
     hi = np.minimum(pb[:, None, 1::2], gb[None, :, 1::2])
+    pairs: list[tuple[float, int, int]] = []  # (IoU, pred index, gt index)
     for i, j in zip(*np.nonzero((hi > lo).all(axis=2))):
         pw, gw = pred.windows[i], gt.windows[j]
         r0, r1 = min(pb[i, 0], gb[j, 0]), max(pb[i, 1], gb[j, 1])
         c0, c1 = min(pb[i, 2], gb[j, 2]), max(pb[i, 3], gb[j, 3])
-        ious[i, j] = mask_iou(_pixels_in(pw, r0, r1, c0, c1), _pixels_in(gw, r0, r1, c0, c1))
+        iou = mask_iou(_pixels_in(pw, r0, r1, c0, c1), _pixels_in(gw, r0, r1, c0, c1))
+        if iou > 0:
+            pairs.append((iou, i, j))
+    pred_ids, gt_ids = pred.ids(), gt.ids()
+    pairs.sort(key=lambda t: (-t[0], pred_ids[t[1]], gt_ids[t[2]]))
 
-    pred_ids = pred.ids()
-    gt_ids = gt.ids()
-    # zero-IoU pairs sort last and can match only at a threshold that is
-    # not > 0 (NaN never ends the scan)
-    positive = ious > 0
-    pairs = sorted(
-        ((ious[i, j], i, j) for i, j in zip(*np.nonzero(positive))),
-        key=lambda t: (-t[0], pred_ids[t[1]], gt_ids[t[2]]),
-    )
-    if not all(t > 0 for t in iou_thresholds):
-        pairs += sorted(
-            ((0.0, i, j) for i, j in zip(*np.nonzero(~positive))),
-            key=lambda t: (pred_ids[t[1]], gt_ids[t[2]]),
-        )
-    for t in iou_thresholds:
-        used_p: set[int] = set()
-        used_g: set[int] = set()
-        matches = 0
-        for iou, i, j in pairs:
-            if iou < t:
-                break
-            if i in used_p or j in used_g:
-                continue
-            used_p.add(i)
-            used_g.add(j)
-            matches += 1
-        per_threshold[t] = matches / n_pred
-    score = sum(per_threshold.values()) / len(iou_thresholds)
-    return AgreementScore(score, per_threshold, iou_thresholds)
+    used_p: set[int] = set()
+    used_g: set[int] = set()
+    matched: list[float] = []  # IoU of each match, descending
+    for iou, i, j in pairs:
+        if i in used_p or j in used_g:
+            continue
+        used_p.add(i)
+        used_g.add(j)
+        matched.append(iou)
+    per_threshold = {t: sum(iou >= t for iou in matched) / n_pred for t in IOU_THRESHOLDS}
+    return AgreementScore(sum(per_threshold.values()) / len(IOU_THRESHOLDS), per_threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -252,14 +252,6 @@ def _segment_medians(values: np.ndarray, counts: np.ndarray) -> list[float]:
     return out
 
 
-def ellipse_interior(fit: EllipseFit, shape: tuple[int, int]) -> np.ndarray:
-    """Boolean grid of pixels inside the fitted ellipse, clipped to raster."""
-    win, local = _ellipse_window(fit, shape)
-    out = np.zeros(shape, dtype=bool)
-    out[win] = local
-    return out
-
-
 def derive_grasp(
     fit: EllipseFit, depth: DepthImage, archetype: FoodArchetype, instance_id: int = 0
 ) -> GraspCandidate:
@@ -304,27 +296,18 @@ def _contact_rectangles(
 def _contact_pixels(
     c: GraspCandidate, fg: FingerGeometry, resolution: float, shape: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Flat raster indices of the two contact_regions rectangles."""
-    flat, counts = _rectangle_pixels(
-        shape, _contact_rectangles(c, fg, resolution), *_finger_half_sizes(fg, resolution)
-    )
-    return flat[: counts[0]], flat[counts[0] :]
-
-
-def contact_regions(
-    c: GraspCandidate, fg: FingerGeometry, resolution: float, shape: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Finger contact rectangles at the ends of the minor axis.
+    """Flat raster indices of the two finger contact rectangles at the ends of
+    the minor axis.
 
     Each rectangle is fg.width x fg.breadth, centered at distance
     w/2 + clearance + fg.width/2 from the grasp center along the closing
     direction, on opposite sides, and clipped to the raster. A rectangle
     fully outside the raster comes back empty.
     """
-    regions = np.zeros((2, shape[0] * shape[1]), dtype=bool)
-    for region, flat in zip(regions, _contact_pixels(c, fg, resolution, shape)):
-        region[flat] = True
-    return regions[0].reshape(shape), regions[1].reshape(shape)
+    flat, counts = _rectangle_pixels(
+        shape, _contact_rectangles(c, fg, resolution), *_finger_half_sizes(fg, resolution)
+    )
+    return flat[: counts[0]], flat[counts[0] :]
 
 
 def filter_grasps(

@@ -39,7 +39,6 @@ class PieceStamp:
 
     top: np.ndarray  # mm above the piece base plane, whose bottom is flat
     mask: np.ndarray  # boolean footprint
-    rotation: float  # rad
     scale: float
     params: dict  # jittered shape parameters, enough to re-rasterize
 
@@ -61,7 +60,6 @@ class PieceInstance:
     position: tuple[float, float]  # (x, y) mm in tray frame
     window: StampWindow  # stamp_window at position, recorded when the piece is placed
     rest_height: float = 0.0  # mm, base plane above tray floor
-    fully_occluded: bool = False
     damaged: bool = False
     damage_magnitude: float = 0.0
 
@@ -151,7 +149,6 @@ def rasterize_stamps(
             stamps[i] = PieceStamp(
                 top=tops[k],
                 mask=masks[k],
-                rotation=rot,
                 scale=1.0,
                 params={"semi_a": a, "semi_b": b, "exponent": n, "peak": pk, "rotation": rot},
             )
@@ -277,7 +274,6 @@ def drop_piece(
         position=(x, y),
         window=(win, st),
         rest_height=rest,
-        fully_occluded=not raised.any(),
     )
     scene.pieces[piece_id] = piece
     return piece
@@ -362,21 +358,12 @@ def generate_scene(config: SceneConfig, seed: int) -> TrayScene:
     for (scale, _, x, y), stamp in zip(placed, stamps):
         stamp.scale = scale
         drop_piece(scene, stamp, x, y, arch.name)
-
-    _refresh_occlusion_flags(scene)
     return scene
-
-
-def _refresh_occlusion_flags(scene: TrayScene, pieces: list[PieceInstance] | None = None) -> None:
-    for piece in scene.pieces.values() if pieces is None else pieces:
-        win = piece.window[0]
-        piece.fully_occluded = not (scene.owner_map[win] == piece.id).any()
 
 
 def recompose(scene: TrayScene, region: tuple[slice, slice] | None = None) -> None:
     """Rebuild heightmap and owner map from the registry, in id (drop) order,
-    inside region (default: the whole raster), and refresh the occlusion
-    flags of the pieces that reach into it.
+    inside region (default: the whole raster).
 
     Pieces keep their recorded rest heights; nothing resettles. Outside the
     region the maps must already be the composition of the registry, as
@@ -385,20 +372,17 @@ def recompose(scene: TrayScene, region: tuple[slice, slice] | None = None) -> No
     region = region or (slice(0, scene.shape[0]), slice(0, scene.shape[1]))
     scene.heightmap[region] = 0.0
     scene.owner_map[region] = 0
-    touched: list[PieceInstance] = []
     for pid in sorted(scene.pieces):
         piece = scene.pieces[pid]
         win, st = _clip_window(piece.window, region)
         if win[0].stop <= win[0].start or win[1].stop <= win[1].start:
             continue
-        touched.append(piece)
         mask = piece.stamp.mask[st]
         new_top = piece.rest_height + piece.stamp.top[st]
         window = scene.heightmap[win]
         raised = mask & (new_top > window)
         window[raised] = new_top[raised]
         scene.owner_map[win][raised] = pid
-    _refresh_occlusion_flags(scene, touched)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +390,9 @@ def recompose(scene: TrayScene, region: tuple[slice, slice] | None = None) -> No
 
 
 def save_scene(scene: TrayScene, out_dir: str | Path) -> None:
+    """Write scene.json, archetypes.json and the heightmap and owner-map PGMs.
+    Each piece's occlusion flag is computed here from the owner map: true
+    when no pixel of its stamp window is its own."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     doc = {
@@ -422,7 +409,7 @@ def save_scene(scene: TrayScene, out_dir: str | Path) -> None:
                 "rest_height": p.rest_height,
                 "scale": p.stamp.scale,
                 "stamp": p.stamp.params,
-                "fully_occluded": p.fully_occluded,
+                "fully_occluded": not (scene.owner_map[p.window[0]] == p.id).any(),
                 "damaged": p.damaged,
                 "damage_magnitude": p.damage_magnitude,
             }
@@ -436,6 +423,8 @@ def save_scene(scene: TrayScene, out_dir: str | Path) -> None:
 
 
 def load_scene(in_dir: str | Path) -> TrayScene:
+    """Read a scene written by save_scene and recompose its maps; a stored
+    occlusion flag is ignored. A repeated piece id raises ParameterError."""
     src = Path(in_dir)
     doc = json.loads((src / "scene.json").read_text())
     archetypes = load_archetypes(src / "archetypes.json")
@@ -451,6 +440,8 @@ def load_scene(in_dir: str | Path) -> TrayScene:
         [tuple(pd["stamp"][k] for k in keys) for pd in doc["pieces"]], scene.resolution
     )
     for pd, stamp in zip(doc["pieces"], stamps):
+        if pd["id"] in scene.pieces:
+            raise ParameterError(f"duplicate piece id {pd['id']}")
         stamp.scale = pd["scale"]
         position = tuple(pd["position"])
         piece = PieceInstance(
@@ -460,7 +451,6 @@ def load_scene(in_dir: str | Path) -> TrayScene:
             position=position,
             window=stamp_window(scene, stamp, position),
             rest_height=pd["rest_height"],
-            fully_occluded=pd["fully_occluded"],
             damaged=pd["damaged"],
             damage_magnitude=pd["damage_magnitude"],
         )

@@ -6,8 +6,9 @@ campaign digest is the SHA-256 of the ``records.jsonl`` a small campaign
 writes; the matrix covers both refill policies, both fingers, filtering on
 and off, every mask corruption and depth noise with quantization. The plan
 digests pin every candidate's ellipse fit, medians and filter decision, which
-the records only summarize. A digest may change only in a change that says
-why in CHANGES.md.
+the records only summarize. The scene digests pin scene.json, occlusion
+flags and damage included, after generation, after picks and after a load
+and save. A digest may change only in a change that says why in CHANGES.md.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import pytest
 
 from traypick.archetypes import DEFAULT_ARCHETYPES
 from traypick.experiment import DEPLETE, FRESH, ExperimentConfig, run_experiment
-from traypick.graspsim import FingerKind
+from traypick.graspsim import FingerKind, FingerModel, execute_grasp
 from traypick.perception import (
     CorruptionParams,
     agreement,
@@ -28,7 +29,7 @@ from traypick.perception import (
     render_masks,
 )
 from traypick.planner import plan, plan_to_dict
-from traypick.scenegen import SceneConfig, generate_scene
+from traypick.scenegen import SceneConfig, generate_scene, load_scene, save_scene
 
 FIXED, ADAPTIVE = FingerKind.FIXED, FingerKind.ADAPTIVE
 
@@ -85,6 +86,18 @@ PLANS = [
      "504e5588189eca44cfcd8f0e9c722b62b5c7536c54bad4d949007b61132de2b7"),
 ]
 
+# (archetype, scene seed, finger) -> SHA-256 of scene.json as generated, and
+# after two noise-free planned picks with that finger. The mushroom tray holds
+# two buried pieces, and its first pick uncovers one and damages another.
+SCENES = [
+    ("mushroom", 2, FIXED,
+     "069cc569c9f6e47b7db144d80473149030e33b963ec0b54f3dd49ecff3b77336",
+     "65f8d8dde754ceb03b9c709e5f46226191c9e3f4da153bb7f5b92b219b8e08e2"),
+    ("fried_chicken", 12, ADAPTIVE,
+     "3d331cb31987a795687ddb002533f0e9a9ed85af247e54d5106bf3506df15755",
+     "b98a1bbfed9ddd530c7090f5a1a7279e54563944635437bd7da83077c28b0290"),
+]
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -115,3 +128,18 @@ def test_plan_digest(archetype, seed, corruption, sigma, quant, digest):
         masks = corrupt_masks(masks, corruption, np.random.default_rng((seed, 2)))
     doc = plan_to_dict(plan(masks, depth, DEFAULT_ARCHETYPES[archetype]))
     assert _sha256(json.dumps(doc, sort_keys=True).encode()) == digest
+
+
+@pytest.mark.parametrize("archetype,seed,finger,generated,picked", SCENES)
+def test_scene_file_digests(archetype, seed, finger, generated, picked, tmp_path):
+    scene = generate_scene(SceneConfig(archetype=archetype), seed)
+    save_scene(scene, tmp_path / "generated")
+    assert _sha256((tmp_path / "generated" / "scene.json").read_bytes()) == generated
+    for _ in range(2):
+        p = plan(render_masks(scene), render_depth(scene), DEFAULT_ARCHETYPES[archetype])
+        assert execute_grasp(scene, p.target, FingerModel(kind=finger)).picked
+    save_scene(scene, tmp_path / "picked")
+    assert _sha256((tmp_path / "picked" / "scene.json").read_bytes()) == picked
+    for name, digest in (("generated", generated), ("picked", picked)):
+        save_scene(load_scene(tmp_path / name), tmp_path / f"{name}-loaded")
+        assert _sha256((tmp_path / f"{name}-loaded" / "scene.json").read_bytes()) == digest

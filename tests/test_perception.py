@@ -19,7 +19,7 @@ from traypick.perception import (
     save_masks,
 )
 from traypick.scenegen import (SceneConfig, drop_piece, empty_scene, generate_scene, rasterize_stamp,
-                               recompose)
+                               save_scene)
 
 
 def square_mask(shape, r0, c0, size):
@@ -83,17 +83,17 @@ class TestRenderMasks:
             union |= m
         np.testing.assert_array_equal(union, scene.owner_map > 0)
 
-    def test_buried_piece_excluded_and_flagged(self):
+    def test_buried_piece_excluded_and_flagged(self, tmp_path):
         scene = empty_scene(resolution=1.0, tray_dims=(100.0, 100.0, 80.0))
         small = rasterize_stamp(4.0, 4.0, 2.0, 1.0, 0.0, 1.0)
         buried = drop_piece(scene, small, 50.0, 50.0)
         big = rasterize_stamp(15.0, 15.0, 2.0, 10.0, 0.0, 1.0)
         drop_piece(scene, big, 50.0, 50.0)
-        recompose(scene)  # drop_piece flags only the piece it drops
-        assert scene.pieces[buried.id].fully_occluded
         masks = render_masks(scene)
         assert buried.id not in masks.ids()
-        assert scene.pieces[buried.id].fully_occluded
+        save_scene(scene, tmp_path)
+        doc = json.loads((tmp_path / "scene.json").read_text())
+        assert {pd["id"]: pd["fully_occluded"] for pd in doc["pieces"]} == {buried.id: True, buried.id + 1: False}
 
 
 class TestCorruptMasks:
@@ -279,6 +279,13 @@ def without(d, key):
 
 
 class TestMaskAndDepthFiles:
+    def test_empty_set_needs_a_shape(self, tmp_path):
+        with pytest.raises(ParameterError, match="needs a shape"):
+            InstanceMaskSet.from_rasters([])
+        empty = InstanceMaskSet.from_rasters([], shape=(20, 30))
+        loaded = load_masks(save_masks(empty, tmp_path))
+        assert (loaded.shape, loaded.ids()) == ((20, 30), [])
+
     def test_depth_round_trip(self, tmp_path):
         scene = generate_scene(SceneConfig(), 5)
         depth = render_depth(scene)

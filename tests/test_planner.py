@@ -12,10 +12,10 @@ from traypick.planner import (
     EllipseFit,
     FingerGeometry,
     GraspCandidate,
+    _contact_pixels,
+    _ellipse_window,
     candidate_from_dict,
-    contact_regions,
     derive_grasp,
-    ellipse_interior,
     filter_grasps,
     fit_ellipse,
     plan,
@@ -38,6 +38,14 @@ def raster_ellipse(shape, x, y, theta, a_full, b_full):
 
 def flat_depth(shape, value, resolution=1.0):
     return DepthImage(np.full(shape, float(value)), resolution)
+
+
+def contact_regions(c, fg, resolution, shape):
+    """The two contact rectangles of c as full boolean rasters."""
+    regions = np.zeros((2, shape[0] * shape[1]), dtype=bool)
+    for region, flat in zip(regions, _contact_pixels(c, fg, resolution, shape)):
+        region[flat] = True
+    return regions[0].reshape(shape), regions[1].reshape(shape)
 
 
 class TestFitEllipse:
@@ -272,13 +280,12 @@ class TestFilterGrasps:
         outcomes = []
         for scale in (1.0, 3.7):
             depth = DepthImage(heights * scale, 1.0)
-            cs = [
-                make_candidate(c.x, c.y, c.theta, c.w,
-                               float(np.median((heights * scale)[
-                                   ellipse_interior(c.fit, (200, 200))])),
-                               instance_id=c.instance_id)
-                for c in cands
-            ]
+            cs = []
+            for c in cands:
+                win, interior = _ellipse_window(c.fit, (200, 200))
+                cs.append(make_candidate(c.x, c.y, c.theta, c.w,
+                                         float(np.median((heights * scale)[win][interior])),
+                                         instance_id=c.instance_id))
             retained = filter_grasps(cs, depth, FingerGeometry())
             outcomes.append({c.instance_id for c in retained})
         assert outcomes[0] == outcomes[1]

@@ -1,5 +1,6 @@
 """Scene generation: stamps, settling, determinism, and scene files."""
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -270,3 +271,32 @@ class TestSceneFiles:
         recompose(scene)
         np.testing.assert_allclose(scene.heightmap, heightmap)
         np.testing.assert_array_equal(scene.owner_map, owners)
+
+    def test_saved_occlusion_flags_come_from_the_owner_map(self, tmp_path):
+        """A piece buried by a later drop is saved as fully occluded without a
+        recompose. A stored flag is not read: a file whose flags say the
+        opposite loads, and saves the owner map's values."""
+        scene = empty_scene(resolution=1.0, tray_dims=(100.0, 100.0, 80.0))
+        buried = drop_piece(scene, rasterize_stamp(4.0, 4.0, 2.0, 1.0, 0.0, 1.0), 50.0, 50.0)
+        top = drop_piece(scene, rasterize_stamp(15.0, 15.0, 2.0, 10.0, 0.0, 1.0), 50.0, 50.0)
+        save_scene(scene, tmp_path / "s")
+        path = tmp_path / "s" / "scene.json"
+        doc = json.loads(path.read_text())
+        expected = {buried.id: True, top.id: False}
+        assert {pd["id"]: pd["fully_occluded"] for pd in doc["pieces"]} == expected
+        for pd in doc["pieces"]:
+            pd["fully_occluded"] = not pd["fully_occluded"]
+        path.write_text(json.dumps(doc))
+        save_scene(load_scene(tmp_path / "s"), tmp_path / "t")
+        saved = json.loads((tmp_path / "t" / "scene.json").read_text())
+        assert {pd["id"]: pd["fully_occluded"] for pd in saved["pieces"]} == expected
+
+    def test_repeated_piece_id_rejected(self, tmp_path):
+        scene = generate_scene(SceneConfig(), 17)
+        save_scene(scene, tmp_path)
+        path = tmp_path / "scene.json"
+        doc = json.loads(path.read_text())
+        doc["pieces"].append(dict(doc["pieces"][0]))
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParameterError, match="duplicate piece id"):
+            load_scene(tmp_path)

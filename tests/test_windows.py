@@ -18,10 +18,12 @@ import math
 
 import copy
 import dataclasses
+import json
 from collections import Counter
 import os
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,12 +63,11 @@ from traypick.planner import (
     GraspCandidate,
     Plan,
     _RECTANGLES_PER_PASS,
+    _contact_pixels,
     _ellipse_window,
     _rectangle_pixels,
     _segment_medians,
-    contact_regions,
     derive_grasp,
-    ellipse_interior,
     filter_grasps,
     fit_ellipse,
     median,
@@ -78,7 +79,6 @@ from traypick.scenegen import (
     PieceInstance,
     PieceStamp,
     SceneConfig,
-    _refresh_occlusion_flags,
     empty_scene,
     generate_scene,
     load_scene,
@@ -277,7 +277,8 @@ def oracle_agreement_ious(pred, gt):
 
 
 def oracle_recompose(scene):
-    """recompose over fresh full rasters, every occlusion flag refreshed."""
+    """recompose over fresh full rasters, and each piece's occlusion flag
+    from a compare of the whole owner map."""
     heightmap = np.zeros(scene.shape)
     owner_map = np.zeros(scene.shape, dtype=np.int32)
     for pid in sorted(scene.pieces):
@@ -325,7 +326,7 @@ def oracle_make_stamp(archetype, scale, rotation, rng, resolution=None):
     top, mask = oracle_rasterize_stamp(semi_a, semi_b, archetype.exponent, peak, rotation, res)
     params = {"semi_a": semi_a, "semi_b": semi_b, "exponent": archetype.exponent,
               "peak": peak, "rotation": rotation}
-    return PieceStamp(top=top, mask=mask, rotation=rotation, scale=scale, params=params)
+    return PieceStamp(top=top, mask=mask, scale=scale, params=params)
 
 
 def oracle_drop_piece(scene, stamp, x, y, archetype_name=""):
@@ -358,15 +359,14 @@ def oracle_drop_piece(scene, stamp, x, y, archetype_name=""):
         window=(win, st),
         rest_height=rest,
     )
-    piece.fully_occluded = not raised.any()
     scene.pieces[piece_id] = piece
     return piece
 
 
 def oracle_generate_scene(config, seed):
-    """generate_scene as one draw, rasterize, try-drop loop per piece, with
-    full-raster occlusion flags. Also returns how many drop positions were
-    rejected and how many pieces were skipped."""
+    """generate_scene as one draw, rasterize, try-drop loop per piece. Also
+    returns how many drop positions were rejected and how many pieces were
+    skipped."""
     config.validate()
     arch = config.archetypes[config.archetype]
     rng = np.random.default_rng(seed)
@@ -401,9 +401,6 @@ def oracle_generate_scene(config, seed):
             break
         else:
             skipped += 1
-
-    for piece in scene.pieces.values():
-        piece.fully_occluded = not (scene.owner_map == piece.id).any()
     return scene, rejected, skipped
 
 
@@ -457,7 +454,15 @@ def heights_for(shape, seed):
 def test_ellipse_window_equals_full_raster(shape, fit):
     win, local = _ellipse_window(fit, shape)
     assert local.shape == np.zeros(shape)[win].shape  # indexes cleanly, even when empty
-    np.testing.assert_array_equal(ellipse_interior(fit, shape), oracle_ellipse_interior(fit, shape))
+    np.testing.assert_array_equal(paste_window(shape, fit), oracle_ellipse_interior(fit, shape))
+
+
+def paste_window(shape, fit) -> np.ndarray:
+    """_ellipse_window's pixels on a full raster."""
+    win, local = _ellipse_window(fit, shape)
+    out = np.zeros(shape, dtype=bool)
+    out[win] = local
+    return out
 
 
 def paste_flat(shape, flat) -> np.ndarray:
@@ -513,7 +518,7 @@ def test_ellipse_window_keeps_pixels_at_the_extent(theta, a, b, quarter_ulps, ax
     near = math.ceil(ext + 0.5) - ext + quarter_ulps * math.ulp(ext) / 4
     x, y = (near, 60.0 - other) if axis == "x" else (60.0 - other, near)
     fit = EllipseFit(x, y, theta, 2.0 * a, 2.0 * b)
-    np.testing.assert_array_equal(ellipse_interior(fit, (120, 120)), oracle_ellipse_interior(fit, (120, 120)))
+    np.testing.assert_array_equal(paste_window((120, 120), fit), oracle_ellipse_interior(fit, (120, 120)))
 
 
 # ---------------------------------------------------------------------------
@@ -710,8 +715,9 @@ def test_filter_medians_equal_full_raster(shape, data, seed, n, mode, res):
     retained = filter_grasps(cands, depth, fg)
     expected_retained = []
     for c, (left, right) in zip(cands, regions):
-        np.testing.assert_array_equal(contact_regions(c, fg, res, shape)[0], left)
-        np.testing.assert_array_equal(contact_regions(c, fg, res, shape)[1], right)
+        got_left, got_right = (paste_flat(shape, flat) for flat in _contact_pixels(c, fg, res, shape))
+        np.testing.assert_array_equal(got_left, left)
+        np.testing.assert_array_equal(got_right, right)
         if not left.any() or not right.any():
             assert (c.filtered, c.filter_reason, c.contact_medians) == (True, "out-of-tray", None)
             continue
@@ -818,7 +824,7 @@ def test_rasterize_stamp_equals_its_slice_of_a_batch(res):
         assert got.top.tobytes() == alone.top.tobytes()
         assert got.mask.tobytes() == alone.mask.tobytes()
         assert got.top.shape == alone.top.shape
-        assert (got.rotation, got.scale, got.params) == (alone.rotation, alone.scale, alone.params)
+        assert (got.scale, got.params) == (alone.scale, alone.params)
 
 
 # At sigma 5e-324 most of sigma * z rounds to +-0.0: the noise is then drawn
@@ -910,13 +916,13 @@ def test_visible_windows_hold_every_visible_pixel(scenes):
 
 
 def test_occlusion_flags_match_label_presence(scenes):
+    """save_scene's flags are label presence on the owner map."""
     occluded = 0
     for scene in scenes:
         present = set(np.unique(scene.owner_map).tolist())
-        _refresh_occlusion_flags(scene)
-        for piece in scene.pieces.values():
-            assert piece.fully_occluded == (piece.id not in present)
-            occluded += piece.fully_occluded
+        flags = saved_flags(scene)
+        assert flags == {pid: pid not in present for pid in scene.pieces}
+        occluded += sum(flags.values())
     assert occluded > 0
 
 
@@ -1002,9 +1008,8 @@ def test_render_and_corrupt_masks_on_trays_equal_full_raster(trays, idx, seed, p
 
 
 @SETTINGS
-@given(pred=label_maps(), gt=label_maps(), seed=st.integers(0, 2**32 - 1), params=corruptions,
-       thresholds=st.sampled_from([(0.0, 0.3, 0.5, 0.95, 1.0), (0.0, 0.5), IOU_THRESHOLDS]))
-def test_agreement_equals_every_pair_iou(pred, gt, seed, params, thresholds):
+@given(pred=label_maps(), gt=label_maps(), seed=st.integers(0, 2**32 - 1), params=corruptions)
+def test_agreement_equals_every_pair_iou(pred, gt, seed, params):
     pred = corrupt_masks(pred, params, np.random.default_rng(seed))  # may overlap
     if pred.windows and gt.windows and pred.shape != gt.shape:
         return
@@ -1014,17 +1019,17 @@ def test_agreement_equals_every_pair_iou(pred, gt, seed, params, thresholds):
         ((ious[i, j], i, j) for i in range(len(pred_ids)) for j in range(len(gt_ids))),
         key=lambda t: (-t[0], pred_ids[t[1]], gt_ids[t[2]]),
     )
-    score = agreement(pred, gt, thresholds)
+    score = agreement(pred, gt)
     if not pred_ids:
         return
-    for t in thresholds:
+    for t in IOU_THRESHOLDS:
         used_p, used_g = set(), set()
         for iou, i, j in pairs:
             if iou >= t and i not in used_p and j not in used_g:
                 used_p.add(i)
                 used_g.add(j)
         assert score.per_threshold[t] == len(used_p) / len(pred_ids)
-    assert score.value == sum(score.per_threshold[t] for t in thresholds) / len(thresholds)
+    assert score.value == sum(score.per_threshold[t] for t in IOU_THRESHOLDS) / len(IOU_THRESHOLDS)
 
 
 def _square(shape, r0, c0, size):
@@ -1094,7 +1099,7 @@ def test_windowed_recompose_equals_full_recompose(trays, idx, data):
     heightmap, owner_map, flags = oracle_recompose(scene)
     np.testing.assert_array_equal(scene.heightmap, heightmap)
     np.testing.assert_array_equal(scene.owner_map, owner_map)
-    assert {pid: p.fully_occluded for pid, p in scene.pieces.items()} == flags
+    assert saved_flags(scene) == flags
     assert_windows_recorded(scene)
 
 
@@ -1111,7 +1116,7 @@ def test_maps_after_picks_equal_full_recompose(trays):
         heightmap, owner_map, flags = oracle_recompose(tray)
         np.testing.assert_array_equal(tray.heightmap, heightmap)
         np.testing.assert_array_equal(tray.owner_map, owner_map)
-        assert {pid: q.fully_occluded for pid, q in tray.pieces.items()} == flags
+        assert saved_flags(tray) == flags
         assert_windows_recorded(tray)
     assert sum(n > 0 for n in picked) >= 5 and max(picked) >= 2
 
@@ -1129,7 +1134,7 @@ def test_small_trays_clip_stamp_windows(trays):
 
 
 # ---------------------------------------------------------------------------
-# recorded piece windows and occlusion flags, kept by scenegen
+# recorded piece windows, and the occlusion flags save_scene computes from them
 
 
 def assert_windows_recorded(scene):
@@ -1137,8 +1142,12 @@ def assert_windows_recorded(scene):
         assert piece.window == stamp_window(scene, piece.stamp, piece.position)
 
 
-def occlusion_flags(scene):
-    return {pid: p.fully_occluded for pid, p in scene.pieces.items()}
+def saved_flags(scene):
+    """The "fully_occluded" that save_scene writes, per piece id."""
+    with tempfile.TemporaryDirectory() as out:
+        save_scene(scene, out)
+        doc = json.loads((Path(out) / "scene.json").read_text())
+    return {pd["id"]: pd["fully_occluded"] for pd in doc["pieces"]}
 
 
 @pytest.fixture(scope="module")
@@ -1169,17 +1178,17 @@ def test_recorded_windows_equal_stamp_window(kept_scenes):
 
 
 def test_render_masks_leaves_occlusion_flags(kept_scenes):
-    """The flags are current without render_masks, which leaves them as
-    they are."""
+    """After drops, picks and a load, the saved flags are label presence on
+    the owner map; render_masks gives a mask to exactly the pieces they call
+    visible and leaves the flags as they are."""
     occluded = 0
     for _, scene in kept_scenes:
-        before = occlusion_flags(scene)
+        flags = saved_flags(scene)
         present = set(np.unique(scene.owner_map).tolist())
-        assert before == {pid: pid not in present for pid in scene.pieces}
-        masks = render_masks(scene)
-        assert occlusion_flags(scene) == before
-        assert masks.ids() == sorted(pid for pid, hidden in before.items() if not hidden)
-        occluded += sum(before.values())
+        assert flags == {pid: pid not in present for pid in scene.pieces}
+        assert render_masks(scene).ids() == sorted(pid for pid, hidden in flags.items() if not hidden)
+        assert saved_flags(scene) == flags
+        occluded += sum(flags.values())
     assert occluded > 0
 
 
@@ -1196,13 +1205,12 @@ def assert_same_scene(got, expected):
     assert sorted(got.pieces) == sorted(expected.pieces)
     for pid, p in expected.pieces.items():
         q = got.pieces[pid]
-        assert (q.id, q.archetype, q.fully_occluded, q.window) == (
-            p.id, p.archetype, p.fully_occluded, p.window)
+        assert (q.id, q.archetype, q.window) == (p.id, p.archetype, p.window)
         assert [float_bits(v) for v in (*q.position, q.rest_height)] == [
             float_bits(v) for v in (*p.position, p.rest_height)]
         assert list(q.stamp.params) == list(p.stamp.params)
-        assert [float_bits(v) for v in (*q.stamp.params.values(), q.stamp.scale, q.stamp.rotation)] == [
-            float_bits(v) for v in (*p.stamp.params.values(), p.stamp.scale, p.stamp.rotation)]
+        assert [float_bits(v) for v in (*q.stamp.params.values(), q.stamp.scale)] == [
+            float_bits(v) for v in (*p.stamp.params.values(), p.stamp.scale)]
         assert q.stamp.top.shape == p.stamp.top.shape
         assert q.stamp.top.tobytes() == p.stamp.top.tobytes()
         assert q.stamp.mask.tobytes() == p.stamp.mask.tobytes()
