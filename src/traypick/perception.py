@@ -101,12 +101,22 @@ class InstanceMaskSet:
     def from_rasters(cls, masks: list[tuple[int, np.ndarray]], source: str = "ground_truth",
                      confidences: dict[int, float] | None = None,
                      shape: tuple[int, int] | None = None) -> InstanceMaskSet:
-        """(id, full raster) pairs, each cropped to its bounding box; shape
-        is the rasters' shape, or the given one when there are none. No
-        masks and no shape raise ParameterError."""
-        shape = masks[0][1].shape if masks else shape
+        """(id, full raster) pairs, each cropped to its bounding box, on a
+        raster of the given shape (default: the first raster's). No masks
+        and no shape, a raster of another shape and a repeated id raise
+        ParameterError."""
         if shape is None:
-            raise ParameterError("an empty mask set needs a shape")
+            if not masks:
+                raise ParameterError("an empty mask set needs a shape")
+            shape = masks[0][1].shape
+        shape = tuple(shape)
+        seen: set[int] = set()
+        for pid, m in masks:
+            if m.shape != shape:
+                raise ParameterError(f"mask {pid} has shape {m.shape}, not {shape}")
+            if pid in seen:
+                raise ParameterError(f"duplicate instance id {pid}")
+            seen.add(pid)
         return cls([_cropped(pid, m) for pid, m in masks], shape, source, confidences or {})
 
     @property
@@ -158,14 +168,16 @@ def render_depth(
 
 
 def render_masks(scene: TrayScene) -> InstanceMaskSet:
-    """Ground-truth visible-region masks, one per non-occluded piece. The
-    scene is not changed: its occlusion flags are kept by scenegen."""
+    """Ground-truth visible-region masks, one per piece with a pixel on the
+    owner map, in id order. Each is read on the piece's recorded stamp
+    window, which holds every pixel the piece can own. The scene is not
+    changed."""
     windows: list[MaskWindow] = []
-    slices = ndimage.find_objects(scene.owner_map, max_label=scene.next_id - 1)
     for pid in sorted(scene.pieces):
-        sl = slices[pid - 1] if pid - 1 < len(slices) else None
-        if sl is not None:
-            windows.append(MaskWindow(pid, sl, scene.owner_map[sl] == pid))
+        rows, cols = scene.pieces[pid].window[0]
+        w = _cropped(pid, scene.owner_map[rows, cols] == pid, rows.start, cols.start)
+        if w.local.size:
+            windows.append(w)
     return InstanceMaskSet(windows, scene.shape, "ground_truth")
 
 

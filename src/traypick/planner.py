@@ -179,11 +179,17 @@ def _ellipse_window(fit: EllipseFit, shape: tuple[int, int]) -> Window:
     r1 = max(r0, min(shape[0], math.floor(fit.y + half_y) + 2))
     c0 = max(0, math.ceil(fit.x - half_x) - 1)
     c1 = max(c0, min(shape[1], math.floor(fit.x + half_x) + 2))
-    dx = np.arange(c0, c1)[np.newaxis, :] - fit.x
-    dy = np.arange(r0, r1)[:, np.newaxis] - fit.y
+    dx = np.arange(c0, c1, dtype=np.float64)[np.newaxis, :] - fit.x
+    dy = np.arange(r0, r1, dtype=np.float64)[:, np.newaxis] - fit.y
     u = dx * c + dy * s
     v = dy * c - dx * s
-    return (slice(r0, r1), slice(c0, c1)), (u / a) ** 2 + (v / b) ** 2 <= 1.0
+    # (u / a) ** 2 + (v / b) ** 2 in place; ** 2 on floats is x * x
+    u /= a
+    u *= u
+    v /= b
+    v *= v
+    u += v
+    return (slice(r0, r1), slice(c0, c1)), u <= 1.0
 
 
 def _rectangle_pixels(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -168,18 +169,17 @@ def rasterize_stamp(
 
 
 def _piece_shape(
-    archetype: FoodArchetype, scale: float, rotation: float, rng: np.random.Generator
+    archetype: FoodArchetype, scale: float, rotation: float, jitter: tuple[float, float, float]
 ) -> tuple[float, float, float, float, float]:
     """The rasterize_stamps shape (semi_a, semi_b, exponent, peak, rotation)
-    of one piece at scale, from exactly three rng draws (axis-a, axis-b and
-    dome jitter)."""
+    of one piece at scale, from its three jitter draws in [-j, j) (axis-a,
+    axis-b and dome)."""
     lo, hi = archetype.scale_range
     if not (lo <= scale <= hi):
         raise ParameterError(
             f"scale {scale} outside {archetype.name} range [{lo}, {hi}]"
         )
-    j = archetype.jitter
-    ja, jb, jd = 1.0 + rng.uniform(-j, j, 3)
+    ja, jb, jd = (1.0 + v for v in jitter)
     semi_a = archetype.semi_axes_mm[0] * scale * ja
     semi_b = archetype.semi_axes_mm[1] * scale * jb
     peak = archetype.dome_ratio * 0.5 * (semi_a + semi_b) * jd
@@ -198,7 +198,8 @@ def make_stamp(
     Consumes exactly three rng draws (axis-a, axis-b, dome jitter) so scene
     generation stays reproducible.
     """
-    shape = _piece_shape(archetype, scale, rotation, rng)
+    j = archetype.jitter
+    shape = _piece_shape(archetype, scale, rotation, rng.uniform(-j, j, 3))
     stamp = rasterize_stamp(*shape, mm_per_pixel(resolution=resolution))
     stamp.scale = scale
     return stamp
@@ -304,6 +305,12 @@ class SceneConfig:
         check_number("max_placement_retries", self.max_placement_retries, integral=True, low=1)
 
 
+def _random_blocks(rng: np.random.Generator, block: int) -> Iterator[float]:
+    """rng.random() values in stream order, drawn block at a time."""
+    while True:
+        yield from rng.random(block).tolist()
+
+
 def generate_scene(config: SceneConfig, seed: int) -> TrayScene:
     """Generate one domain-randomized cluttered tray; pure in (config, seed)."""
     config.validate()
@@ -326,19 +333,28 @@ def generate_scene(config: SceneConfig, seed: int) -> TrayScene:
 
     # Three passes: draw every piece's shape and position in the stream's
     # order, rasterize the placed pieces' stamps in batches, drop them in order.
-    width, depth = config.tray_dims[0], config.tray_dims[1]
+    # After count every draw is a uniform double, and Generator.uniform(low,
+    # high) is low + (high - low) * random() bit for bit, so the draws are
+    # read from blocks of rng.random, 7 per piece (scale, rotation, 3 jitters,
+    # x, y). Rejected positions may use a block up; the next is drawn then.
+    # No draw follows, so over-drawing moves nothing.
+    width, depth = float(config.tray_dims[0]), float(config.tray_dims[1])
+    lo, hi = float(arch.scale_range[0]), float(arch.scale_range[1])
+    j = float(arch.jitter)
     ny, nx = scene.shape
     placed: list[tuple[float, tuple, float, float]] = []  # scale, shape, x, y
     count = int(rng.integers(arch.count_range[0], arch.count_range[1] + 1))
+    draws = _random_blocks(rng, 7 * count)
     for _ in range(count):
-        scale = float(rng.uniform(*arch.scale_range))
-        rotation = float(rng.uniform(0.0, math.pi))
-        shape = _piece_shape(arch, scale, rotation, rng)
+        scale = lo + (hi - lo) * next(draws)
+        rotation = 0.0 + math.pi * next(draws)
+        jitter = tuple(-j + (j + j) * next(draws) for _ in range(3))
+        shape = _piece_shape(arch, scale, rotation, jitter)
         edge_stamp = None
         # a piece that cannot be placed within the retry budget is skipped
         for _ in range(config.max_placement_retries):
-            x = float(rng.uniform(0.0, width))
-            y = float(rng.uniform(0.0, depth))
+            x = 0.0 + width * next(draws)
+            y = 0.0 + depth * next(draws)
             # drop_piece's tests, decided before any drop. The position is in
             # the tray: 0.0 + high * r with r < 1 rounds below high. f(0, 0) = 0
             # puts the centre pixel in every footprint, so a centre inside the
@@ -422,11 +438,34 @@ def save_scene(scene: TrayScene, out_dir: str | Path) -> None:
     write_pgm16(out / "owner_map.pgm", scene.owner_map.astype(np.uint16))
 
 
+_SCENE_KEYS = ("tray_dims", "resolution", "seed", "next_id", "randomization", "pieces")
+_PIECE_KEYS = ("id", "archetype", "position", "rest_height", "scale", "stamp", "damaged", "damage_magnitude")
+_STAMP_KEYS = ("semi_a", "semi_b", "exponent", "peak", "rotation")
+
+
+def _require_keys(doc: dict, keys: tuple[str, ...], where: str) -> None:
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise ParameterError(f"{where} is missing {', '.join(missing)}")
+
+
 def load_scene(in_dir: str | Path) -> TrayScene:
     """Read a scene written by save_scene and recompose its maps; a stored
-    occlusion flag is ignored. A repeated piece id raises ParameterError."""
+    occlusion flag is ignored. A missing key, a piece id that is repeated or
+    outside 1..65535 (the owner-map PGM holds 16 bits), and a next_id not
+    above every id raise ParameterError."""
     src = Path(in_dir)
     doc = json.loads((src / "scene.json").read_text())
+    _require_keys(doc, _SCENE_KEYS, "scene.json")
+    ids: set[int] = set()
+    for pd in doc["pieces"]:
+        _require_keys(pd, _PIECE_KEYS, "scene.json piece")
+        _require_keys(pd["stamp"], _STAMP_KEYS, f"scene.json piece {pd['id']!r} stamp")
+        check_number("piece id", pd["id"], integral=True, low=1, high=65535)
+        if pd["id"] in ids:
+            raise ParameterError(f"duplicate piece id {pd['id']}")
+        ids.add(pd["id"])
+    check_number("next_id", doc["next_id"], integral=True, low=max(ids, default=0), low_open=True)
     archetypes = load_archetypes(src / "archetypes.json")
     scene = empty_scene(
         archetypes,
@@ -435,13 +474,10 @@ def load_scene(in_dir: str | Path) -> TrayScene:
         doc["seed"],
     )
     scene.randomization = doc["randomization"]
-    keys = ("semi_a", "semi_b", "exponent", "peak", "rotation")
     stamps = rasterize_stamps(
-        [tuple(pd["stamp"][k] for k in keys) for pd in doc["pieces"]], scene.resolution
+        [tuple(pd["stamp"][k] for k in _STAMP_KEYS) for pd in doc["pieces"]], scene.resolution
     )
     for pd, stamp in zip(doc["pieces"], stamps):
-        if pd["id"] in scene.pieces:
-            raise ParameterError(f"duplicate piece id {pd['id']}")
         stamp.scale = pd["scale"]
         position = tuple(pd["position"])
         piece = PieceInstance(

@@ -286,6 +286,19 @@ class TestMaskAndDepthFiles:
         loaded = load_masks(save_masks(empty, tmp_path))
         assert (loaded.shape, loaded.ids()) == ((20, 30), [])
 
+    def test_rasters_of_another_shape_rejected(self):
+        a, b = square_mask((10, 10), 2, 2, 3), square_mask((20, 20), 12, 12, 5)
+        with pytest.raises(ParameterError, match=r"mask 2 has shape \(20, 20\)"):
+            InstanceMaskSet.from_rasters([(1, a), (2, b)])
+        with pytest.raises(ParameterError, match=r"mask 1 has shape \(10, 10\), not \(20, 20\)"):
+            InstanceMaskSet.from_rasters([(1, a)], shape=(20, 20))
+        assert InstanceMaskSet.from_rasters([(2, b)], shape=[20, 20]).shape == (20, 20)
+
+    def test_repeated_id_rejected(self):
+        m = square_mask((10, 10), 2, 2, 3)
+        with pytest.raises(ParameterError, match="duplicate instance id 1"):
+            InstanceMaskSet.from_rasters([(1, m), (2, m), (1, m)])
+
     def test_depth_round_trip(self, tmp_path):
         scene = generate_scene(SceneConfig(), 5)
         depth = render_depth(scene)

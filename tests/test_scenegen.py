@@ -300,3 +300,42 @@ class TestSceneFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(ParameterError, match="duplicate piece id"):
             load_scene(tmp_path)
+
+    @staticmethod
+    def edited(tmp_path, edit):
+        """A saved seed-17 default tray whose scene.json doc was passed to edit."""
+        save_scene(generate_scene(SceneConfig(), 17), tmp_path)
+        path = tmp_path / "scene.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return tmp_path
+
+    @pytest.mark.parametrize("bad", [0, -3, 65536, 70000, 2.0, "5", True, None])
+    def test_piece_id_outside_16_bits_rejected(self, tmp_path, bad):
+        def edit(doc):
+            doc["pieces"][0]["id"] = bad
+        with pytest.raises(ParameterError, match="piece id"):
+            load_scene(self.edited(tmp_path, edit))
+
+    def test_highest_16_bit_id_loads(self, tmp_path):
+        def edit(doc):
+            doc["pieces"][-1]["id"] = 65535
+            doc["next_id"] = 65536
+        scene = load_scene(self.edited(tmp_path, edit))
+        assert max(scene.pieces) == 65535 and (scene.owner_map == 65535).any()
+
+    @pytest.mark.parametrize("next_id", [1, "max", 0, 3.5])
+    def test_next_id_not_above_every_id_rejected(self, tmp_path, next_id):
+        def edit(doc):
+            doc["next_id"] = max(pd["id"] for pd in doc["pieces"]) if next_id == "max" else next_id
+        with pytest.raises(ParameterError, match="next_id"):
+            load_scene(self.edited(tmp_path, edit))
+
+    @pytest.mark.parametrize("where, key", [("piece", "rest_height"), ("piece", "id"), ("piece", "stamp"),
+                                            ("stamp", "peak"), ("scene", "next_id"), ("scene", "pieces")])
+    def test_missing_key_rejected(self, tmp_path, where, key):
+        def edit(doc):
+            del {"scene": doc, "piece": doc["pieces"][0], "stamp": doc["pieces"][0]["stamp"]}[where][key]
+        with pytest.raises(ParameterError, match=f"missing {key}"):
+            load_scene(self.edited(tmp_path, edit))

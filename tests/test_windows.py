@@ -1,13 +1,15 @@
 """Windowed per-mask computations equal the full-raster formulas they replace.
 
 Each oracle below is the full-raster implementation the windowed code
-replaced, kept verbatim (render_masks as its definition, one owner-map
-compare per piece) so the property tests can require exact equality: same
-pixels, same medians, same fractions, same RNG draws. The same holds for the
-box-limited stamp rasterizer, the in-place depth quantization, the
-partition median and the batched contact medians, each against the code it
-replaced or np.median, and for scene generation, whose oracle tries each drop
-as it draws it, rasterizing every stamp on its own over the full square.
+replaced, kept verbatim (render_masks both as its definition, one
+full-raster owner-map compare per piece, and as the find_objects scan it
+used before reading recorded windows) so the property tests can require
+exact equality: same pixels, same medians, same fractions, same RNG draws.
+The same holds for the box-limited stamp rasterizer, the in-place depth
+quantization, the partition median and the batched contact medians, each
+against the code it replaced or np.median, and for scene generation, whose
+oracle tries each drop as it draws it with scalar Generator.uniform calls,
+rasterizing every stamp on its own over the full square.
 plan's one stacked eigen-solve per tray is held to one fit_ellipse and
 derive_grasp per window, the one-pass jaw to its own rectangle, and each
 piece's recorded window to a fresh stamp_window.
@@ -48,6 +50,7 @@ from traypick.perception import (
     CorruptionParams,
     DepthImage,
     InstanceMaskSet,
+    MaskWindow,
     _bbox,
     agreement,
     corrupt_masks,
@@ -76,9 +79,11 @@ from traypick.planner import (
     select_grasp,
 )
 from traypick.scenegen import (
+    DEFAULT_TRAY_DIMS,
     PieceInstance,
     PieceStamp,
     SceneConfig,
+    drop_piece,
     empty_scene,
     generate_scene,
     load_scene,
@@ -183,6 +188,18 @@ def oracle_visible_fraction_in(scene, pid, region) -> float:
 
 
 def oracle_render_masks(scene):
+    """render_masks as one ndimage.find_objects scan of the owner map, each
+    window the bounding box of its label."""
+    windows = []
+    slices = ndimage.find_objects(scene.owner_map, max_label=scene.next_id - 1)
+    for pid in sorted(scene.pieces):
+        sl = slices[pid - 1] if pid - 1 < len(slices) else None
+        if sl is not None:
+            windows.append(MaskWindow(pid, sl, scene.owner_map[sl] == pid))
+    return InstanceMaskSet(windows, scene.shape, "ground_truth")
+
+
+def oracle_full_raster_masks(scene):
     """render_masks with one full raster per mask."""
     masks = []
     for pid in sorted(scene.pieces):
@@ -998,7 +1015,7 @@ def trays():
 def test_render_and_corrupt_masks_on_trays_equal_full_raster(trays, idx, seed, params):
     scene = trays[idx]
     truth = render_masks(scene)
-    assert_same_masks(truth, oracle_render_masks(scene))
+    assert_same_masks(truth, oracle_full_raster_masks(scene))
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
     got = corrupt_masks(truth, params, rng_new)
     expected, confidences = oracle_corrupt_masks(truth, params, rng_old)
@@ -1192,6 +1209,45 @@ def test_render_masks_leaves_occlusion_flags(kept_scenes):
     assert occluded > 0
 
 
+def buried_scene():
+    """A hand-built tray: a piece buried under a later, larger drop, and a
+    piece clipped at the raster's corner."""
+    scene = empty_scene(resolution=1.0, tray_dims=(100.0, 100.0, 80.0))
+    drop_piece(scene, rasterize_stamp(4.0, 4.0, 2.0, 1.0, 0.0, 1.0), 50.0, 50.0)
+    drop_piece(scene, rasterize_stamp(15.0, 15.0, 2.0, 10.0, 0.0, 1.0), 50.0, 50.0)
+    drop_piece(scene, rasterize_stamp(9.0, 4.0, 2.0, 12.0, 0.5, 1.0), 99.5, 1.0)
+    return scene
+
+
+@pytest.fixture(scope="module")
+def archetype_trays():
+    """Every built-in archetype on the default tray and on a 60 x 45 mm one,
+    where most stamp windows are clipped at the raster edge."""
+    return [generate_scene(SceneConfig(archetype=name, tray_dims=dims), seed)
+            for seed, name in enumerate(sorted(DEFAULT_ARCHETYPES))
+            for dims in (DEFAULT_TRAY_DIMS, (60.0, 45.0, 160.0))]
+
+
+def test_render_masks_equals_find_objects_scan(archetype_trays, kept_scenes):
+    """Masks read on the recorded stamp windows equal the owner map's
+    find_objects boxes: same ids, slices and local bytes, after drops, picks
+    and a load, with clipped windows and a fully buried piece."""
+    buried = buried_scene()
+    scenes = [*archetype_trays, *(scene for _, scene in kept_scenes), buried]
+    clipped = 0
+    for scene in scenes:
+        got, expected = render_masks(scene), oracle_render_masks(scene)
+        assert (got.shape, got.source) == (expected.shape, expected.source)
+        assert got.ids() == expected.ids()
+        for a, b in zip(got.windows, expected.windows):
+            assert a.slices == b.slices
+            assert (a.local.shape, a.local.tobytes()) == (b.local.shape, b.local.tobytes())
+        clipped += sum(p.window[1][0] != slice(0, p.stamp.top.shape[0])
+                       or p.window[1][1] != slice(0, p.stamp.top.shape[1]) for p in scene.pieces.values())
+    assert render_masks(buried).ids() == [2, 3]  # piece 1 is buried
+    assert clipped >= 100
+
+
 # ---------------------------------------------------------------------------
 # scene generation: draw, rasterize in batches, drop
 
@@ -1249,3 +1305,39 @@ def test_sub_pixel_pieces_rejected_and_skipped_as_by_the_loop(retries):
     assert skipped > 0
     if retries > 1:
         assert rejected > retries * skipped  # some pieces placed after a rejection
+
+
+def test_generate_scene_refills_its_block_of_draws():
+    """Sub-pixel pieces on a one-pixel raster: a centre outside it is
+    rejected, so most positions are, and the draws of a tray run past the
+    first block of 7 per piece (scale, rotation, three jitters, x, y) into
+    several more."""
+    tiny = dataclasses.replace(DEFAULT_ARCHETYPES["mushroom"], name="tiny", semi_axes_mm=(0.3, 0.2))
+    config = SceneConfig(archetype="tiny", archetypes={"tiny": tiny}, tray_dims=(6.0, 6.0, 50.0),
+                         resolution=5.0, max_placement_retries=100)
+    for seed in range(3):
+        expected, rejected, skipped = oracle_generate_scene(config, seed)
+        count = len(expected.pieces) + skipped
+        used = 5 * count + 2 * (len(expected.pieces) + rejected)  # every placed or rejected position
+        assert used > 2 * 7 * count
+        assert_same_scene(generate_scene(config, seed), expected)
+
+
+UNIFORM_RANGES = sorted({
+    (0.0, math.pi),
+    *((0.0, float(dim)) for dims in (DEFAULT_TRAY_DIMS, (60.0, 45.0, 160.0), (106.0, 106.0, 160.0))
+      for dim in dims[:2]),
+    *(tuple(map(float, a.scale_range)) for a in DEFAULT_ARCHETYPES.values()),
+    *((-float(a.jitter), float(a.jitter)) for a in DEFAULT_ARCHETYPES.values()),
+})
+
+
+@pytest.mark.parametrize("low, high", UNIFORM_RANGES)
+def test_uniform_is_low_plus_range_times_random(low, high):
+    """generate_scene reads Generator.uniform(low, high) as
+    low + (high - low) * random(), in Python floats, from blocks of
+    rng.random; the oracle calls uniform, one value and three at a time."""
+    a, b = np.random.default_rng(11), np.random.default_rng(11)
+    got = [a.uniform(low, high) for _ in range(2000)] + a.uniform(low, high, 6000).tolist()
+    expected = [low + (high - low) * r for r in b.random(8000).tolist()]
+    assert [float_bits(v) for v in got] == [float_bits(v) for v in expected]
