@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
-from .errors import ParameterError
+from .errors import ParameterError, check_number, check_type
 
 
 class Hardness(enum.Enum):
@@ -36,23 +36,29 @@ class FoodArchetype:
     count_range: tuple[int, int] = (10, 60)
 
     def validate(self) -> None:
+        n = self.name
+        for key, value in (("scale_range", self.scale_range), ("count_range", self.count_range),
+                           ("footprint semi_axes_mm", self.semi_axes_mm)):
+            if not (isinstance(value, tuple) and len(value) == 2):
+                raise ParameterError(f"{n}: {key} must be a pair, got {value!r}")
         lo, hi = self.scale_range
-        if not (0 < lo <= hi):
-            raise ParameterError(f"{self.name}: bad scale_range {self.scale_range}")
+        check_number(f"{n}: scale_range low", lo, low=0, low_open=True, finite=True)
+        check_number(f"{n}: scale_range high", hi, low=lo, finite=True)
         cmin, cmax = self.count_range
-        if not (1 <= cmin <= cmax <= 200):
-            raise ParameterError(f"{self.name}: bad count_range {self.count_range}")
-        # negated, so that NaN fails: generate_scene relies on f(0, 0) = 0
-        if not (all(a > 0 for a in self.semi_axes_mm) and self.exponent > 0):
-            raise ParameterError(f"{self.name}: bad footprint parameters")
-        if not (0 <= self.jitter < 1):
-            raise ParameterError(f"{self.name}: jitter must be in [0, 1)")
-        if self.dome_ratio <= 0:
-            raise ParameterError(f"{self.name}: dome_ratio must be > 0")
-        if self.fragility_force <= 0:
-            raise ParameterError(f"{self.name}: fragility_force must be > 0")
-        if self.damage_tolerance < 0:
-            raise ParameterError(f"{self.name}: damage_tolerance must be >= 0")
+        check_number(f"{n}: count_range low", cmin, integral=True, low=1)
+        check_number(f"{n}: count_range high", cmax, integral=True, low=cmin, high=200)
+        # generate_scene relies on f(0, 0) = 0, which these bounds give
+        for a in self.semi_axes_mm:
+            check_number(f"{n}: footprint semi_axes_mm", a, low=0, low_open=True, finite=True)
+        check_number(f"{n}: footprint exponent", self.exponent, low=0, low_open=True, finite=True)
+        check_number(f"{n}: jitter", self.jitter, low=0, high=1)
+        if self.jitter == 1:
+            raise ParameterError(f"{n}: jitter must be < 1, got {self.jitter!r}")
+        check_number(f"{n}: dome_ratio", self.dome_ratio, low=0, low_open=True, finite=True)
+        check_type(f"{n}: hardness", self.hardness, Hardness)
+        check_number(f"{n}: fragility_force", self.fragility_force, low=0, low_open=True, finite=True)
+        check_number(f"{n}: damage_tolerance", self.damage_tolerance, low=0, finite=True)
+        check_number(f"{n}: grasp_height_offset", self.grasp_height_offset, finite=True)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -61,11 +67,22 @@ class FoodArchetype:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FoodArchetype":
-        d = dict(d)
-        d["hardness"] = Hardness(d["hardness"])
-        d["semi_axes_mm"] = tuple(d["semi_axes_mm"])
-        d["scale_range"] = tuple(d["scale_range"])
-        d["count_range"] = tuple(d["count_range"])
+        """The archetype a to_dict document describes. A document that is not
+        an object, an unknown or missing key, an unknown hardness and a value
+        validate() refuses raise ParameterError."""
+        if not isinstance(d, dict):
+            raise ParameterError(f"an archetype must be a JSON object, got {d!r}")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ParameterError(f"unknown archetype key {unknown[0]!r}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+        if missing:
+            raise ParameterError(f"archetype is missing {', '.join(missing)}")
+        d = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
+        try:
+            d["hardness"] = Hardness(d["hardness"])
+        except ValueError:
+            raise ParameterError(f"unknown hardness {d['hardness']!r}") from None
         a = cls(**d)
         a.validate()
         return a
@@ -104,5 +121,13 @@ def save_archetypes(archetypes: dict[str, FoodArchetype], path: str | Path) -> N
 
 
 def load_archetypes(path: str | Path) -> dict[str, FoodArchetype]:
+    """The archetypes of a save_archetypes file; a document that is not an
+    object of archetypes, each under its own name, raises ParameterError."""
     doc = json.loads(Path(path).read_text())
-    return {name: FoodArchetype.from_dict(d) for name, d in doc.items()}
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{path} must hold a JSON object, got {doc!r}")
+    archetypes = {name: FoodArchetype.from_dict(d) for name, d in doc.items()}
+    for name, a in archetypes.items():
+        if a.name != name:
+            raise ParameterError(f"archetype {a.name!r} is stored under {name!r}")
+    return archetypes

@@ -143,36 +143,23 @@ def run_trial(
     p = plan(masks if corrupted is None else corrupted, depth, arch, cfg.finger_geometry,
              cfg.filtering)
     retained = sum(not c.filtered for c in p.candidates)  # all of them when unfiltered
-    if p.target is None:
-        record = TrialRecord(
-            attempt=attempt_idx,
-            seed=seed,
-            epoch=epoch,
-            candidate_count=len(p.candidates),
-            retained_count=retained,
-            target_id=None,
-            classification=Classification.FAILURE.value,
-            picked=[],
-            damaged=[],
-            reason="no-target",
-        )
-        # a depleting campaign must not retry the same dead scene forever
-        carry = None if cfg.refill_policy == DEPLETE else scene
-        return record, carry, epoch
-
-    outcome = execute_grasp(scene, p.target, cfg.finger_model(), cfg.execution)
+    outcome = (None if p.target is None
+               else execute_grasp(scene, p.target, cfg.finger_model(), cfg.execution))
     record = TrialRecord(
         attempt=attempt_idx,
         seed=seed,
         epoch=epoch,
         candidate_count=len(p.candidates),
         retained_count=retained,
-        target_id=p.target.instance_id,
-        classification=outcome.classification.value,
-        picked=sorted(outcome.picked),
-        damaged=sorted(outcome.damaged),
+        target_id=None if p.target is None else p.target.instance_id,
+        classification=(Classification.FAILURE if outcome is None else outcome.classification).value,
+        picked=[] if outcome is None else sorted(outcome.picked),
+        damaged=[] if outcome is None else sorted(outcome.damaged),
+        reason="no-target" if p.target is None else "",
     )
-    return record, scene, epoch
+    # a depleting campaign must not retry the same dead scene forever
+    carry = None if p.target is None and cfg.refill_policy == DEPLETE else scene
+    return record, carry, epoch
 
 
 def summarize(records: list[TrialRecord]) -> SummaryStats:

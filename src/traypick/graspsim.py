@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, check_number, check_type
-from .planner import (FingerGeometry, GraspCandidate, Window, _contact_pixels,
-                      _contact_rectangles, _finger_half_sizes, _rectangle_pixels, median)
-from .scenegen import TrayScene, recompose
+from .planner import (FingerGeometry, GraspCandidate, _contact_pixels, _contact_rectangles,
+                      _finger_half_sizes, _rectangle_pixels, median)
+from .scenegen import TrayScene, recompose, visible_window
 
 
 class FingerKind(enum.Enum):
@@ -235,20 +235,12 @@ def _jaw_regions(
     return sweep[np.abs(u) <= jaw_half_len], sweep
 
 
-def _visible_window(scene: TrayScene, pid: int) -> Window:
-    """Visible pixels of piece pid on its stamp window, which holds all of
-    them; an id that names no piece is looked up over the whole raster."""
-    piece = scene.pieces.get(pid)
-    win = (slice(None),) * 2 if piece is None else piece.window[0]
-    return win, scene.owner_map[win] == pid
-
-
 def _visible_fraction_in(scene: TrayScene, pid: int, label_counts: np.ndarray) -> float:
     """Share of pid's visible pixels in a region with these per-label counts."""
     inside = int(label_counts[pid]) if 0 <= pid < label_counts.size else 0
     if inside == 0:
         return 0.0
-    return inside / int(np.count_nonzero(_visible_window(scene, pid)[1]))
+    return inside / int(np.count_nonzero(visible_window(scene, pid)[1]))
 
 
 def close_and_lift(
@@ -293,7 +285,7 @@ def close_and_lift(
                 continue
             if _visible_fraction_in(scene, pid, in_jaw) < params.multipick_fraction:
                 continue
-            win, visible = _visible_window(scene, pid)
+            win, visible = visible_window(scene, pid)
             if median(scene.heightmap[win][visible]) > max_bottom:
                 picked.append(pid)
 

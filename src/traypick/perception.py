@@ -19,7 +19,7 @@ from scipy import ndimage
 
 from .errors import ParameterError, check_number
 from .grids import heights_to_levels, levels_to_heights, read_pgm16, write_pgm16
-from .scenegen import TrayScene
+from .scenegen import TrayScene, visible_window
 
 IOU_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 
@@ -174,8 +174,8 @@ def render_masks(scene: TrayScene) -> InstanceMaskSet:
     changed."""
     windows: list[MaskWindow] = []
     for pid in sorted(scene.pieces):
-        rows, cols = scene.pieces[pid].window[0]
-        w = _cropped(pid, scene.owner_map[rows, cols] == pid, rows.start, cols.start)
+        (rows, cols), visible = visible_window(scene, pid)
+        w = _cropped(pid, visible, rows.start, cols.start)
         if w.local.size:
             windows.append(w)
     return InstanceMaskSet(windows, scene.shape, "ground_truth")

@@ -15,6 +15,7 @@ import numpy as np
 from .archetypes import FoodArchetype
 from .errors import FitError, ParameterError, check_number
 from .perception import DepthImage, InstanceMaskSet
+from .scenegen import Window
 
 
 @dataclass
@@ -151,9 +152,6 @@ def fit_ellipse(mask: np.ndarray, offset: tuple[int, int] = (0, 0)) -> EllipseFi
         raise fit
     return fit
 
-
-# (raster slices, boolean array of their shape): heights[slices][local]
-Window = tuple[tuple[slice, slice], np.ndarray]
 
 # Rectangles per vectorised pass of _rectangle_pixels. Over finger contacts
 # (34 x 34 px squares at the default tray) a pass of 8 keeps each float

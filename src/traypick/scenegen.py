@@ -51,6 +51,8 @@ class PieceStamp:
 
 # (raster slices, stamp slices): scene.heightmap[raster] lies under stamp.top[stamp]
 StampWindow = tuple[tuple[slice, slice], tuple[slice, slice]]
+# (raster slices, boolean array of their shape): heights[slices][local]
+Window = tuple[tuple[slice, slice], np.ndarray]
 
 
 @dataclass
@@ -207,32 +209,66 @@ def make_stamp(
 
 def _clip_window(window: StampWindow, region: tuple[slice, slice]) -> StampWindow:
     """window with its raster slices clipped to region and its stamp slices
-    cut by as much. A window outside the region gets empty raster slices."""
+    cut by as much. A window outside the region gets empty slices."""
     (rows, cols), (srows, scols) = window
-    r0, r1 = max(rows.start, region[0].start), min(rows.stop, region[0].stop)
-    c0, c1 = max(cols.start, region[1].start), min(cols.stop, region[1].stop)
+    r0 = max(rows.start, region[0].start)
+    r1 = max(r0, min(rows.stop, region[0].stop))
+    c0 = max(cols.start, region[1].start)
+    c1 = max(c0, min(cols.stop, region[1].stop))
     return ((slice(r0, r1), slice(c0, c1)),
             (slice(srows.start + r0 - rows.start, srows.stop - rows.stop + r1),
              slice(scols.start + c0 - cols.start, scols.stop - cols.stop + c1)))
 
 
-def stamp_window(
-    scene: TrayScene,
-    stamp: PieceStamp,
-    position: tuple[float, float],
-    region: tuple[slice, slice] | None = None,
-) -> StampWindow:
+def stamp_window(scene: TrayScene, stamp: PieceStamp, position: tuple[float, float]) -> StampWindow:
     """Raster and stamp slices of a stamp centred at position (x, y) mm,
-    clipped to region (default: the tray interior, whose window holds every
-    pixel of the piece). A stamp outside the region gives empty slices."""
+    clipped to the raster, which holds every pixel of the piece. A stamp
+    off the raster gives empty slices."""
     cy = int(round(position[1] / scene.resolution))
     cx = int(round(position[0] / scene.resolution))
     hy, hx = stamp.center
     side_y, side_x = stamp.top.shape
     return _clip_window(
         ((slice(cy - hy, cy + hy + 1), slice(cx - hx, cx + hx + 1)), (slice(0, side_y), slice(0, side_x))),
-        region or (slice(0, scene.shape[0]), slice(0, scene.shape[1])),
+        (slice(0, scene.shape[0]), slice(0, scene.shape[1])),
     )
+
+
+def _placement(scene: TrayScene, stamp: PieceStamp, position: tuple[float, float]) -> StampWindow:
+    """The stamp_window of a stamp placed at position (x, y) mm. Raises
+    PlacementError unless the position is in the tray and the clipped
+    window and clipped footprint are not empty."""
+    x, y = position
+    if not (0 <= x < scene.tray_dims[0] and 0 <= y < scene.tray_dims[1]):
+        raise PlacementError(f"drop position ({x}, {y}) outside tray")
+    win, st = stamp_window(scene, stamp, position)
+    if win[0].stop <= win[0].start or win[1].stop <= win[1].start:
+        raise PlacementError("stamp footprint entirely outside tray")
+    if not np.count_nonzero(stamp.mask[st]):  # cheaper than .any() on small masks
+        raise PlacementError("clipped footprint is empty")
+    return win, st
+
+
+def _composite(scene: TrayScene, piece: PieceInstance, window: StampWindow) -> None:
+    """Max-compose piece into the maps on window, its recorded window or a
+    clip of it: a footprint pixel whose top, raised by the rest height, is
+    above the heightmap takes that top and the piece's id."""
+    win, st = window
+    heights = scene.heightmap[win]
+    top = piece.stamp.top[st] + piece.rest_height
+    raised = top > heights
+    raised &= piece.stamp.mask[st]
+    np.copyto(heights, top, where=raised)
+    scene.owner_map[win][raised] = piece.id
+
+
+def visible_window(scene: TrayScene, pid: int) -> Window:
+    """Visible pixels of piece pid: the owner map tested on its recorded
+    stamp window, which holds every pixel the piece can own. An id that
+    names no piece is tested over the whole raster."""
+    piece = scene.pieces.get(pid)
+    win = (slice(0, scene.shape[0]), slice(0, scene.shape[1])) if piece is None else piece.window[0]
+    return win, scene.owner_map[win] == pid
 
 
 def drop_piece(
@@ -248,35 +284,18 @@ def drop_piece(
     elevation at which the stamp bottom clears the current support everywhere,
     floored at the tray floor. Returns the registered piece.
     """
-    if not (0 <= x < scene.tray_dims[0] and 0 <= y < scene.tray_dims[1]):
-        raise PlacementError(f"drop position ({x}, {y}) outside tray")
-    win, st = stamp_window(scene, stamp, (x, y))
-    if win[0].stop <= win[0].start or win[1].stop <= win[1].start:
-        raise PlacementError("stamp footprint entirely outside tray")
-    mask = stamp.mask[st]
-    window = scene.heightmap[win]
-    support = window[mask]
-    if not support.size:
-        raise PlacementError("clipped footprint is empty")
-    rest = float(max(0.0, support.max()))
-    new_top = stamp.top[st] + rest
-    raised = new_top > window
-    raised &= mask
-
-    piece_id = scene.next_id
-    scene.next_id += 1
-    np.copyto(window, new_top, where=raised)
-    scene.owner_map[win][raised] = piece_id
-
+    win, st = _placement(scene, stamp, (x, y))
     piece = PieceInstance(
-        id=piece_id,
+        id=scene.next_id,
         archetype=archetype_name,
         stamp=stamp,
         position=(x, y),
         window=(win, st),
-        rest_height=rest,
+        rest_height=float(max(0.0, scene.heightmap[win][stamp.mask[st]].max())),
     )
-    scene.pieces[piece_id] = piece
+    scene.next_id += 1
+    _composite(scene, piece, piece.window)
+    scene.pieces[piece.id] = piece
     return piece
 
 
@@ -355,17 +374,17 @@ def generate_scene(config: SceneConfig, seed: int) -> TrayScene:
         for _ in range(config.max_placement_retries):
             x = 0.0 + width * next(draws)
             y = 0.0 + depth * next(draws)
-            # drop_piece's tests, decided before any drop. The position is in
-            # the tray: 0.0 + high * r with r < 1 rounds below high. f(0, 0) = 0
-            # puts the centre pixel in every footprint, so a centre inside the
-            # raster always places; only a centre in row ny or column nx needs
-            # the clipped footprint.
+            # drop_piece's placement test, decided before any drop. The
+            # position is in the tray: 0.0 + high * r with r < 1 rounds below
+            # high. f(0, 0) = 0 puts the centre pixel in every footprint, so a
+            # centre inside the raster always places; only a centre in row ny
+            # or column nx needs the stamp.
             if int(round(y / scene.resolution)) >= ny or int(round(x / scene.resolution)) >= nx:
                 if edge_stamp is None:
                     edge_stamp = rasterize_stamp(*shape, scene.resolution)
-                win, st = stamp_window(scene, edge_stamp, (x, y))
-                outside = win[0].stop <= win[0].start or win[1].stop <= win[1].start
-                if outside or not edge_stamp.mask[st].any():
+                try:
+                    _placement(scene, edge_stamp, (x, y))
+                except PlacementError:
                     continue
             placed.append((scale, shape, x, y))
             break
@@ -390,15 +409,9 @@ def recompose(scene: TrayScene, region: tuple[slice, slice] | None = None) -> No
     scene.owner_map[region] = 0
     for pid in sorted(scene.pieces):
         piece = scene.pieces[pid]
-        win, st = _clip_window(piece.window, region)
-        if win[0].stop <= win[0].start or win[1].stop <= win[1].start:
-            continue
-        mask = piece.stamp.mask[st]
-        new_top = piece.rest_height + piece.stamp.top[st]
-        window = scene.heightmap[win]
-        raised = mask & (new_top > window)
-        window[raised] = new_top[raised]
-        scene.owner_map[win][raised] = pid
+        (rows, cols), st = _clip_window(piece.window, region)
+        if rows.stop > rows.start and cols.stop > cols.start:
+            _composite(scene, piece, ((rows, cols), st))
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +438,7 @@ def save_scene(scene: TrayScene, out_dir: str | Path) -> None:
                 "rest_height": p.rest_height,
                 "scale": p.stamp.scale,
                 "stamp": p.stamp.params,
-                "fully_occluded": not (scene.owner_map[p.window[0]] == p.id).any(),
+                "fully_occluded": not visible_window(scene, p.id)[1].any(),
                 "damaged": p.damaged,
                 "damage_magnitude": p.damage_magnitude,
             }
@@ -452,8 +465,9 @@ def _require_keys(doc: dict, keys: tuple[str, ...], where: str) -> None:
 def load_scene(in_dir: str | Path) -> TrayScene:
     """Read a scene written by save_scene and recompose its maps; a stored
     occlusion flag is ignored. A missing key, a piece id that is repeated or
-    outside 1..65535 (the owner-map PGM holds 16 bits), and a next_id not
-    above every id raise ParameterError."""
+    outside 1..65535 (the owner-map PGM holds 16 bits), a next_id not above
+    every id, and a piece drop_piece would refuse at its position raise
+    ParameterError."""
     src = Path(in_dir)
     doc = json.loads((src / "scene.json").read_text())
     _require_keys(doc, _SCENE_KEYS, "scene.json")
@@ -479,13 +493,22 @@ def load_scene(in_dir: str | Path) -> TrayScene:
     )
     for pd, stamp in zip(doc["pieces"], stamps):
         stamp.scale = pd["scale"]
+        where = f"scene.json piece {pd['id']}"
+        if not (isinstance(pd["position"], list) and len(pd["position"]) == 2):
+            raise ParameterError(f"{where} position must hold 2 numbers, got {pd['position']!r}")
+        for v in pd["position"]:
+            check_number(f"{where} position", v, finite=True)
         position = tuple(pd["position"])
+        try:
+            window = _placement(scene, stamp, position)
+        except PlacementError as e:
+            raise ParameterError(f"{where}: {e}") from None
         piece = PieceInstance(
             id=pd["id"],
             archetype=pd["archetype"],
             stamp=stamp,
             position=position,
-            window=stamp_window(scene, stamp, position),
+            window=window,
             rest_height=pd["rest_height"],
             damaged=pd["damaged"],
             damage_magnitude=pd["damage_magnitude"],

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from traypick.archetypes import DEFAULT_ARCHETYPES, FoodArchetype, Hardness
+from traypick.archetypes import (DEFAULT_ARCHETYPES, FoodArchetype, Hardness, load_archetypes,
+                                 save_archetypes)
+from traypick.config import experiment_config_from_document
 from traypick.errors import ParameterError, PlacementError
 from traypick.scenegen import (
     DEFAULT_TRAY_DIMS,
@@ -20,6 +22,7 @@ from traypick.scenegen import (
     rasterize_stamp,
     recompose,
     save_scene,
+    stamp_window,
 )
 
 
@@ -181,6 +184,14 @@ class TestDropPiece:
             drop_piece(scene, flat_stamp(1, 5.0), 50.0, 99.7)  # a 1 x 1 stamp in row ny
         assert scene.next_id == 1 and not scene.pieces and not scene.heightmap.any()
 
+    def test_stamp_off_the_raster_has_an_empty_window(self):
+        """The clipped raster stop used to go negative, and numpy read it from
+        the far end of the raster."""
+        scene = empty_scene(resolution=1.0, tray_dims=(100.0, 100.0, 50.0))
+        stamp = rasterize_stamp(5.0, 5.0, 2.0, 3.0, 0.0, 1.0)
+        win, st = stamp_window(scene, stamp, (-20.0, -20.0))
+        assert scene.heightmap[win].shape == stamp.top[st].shape == (0, 0)
+
     def test_partial_overlap_with_wall_clips(self):
         scene = empty_scene(resolution=1.0, tray_dims=(100.0, 100.0, 50.0))
         stamp = rasterize_stamp(10.0, 10.0, 2.0, 5.0, 0.0, 1.0)
@@ -332,6 +343,27 @@ class TestSceneFiles:
         with pytest.raises(ParameterError, match="next_id"):
             load_scene(self.edited(tmp_path, edit))
 
+    @pytest.mark.parametrize("position", [(-20.0, -20.0), (500.0, 10.0), (10.0, 308.0)])
+    def test_position_drop_piece_refuses_rejected(self, tmp_path, position):
+        """A piece at (-20, -20) mm used to load with the window
+        (slice(0, -5), slice(0, -5)), which numpy reads from the far end of
+        the raster; the other two loaded silently as well."""
+        scene = generate_scene(SceneConfig(), 17)
+        with pytest.raises(PlacementError, match="outside tray"):
+            drop_piece(scene, scene.pieces[1].stamp, *position)
+
+        def edit(doc):
+            doc["pieces"][0]["position"] = list(position)
+        with pytest.raises(ParameterError, match="piece 1: drop position .* outside tray"):
+            load_scene(self.edited(tmp_path, edit))
+
+    @pytest.mark.parametrize("bad", [[10.0], [10.0, "5"], [math.nan, 10.0], 10.0, None])
+    def test_malformed_position_rejected(self, tmp_path, bad):
+        def edit(doc):
+            doc["pieces"][0]["position"] = bad
+        with pytest.raises(ParameterError, match="piece 1.* position"):
+            load_scene(self.edited(tmp_path, edit))
+
     @pytest.mark.parametrize("where, key", [("piece", "rest_height"), ("piece", "id"), ("piece", "stamp"),
                                             ("stamp", "peak"), ("scene", "next_id"), ("scene", "pieces")])
     def test_missing_key_rejected(self, tmp_path, where, key):
@@ -339,3 +371,60 @@ class TestSceneFiles:
             del {"scene": doc, "piece": doc["pieces"][0], "stamp": doc["pieces"][0]["stamp"]}[where][key]
         with pytest.raises(ParameterError, match=f"missing {key}"):
             load_scene(self.edited(tmp_path, edit))
+
+
+class TestArchetypeValidation:
+    """Every field is checked with check_number; NaN and inf used to pass
+    for all but the footprint and jitter fields."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["semi_axes_mm", "exponent", "jitter", "dome_ratio", "fragility_force",
+                                       "damage_tolerance", "grasp_height_offset", "scale_range", "count_range"])
+    def test_non_finite_field_rejected(self, field, value):
+        base = DEFAULT_ARCHETYPES["fried_chicken"]
+        old = getattr(base, field)
+        arch = dataclasses.replace(base, **{field: (old[0], value) if isinstance(old, tuple) else value})
+        with pytest.raises(ParameterError, match=field):
+            arch.validate()
+
+    @pytest.mark.parametrize("bad", [{"count_range": (40.5, 100)}, {"count_range": (10, 60, 80)},
+                                     {"jitter": 1.0}, {"hardness": "soft"}])
+    def test_bad_value_rejected(self, bad):
+        with pytest.raises(ParameterError):
+            dataclasses.replace(DEFAULT_ARCHETYPES["mushroom"], **bad).validate()
+
+    def test_from_dict_round_trip(self):
+        for arch in DEFAULT_ARCHETYPES.values():
+            assert FoodArchetype.from_dict(json.loads(json.dumps(arch.to_dict()))) == arch
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("colour", "red", "unknown archetype key 'colour'"),
+        ("exponent", None, "missing exponent"),
+        ("hardness", "mushy", "unknown hardness 'mushy'"),
+        ("dome_ratio", math.nan, "dome_ratio"),
+        ("semi_axes_mm", 19.0, "semi_axes_mm"),
+    ])
+    def test_from_dict_rejects_with_parameter_error(self, key, value, match):
+        """An unknown or missing key (value None) and an unknown hardness
+        used to raise TypeError, KeyError or ValueError."""
+        doc = DEFAULT_ARCHETYPES["gyoza"].to_dict()
+        doc[key] = value
+        if value is None:
+            del doc[key]
+        with pytest.raises(ParameterError, match=match):
+            FoodArchetype.from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [[], {"gyoza": []}, {"dumpling": DEFAULT_ARCHETYPES["gyoza"].to_dict()}])
+    def test_load_archetypes_rejects_a_malformed_file(self, tmp_path, doc):
+        path = tmp_path / "archetypes.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParameterError):
+            load_archetypes(path)
+
+    def test_nan_in_a_config_archetypes_file_rejected(self, tmp_path):
+        path = tmp_path / "archetypes.json"
+        save_archetypes(DEFAULT_ARCHETYPES, path)
+        path.write_text(path.read_text().replace('"dome_ratio": 0.55', '"dome_ratio": NaN'))
+        with pytest.raises(ParameterError, match="gyoza: dome_ratio"):
+            experiment_config_from_document(
+                {"archetype": "gyoza", "scene": {"archetypes_path": "archetypes.json"}}, tmp_path)

@@ -42,7 +42,6 @@ from traypick.graspsim import (
     _jaw_regions,
     _pieces_in_region,
     _visible_fraction_in,
-    _visible_window,
     execute_grasp,
 )
 from traypick.perception import (
@@ -93,6 +92,7 @@ from traypick.scenegen import (
     recompose,
     save_scene,
     stamp_window,
+    visible_window,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -923,7 +923,7 @@ def test_jaw_contents_and_fractions_equal_full_raster(scenes, idx, c, outer, bre
 def test_visible_windows_hold_every_visible_pixel(scenes):
     for scene in scenes:
         for pid in scene.pieces:
-            win, visible = _visible_window(scene, pid)
+            win, visible = visible_window(scene, pid)
             full = scene.owner_map == pid
             assert int(np.count_nonzero(visible)) == int(np.count_nonzero(full))
             if full.any():
