@@ -11,6 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import load_experiment_config
+from .errors import ParameterError
 from .experiment import ExperimentConfig, compare_conditions, observe, run_experiment, summary_csv
 from .graspsim import execute_grasp
 from .perception import agreement, load_depth, load_masks, save_depth, save_masks
@@ -65,9 +66,12 @@ def cmd_generate(args) -> int:
 def cmd_plan(args) -> int:
     cfg = _base_config(args)
     sc = cfg.scene_config()
+    masks = load_masks(args.masks)
     depth = load_depth(args.depth, mm_per_pixel(sc.tray_dims, sc.resolution))
-    p = plan(load_masks(args.masks), depth, sc.archetypes[cfg.archetype], cfg.finger_geometry,
-             cfg.filtering)
+    if depth.heights.shape != masks.shape:
+        raise ParameterError(f"depth {args.depth} is {depth.heights.shape[0]} x {depth.heights.shape[1]} px, "
+                             f"the masks' raster {masks.shape[0]} x {masks.shape[1]} px")
+    p = plan(masks, depth, sc.archetypes[cfg.archetype], cfg.finger_geometry, cfg.filtering)
     return _emit({**plan_to_dict(p), "archetype": cfg.archetype}, args.out)
 
 
@@ -75,6 +79,8 @@ def cmd_grasp(args) -> int:
     cfg = _base_config(args)
     scene = load_scene(args.scene)
     plan_doc = json.loads(Path(args.plan).read_text())
+    if not isinstance(plan_doc, dict):
+        raise ParameterError(f"{args.plan}: a plan document must be an object")
     if plan_doc.get("target") is None:
         print("plan has no target; nothing to execute", file=sys.stderr)
         return 1

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, check_number, check_type
-from .planner import (FingerGeometry, GraspCandidate, _contact_pixels, _contact_rectangles,
-                      _finger_half_sizes, _rectangle_pixels, median)
+from .errors import check_number, check_type
+from .planner import (FingerGeometry, GraspCandidate, _contact_rectangles, _finger_half_sizes,
+                      _rectangle_pixels, median)
 from .scenegen import TrayScene, recompose, visible_window
 
 
@@ -41,8 +41,8 @@ class FingerModel:
     def validate(self) -> None:
         check_type("kind", self.kind, FingerKind)
         if self.kind is FingerKind.ADAPTIVE:
-            if not (self.retraction_budget > 0 and self.max_force > 0):
-                raise ParameterError("adaptive finger needs positive budget and force")
+            for name in ("retraction_budget", "max_force"):
+                check_number(name, getattr(self, name), low=0, low_open=True, finite=True)
         self.geometry.validate()
 
 
@@ -107,31 +107,6 @@ def _pieces_in_region(scene: TrayScene, region: np.ndarray) -> dict[int, np.ndar
     return out
 
 
-def _wall_contacts(
-    scene: TrayScene, c: GraspCandidate, fg: FingerGeometry
-) -> tuple[bool, bool]:
-    """Whether each finger rectangle reaches past the tray interior.
-
-    The raster covers the interior only; anything beyond it is tray wall
-    (full tray depth), so a finger whose rectangle is not entirely inside
-    the raster collides with the wall on the way down.
-    """
-    ny, nx = scene.shape
-    hl, hb = _finger_half_sizes(fg, scene.resolution)
-    hits = []
-    for cx, cy, ux, uy in _contact_rectangles(c, fg, scene.resolution):
-        vx, vy = -uy, ux
-        hit = False
-        for su in (-1.0, 1.0):
-            for sv in (-1.0, 1.0):
-                px = cx + su * hl * ux + sv * hb * vx
-                py = cy + su * hl * uy + sv * hb * vy
-                if not (0.0 <= px <= nx - 1 and 0.0 <= py <= ny - 1):
-                    hit = True
-        hits.append(hit)
-    return hits[0], hits[1]
-
-
 def _insert_one(
     scene: TrayScene,
     region: np.ndarray,
@@ -193,21 +168,24 @@ def insert_fingers(
     """
     params = params or ExecutionParams()
     fm.validate()
-    left, right = _contact_pixels(c, fm.geometry, scene.resolution, scene.shape)
-    wall_l, wall_r = _wall_contacts(scene, c, fm.geometry)
-    fins = (
-        FingerInsertion(c.h, c.h, 0.0, {}, True)
-        if wall_l
-        else _insert_one(scene, left, c.h, fm, params),
-        FingerInsertion(c.h, c.h, 0.0, {}, True)
-        if wall_r
-        else _insert_one(scene, right, c.h, fm, params),
-    )
+    ny, nx = scene.shape
+    hl, hb = _finger_half_sizes(fm.geometry, scene.resolution)
+    rects = _contact_rectangles(c, fm.geometry, scene.resolution)
+    flat, counts = _rectangle_pixels(scene.shape, rects, hl, hb)
+    fins = []
+    for (cx, cy, ux, uy), region in zip(rects, (flat[: counts[0]], flat[counts[0] :])):
+        # The raster covers the interior only, so a rectangle with a corner
+        # beyond it hits the wall. Each sum is its extreme corner's, rounded
+        # left to right as the corner's own coordinate is.
+        inside = (0.0 <= cx - hl * abs(ux) - hb * abs(uy) and cx + hl * abs(ux) + hb * abs(uy) <= nx - 1
+                  and 0.0 <= cy - hl * abs(uy) - hb * abs(ux) and cy + hl * abs(uy) + hb * abs(ux) <= ny - 1)
+        fins.append(_insert_one(scene, region, c.h, fm, params) if inside
+                    else FingerInsertion(c.h, c.h, 0.0, {}, True))
     damaged: dict[int, float] = {}
     for fin in fins:
         for pid, magnitude in fin.contacts.items():
             _damage(scene, fm, pid, magnitude, damaged)
-    return InsertionResult(fins, damaged)
+    return InsertionResult(tuple(fins), damaged)
 
 
 def _jaw_regions(
@@ -226,7 +204,7 @@ def _jaw_regions(
     on where the tested square starts, so the jaw is the sweep's pixels
     with |u| within its half-length, in the same ascending order."""
     jaw_half_len = (c.w / 2.0 + fg.clearance) / scene.resolution
-    half_breadth_px = max(fg.breadth / 2.0 / scene.resolution, c.fit.axis_major / 2.0)
+    half_breadth_px = max(_finger_half_sizes(fg, scene.resolution)[1], c.fit.axis_major / 2.0)
     cos, sin = math.cos(c.theta), math.sin(c.theta)
     sweep = _rectangle_pixels(scene.shape, [(c.x, c.y, cos, sin)],
                               (c.w / 2.0 + fg.clearance + fg.width) / scene.resolution, half_breadth_px)[0]

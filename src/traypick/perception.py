@@ -19,7 +19,7 @@ from scipy import ndimage
 
 from .errors import ParameterError, check_number
 from .grids import heights_to_levels, levels_to_heights, read_pgm16, write_pgm16
-from .scenegen import TrayScene, visible_window
+from .scenegen import TrayScene, _clip_window, visible_window
 
 IOU_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 
@@ -51,12 +51,9 @@ def _pixels_in(w: MaskWindow, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
     """w's pixels on the raster box [r0, r1) x [c0, c1), which may reach
     past w's own box."""
     out = np.zeros((r1 - r0, c1 - c0), dtype=bool)
-    wr0, wr1, wc0, wc1 = _box(w)
-    lr0, lr1, lc0, lc1 = max(r0, wr0), min(r1, wr1), max(c0, wc0), min(c1, wc1)
-    if lr1 > lr0 and lc1 > lc0:
-        out[lr0 - r0 : lr1 - r0, lc0 - c0 : lc1 - c0] = w.local[
-            lr0 - wr0 : lr1 - wr0, lc0 - wc0 : lc1 - wc0
-        ]
+    whole = (slice(0, w.local.shape[0]), slice(0, w.local.shape[1]))
+    (rows, cols), local = _clip_window((w.slices, whole), (slice(r0, r1), slice(c0, c1)))
+    out[rows.start - r0 : rows.stop - r0, cols.start - c0 : cols.stop - c0] = w.local[local]
     return out
 
 
@@ -207,16 +204,14 @@ def _bbox(mask: np.ndarray) -> tuple[int, int, int, int] | None:
 
 
 def _adjacent(a: MaskWindow, b: MaskWindow, shape: tuple[int, int]) -> bool:
-    """8-neighborhood adjacency, evaluated on the overlap of padded boxes."""
-    if a.local.size == 0 or b.local.size == 0:
-        return False
+    """8-neighborhood adjacency, evaluated on the overlap of padded boxes,
+    which corrupt_masks passes only for pairs whose padded boxes overlap
+    inside the raster."""
     ba, bb = _box(a), _box(b)
     r0 = max(ba[0] - 1, bb[0] - 1, 0)
     r1 = min(ba[1] + 1, bb[1] + 1, shape[0])
     c0 = max(ba[2] - 1, bb[2] - 1, 0)
     c1 = min(ba[3] + 1, bb[3] + 1, shape[1])
-    if r1 <= r0 or c1 <= c0:
-        return False
     # 3 x 3 dilation of a as a separable OR of shifted slices: rows, then columns
     px = _pixels_in(a, r0, r1, c0, c1)
     rows = px.copy()
@@ -231,8 +226,6 @@ def _adjacent(a: MaskWindow, b: MaskWindow, shape: tuple[int, int]) -> bool:
 def _morph_jitter(w: MaskWindow, steps: int, shape: tuple[int, int]) -> MaskWindow:
     """Dilate (steps > 0) or erode (steps < 0) on the box padded by
     |steps| + 1 px and clipped to the raster."""
-    if w.local.size == 0:
-        return w
     box = _box(w)
     pad = abs(steps) + 1
     r0 = max(box[0] - pad, 0)

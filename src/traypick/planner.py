@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .archetypes import FoodArchetype
-from .errors import FitError, ParameterError, check_number
+from .errors import FitError, ParameterError, check_number, check_type
 from .perception import DepthImage, InstanceMaskSet
 from .scenegen import Window
 
@@ -297,23 +297,6 @@ def _contact_rectangles(
     return [(c.x + side * d_px * ux, c.y + side * d_px * uy, ux, uy) for side in (-1.0, 1.0)]
 
 
-def _contact_pixels(
-    c: GraspCandidate, fg: FingerGeometry, resolution: float, shape: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat raster indices of the two finger contact rectangles at the ends of
-    the minor axis.
-
-    Each rectangle is fg.width x fg.breadth, centered at distance
-    w/2 + clearance + fg.width/2 from the grasp center along the closing
-    direction, on opposite sides, and clipped to the raster. A rectangle
-    fully outside the raster comes back empty.
-    """
-    flat, counts = _rectangle_pixels(
-        shape, _contact_rectangles(c, fg, resolution), *_finger_half_sizes(fg, resolution)
-    )
-    return flat[: counts[0]], flat[counts[0] :]
-
-
 def filter_grasps(
     cands: list[GraspCandidate], depth: DepthImage, fg: FingerGeometry
 ) -> list[GraspCandidate]:
@@ -412,6 +395,25 @@ def plan_to_dict(p: Plan) -> dict:
 
 
 def candidate_from_dict(d: dict) -> GraspCandidate:
+    """The candidate of a plan document entry, which is outside input: every
+    number plan_to_dict writes must be present and finite, h, w and both
+    axes >= 0 and instance_id an integer >= 1; contact_medians, when given,
+    must be two finite numbers or null, filtered a bool and filter_reason a
+    string. Otherwise ParameterError names the key."""
+    if not isinstance(d, dict):
+        raise ParameterError(f"a plan candidate must be an object, got {d!r}")
+    for key, low in (("instance_id", 1), ("x", None), ("y", None), ("theta", None), ("h", 0),
+                     ("w", 0), ("food_median", None), ("axis_minor", 0), ("axis_major", 0)):
+        if key not in d:
+            raise ParameterError(f"plan candidate has no {key}")
+        check_number(key, d[key], integral=key == "instance_id", low=low, finite=True)
+    medians = d.get("contact_medians")
+    if not (medians is None or isinstance(medians, list) and len(medians) == 2):
+        raise ParameterError(f"contact_medians must be two numbers or null, got {medians!r}")
+    for m in medians or ():
+        check_number("contact_medians", m, finite=True)
+    check_type("filtered", d.get("filtered", False), bool)
+    check_type("filter_reason", d.get("filter_reason", ""), str)
     fit = EllipseFit(d["x"], d["y"], d["theta"], d["axis_minor"], d["axis_major"])
     return GraspCandidate(
         instance_id=d["instance_id"],
@@ -422,7 +424,7 @@ def candidate_from_dict(d: dict) -> GraspCandidate:
         w=d["w"],
         food_median=d["food_median"],
         fit=fit,
-        contact_medians=tuple(d["contact_medians"]) if d.get("contact_medians") else None,
+        contact_medians=tuple(medians) if medians else None,
         filtered=d.get("filtered", False),
         filter_reason=d.get("filter_reason", ""),
     )

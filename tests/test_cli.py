@@ -159,6 +159,24 @@ class TestPlan:
         with pytest.raises(ParameterError, match="tofu"):
             main(plan_args(d, "--config", write_config(tmp_path, archetype="tofu")))
 
+    def test_truncated_depth_rejected(self, tmp_path):
+        d = generate_scene_dir(tmp_path)
+        depth = d / "depth.pgm"
+        depth.write_bytes(depth.read_bytes()[:-2])
+        with pytest.raises(ParameterError, match=r"depth\.pgm: 600 x 436 samples need"):
+            main(plan_args(d))
+
+    def test_depth_of_another_tray_rejected(self, tmp_path):
+        """A default-tray manifest planned against the 283 x 600 depth of a
+        200-mm tray used to give candidates, a target and exit 0."""
+        d = generate_scene_dir(tmp_path)
+        cfg = write_config(tmp_path, scene={"tray_dims": [424, 200, 160]})
+        assert main(["generate", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "narrow")]) == 0
+        args = ["plan", "--masks", str(d / "masks_manifest.json"),
+                "--depth", str(tmp_path / "narrow" / "scene_3" / "depth.pgm")]
+        with pytest.raises(ParameterError, match=r"is 283 x 600 px, the masks' raster 436 x 600 px"):
+            main(args)
+
 
 @pytest.mark.parametrize("command, option", [
     ("plan", ["--archetype", "gyoza"]),
@@ -231,6 +249,24 @@ class TestGrasp:
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps({"target": None, "candidates": []}))
         assert main(["grasp", "--scene", str(d), "--plan", str(plan_path)]) == 1
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda doc: doc["target"].update(h=float("nan")), "h must be >= 0, got nan"),
+        (lambda doc: doc["target"].update(instance_id=3.5), "instance_id must be an integer"),
+        (lambda doc: doc["target"].clear(), "plan candidate has no instance_id"),
+        (lambda doc: doc.update(target=[1]), "plan candidate must be an object"),
+        (lambda doc: doc.clear() or [doc], "plan document must be an object"),
+    ], ids=["NaN h", "float instance_id", "no h", "target a list", "document a list"])
+    def test_bad_plan_document_rejected(self, tmp_path, edit, match):
+        d = generate_scene_dir(tmp_path)
+        cfg = write_config(tmp_path)
+        plan_path = self.run_plan(tmp_path, d, cfg)
+        doc = json.loads(plan_path.read_text())
+        plan_path.write_text(json.dumps(edit(doc) or doc))
+        before = (d / "scene.json").read_bytes()
+        with pytest.raises(ParameterError, match=match):
+            main(["grasp", "--config", cfg, "--scene", str(d), "--plan", str(plan_path)])
+        assert (d / "scene.json").read_bytes() == before
 
 
 class TestExperiment:

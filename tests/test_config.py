@@ -192,6 +192,17 @@ def test_nan_rejected_by_unconfigured_bounds():
         FingerModel(retraction_budget=NAN).validate()
 
 
+
+@pytest.mark.parametrize("field", ["retraction_budget", "max_force"])
+@pytest.mark.parametrize("bad", [INF, True, "4", 0.0, -1.0, NAN], ids=repr)
+def test_adaptive_finger_constants_checked(field, bad):
+    """The adaptive spring's budget and force are checked like every config
+    number: infinity and True were accepted and "4" raised TypeError. A
+    fixed finger has no spring, so it ignores both."""
+    with pytest.raises(ParameterError, match=field):
+        FingerModel(**{field: bad}).validate()
+    FingerModel(kind=FingerKind.FIXED, **{field: bad}).validate()
+
 @pytest.mark.parametrize("doc", DOCUMENT_ONLY, ids=repr)
 def test_bad_document_shape_rejected(doc):
     with pytest.raises(ParameterError):

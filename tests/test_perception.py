@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from traypick.errors import ParameterError
+from traypick.grids import read_pgm16, write_pgm16
 from traypick.perception import (
     CorruptionParams,
     InstanceMaskSet,
@@ -273,6 +274,12 @@ class TestAgreement:
         gt = InstanceMaskSet.from_rasters([(9, m)])
         assert agreement(pred, gt).value == pytest.approx(0.5)
 
+    def test_shape_mismatch_rejected(self):
+        pred = InstanceMaskSet.from_rasters([(1, square_mask((20, 20), 5, 5, 5))])
+        gt = InstanceMaskSet.from_rasters([(1, square_mask((20, 30), 5, 5, 5))])
+        with pytest.raises(ParameterError, match=r"mask shape mismatch: \(20, 20\) vs \(20, 30\)"):
+            agreement(pred, gt)
+
 
 def without(d, key):
     del d[key]
@@ -312,6 +319,31 @@ class TestMaskAndDepthFiles:
         save_depth(depth, path)
         assert [p.name for p in path.parent.iterdir()] == ["depth.pgm"]
         assert load_depth(path, depth.resolution).heights.shape == depth.heights.shape
+
+    def test_depth_header_comment_lines_skipped(self, tmp_path):
+        levels = np.arange(12, dtype=np.uint16).reshape(3, 4) * 1000
+        path = tmp_path / "d.pgm"
+        path.write_bytes(b"P5\n# written by hand\n4 3\n#   another\n65535\n" + levels.astype(">u2").tobytes())
+        np.testing.assert_array_equal(read_pgm16(path), levels)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda raw: b"P2" + raw[2:], "not a binary PGM: magic b'P2'"),
+        (lambda raw: raw.replace(b"65535", b"255", 1), r"expected 16-bit PGM \(maxval 65535\), got 255"),
+        (lambda raw: raw[:-1], "4 x 3 samples need 24 bytes, the file holds 23"),
+        (lambda raw: raw[:13], "4 x 3 samples need 24 bytes, the file holds 0"),
+        (lambda raw: raw[:5], r"PGM header needs width, height and maxval, got \[b'4', b'', b''\]"),
+        (lambda raw: b"", "not a binary PGM: magic b''"),
+        (lambda raw: raw.replace(b"4 3", b"4 -3", 1), "PGM header needs width, height and maxval"),
+        (lambda raw: b"P5\n# no end", "PGM header needs width, height and maxval"),
+    ], ids=["magic", "maxval", "one byte short", "no samples", "header cut", "empty file",
+            "negative height", "unterminated comment"])
+    def test_malformed_depth_rejected(self, tmp_path, edit, match):
+        path = tmp_path / "d.pgm"
+        write_pgm16(path, np.ones((3, 4), dtype=np.uint16))
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ParameterError, match=match) as err:
+            load_depth(path, 1.0)
+        assert str(path) in str(err.value)
 
     def test_scene_masks_round_trip_as_one_manifest(self, tmp_path):
         scene = generate_scene(SceneConfig(), 5)

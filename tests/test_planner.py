@@ -12,8 +12,10 @@ from traypick.planner import (
     EllipseFit,
     FingerGeometry,
     GraspCandidate,
-    _contact_pixels,
+    _contact_rectangles,
     _ellipse_window,
+    _finger_half_sizes,
+    _rectangle_pixels,
     candidate_from_dict,
     derive_grasp,
     filter_grasps,
@@ -43,8 +45,10 @@ def flat_depth(shape, value, resolution=1.0):
 def contact_regions(c, fg, resolution, shape):
     """The two contact rectangles of c as full boolean rasters."""
     regions = np.zeros((2, shape[0] * shape[1]), dtype=bool)
-    for region, flat in zip(regions, _contact_pixels(c, fg, resolution, shape)):
-        region[flat] = True
+    flat, counts = _rectangle_pixels(shape, _contact_rectangles(c, fg, resolution),
+                                     *_finger_half_sizes(fg, resolution))
+    for region, pixels in zip(regions, (flat[: counts[0]], flat[counts[0] :])):
+        region[pixels] = True
     return regions[0].reshape(shape), regions[1].reshape(shape)
 
 
@@ -380,3 +384,46 @@ class TestPlan:
         assert c.h == p.target.h
         assert c.w == p.target.w
         assert c.theta == p.target.theta
+
+
+# Every number plan_to_dict writes for a candidate; a plan document is
+# outside input to `traypick grasp`.
+PLAN_NUMBERS = ["instance_id", "x", "y", "theta", "h", "w", "food_median", "axis_minor", "axis_major"]
+
+
+@pytest.fixture(scope="module")
+def target_doc():
+    scene = generate_scene(SceneConfig(), 9)
+    p = plan(render_masks(scene), render_depth(scene), scene.archetypes["fried_chicken"])
+    return plan_to_dict(p)["target"]
+
+
+@pytest.mark.parametrize("bad", ["missing", "a", math.nan, math.inf], ids=repr)
+@pytest.mark.parametrize("key", PLAN_NUMBERS)
+def test_plan_document_number_checked(target_doc, key, bad):
+    """A target missing h used to raise KeyError, "x": "a" TypeError, and a
+    NaN h ran to a failure with exit 0."""
+    doc = dict(target_doc)
+    if bad == "missing":
+        del doc[key]
+    else:
+        doc[key] = bad
+    with pytest.raises(ParameterError, match=rf"\b{key}\b"):
+        candidate_from_dict(doc)
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("instance_id", 3.5), ("instance_id", 0), ("instance_id", True), ("h", -0.5), ("w", -50.0),
+    ("axis_minor", -1.0), ("axis_major", -1e-9), ("x", -math.inf), ("contact_medians", "ab"),
+    ("contact_medians", [1.0]), ("contact_medians", [1.0, math.nan]), ("filtered", "no"),
+    ("filter_reason", 3),
+], ids=repr)
+def test_plan_document_range_checked(target_doc, key, bad):
+    """"instance_id": 3.5 used to raise IndexError, and "w": -50 ran."""
+    with pytest.raises(ParameterError, match=rf"\b{key}\b"):
+        candidate_from_dict({**target_doc, key: bad})
+
+
+def test_plan_document_candidate_must_be_an_object():
+    with pytest.raises(ParameterError, match="must be an object"):
+        candidate_from_dict([1, 2])

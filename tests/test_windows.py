@@ -11,8 +11,9 @@ against the code it replaced or np.median, and for scene generation, whose
 oracle tries each drop as it draws it with scalar Generator.uniform calls,
 rasterizing every stamp on its own over the full square.
 plan's one stacked eigen-solve per tray is held to one fit_ellipse and
-derive_grasp per window, the one-pass jaw to its own rectangle, and each
-piece's recorded window to a fresh stamp_window.
+derive_grasp per window, the one-pass jaw to its own rectangle, each
+piece's recorded window to a fresh stamp_window, and the extreme-corner
+tray-wall test to the four corners of each finger rectangle.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ from traypick.graspsim import (
     _pieces_in_region,
     _visible_fraction_in,
     execute_grasp,
+    insert_fingers,
 )
 from traypick.perception import (
     IOU_THRESHOLDS,
@@ -65,8 +67,9 @@ from traypick.planner import (
     GraspCandidate,
     Plan,
     _RECTANGLES_PER_PASS,
-    _contact_pixels,
+    _contact_rectangles,
     _ellipse_window,
+    _finger_half_sizes,
     _rectangle_pixels,
     _segment_medians,
     derive_grasp,
@@ -177,6 +180,25 @@ def oracle_jaw_region(scene, c, fg, outer):
     return oracle_rectangle_mask(
         scene.shape, (c.x, c.y), c.theta, half_len_mm / scene.resolution, half_breadth_px
     )
+
+
+def oracle_finger_corners(scene, c, fg):
+    """The four corners (px, py) of each finger rectangle, as the per-corner
+    tray-wall loop computed them."""
+    hl, hb = _finger_half_sizes(fg, scene.resolution)
+    fingers = []
+    for cx, cy, ux, uy in _contact_rectangles(c, fg, scene.resolution):
+        vx, vy = -uy, ux
+        fingers.append([(cx + su * hl * ux + sv * hb * vx, cy + su * hl * uy + sv * hb * vy)
+                        for su in (-1.0, 1.0) for sv in (-1.0, 1.0)])
+    return fingers
+
+
+def oracle_wall_contacts(scene, c, fg):
+    """Whether each finger rectangle has a corner beyond the raster."""
+    ny, nx = scene.shape
+    return tuple(any(not (0.0 <= px <= nx - 1 and 0.0 <= py <= ny - 1) for px, py in corners)
+                 for corners in oracle_finger_corners(scene, c, fg))
 
 
 def oracle_visible_fraction_in(scene, pid, region) -> float:
@@ -732,7 +754,8 @@ def test_filter_medians_equal_full_raster(shape, data, seed, n, mode, res):
     retained = filter_grasps(cands, depth, fg)
     expected_retained = []
     for c, (left, right) in zip(cands, regions):
-        got_left, got_right = (paste_flat(shape, flat) for flat in _contact_pixels(c, fg, res, shape))
+        flat, counts = _rectangle_pixels(shape, _contact_rectangles(c, fg, res), *_finger_half_sizes(fg, res))
+        got_left, got_right = paste_flat(shape, flat[: counts[0]]), paste_flat(shape, flat[counts[0] :])
         np.testing.assert_array_equal(got_left, left)
         np.testing.assert_array_equal(got_right, right)
         if not left.any() or not right.any():
@@ -920,6 +943,39 @@ def test_jaw_contents_and_fractions_equal_full_raster(scenes, idx, c, outer, bre
         )
 
 
+def test_wall_test_equals_four_corners_at_the_boundary():
+    """A finger's outermost corner is placed on each raster edge and the
+    centre nudged by up to 8 ulps either way: insert_fingers blocks exactly
+    the fingers with one of their four corners beyond the raster, also
+    where a corner lands on the edge itself."""
+    scene = empty_scene()
+    ny, nx = scene.shape
+    fg = FingerGeometry()
+    fm = FingerModel(kind=FingerKind.FIXED, geometry=fg)
+    hl, hb = _finger_half_sizes(fg, scene.resolution)
+    rng = np.random.default_rng(7)
+    thetas = [0.0, math.pi / 4, math.pi / 2, *rng.uniform(0.0, math.pi, 150).tolist()]
+    outcomes, on_edge = Counter(), 0
+    for theta in thetas:
+        w = float(rng.uniform(1.0, 20.0))
+        ux, uy = abs(math.cos(theta)), abs(math.sin(theta))
+        d = (w / 2.0 + fg.clearance + fg.width / 2.0) / scene.resolution
+        reach_x, reach_y = (d + hl) * ux + hb * uy, (d + hl) * uy + hb * ux
+        for x0, y0 in [(reach_x, ny / 2), (nx - 1 - reach_x, ny / 2), (nx / 2, reach_y), (nx / 2, ny - 1 - reach_y)]:
+            for ulps in range(-8, 9):
+                x, y = x0, y0
+                for _ in range(abs(ulps)):
+                    x, y = math.nextafter(x, ulps * math.inf), math.nextafter(y, ulps * math.inf)
+                c = GraspCandidate(1, x, y, theta, 0.0, w, 0.0, EllipseFit(x, y, theta, 1.0, 1.0))
+                blocked = tuple(f.blocked for f in insert_fingers(scene, c, fm).fingers)
+                assert blocked == oracle_wall_contacts(scene, c, fg)
+                outcomes[blocked] += 1
+                corners = [xy for finger in oracle_finger_corners(scene, c, fg) for xy in finger]
+                on_edge += any(px in (0.0, nx - 1) or py in (0.0, ny - 1) for px, py in corners)
+    assert outcomes[(False, False)] and outcomes[(True, False)] and outcomes[(False, True)]
+    assert on_edge
+
+
 def test_visible_windows_hold_every_visible_pixel(scenes):
     for scene in scenes:
         for pid in scene.pieces:
@@ -984,9 +1040,24 @@ corruptions = st.builds(
 )
 
 
+def corner_masks_with_an_empty_one():
+    """Mask 1 is empty, a 0 x 0 window at the origin, so its padded box
+    meets that of mask 2 in the raster's corner."""
+    labels = np.zeros((7, 9), dtype=np.int32)
+    labels[0:3, 0:3] = 2
+    labels[3:6, 1:4] = 3
+    labels[1:4, 5:8] = 4
+    return InstanceMaskSet.from_rasters([(pid, labels == pid) for pid in (1, 2, 3, 4)])
+
+
 @SETTINGS
 @given(masks=label_maps(), seed=st.integers(0, 2**32 - 1), jitter=st.integers(0, 2),
        merge=st.floats(0.05, 1.0), drop=st.sampled_from([0.0, 0.3]))
+# the empty mask paired with mask 2 unjittered, dilated (seed 0's first
+# jitter step is +1) and left as it is (seed 1's is 0)
+@example(masks=corner_masks_with_an_empty_one(), seed=0, jitter=0, merge=1.0, drop=0.0)
+@example(masks=corner_masks_with_an_empty_one(), seed=0, jitter=1, merge=1.0, drop=0.0)
+@example(masks=corner_masks_with_an_empty_one(), seed=1, jitter=1, merge=0.5, drop=0.3)
 def test_pruned_merge_scan_matches_unpruned(masks, seed, jitter, merge, drop):
     params = CorruptionParams(boundary_jitter=jitter, merge_prob=merge, drop_prob=drop)
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
