@@ -12,7 +12,7 @@ import json
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
-from .errors import ParameterError, check_number, check_type
+from .errors import ParameterError, check_number, check_type, read_json
 
 
 class Hardness(enum.Enum):
@@ -123,7 +123,7 @@ def save_archetypes(archetypes: dict[str, FoodArchetype], path: str | Path) -> N
 def load_archetypes(path: str | Path) -> dict[str, FoodArchetype]:
     """The archetypes of a save_archetypes file; a document that is not an
     object of archetypes, each under its own name, raises ParameterError."""
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ParameterError(f"{path} must hold a JSON object, got {doc!r}")
     archetypes = {name: FoodArchetype.from_dict(d) for name, d in doc.items()}

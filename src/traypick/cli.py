@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import load_experiment_config
-from .errors import ParameterError
+from .errors import ParameterError, read_json
 from .experiment import ExperimentConfig, compare_conditions, observe, run_experiment, summary_csv
 from .graspsim import execute_grasp
 from .perception import agreement, load_depth, load_masks, save_depth, save_masks
@@ -78,13 +78,17 @@ def cmd_plan(args) -> int:
 def cmd_grasp(args) -> int:
     cfg = _base_config(args)
     scene = load_scene(args.scene)
-    plan_doc = json.loads(Path(args.plan).read_text())
+    plan_doc = read_json(args.plan)
     if not isinstance(plan_doc, dict):
         raise ParameterError(f"{args.plan}: a plan document must be an object")
     if plan_doc.get("target") is None:
         print("plan has no target; nothing to execute", file=sys.stderr)
         return 1
     candidate = candidate_from_dict(plan_doc["target"])
+    ny, nx = scene.shape
+    if not (0 <= candidate.x < nx and 0 <= candidate.y < ny):
+        raise ParameterError(f"{args.plan}: target ({candidate.x}, {candidate.y}) px is off the "
+                             f"{nx} x {ny} px scene raster")
     outcome = execute_grasp(scene, candidate, cfg.finger_model(), cfg.execution)
     save_scene(scene, args.out_scene or args.scene)
     doc = {

@@ -6,12 +6,11 @@ key is rejected, and ExperimentConfig.validate() does every other check.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import fields
 from pathlib import Path
 
 from .archetypes import load_archetypes
-from .errors import ParameterError
+from .errors import ParameterError, read_json
 from .experiment import ExperimentConfig
 from .graspsim import ExecutionParams, FingerKind
 from .perception import CorruptionParams
@@ -66,4 +65,4 @@ def experiment_config_from_document(doc: dict, config_dir: Path | None = None) -
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     p = Path(path)
-    return experiment_config_from_document(json.loads(p.read_text()), p.parent)
+    return experiment_config_from_document(read_json(p), p.parent)

@@ -1,8 +1,10 @@
 """Exception types shared across the package, and the parameter checks."""
 from __future__ import annotations
 
+import json
 import math
 import numbers
+from pathlib import Path
 
 
 class ParameterError(ValueError):
@@ -15,6 +17,15 @@ class PlacementError(ValueError):
 
 class FitError(ValueError):
     """A mask is too small or degenerate to fit an ellipse to."""
+
+
+def read_json(path: str | Path):
+    """The JSON document in the file at path, which is outside input: a file
+    that is not UTF-8 or not JSON raises ParameterError naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ParameterError(f"{path} is not a UTF-8 JSON document: {e}") from None
 
 
 def check_type(name: str, value, kind: type | tuple[type, ...]) -> None:

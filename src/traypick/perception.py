@@ -15,9 +15,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
-from .errors import ParameterError, check_number
+from .errors import ParameterError, check_number, read_json
 from .grids import heights_to_levels, levels_to_heights, read_pgm16, write_pgm16
 from .scenegen import TrayScene, _clip_window, visible_window
 
@@ -203,6 +202,16 @@ def _bbox(mask: np.ndarray) -> tuple[int, int, int, int] | None:
     return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
 
 
+def _spread(px: np.ndarray, axis: int) -> np.ndarray:
+    """px OR'd with its one-pixel shifts both ways along axis 0 or 1;
+    nothing enters from outside the array."""
+    out = px.copy()
+    o, p = (out, px) if axis == 0 else (out.T, px.T)
+    o[1:] |= p[:-1]
+    o[:-1] |= p[1:]
+    return out
+
+
 def _adjacent(a: MaskWindow, b: MaskWindow, shape: tuple[int, int]) -> bool:
     """8-neighborhood adjacency, evaluated on the overlap of padded boxes,
     which corrupt_masks passes only for pairs whose padded boxes overlap
@@ -212,14 +221,8 @@ def _adjacent(a: MaskWindow, b: MaskWindow, shape: tuple[int, int]) -> bool:
     r1 = min(ba[1] + 1, bb[1] + 1, shape[0])
     c0 = max(ba[2] - 1, bb[2] - 1, 0)
     c1 = min(ba[3] + 1, bb[3] + 1, shape[1])
-    # 3 x 3 dilation of a as a separable OR of shifted slices: rows, then columns
-    px = _pixels_in(a, r0, r1, c0, c1)
-    rows = px.copy()
-    rows[1:] |= px[:-1]
-    rows[:-1] |= px[1:]
-    dilated = rows.copy()
-    dilated[:, 1:] |= rows[:, :-1]
-    dilated[:, :-1] |= rows[:, 1:]
+    # 3 x 3 dilation of a, separable: rows, then columns
+    dilated = _spread(_spread(_pixels_in(a, r0, r1, c0, c1), 0), 1)
     return bool((dilated & _pixels_in(b, r0, r1, c0, c1)).any())
 
 
@@ -232,12 +235,19 @@ def _morph_jitter(w: MaskWindow, steps: int, shape: tuple[int, int]) -> MaskWind
     r1 = min(box[1] + pad, shape[0])
     c0 = max(box[2] - pad, 0)
     c1 = min(box[3] + pad, shape[1])
-    padded = _pixels_in(w, r0, r1, c0, c1)
-    if steps > 0:
-        out = ndimage.binary_dilation(padded, iterations=steps)
-    else:
-        out = ndimage.binary_erosion(padded, iterations=-steps)
-    return _cropped(w.id, out, r0, c0)
+    px = _pixels_in(w, r0, r1, c0, c1)
+    # |steps| passes of the 4-neighbour cross; erosion keeps a pixel unless
+    # it or a cross neighbour is background, and everything outside the box
+    # is background, so the box's edge rows and columns always go
+    for _ in range(abs(steps)):
+        if steps > 0:
+            px = _spread(px, 0) | _spread(px, 1)
+        else:
+            gaps = ~px
+            px = ~(_spread(gaps, 0) | _spread(gaps, 1))
+            px[0] = px[-1] = False
+            px[:, 0] = px[:, -1] = False
+    return _cropped(w.id, px, r0, c0)
 
 
 def corrupt_masks(
@@ -430,7 +440,7 @@ def load_masks(manifest_path: str | Path) -> InstanceMaskSet:
     integers, an instance that is not an object holding id and counts, a
     non-integer or repeated id, counts that are not non-negative integers
     summing to h * w, or a confidence outside [0, 1] raise ParameterError."""
-    manifest = json.loads(Path(manifest_path).read_text())
+    manifest = read_json(manifest_path)
     if not (isinstance(manifest, dict) and {"source", "size", "instances"} <= manifest.keys()):
         raise ParameterError("a mask manifest must be an object with source, size and instances")
     source, size, instances = manifest["source"], manifest["size"], manifest["instances"]

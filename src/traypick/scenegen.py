@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .archetypes import DEFAULT_ARCHETYPES, FoodArchetype, load_archetypes, save_archetypes
-from .errors import ParameterError, PlacementError, check_number, check_type
+from .errors import ParameterError, PlacementError, check_number, check_type, read_json
 from .grids import heights_to_levels, write_pgm16
 
 DEFAULT_TRAY_DIMS = (424.0, 308.0, 160.0)  # mm, industry-standard food tray
@@ -469,7 +469,7 @@ def load_scene(in_dir: str | Path) -> TrayScene:
     every id, and a piece drop_piece would refuse at its position raise
     ParameterError."""
     src = Path(in_dir)
-    doc = json.loads((src / "scene.json").read_text())
+    doc = read_json(src / "scene.json")
     _require_keys(doc, _SCENE_KEYS, "scene.json")
     ids: set[int] = set()
     for pd in doc["pieces"]:

@@ -1,6 +1,8 @@
 """End-to-end command-line interface tests: every subcommand, file in/out."""
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -256,7 +258,10 @@ class TestGrasp:
         (lambda doc: doc["target"].clear(), "plan candidate has no instance_id"),
         (lambda doc: doc.update(target=[1]), "plan candidate must be an object"),
         (lambda doc: doc.clear() or [doc], "plan document must be an object"),
-    ], ids=["NaN h", "float instance_id", "no h", "target a list", "document a list"])
+        (lambda doc: doc["target"].update(x=1e300), r"target \(1e\+300, .*\) px is off the 600 x 436 px"),
+        (lambda doc: doc["target"].update(y=436.0), r"target \(.*, 436.0\) px is off the 600 x 436 px"),
+    ], ids=["NaN h", "float instance_id", "no h", "target a list", "document a list", "x 1e300",
+            "y at the raster height"])
     def test_bad_plan_document_rejected(self, tmp_path, edit, match):
         d = generate_scene_dir(tmp_path)
         cfg = write_config(tmp_path)
@@ -267,6 +272,39 @@ class TestGrasp:
         with pytest.raises(ParameterError, match=match):
             main(["grasp", "--config", cfg, "--scene", str(d), "--plan", str(plan_path)])
         assert (d / "scene.json").read_bytes() == before
+
+
+def json_document_case(tmp_path, document):
+    """The argv of a command that reads the named JSON document, and its path."""
+    cfg = write_config(tmp_path)
+    if document == "config":
+        return ["experiment", "--config", cfg], Path(cfg)
+    if document == "archetypes":
+        path = tmp_path / "archetypes.json"
+        save_archetypes(DEFAULT_ARCHETYPES, path)
+        cfg = write_config(tmp_path, scene={"archetypes_path": str(path)})
+        return ["generate", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "out")], path
+    d = generate_scene_dir(tmp_path)
+    if document == "mask manifest":
+        path = d / "masks_manifest.json"
+        return ["agreement", str(path), str(path)], path
+    plan_path = tmp_path / "plan.json"
+    assert main(plan_args(d, "--config", cfg, "--out", str(plan_path))) == 0
+    argv = ["grasp", "--config", cfg, "--scene", str(d), "--plan", str(plan_path),
+            "--out-scene", str(tmp_path / "after")]
+    return argv, plan_path if document == "plan" else d / "scene.json"
+
+
+@pytest.mark.parametrize("damage", [
+    lambda text: text[: len(text) // 2],
+    lambda text: b"\xff" + text,
+], ids=["truncated", "not UTF-8"])
+@pytest.mark.parametrize("document", ["config", "archetypes", "scene", "mask manifest", "plan"])
+def test_undecodable_json_document_rejected(tmp_path, document, damage):
+    argv, path = json_document_case(tmp_path, document)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ParameterError, match=f"^{re.escape(str(path))} is not a UTF-8 JSON document"):
+        main(argv)
 
 
 class TestExperiment:

@@ -268,13 +268,16 @@ class TestPairedPvalue:
         assert paired_success_pvalue(a, b) == 56 / 1024
 
     def test_import_leaves_scipy_stats_out(self):
+        """The package and its CLI load no scipy module at all: traypick
+        needs numpy alone at run time."""
         src = Path(traypick.__file__).resolve().parent.parent
-        code = "import sys, traypick; print('scipy.stats' in sys.modules)"
+        code = ("import sys, traypick, traypick.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": str(src)},
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
 
 class TestConfigDocument:

@@ -1,9 +1,14 @@
 """Depth rendering, masks, corruption, and the mask-agreement metric."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import traypick
 from traypick.errors import ParameterError
 from traypick.grids import read_pgm16, write_pgm16
 from traypick.perception import (
@@ -21,6 +26,21 @@ from traypick.perception import (
 )
 from traypick.scenegen import (SceneConfig, drop_piece, empty_scene, generate_scene, rasterize_stamp,
                                save_scene)
+
+
+# jittered, merged masks of a generated tray, one JSON line of
+# [id, row start, row stop, column start, column stop, packed pixels] rows
+JITTER_RUN = """
+import json
+import numpy as np
+from traypick.perception import CorruptionParams, corrupt_masks, render_masks
+from traypick.scenegen import SceneConfig, generate_scene
+truth = render_masks(generate_scene(SceneConfig(archetype="mushroom"), 34))
+masks = corrupt_masks(truth, CorruptionParams(boundary_jitter=2, merge_prob=0.3),
+                      np.random.default_rng(5))
+print(json.dumps([[w.id, *(n for s in w.slices for n in (s.start, s.stop)),
+                   np.packbits(w.local).tobytes().hex()] for w in masks.windows]))
+"""
 
 
 def square_mask(shape, r0, c0, size):
@@ -147,6 +167,20 @@ class TestCorruptMasks:
                 orig = dict(masks.masks)[pid]
                 # dilation/erosion by at most 2 px changes the bounding box by <= 2
                 assert abs(int(m.sum()) - int(orig.sum())) <= orig.sum() * 3
+
+    def test_jitter_runs_without_scipy(self, capsys):
+        """Boundary jitter needs numpy alone: with every scipy import made to
+        fail, a subprocess jitters a tray into the same windows as this one."""
+        src = Path(traypick.__file__).resolve().parent.parent
+        code = 'import sys; sys.modules["scipy"] = None\n' + JITTER_RUN
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        exec(JITTER_RUN, {})
+        in_process = capsys.readouterr().out
+        assert len(json.loads(in_process)) > 10
+        assert out.stdout == in_process
 
     def test_requires_ground_truth_source(self):
         masks = self.two_touching()

@@ -53,6 +53,9 @@ from traypick.perception import (
     InstanceMaskSet,
     MaskWindow,
     _bbox,
+    _cropped,
+    _morph_jitter,
+    _pixels_in,
     agreement,
     corrupt_masks,
     load_masks,
@@ -1034,7 +1037,7 @@ def label_maps(draw):
 
 corruptions = st.builds(
     CorruptionParams,
-    boundary_jitter=st.integers(0, 2),
+    boundary_jitter=st.integers(0, 3),
     merge_prob=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
     drop_prob=st.sampled_from([0.0, 0.3]),
 )
@@ -1051,7 +1054,7 @@ def corner_masks_with_an_empty_one():
 
 
 @SETTINGS
-@given(masks=label_maps(), seed=st.integers(0, 2**32 - 1), jitter=st.integers(0, 2),
+@given(masks=label_maps(), seed=st.integers(0, 2**32 - 1), jitter=st.integers(0, 3),
        merge=st.floats(0.05, 1.0), drop=st.sampled_from([0.0, 0.3]))
 # the empty mask paired with mask 2 unjittered, dilated (seed 0's first
 # jitter step is +1) and left as it is (seed 1's is 0)
@@ -1066,6 +1069,51 @@ def test_pruned_merge_scan_matches_unpruned(masks, seed, jitter, merge, drop):
     assert_same_masks(got, expected)
     assert got.confidences == confidences
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+def morph_cases():
+    """(name, mask) on a 9 x 11 raster: blocks whose padded box is clipped at
+    each raster edge, at none and at all four, and masks that erosion
+    removes entirely (see test_morph_cases_erode_away)."""
+    shape = (9, 11)
+    block = lambda r0, r1, c0, c1: np.pad(np.ones((r1 - r0, c1 - c0), bool),
+                                          ((r0, shape[0] - r1), (c0, shape[1] - c1)))
+    ring = block(0, 9, 0, 11) & ~block(1, 8, 1, 10)
+    return [
+        ("top", block(0, 4, 3, 8)), ("bottom", block(5, 9, 3, 8)),
+        ("left", block(2, 7, 0, 4)), ("right", block(2, 7, 7, 11)),
+        ("one px in from the top left", block(1, 5, 1, 6)), ("inside", block(4, 7, 4, 7)),
+        ("whole raster", np.ones(shape, bool)), ("edge ring", ring),
+        ("one pixel", block(4, 5, 5, 6)), ("two-pixel-wide bar", block(3, 5, 2, 9)),
+        ("5 x 5 block", block(2, 7, 3, 8)),
+    ]
+
+
+@pytest.mark.parametrize("steps", [-3, -2, -1, 1, 2, 3])
+@pytest.mark.parametrize("name, mask", morph_cases(), ids=[name for name, _ in morph_cases()])
+def test_morph_jitter_equals_ndimage(name, mask, steps):
+    got = _morph_jitter(_cropped(1, mask), steps, mask.shape)
+    expected = oracle_morph_jitter(mask, steps)
+    np.testing.assert_array_equal(_pixels_in(got, 0, mask.shape[0], 0, mask.shape[1]), expected)
+    if not expected.any():
+        assert got.local.size == 0 and got.slices == (slice(0, 0), slice(0, 0))
+
+
+def test_morph_cases_erode_away():
+    cases = dict(morph_cases())
+    for name in ("one pixel", "two-pixel-wide bar", "edge ring"):
+        assert not oracle_morph_jitter(cases[name], -1).any(), name
+    assert oracle_morph_jitter(cases["5 x 5 block"], -2).any()
+    assert not oracle_morph_jitter(cases["5 x 5 block"], -3).any()
+
+
+@SETTINGS
+@given(mask=shapes.flatmap(lambda s: arrays(bool, s)),
+       steps=st.sampled_from([-3, -2, -1, 1, 2, 3]))
+def test_morph_jitter_equals_ndimage_on_random_masks(mask, steps):
+    got = _morph_jitter(_cropped(1, mask), steps, mask.shape)
+    np.testing.assert_array_equal(_pixels_in(got, 0, mask.shape[0], 0, mask.shape[1]),
+                                  oracle_morph_jitter(mask, steps))
 
 
 @pytest.fixture(scope="module")
