@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import ParameterError, check_number, check_type, read_json
+from .errors import ParameterError, check_number, check_type, field_keys, read_json, read_object
 
 
 class Hardness(enum.Enum):
@@ -70,14 +70,7 @@ class FoodArchetype:
         """The archetype a to_dict document describes. A document that is not
         an object, an unknown or missing key, an unknown hardness and a value
         validate() refuses raise ParameterError."""
-        if not isinstance(d, dict):
-            raise ParameterError(f"an archetype must be a JSON object, got {d!r}")
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ParameterError(f"unknown archetype key {unknown[0]!r}")
-        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
-        if missing:
-            raise ParameterError(f"archetype is missing {', '.join(missing)}")
+        read_object(d, "archetype", *field_keys(cls))
         d = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
         try:
             d["hardness"] = Hardness(d["hardness"])

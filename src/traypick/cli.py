@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import load_experiment_config
-from .errors import ParameterError, read_json
+from .errors import ParameterError, check_number, read_json, read_object
 from .experiment import ExperimentConfig, compare_conditions, observe, run_experiment, summary_csv
 from .graspsim import execute_grasp
 from .perception import agreement, load_depth, load_masks, save_depth, save_masks
@@ -51,10 +51,14 @@ def _generate_one(task) -> str:
 
 
 def cmd_generate(args) -> int:
+    check_number("--count", args.count, integral=True, low=1)
+    check_number("--jobs", args.jobs, integral=True, low=1)
     cfg = _base_config(args)
     tasks = [(cfg, cfg.base_seed + i, cfg.output_dir or "scenes") for i in range(args.count)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a pool starts every worker at its first task, so start no more than there are tasks
+    workers = min(args.jobs, args.count)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             dirs = list(pool.map(_generate_one, tasks))
     else:
         dirs = [_generate_one(t) for t in tasks]
@@ -78,10 +82,9 @@ def cmd_plan(args) -> int:
 def cmd_grasp(args) -> int:
     cfg = _base_config(args)
     scene = load_scene(args.scene)
-    plan_doc = read_json(args.plan)
-    if not isinstance(plan_doc, dict):
-        raise ParameterError(f"{args.plan}: a plan document must be an object")
-    if plan_doc.get("target") is None:
+    plan_doc = read_object(read_json(args.plan), f"{args.plan}: plan document", ("target",),
+                           ("filtering_enabled", "candidates", "skipped", "archetype"))
+    if plan_doc["target"] is None:
         print("plan has no target; nothing to execute", file=sys.stderr)
         return 1
     candidate = candidate_from_dict(plan_doc["target"])

@@ -10,7 +10,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .archetypes import load_archetypes
-from .errors import ParameterError, read_json
+from .errors import ParameterError, field_keys, read_json, read_object
 from .experiment import ExperimentConfig
 from .graspsim import ExecutionParams, FingerKind
 from .perception import CorruptionParams
@@ -22,24 +22,14 @@ def _names(cls) -> set[str]:
     return {f.name for f in fields(cls)}
 
 
-def _section(value, where: str, keys: set[str]) -> dict:
-    """A copy of value, which must be a JSON object with keys only from keys."""
-    if not isinstance(value, dict):
-        raise ParameterError(f"{where} must be a JSON object, got {value!r}")
-    unknown = sorted(set(value) - keys)
-    if unknown:
-        raise ParameterError(f"unknown config key {unknown[0]!r} in {where}")
-    return dict(value)
-
-
 def experiment_config_from_document(doc: dict, config_dir: Path | None = None) -> ExperimentConfig:
     top_keys = _names(ExperimentConfig) - {"depth_sigma", "depth_quant"} | {"depth"}
-    kwargs = _section(doc, "config", top_keys)
+    kwargs = dict(read_object(doc, "config", (), top_keys))
     for name, cls in (("corruption", CorruptionParams), ("finger_geometry", FingerGeometry),
                       ("execution", ExecutionParams)):
         if name in kwargs:
-            kwargs[name] = cls(**_section(kwargs[name], name, _names(cls)))
-    for key, value in _section(kwargs.pop("depth", {}), "depth", {"sigma", "quant"}).items():
+            kwargs[name] = cls(**read_object(kwargs[name], f"config {name}", *field_keys(cls)))
+    for key, value in read_object(kwargs.pop("depth", {}), "config depth", (), ("sigma", "quant")).items():
         kwargs[f"depth_{key}"] = value
     if "finger" in kwargs:
         try:
@@ -48,7 +38,7 @@ def experiment_config_from_document(doc: dict, config_dir: Path | None = None) -
             raise ParameterError(f"unknown finger {kwargs['finger']!r}") from None
 
     scene_keys = _names(SceneConfig) - {"archetype", "archetypes"} | {"archetypes_path"}
-    scene = _section(kwargs.pop("scene", {}), "scene", scene_keys)
+    scene = dict(read_object(kwargs.pop("scene", {}), "config scene", (), scene_keys))
     if "archetypes_path" in scene:
         path = scene.pop("archetypes_path")
         if not isinstance(path, str):

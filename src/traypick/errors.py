@@ -4,6 +4,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections.abc import Collection
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 
@@ -26,6 +28,28 @@ def read_json(path: str | Path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ParameterError(f"{path} is not a UTF-8 JSON document: {e}") from None
+
+
+def read_object(doc, where: str, required: Collection[str], optional: Collection[str] = ()) -> dict:
+    """doc, a JSON value of outside input that must be an object holding every
+    key of required and no key outside required and optional. Otherwise
+    ParameterError names where and the key."""
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{where} must be an object, got {doc!r}")
+    for key in doc:
+        if key not in required and key not in optional:
+            raise ParameterError(f"{where} has unknown key {key!r}")
+    for key in required:
+        if key not in doc:
+            raise ParameterError(f"{where} is missing {key}")
+    return doc
+
+
+def field_keys(cls) -> tuple[list[str], list[str]]:
+    """(required, optional) for read_object: the dataclass cls's fields
+    without a default, and those with one."""
+    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+    return required, [f.name for f in fields(cls) if f.name not in required]
 
 
 def check_type(name: str, value, kind: type | tuple[type, ...]) -> None:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, check_number, check_type
+from .errors import ParameterError, check_number, check_type, field_keys, read_object
 from .graspsim import Classification, ExecutionParams, FingerKind, FingerModel, execute_grasp
 from .perception import (CorruptionParams, DepthImage, InstanceMaskSet, corrupt_masks,
                          render_depth, render_masks)
@@ -206,11 +206,23 @@ def write_records(records: list[TrialRecord], path: str | Path) -> None:
 
 
 def read_records(path: str | Path) -> list[TrialRecord]:
+    """The records of a write_records file, which is outside input: a file
+    that is not UTF-8, or a line that is not a JSON object holding every
+    TrialRecord field (reason may be left out) and no other key, raises
+    ParameterError naming the file or the line."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as e:
+        raise ParameterError(f"{path} is not UTF-8: {e}") from None
     records = []
-    with open(path) as f:
-        for line in f:
-            if line.strip():
-                records.append(TrialRecord(**json.loads(line)))
+    for n, line in enumerate(lines, 1):
+        if line.strip():
+            where = f"{path} line {n}"
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ParameterError(f"{where} is not JSON: {e}") from None
+            records.append(TrialRecord(**read_object(doc, where, *field_keys(TrialRecord))))
     return records
 
 

@@ -204,7 +204,7 @@ def _jaw_regions(
     on where the tested square starts, so the jaw is the sweep's pixels
     with |u| within its half-length, in the same ascending order."""
     jaw_half_len = (c.w / 2.0 + fg.clearance) / scene.resolution
-    half_breadth_px = max(_finger_half_sizes(fg, scene.resolution)[1], c.fit.axis_major / 2.0)
+    half_breadth_px = max(_finger_half_sizes(fg, scene.resolution)[1], c.axis_major / 2.0)
     cos, sin = math.cos(c.theta), math.sin(c.theta)
     sweep = _rectangle_pixels(scene.shape, [(c.x, c.y, cos, sin)],
                               (c.w / 2.0 + fg.clearance + fg.width) / scene.resolution, half_breadth_px)[0]

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, check_number, read_json
+from .errors import ParameterError, check_number, read_json, read_object
 from .grids import heights_to_levels, levels_to_heights, read_pgm16, write_pgm16
 from .scenegen import TrayScene, _clip_window, visible_window
 
@@ -435,14 +435,14 @@ def save_masks(masks: InstanceMaskSet, out_dir: str | Path, stem: str = "masks")
 
 def load_masks(manifest_path: str | Path) -> InstanceMaskSet:
     """Read a manifest written by save_masks. It is outside input: a document
-    that is not an object holding source, size and instances, a source other
-    than ground_truth, corrupted or external, a size that is not two positive
-    integers, an instance that is not an object holding id and counts, a
-    non-integer or repeated id, counts that are not non-negative integers
-    summing to h * w, or a confidence outside [0, 1] raise ParameterError."""
-    manifest = read_json(manifest_path)
-    if not (isinstance(manifest, dict) and {"source", "size", "instances"} <= manifest.keys()):
-        raise ParameterError("a mask manifest must be an object with source, size and instances")
+    that is not an object holding exactly source, size and instances, a
+    source other than ground_truth, corrupted or external, a size that is
+    not two positive integers, an instance that is not an object holding id,
+    counts and optionally confidence, a non-integer or repeated id, counts
+    that are not non-negative integers summing to h * w, or a confidence
+    outside [0, 1] raise ParameterError."""
+    where = f"mask manifest {manifest_path}"
+    manifest = read_object(read_json(manifest_path), where, ("source", "size", "instances"))
     source, size, instances = manifest["source"], manifest["size"], manifest["instances"]
     if source not in MASK_SOURCES:
         raise ParameterError(f"mask source must be one of {', '.join(MASK_SOURCES)}, got {source!r}")
@@ -452,9 +452,8 @@ def load_masks(manifest_path: str | Path) -> InstanceMaskSet:
         raise ParameterError("mask instances must be a list")
     windows: dict[int, MaskWindow] = {}
     confidences: dict[int, float] = {}
-    for entry in instances:
-        if not (isinstance(entry, dict) and {"id", "counts"} <= entry.keys()):
-            raise ParameterError("each mask instance must be an object with id and counts")
+    for i, entry in enumerate(instances):
+        read_object(entry, f"{where} instances[{i}]", ("id", "counts"), ("confidence",))
         pid, counts = entry["id"], entry["counts"]
         check_number("instance id", pid, integral=True)
         if pid in windows:

@@ -8,12 +8,12 @@ contact region has a median height at or above the food-area median.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .archetypes import FoodArchetype
-from .errors import FitError, ParameterError, check_number, check_type
+from .errors import FitError, ParameterError, check_number, check_type, field_keys, read_object
 from .perception import DepthImage, InstanceMaskSet
 from .scenegen import Window
 
@@ -54,7 +54,8 @@ class GraspCandidate:
     h: float  # mm, insertion height
     w: float  # mm, grasp width
     food_median: float  # mm
-    fit: EllipseFit
+    axis_minor: float  # px, the fitted ellipse's full axes
+    axis_major: float  # px
     contact_medians: tuple[float, float] | None = None
     filtered: bool = False
     filter_reason: str = ""
@@ -279,7 +280,8 @@ def derive_grasp(
         h=h,
         w=fit.axis_minor * depth.resolution,
         food_median=food_median,
-        fit=fit,
+        axis_minor=fit.axis_minor,
+        axis_major=fit.axis_major,
     )
 
 
@@ -371,20 +373,7 @@ def plan(
 
 def plan_to_dict(p: Plan) -> dict:
     def cand_dict(c: GraspCandidate) -> dict:
-        return {
-            "instance_id": c.instance_id,
-            "x": c.x,
-            "y": c.y,
-            "theta": c.theta,
-            "h": c.h,
-            "w": c.w,
-            "food_median": c.food_median,
-            "contact_medians": list(c.contact_medians) if c.contact_medians else None,
-            "filtered": c.filtered,
-            "filter_reason": c.filter_reason,
-            "axis_minor": c.fit.axis_minor,
-            "axis_major": c.fit.axis_major,
-        }
+        return {**asdict(c), "contact_medians": list(c.contact_medians) if c.contact_medians else None}
 
     return {
         "filtering_enabled": p.filtering_enabled,
@@ -395,17 +384,15 @@ def plan_to_dict(p: Plan) -> dict:
 
 
 def candidate_from_dict(d: dict) -> GraspCandidate:
-    """The candidate of a plan document entry, which is outside input: every
-    number plan_to_dict writes must be present and finite, h, w and both
-    axes >= 0 and instance_id an integer >= 1; contact_medians, when given,
-    must be two finite numbers or null, filtered a bool and filter_reason a
-    string. Otherwise ParameterError names the key."""
-    if not isinstance(d, dict):
-        raise ParameterError(f"a plan candidate must be an object, got {d!r}")
+    """The candidate of a plan document entry, which is outside input: an
+    object holding every GraspCandidate field without a default and no other
+    key. Every number must be finite, h, w and both axes >= 0 and
+    instance_id an integer >= 1; contact_medians, when given, must be two
+    finite numbers or null, filtered a bool and filter_reason a string.
+    Otherwise ParameterError names the key."""
+    read_object(d, "plan candidate", *field_keys(GraspCandidate))
     for key, low in (("instance_id", 1), ("x", None), ("y", None), ("theta", None), ("h", 0),
                      ("w", 0), ("food_median", None), ("axis_minor", 0), ("axis_major", 0)):
-        if key not in d:
-            raise ParameterError(f"plan candidate has no {key}")
         check_number(key, d[key], integral=key == "instance_id", low=low, finite=True)
     medians = d.get("contact_medians")
     if not (medians is None or isinstance(medians, list) and len(medians) == 2):
@@ -414,17 +401,4 @@ def candidate_from_dict(d: dict) -> GraspCandidate:
         check_number("contact_medians", m, finite=True)
     check_type("filtered", d.get("filtered", False), bool)
     check_type("filter_reason", d.get("filter_reason", ""), str)
-    fit = EllipseFit(d["x"], d["y"], d["theta"], d["axis_minor"], d["axis_major"])
-    return GraspCandidate(
-        instance_id=d["instance_id"],
-        x=d["x"],
-        y=d["y"],
-        theta=d["theta"],
-        h=d["h"],
-        w=d["w"],
-        food_median=d["food_median"],
-        fit=fit,
-        contact_medians=tuple(medians) if medians else None,
-        filtered=d.get("filtered", False),
-        filter_reason=d.get("filter_reason", ""),
-    )
+    return GraspCandidate(**{**d, "contact_medians": tuple(medians) if medians else None})

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .archetypes import DEFAULT_ARCHETYPES, FoodArchetype, load_archetypes, save_archetypes
-from .errors import ParameterError, PlacementError, check_number, check_type, read_json
+from .errors import ParameterError, PlacementError, check_number, check_type, read_json, read_object
 from .grids import heights_to_levels, write_pgm16
 
 DEFAULT_TRAY_DIMS = (424.0, 308.0, 160.0)  # mm, industry-standard food tray
@@ -299,6 +299,18 @@ def drop_piece(
     return piece
 
 
+def check_tray(tray_dims, resolution) -> None:
+    """Raise ParameterError unless tray_dims is three positive finite numbers
+    and resolution None or a positive finite number."""
+    check_type("tray_dims", tray_dims, (tuple, list))
+    if len(tray_dims) != 3:
+        raise ParameterError(f"tray_dims must hold 3 numbers, got {tray_dims!r}")
+    for dim in tray_dims:
+        check_number("tray_dims", dim, low=0, low_open=True, finite=True)
+    if resolution is not None:
+        check_number("resolution", resolution, low=0, low_open=True, finite=True)
+
+
 @dataclass
 class SceneConfig:
     archetype: str = "fried_chicken"
@@ -314,13 +326,7 @@ class SceneConfig:
         if not isinstance(self.archetype, str) or self.archetype not in self.archetypes:
             raise ParameterError(f"unknown archetype {self.archetype!r}")
         self.archetypes[self.archetype].validate()
-        check_type("tray_dims", self.tray_dims, (tuple, list))
-        if len(self.tray_dims) != 3:
-            raise ParameterError(f"tray_dims must hold 3 numbers, got {self.tray_dims!r}")
-        for dim in self.tray_dims:
-            check_number("tray_dims", dim, low=0, low_open=True, finite=True)
-        if self.resolution is not None:
-            check_number("resolution", self.resolution, low=0, low_open=True, finite=True)
+        check_tray(self.tray_dims, self.resolution)
         check_number("max_placement_retries", self.max_placement_retries, integral=True, low=1)
 
 
@@ -456,31 +462,51 @@ _PIECE_KEYS = ("id", "archetype", "position", "rest_height", "scale", "stamp", "
 _STAMP_KEYS = ("semi_a", "semi_b", "exponent", "peak", "rotation")
 
 
-def _require_keys(doc: dict, keys: tuple[str, ...], where: str) -> None:
-    missing = [k for k in keys if k not in doc]
-    if missing:
-        raise ParameterError(f"{where} is missing {', '.join(missing)}")
+def _check_piece(pd, i: int, archetypes: dict[str, FoodArchetype]) -> None:
+    """Check the keys and values of scene.json's pieces[i]; whether
+    drop_piece would place it is left to the caller."""
+    read_object(pd, f"scene.json pieces[{i}]", _PIECE_KEYS, ("fully_occluded",))
+    check_number("piece id", pd["id"], integral=True, low=1, high=65535)
+    where = f"scene.json piece {pd['id']}"
+    if not (isinstance(pd["archetype"], str) and pd["archetype"] in archetypes):
+        raise ParameterError(f"{where} archetype {pd['archetype']!r} is not in archetypes.json")
+    if not (isinstance(pd["position"], list) and len(pd["position"]) == 2):
+        raise ParameterError(f"{where} position must hold 2 numbers, got {pd['position']!r}")
+    for v in pd["position"]:
+        check_number(f"{where} position", v, finite=True)
+    for key in ("rest_height", "damage_magnitude"):
+        check_number(f"{where} {key}", pd[key], low=0, finite=True)
+    check_number(f"{where} scale", pd["scale"], low=0, low_open=True, finite=True)
+    check_type(f"{where} damaged", pd["damaged"], bool)
+    stamp = read_object(pd["stamp"], f"{where} stamp", _STAMP_KEYS)
+    # the ranges FoodArchetype.validate gives a footprint, and a dome above it
+    for key in ("semi_a", "semi_b", "exponent", "peak"):
+        check_number(f"{where} stamp {key}", stamp[key], low=0, low_open=True, finite=True)
+    check_number(f"{where} stamp rotation", stamp["rotation"], finite=True)
 
 
 def load_scene(in_dir: str | Path) -> TrayScene:
     """Read a scene written by save_scene and recompose its maps; a stored
-    occlusion flag is ignored. A missing key, a piece id that is repeated or
-    outside 1..65535 (the owner-map PGM holds 16 bits), a next_id not above
-    every id, and a piece drop_piece would refuse at its position raise
+    occlusion flag is ignored. Besides read_object's key checks, a tray or
+    resolution SceneConfig.validate would refuse, a seed that is not an
+    integer >= 0, a piece id that is repeated or outside 1..65535 (the
+    owner-map PGM holds 16 bits), a next_id not above every id, an archetype
+    name not in archetypes.json, a NaN, infinite or out-of-range piece or
+    stamp number, and a piece drop_piece would refuse at its position raise
     ParameterError."""
     src = Path(in_dir)
-    doc = read_json(src / "scene.json")
-    _require_keys(doc, _SCENE_KEYS, "scene.json")
+    doc = read_object(read_json(src / "scene.json"), "scene.json", _SCENE_KEYS)
+    check_tray(doc["tray_dims"], doc["resolution"])
+    check_number("seed", doc["seed"], integral=True, low=0)
+    check_type("scene.json pieces", doc["pieces"], list)
+    archetypes = load_archetypes(src / "archetypes.json")
     ids: set[int] = set()
-    for pd in doc["pieces"]:
-        _require_keys(pd, _PIECE_KEYS, "scene.json piece")
-        _require_keys(pd["stamp"], _STAMP_KEYS, f"scene.json piece {pd['id']!r} stamp")
-        check_number("piece id", pd["id"], integral=True, low=1, high=65535)
+    for i, pd in enumerate(doc["pieces"]):
+        _check_piece(pd, i, archetypes)
         if pd["id"] in ids:
             raise ParameterError(f"duplicate piece id {pd['id']}")
         ids.add(pd["id"])
     check_number("next_id", doc["next_id"], integral=True, low=max(ids, default=0), low_open=True)
-    archetypes = load_archetypes(src / "archetypes.json")
     scene = empty_scene(
         archetypes,
         tuple(doc["tray_dims"]),
@@ -493,16 +519,11 @@ def load_scene(in_dir: str | Path) -> TrayScene:
     )
     for pd, stamp in zip(doc["pieces"], stamps):
         stamp.scale = pd["scale"]
-        where = f"scene.json piece {pd['id']}"
-        if not (isinstance(pd["position"], list) and len(pd["position"]) == 2):
-            raise ParameterError(f"{where} position must hold 2 numbers, got {pd['position']!r}")
-        for v in pd["position"]:
-            check_number(f"{where} position", v, finite=True)
         position = tuple(pd["position"])
         try:
             window = _placement(scene, stamp, position)
         except PlacementError as e:
-            raise ParameterError(f"{where}: {e}") from None
+            raise ParameterError(f"scene.json piece {pd['id']}: {e}") from None
         piece = PieceInstance(
             id=pd["id"],
             archetype=pd["archetype"],

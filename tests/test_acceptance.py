@@ -25,7 +25,6 @@ from traypick.perception import (
     render_masks,
 )
 from traypick.planner import (
-    EllipseFit,
     FingerGeometry,
     GraspCandidate,
     fit_ellipse,
@@ -168,7 +167,7 @@ def test_filter_matches_exhaustive_median_oracle():
                     depth, (c.x + sgn * d_px * ux, c.y + sgn * d_px * uy), c.theta, hl, hb
                 )
                 sides.append(vals)
-            food_median = float(np.median(oracle_ellipse_values(depth, c.fit)))
+            food_median = float(np.median(oracle_ellipse_values(depth, c)))
             if any(v.size == 0 for v in sides):
                 expect_retained, expect_reason = False, "out-of-tray"
             else:
@@ -254,7 +253,6 @@ def test_adaptive_finger_hard_bounds():
         for i in range(20)
     ]
     fm = FingerModel(kind=FingerKind.ADAPTIVE)
-    dummy_fit = EllipseFit(0.0, 0.0, 0.0, 10.0, 20.0)
     violations = 0
     max_r = max_f = 0.0
     for _ in range(10_000):
@@ -268,7 +266,8 @@ def test_adaptive_finger_hard_bounds():
             h=float(rng.uniform(0, 30)),
             w=float(rng.uniform(8, 40)),
             food_median=0.0,
-            fit=dummy_fit,
+            axis_minor=10.0,
+            axis_major=20.0,
         )
         ins = insert_fingers(scene, c, fm)
         for fin in ins.fingers:

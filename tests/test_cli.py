@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from traypick import cli
 from traypick.archetypes import DEFAULT_ARCHETYPES, save_archetypes
 from traypick.cli import main
 from traypick.config import load_experiment_config
@@ -57,6 +58,43 @@ class TestGenerate:
         main(["generate", "--seed", "7", "--out", str(b), "--count", "2"])
         for rel in ("scene_7/scene.json", "scene_8/heightmap.pgm"):
             assert (a / rel).read_bytes() == (b / rel).read_bytes()
+
+    @pytest.mark.parametrize("option, value", [("--count", "-3"), ("--count", "0"), ("--jobs", "0"),
+                                               ("--jobs", "-1")])
+    def test_count_and_jobs_below_one_rejected(self, tmp_path, option, value):
+        """--count -3 used to exit 0 having written nothing, and --jobs 0 ran
+        serially."""
+        out = tmp_path / "s"
+        with pytest.raises(ParameterError, match=f"{option} must be >= 1"):
+            main(["generate", "--seed", "7", "--out", str(out), option, value])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs, count, workers", [(8, 1, []), (4, 2, [2])])
+    def test_pool_starts_no_more_workers_than_scenes(self, tmp_path, monkeypatch, jobs, count, workers):
+        """A pool starts all its workers at its first task, so --jobs 8
+        --count 1 used to fork 8 processes for one scene. The recorder runs
+        the tasks in this process."""
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        out = tmp_path / "s"
+        assert main(["generate", "--seed", "7", "--out", str(out), "--count", str(count),
+                     "--jobs", str(jobs)]) == 0
+        assert started == workers
+        assert len(list(out.iterdir())) == count
 
     def test_corruption_config_writes_corrupted_masks(self, tmp_path):
         cfg = write_config(tmp_path, corruption={"merge_prob": 0.5})
@@ -255,7 +293,7 @@ class TestGrasp:
     @pytest.mark.parametrize("edit, match", [
         (lambda doc: doc["target"].update(h=float("nan")), "h must be >= 0, got nan"),
         (lambda doc: doc["target"].update(instance_id=3.5), "instance_id must be an integer"),
-        (lambda doc: doc["target"].clear(), "plan candidate has no instance_id"),
+        (lambda doc: doc["target"].clear(), "plan candidate is missing instance_id"),
         (lambda doc: doc.update(target=[1]), "plan candidate must be an object"),
         (lambda doc: doc.clear() or [doc], "plan document must be an object"),
         (lambda doc: doc["target"].update(x=1e300), r"target \(1e\+300, .*\) px is off the 600 x 436 px"),

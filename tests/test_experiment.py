@@ -197,6 +197,22 @@ class TestRunExperiment:
         loaded = read_records(tmp_path / "r.jsonl")
         assert [r.to_json() for r in loaded] == [r.to_json() for r in records]
 
+    @pytest.mark.parametrize("damage, match", [
+        (lambda text: text[: text.index("\n") - 5], "line 1 is not JSON"),
+        (lambda text: text.replace('"seed"', '"sede"', 1), "line 1 has unknown key 'sede'"),
+        (lambda text: text.replace('"epoch": 1, ', "", 1), "line 1 is missing epoch"),
+        (lambda text: "\udcff" + text, "is not UTF-8"),
+    ], ids=["truncated line", "unknown key", "missing key", "not UTF-8"])
+    def test_bad_records_file_rejected(self, tmp_path, damage, match):
+        """A truncated line used to raise JSONDecodeError, an unknown or
+        missing key TypeError and a file that is not UTF-8
+        UnicodeDecodeError."""
+        path = tmp_path / "r.jsonl"
+        write_records([record(0, Classification.SUCCESS_SINGLE, picked=[2])], path)
+        path.write_bytes(damage(path.read_text()).encode("utf-8", "surrogateescape"))
+        with pytest.raises(ParameterError, match=f"r.jsonl {match}"):
+            read_records(path)
+
     def test_filtering_never_retains_more(self):
         cfg_on = small_config(filtering=True, n_attempts=5, refill_policy=FRESH)
         cfg_off = small_config(filtering=False, n_attempts=5, refill_policy=FRESH)

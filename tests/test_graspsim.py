@@ -18,7 +18,7 @@ from traypick.graspsim import (
     insert_fingers,
 )
 from traypick.perception import render_depth, render_masks
-from traypick.planner import EllipseFit, GraspCandidate, plan
+from traypick.planner import GraspCandidate, plan
 from traypick.scenegen import (
     SceneConfig,
     empty_scene,
@@ -36,10 +36,9 @@ def slab_stamp(w_px, h_px, thickness):
 
 
 def candidate(x, y, theta=0.0, h=5.0, w=20.0, food_median=15.0, instance_id=1):
-    fit = EllipseFit(x, y, theta, w, w * 1.2)
     return GraspCandidate(
         instance_id=instance_id, x=x, y=y, theta=theta, h=h, w=w,
-        food_median=food_median, fit=fit,
+        food_median=food_median, axis_minor=w, axis_major=w * 1.2,
     )
 
 

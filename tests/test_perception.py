@@ -459,14 +459,14 @@ class TestMaskAndDepthFiles:
         (lambda d: d.update(size=None), "size must be"),
         (lambda d: d["instances"].append(dict(d["instances"][0])), "duplicate instance id 1"),
         (lambda d: d["instances"][0].update(id="1"), "instance id must be an integer"),
-        (lambda d: without(d, "instances"), "object with source, size and instances"),
-        (lambda d: without(d, "size"), "object with source, size and instances"),
-        (lambda d: without(d, "source"), "object with source, size and instances"),
-        (lambda d: [d], "object with source, size and instances"),
+        (lambda d: without(d, "instances"), "mask manifest .* is missing instances"),
+        (lambda d: without(d, "size"), "mask manifest .* is missing size"),
+        (lambda d: without(d, "source"), "mask manifest .* is missing source"),
+        (lambda d: [d], "mask manifest .* must be an object"),
         (lambda d: d.update(instances={"1": d["instances"][0]}), "instances must be a list"),
-        (lambda d: without(d["instances"][0], "counts"), "object with id and counts"),
-        (lambda d: without(d["instances"][0], "id"), "object with id and counts"),
-        (lambda d: d["instances"].append(7), "object with id and counts"),
+        (lambda d: without(d["instances"][0], "counts"), r"instances\[0\] is missing counts"),
+        (lambda d: without(d["instances"][0], "id"), r"instances\[0\] is missing id"),
+        (lambda d: d["instances"].append(7), r"instances\[1\] must be an object"),
         (lambda d: d["instances"][0].update(confidence="high"), "confidence must be a number"),
         (lambda d: d["instances"][0].update(confidence=7.0), r"confidence must be <= 1"),
         (lambda d: d["instances"][0].update(confidence=-0.5), r"confidence must be >= 0"),

@@ -1,5 +1,6 @@
 """Ellipse fitting, grasp derivation, contact regions, and filtering."""
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -167,11 +168,10 @@ class TestDeriveGrasp:
 
 
 def make_candidate(x, y, theta, w_mm, food_median, instance_id=1, h=None):
-    fit = EllipseFit(x, y, theta, w_mm, w_mm * 1.5)
     return GraspCandidate(
         instance_id=instance_id, x=x, y=y, theta=theta,
         h=h if h is not None else max(0.0, food_median - 10.0),
-        w=w_mm, food_median=food_median, fit=fit,
+        w=w_mm, food_median=food_median, axis_minor=w_mm, axis_major=w_mm * 1.5,
     )
 
 
@@ -286,7 +286,8 @@ class TestFilterGrasps:
             depth = DepthImage(heights * scale, 1.0)
             cs = []
             for c in cands:
-                win, interior = _ellipse_window(c.fit, (200, 200))
+                fit = EllipseFit(c.x, c.y, c.theta, c.axis_minor, c.axis_major)
+                win, interior = _ellipse_window(fit, (200, 200))
                 cs.append(make_candidate(c.x, c.y, c.theta, c.w,
                                          float(np.median((heights * scale)[win][interior])),
                                          instance_id=c.instance_id))
@@ -378,12 +379,9 @@ class TestPlan:
         depth = render_depth(scene)
         masks = render_masks(scene)
         p = plan(masks, depth, scene.archetypes["fried_chicken"])
-        doc = plan_to_dict(p)
-        c = candidate_from_dict(doc["target"])
-        assert c.instance_id == p.target.instance_id
-        assert c.h == p.target.h
-        assert c.w == p.target.w
-        assert c.theta == p.target.theta
+        doc = json.loads(json.dumps(plan_to_dict(p)))
+        assert candidate_from_dict(doc["target"]) == p.target
+        assert [candidate_from_dict(c) for c in doc["candidates"]] == p.candidates
 
 
 # Every number plan_to_dict writes for a candidate; a plan document is

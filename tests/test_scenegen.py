@@ -288,8 +288,8 @@ class TestSceneFiles:
         recompose. A stored flag is not read: a file whose flags say the
         opposite loads, and saves the owner map's values."""
         scene = empty_scene(resolution=1.0, tray_dims=(100.0, 100.0, 80.0))
-        buried = drop_piece(scene, rasterize_stamp(4.0, 4.0, 2.0, 1.0, 0.0, 1.0), 50.0, 50.0)
-        top = drop_piece(scene, rasterize_stamp(15.0, 15.0, 2.0, 10.0, 0.0, 1.0), 50.0, 50.0)
+        buried = drop_piece(scene, rasterize_stamp(4.0, 4.0, 2.0, 1.0, 0.0, 1.0), 50.0, 50.0, "mushroom")
+        top = drop_piece(scene, rasterize_stamp(15.0, 15.0, 2.0, 10.0, 0.0, 1.0), 50.0, 50.0, "mushroom")
         save_scene(scene, tmp_path / "s")
         path = tmp_path / "s" / "scene.json"
         doc = json.loads(path.read_text())
@@ -372,6 +372,53 @@ class TestSceneFiles:
         with pytest.raises(ParameterError, match=f"missing {key}"):
             load_scene(self.edited(tmp_path, edit))
 
+    SCENE_NUMBERS = [["tray_dims", 0], ["resolution"], ["seed"], ["pieces", 0, "rest_height"],
+                     ["pieces", 0, "scale"], ["pieces", 0, "damage_magnitude"],
+                     *(["pieces", 0, "stamp", k] for k in ("semi_a", "semi_b", "exponent", "peak", "rotation"))]
+
+    @staticmethod
+    def set_at(doc, path, value):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "1.0"], ids=repr)
+    @pytest.mark.parametrize("path", SCENE_NUMBERS, ids=lambda path: ".".join(map(str, path)))
+    def test_scene_number_checked(self, tmp_path, path, bad):
+        """A NaN stamp semi_a used to raise ValueError, a string rest_height
+        UFuncTypeError, and a NaN rest_height or seed loaded."""
+        with pytest.raises(ParameterError, match=rf"\b{[k for k in path if isinstance(k, str)][-1]}\b"):
+            load_scene(self.edited(tmp_path, lambda doc: self.set_at(doc, path, bad)))
+
+    @pytest.mark.parametrize("path, bad", [
+        (["resolution"], 0), (["resolution"], -1.0), (["tray_dims"], [424.0, 308.0]), (["seed"], -1),
+        (["seed"], 1.5), (["pieces", 0, "stamp", "semi_a"], -19.0), (["pieces", 0, "stamp", "peak"], 0.0),
+        (["pieces", 0, "rest_height"], -1.0), (["pieces", 0, "scale"], 0.0), (["pieces", 0, "damaged"], "no"),
+        (["pieces", 0, "damage_magnitude"], -0.5),
+    ], ids=repr)
+    def test_scene_number_range_checked(self, tmp_path, path, bad):
+        """Resolution 0 used to raise ZeroDivisionError and -1 numpy's
+        negative dimensions; the others loaded."""
+        with pytest.raises(ParameterError, match=rf"\b{path[-1]}\b"):
+            load_scene(self.edited(tmp_path, lambda doc: self.set_at(doc, path, bad)))
+
+    @pytest.mark.parametrize("name", ["nonexistent", "", None])
+    def test_archetype_name_not_in_archetypes_json_rejected(self, tmp_path, name):
+        """Every piece renamed "nonexistent" used to load, and the first grasp
+        raised KeyError in graspsim._damage."""
+        def edit(doc):
+            for pd in doc["pieces"]:
+                pd["archetype"] = name
+        with pytest.raises(ParameterError, match=f"piece 1 archetype {name!r} is not in archetypes.json"):
+            load_scene(self.edited(tmp_path, edit))
+
+    def test_misspelt_key_next_to_the_right_one_rejected(self, tmp_path):
+        """A piece holding rest_heigth next to rest_height used to load."""
+        def edit(doc):
+            doc["pieces"][0]["rest_heigth"] = 5.0
+        with pytest.raises(ParameterError, match=r"pieces\[0\] has unknown key 'rest_heigth'"):
+            load_scene(self.edited(tmp_path, edit))
+
 
 class TestArchetypeValidation:
     """Every field is checked with check_number; NaN and inf used to pass
@@ -398,7 +445,7 @@ class TestArchetypeValidation:
             assert FoodArchetype.from_dict(json.loads(json.dumps(arch.to_dict()))) == arch
 
     @pytest.mark.parametrize("key, value, match", [
-        ("colour", "red", "unknown archetype key 'colour'"),
+        ("colour", "red", "archetype has unknown key 'colour'"),
         ("exponent", None, "missing exponent"),
         ("hardness", "mushy", "unknown hardness 'mushy'"),
         ("dome_ratio", math.nan, "dome_ratio"),

@@ -179,7 +179,7 @@ def oracle_contact_regions(c, fg, resolution, shape):
 
 def oracle_jaw_region(scene, c, fg, outer):
     half_len_mm = c.w / 2.0 + fg.clearance + (fg.width if outer else 0.0)
-    half_breadth_px = max(fg.breadth / 2.0 / scene.resolution, c.fit.axis_major / 2.0)
+    half_breadth_px = max(fg.breadth / 2.0 / scene.resolution, c.axis_major / 2.0)
     return oracle_rectangle_mask(
         scene.shape, (c.x, c.y), c.theta, half_len_mm / scene.resolution, half_breadth_px
     )
@@ -479,7 +479,8 @@ def candidates(draw):
     fit = draw(fits())
     return GraspCandidate(
         instance_id=1, x=fit.x, y=fit.y, theta=fit.theta, h=0.0,
-        w=draw(st.floats(0.5, 60.0)), food_median=draw(st.floats(0.0, 40.0)), fit=fit,
+        w=draw(st.floats(0.5, 60.0)), food_median=draw(st.floats(0.0, 40.0)),
+        axis_minor=fit.axis_minor, axis_major=fit.axis_major,
     )
 
 
@@ -651,7 +652,8 @@ def assert_plan_equals_per_window_fits(masks, depth, filtering_enabled):
     archetype, fg = DEFAULT_ARCHETYPES["mushroom"], FingerGeometry()
     got = plan(masks, depth, archetype, fg, filtering_enabled)
     expected = oracle_plan(masks, depth, archetype, fg, filtering_enabled)
-    assert [c.fit for c in got.candidates] == [c.fit for c in expected.candidates]
+    assert ([(c.x, c.y, c.theta, c.axis_minor, c.axis_major) for c in got.candidates]
+            == [(c.x, c.y, c.theta, c.axis_minor, c.axis_major) for c in expected.candidates])
     assert list(got.skipped.items()) == list(expected.skipped.items())  # same ids, order, messages
     assert repr(plan_to_dict(got)) == repr(plan_to_dict(expected))  # repr tells every float apart
     return got
@@ -969,7 +971,7 @@ def test_wall_test_equals_four_corners_at_the_boundary():
                 x, y = x0, y0
                 for _ in range(abs(ulps)):
                     x, y = math.nextafter(x, ulps * math.inf), math.nextafter(y, ulps * math.inf)
-                c = GraspCandidate(1, x, y, theta, 0.0, w, 0.0, EllipseFit(x, y, theta, 1.0, 1.0))
+                c = GraspCandidate(1, x, y, theta, 0.0, w, 0.0, 1.0, 1.0)
                 blocked = tuple(f.blocked for f in insert_fingers(scene, c, fm).fingers)
                 assert blocked == oracle_wall_contacts(scene, c, fg)
                 outcomes[blocked] += 1
