@@ -57,7 +57,6 @@ from .scenegen import (
     drop_piece,
     generate_scene,
     load_scene,
-    make_stamp,
     save_scene,
 )
 

@@ -8,6 +8,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import load_experiment_config
@@ -98,16 +99,9 @@ def cmd_grasp(args) -> int:
         "classification": outcome.classification.value,
         "picked": sorted(outcome.picked),
         "damaged": {str(k): v for k, v in sorted(outcome.damaged.items())},
-        "insertion": [
-            {
-                "commanded": f.commanded,
-                "achieved": f.achieved,
-                "retraction": f.retraction,
-                "blocked": f.blocked,
-                "contacts": {str(k): v for k, v in sorted(f.contacts.items())},
-            }
-            for f in outcome.insertion.fingers
-        ],
+        # str keys: sort_keys would order int ids as numbers, 9 before 10
+        "insertion": [{**asdict(f), "contacts": {str(k): v for k, v in sorted(f.contacts.items())}}
+                      for f in outcome.insertion.fingers],
     }
     return _emit(doc, args.out)
 

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -229,35 +229,10 @@ def read_records(path: str | Path) -> list[TrialRecord]:
 def summary_csv(rows: list[tuple[str, ExperimentConfig, SummaryStats]]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(
-        [
-            "label",
-            "archetype",
-            "finger",
-            "filtering",
-            "n_attempts",
-            "success_single_rate",
-            "success_incl_multiple_rate",
-            "multi_pick_rate",
-            "damaged_piece_total",
-            "no_target_count",
-        ]
-    )
+    w.writerow(["label", "archetype", "finger", "filtering", *(f.name for f in fields(SummaryStats))])
     for label, cfg, s in rows:
-        w.writerow(
-            [
-                label,
-                cfg.archetype,
-                cfg.finger.value,
-                cfg.filtering,
-                s.n_attempts,
-                f"{s.success_single_rate:.4f}",
-                f"{s.success_incl_multiple_rate:.4f}",
-                f"{s.multi_pick_rate:.4f}",
-                s.damaged_piece_total,
-                s.no_target_count,
-            ]
-        )
+        w.writerow([label, cfg.archetype, cfg.finger.value, cfg.filtering,
+                    *(f"{v:.4f}" if isinstance(v, float) else v for v in astuple(s))])
     return buf.getvalue()
 
 

@@ -42,6 +42,7 @@ class PieceStamp:
     mask: np.ndarray  # boolean footprint
     scale: float
     params: dict  # jittered shape parameters, enough to re-rasterize
+    resolution: float  # mm per pixel it was rasterized at, which its scene's must equal
 
     @property
     def center(self) -> tuple[int, int]:
@@ -154,20 +155,9 @@ def rasterize_stamps(
                 mask=masks[k],
                 scale=1.0,
                 params={"semi_a": a, "semi_b": b, "exponent": n, "peak": pk, "rotation": rot},
+                resolution=resolution,
             )
     return stamps
-
-
-def rasterize_stamp(
-    semi_a: float,
-    semi_b: float,
-    exponent: float,
-    peak: float,
-    rotation: float,
-    resolution: float,
-) -> PieceStamp:
-    """One stamp of rasterize_stamps."""
-    return rasterize_stamps([(semi_a, semi_b, exponent, peak, rotation)], resolution)[0]
 
 
 def _piece_shape(
@@ -176,35 +166,11 @@ def _piece_shape(
     """The rasterize_stamps shape (semi_a, semi_b, exponent, peak, rotation)
     of one piece at scale, from its three jitter draws in [-j, j) (axis-a,
     axis-b and dome)."""
-    lo, hi = archetype.scale_range
-    if not (lo <= scale <= hi):
-        raise ParameterError(
-            f"scale {scale} outside {archetype.name} range [{lo}, {hi}]"
-        )
     ja, jb, jd = (1.0 + v for v in jitter)
     semi_a = archetype.semi_axes_mm[0] * scale * ja
     semi_b = archetype.semi_axes_mm[1] * scale * jb
     peak = archetype.dome_ratio * 0.5 * (semi_a + semi_b) * jd
     return semi_a, semi_b, archetype.exponent, peak, rotation
-
-
-def make_stamp(
-    archetype: FoodArchetype,
-    scale: float,
-    rotation: float,
-    rng: np.random.Generator,
-    resolution: float | None = None,
-) -> PieceStamp:
-    """Draw one piece from the archetype's family: scale, rotate, jitter.
-
-    Consumes exactly three rng draws (axis-a, axis-b, dome jitter) so scene
-    generation stays reproducible.
-    """
-    j = archetype.jitter
-    shape = _piece_shape(archetype, scale, rotation, rng.uniform(-j, j, 3))
-    stamp = rasterize_stamp(*shape, mm_per_pixel(resolution=resolution))
-    stamp.scale = scale
-    return stamp
 
 
 def _clip_window(window: StampWindow, region: tuple[slice, slice]) -> StampWindow:
@@ -236,8 +202,13 @@ def stamp_window(scene: TrayScene, stamp: PieceStamp, position: tuple[float, flo
 
 def _placement(scene: TrayScene, stamp: PieceStamp, position: tuple[float, float]) -> StampWindow:
     """The stamp_window of a stamp placed at position (x, y) mm. Raises
-    PlacementError unless the position is in the tray and the clipped
-    window and clipped footprint are not empty."""
+    ParameterError unless the stamp was rasterized at the scene's
+    resolution, and PlacementError unless the position is in the tray and
+    the clipped window and clipped footprint are not empty."""
+    if stamp.resolution != scene.resolution:
+        raise ParameterError(
+            f"stamp rasterized at {stamp.resolution} mm/px, the scene is {scene.resolution} mm/px"
+        )
     x, y = position
     if not (0 <= x < scene.tray_dims[0] and 0 <= y < scene.tray_dims[1]):
         raise PlacementError(f"drop position ({x}, {y}) outside tray")
@@ -276,14 +247,19 @@ def drop_piece(
     stamp: PieceStamp,
     x: float,
     y: float,
-    archetype_name: str = "",
+    archetype_name: str,
 ) -> PieceInstance:
-    """Drop a stamp at (x, y) mm and settle it by max-composition.
+    """Drop a stamp of the scene's archetype archetype_name at (x, y) mm and
+    settle it by max-composition.
 
     The footprint is clipped to the tray interior. Rest height is the lowest
     elevation at which the stamp bottom clears the current support everywhere,
-    floored at the tray floor. Returns the registered piece.
+    floored at the tray floor. Returns the registered piece. A name not in
+    scene.archetypes raises ParameterError, and so does a stamp of another
+    resolution.
     """
+    if archetype_name not in scene.archetypes:
+        raise ParameterError(f"archetype {archetype_name!r} is not in the scene's archetypes")
     win, st = _placement(scene, stamp, (x, y))
     piece = PieceInstance(
         id=scene.next_id,
@@ -387,7 +363,7 @@ def generate_scene(config: SceneConfig, seed: int) -> TrayScene:
             # or column nx needs the stamp.
             if int(round(y / scene.resolution)) >= ny or int(round(x / scene.resolution)) >= nx:
                 if edge_stamp is None:
-                    edge_stamp = rasterize_stamp(*shape, scene.resolution)
+                    edge_stamp = rasterize_stamps([shape], scene.resolution)[0]
                 try:
                     _placement(scene, edge_stamp, (x, y))
                 except PlacementError:
@@ -462,9 +438,10 @@ _PIECE_KEYS = ("id", "archetype", "position", "rest_height", "scale", "stamp", "
 _STAMP_KEYS = ("semi_a", "semi_b", "exponent", "peak", "rotation")
 
 
-def _check_piece(pd, i: int, archetypes: dict[str, FoodArchetype]) -> None:
-    """Check the keys and values of scene.json's pieces[i]; whether
-    drop_piece would place it is left to the caller."""
+def _check_piece(pd, i: int, archetypes: dict[str, FoodArchetype], max_semi: float) -> None:
+    """Check the keys and values of scene.json's pieces[i], its stamp's
+    semi-axes at most max_semi mm; whether drop_piece would place it is left
+    to the caller."""
     read_object(pd, f"scene.json pieces[{i}]", _PIECE_KEYS, ("fully_occluded",))
     check_number("piece id", pd["id"], integral=True, low=1, high=65535)
     where = f"scene.json piece {pd['id']}"
@@ -479,9 +456,11 @@ def _check_piece(pd, i: int, archetypes: dict[str, FoodArchetype]) -> None:
     check_number(f"{where} scale", pd["scale"], low=0, low_open=True, finite=True)
     check_type(f"{where} damaged", pd["damaged"], bool)
     stamp = read_object(pd["stamp"], f"{where} stamp", _STAMP_KEYS)
-    # the ranges FoodArchetype.validate gives a footprint, and a dome above it
+    # the ranges FoodArchetype.validate gives a footprint, and a dome above it;
+    # a stamp's square grows with its semi-axes, so they are bounded too
     for key in ("semi_a", "semi_b", "exponent", "peak"):
-        check_number(f"{where} stamp {key}", stamp[key], low=0, low_open=True, finite=True)
+        check_number(f"{where} stamp {key}", stamp[key], low=0, low_open=True, finite=True,
+                     high=max_semi if key in ("semi_a", "semi_b") else None)
     check_number(f"{where} stamp rotation", stamp["rotation"], finite=True)
 
 
@@ -492,8 +471,8 @@ def load_scene(in_dir: str | Path) -> TrayScene:
     integer >= 0, a piece id that is repeated or outside 1..65535 (the
     owner-map PGM holds 16 bits), a next_id not above every id, an archetype
     name not in archetypes.json, a NaN, infinite or out-of-range piece or
-    stamp number, and a piece drop_piece would refuse at its position raise
-    ParameterError."""
+    stamp number (a stamp semi-axis is at most the tray's longer side), and
+    a piece drop_piece would refuse at its position raise ParameterError."""
     src = Path(in_dir)
     doc = read_object(read_json(src / "scene.json"), "scene.json", _SCENE_KEYS)
     check_tray(doc["tray_dims"], doc["resolution"])
@@ -502,7 +481,7 @@ def load_scene(in_dir: str | Path) -> TrayScene:
     archetypes = load_archetypes(src / "archetypes.json")
     ids: set[int] = set()
     for i, pd in enumerate(doc["pieces"]):
-        _check_piece(pd, i, archetypes)
+        _check_piece(pd, i, archetypes, max(doc["tray_dims"][0], doc["tray_dims"][1]))
         if pd["id"] in ids:
             raise ParameterError(f"duplicate piece id {pd['id']}")
         ids.add(pd["id"])

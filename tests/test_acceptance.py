@@ -11,10 +11,9 @@ import time
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from traypick.archetypes import DEFAULT_ARCHETYPES
-from traypick.experiment import ExperimentConfig, FRESH, run_experiment
+from traypick.experiment import ExperimentConfig, FRESH, paired_success_pvalue, run_experiment
 from traypick.graspsim import FingerKind, FingerModel, insert_fingers
 from traypick.perception import (
     CorruptionParams,
@@ -35,7 +34,8 @@ from traypick.scenegen import (
     drop_piece,
     empty_scene,
     generate_scene,
-    make_stamp,
+    mm_per_pixel,
+    rasterize_stamps,
 )
 
 # Wall-clock seconds of the three statistical-direction campaigns, so their
@@ -309,10 +309,12 @@ def paired_campaign(archetype, finger, base_seed, corruption=None):
 
 def test_filtering_improves_single_pick_success():
     t0 = time.perf_counter()
-    n01 = n10 = 0
+    pooled_on, pooled_off = [], []
     per = []
     for i, name in enumerate(("fried_chicken", "broccoli", "mushroom")):
         (_, rec_on), (_, rec_off) = paired_campaign(name, FingerKind.ADAPTIVE, 40_000 + 1000 * i)
+        pooled_on += rec_on
+        pooled_off += rec_off
         a = sum(
             x.classification == "success_single" and y.classification != "success_single"
             for x, y in zip(rec_on, rec_off)
@@ -321,11 +323,9 @@ def test_filtering_improves_single_pick_success():
             y.classification == "success_single" and x.classification != "success_single"
             for x, y in zip(rec_on, rec_off)
         )
-        n01 += a
-        n10 += b
         per.append(f"{name} +{a}/-{b}")
-    # one-sided exact McNemar on the pooled discordant pairs
-    p = float(stats.binom.sf(n01 - 1, n01 + n10, 0.5)) if n01 + n10 else 1.0
+    # one-sided exact McNemar on the pooled paired attempts
+    p = paired_success_pvalue(pooled_on, pooled_off)
     CAMPAIGN_SECONDS["single"] = time.perf_counter() - t0
     ok = p < 0.01
     _report(
@@ -448,26 +448,35 @@ def test_generation_throughput_1200_scenes():
 
 def test_drop_invariants_over_bulk_randomized_drops():
     rng = np.random.default_rng(8)
+    # a 106-mm tray at the default 424-mm tray's resolution, the one its
+    # stamps are rasterized at: 150 x 150 px, stamp sides 27-81 px
     tray = (106.0, 106.0, 160.0)
-    names = ("mushroom", "fried_chicken", "sausage")
-    stamps = []
-    for i in range(200):
-        arch = DEFAULT_ARCHETYPES[names[i % len(names)]]
-        lo, hi = arch.scale_range
-        stamps.append(
-            make_stamp(arch, float(rng.uniform(lo, hi)), float(rng.uniform(0, math.pi)), rng)
-        )
+    res = mm_per_pixel()
+    names = [("mushroom", "fried_chicken", "sausage")[i % 3] for i in range(200)]
+    shapes = []
+    for name in names:
+        # a piece's shape as generate_scene draws it: scale, rotation, then
+        # the axis-a, axis-b and dome jitters
+        arch = DEFAULT_ARCHETYPES[name]
+        scale = float(rng.uniform(*arch.scale_range))
+        rotation = float(rng.uniform(0, math.pi))
+        ja, jb, jd = 1.0 + rng.uniform(-arch.jitter, arch.jitter, 3)
+        semi_a = arch.semi_axes_mm[0] * scale * ja
+        semi_b = arch.semi_axes_mm[1] * scale * jb
+        shapes.append((semi_a, semi_b, arch.exponent, arch.dome_ratio * 0.5 * (semi_a + semi_b) * jd,
+                       rotation))
+    stamps = rasterize_stamps(shapes, res)
     n_drops = 100_000
     violations = 0
-    scene = empty_scene(tray_dims=tray)
+    scene = empty_scene(tray_dims=tray, resolution=res)
     for k in range(n_drops):
         if k % 500 == 0:
-            scene = empty_scene(tray_dims=tray)
+            scene = empty_scene(tray_dims=tray, resolution=res)
         stamp = stamps[k % len(stamps)]
         x = float(rng.uniform(0, tray[0]))
         y = float(rng.uniform(0, tray[1]))
         before = scene.heightmap.copy()
-        piece = drop_piece(scene, stamp, x, y)
+        piece = drop_piece(scene, stamp, x, y, names[k % len(stamps)])
         # monotone composition: no pixel ever loses height
         if (scene.heightmap < before).any():
             violations += 1

@@ -24,12 +24,12 @@ from traypick.scenegen import (
     empty_scene,
     generate_scene,
     drop_piece,
-    rasterize_stamp,
+    rasterize_stamps,
 )
 
 
 def slab_stamp(w_px, h_px, thickness):
-    s = rasterize_stamp(1.0, 1.0, 2.0, 0.0, 0.0, 1.0)
+    s = rasterize_stamps([(1.0, 1.0, 2.0, 0.0, 0.0)], 1.0)[0]
     s.top = np.full((h_px, w_px), float(thickness))
     s.mask = np.ones((h_px, w_px), dtype=bool)
     return s

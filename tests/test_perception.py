@@ -24,7 +24,7 @@ from traypick.perception import (
     save_depth,
     save_masks,
 )
-from traypick.scenegen import (SceneConfig, drop_piece, empty_scene, generate_scene, rasterize_stamp,
+from traypick.scenegen import (SceneConfig, drop_piece, empty_scene, generate_scene, rasterize_stamps,
                                save_scene)
 
 
@@ -89,8 +89,8 @@ class TestRenderDepth:
 class TestRenderMasks:
     def test_single_piece_mask_equals_footprint(self):
         scene = empty_scene(resolution=1.0, tray_dims=(100.0, 100.0, 50.0))
-        stamp = rasterize_stamp(10.0, 8.0, 2.0, 5.0, 0.0, 1.0)
-        piece = drop_piece(scene, stamp, 50.0, 50.0)
+        stamp = rasterize_stamps([(10.0, 8.0, 2.0, 5.0, 0.0)], 1.0)[0]
+        piece = drop_piece(scene, stamp, 50.0, 50.0, "mushroom")
         masks = render_masks(scene)
         assert masks.ids() == [piece.id]
         np.testing.assert_array_equal(masks.masks[0][1], scene.owner_map == piece.id)
@@ -106,10 +106,10 @@ class TestRenderMasks:
 
     def test_buried_piece_excluded_and_flagged(self, tmp_path):
         scene = empty_scene(resolution=1.0, tray_dims=(100.0, 100.0, 80.0))
-        small = rasterize_stamp(4.0, 4.0, 2.0, 1.0, 0.0, 1.0)
-        buried = drop_piece(scene, small, 50.0, 50.0)
-        big = rasterize_stamp(15.0, 15.0, 2.0, 10.0, 0.0, 1.0)
-        drop_piece(scene, big, 50.0, 50.0)
+        small = rasterize_stamps([(4.0, 4.0, 2.0, 1.0, 0.0)], 1.0)[0]
+        buried = drop_piece(scene, small, 50.0, 50.0, "mushroom")
+        big = rasterize_stamps([(15.0, 15.0, 2.0, 10.0, 0.0)], 1.0)[0]
+        drop_piece(scene, big, 50.0, 50.0, "mushroom")
         masks = render_masks(scene)
         assert buried.id not in masks.ids()
         save_scene(scene, tmp_path)

@@ -25,7 +25,7 @@ from traypick.planner import (
     plan_to_dict,
     select_grasp,
 )
-from traypick.scenegen import SceneConfig, empty_scene, generate_scene, rasterize_stamp, drop_piece
+from traypick.scenegen import SceneConfig, empty_scene, generate_scene, rasterize_stamps, drop_piece
 
 
 def raster_ellipse(shape, x, y, theta, a_full, b_full):
@@ -345,15 +345,15 @@ class TestPlan:
         # a tall slab at the wall obstructs the mid slab's right finger; with
         # filtering the planner falls back to the low clear slab instead
         def slab(w_px, h_px, thickness):
-            s = rasterize_stamp(1.0, 1.0, 2.0, 0.0, 0.0, 1.0)
+            s = rasterize_stamps([(1.0, 1.0, 2.0, 0.0, 0.0)], 1.0)[0]
             s.top = np.full((h_px, w_px), float(thickness))
             s.mask = np.ones((h_px, w_px), dtype=bool)
             return s
 
         scene = empty_scene(resolution=1.0, tray_dims=(200.0, 200.0, 120.0))
-        mid = drop_piece(scene, slab(31, 41, 25.0), 160.0, 100.0)
-        wall_piece = drop_piece(scene, slab(21, 31, 40.0), 190.0, 100.0)
-        clear = drop_piece(scene, slab(31, 41, 10.0), 50.0, 50.0)
+        mid = drop_piece(scene, slab(31, 41, 25.0), 160.0, 100.0, "fried_chicken")
+        wall_piece = drop_piece(scene, slab(21, 31, 40.0), 190.0, 100.0, "fried_chicken")
+        clear = drop_piece(scene, slab(31, 41, 10.0), 50.0, 50.0, "fried_chicken")
         depth = render_depth(scene)
         masks = render_masks(scene)
         arch = scene.archetypes["fried_chicken"]

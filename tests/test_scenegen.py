@@ -17,9 +17,8 @@ from traypick.scenegen import (
     empty_scene,
     generate_scene,
     load_scene,
-    make_stamp,
     mm_per_pixel,
-    rasterize_stamp,
+    rasterize_stamps,
     recompose,
     save_scene,
     stamp_window,
@@ -43,7 +42,7 @@ def disk_archetype(radius=15.0, jitter=0.0, dome=0.5):
 def flat_stamp(side_px, thickness, resolution=1.0):
     """Uniform-thickness square slab for hand-checkable stacking tests."""
     shape = (side_px, side_px)
-    stamp = rasterize_stamp(1.0, 1.0, 2.0, 0.0, 0.0, resolution)
+    stamp = rasterize_stamps([(1.0, 1.0, 2.0, 0.0, 0.0)], resolution)[0]
     stamp.top = np.full(shape, float(thickness))
     stamp.mask = np.ones(shape, dtype=bool)
     return stamp
@@ -52,7 +51,7 @@ def flat_stamp(side_px, thickness, resolution=1.0):
 class TestRasterizeStamp:
     def test_disk_footprint_radius_and_peak(self):
         res = 0.5
-        stamp = rasterize_stamp(15.0, 15.0, 2.0, 7.5, 0.0, res)
+        stamp = rasterize_stamps([(15.0, 15.0, 2.0, 7.5, 0.0)], res)[0]
         # area of the rasterized footprint approximates pi r^2
         area_mm2 = stamp.mask.sum() * res * res
         assert area_mm2 == pytest.approx(math.pi * 15.0**2, rel=0.02)
@@ -61,15 +60,15 @@ class TestRasterizeStamp:
         assert stamp.top.max() == stamp.top[cy, cx]
 
     def test_disk_rotation_invariant(self):
-        a = rasterize_stamp(15.0, 15.0, 2.0, 5.0, 0.0, 0.5)
-        b = rasterize_stamp(15.0, 15.0, 2.0, 5.0, math.pi / 2, 0.5)
+        a = rasterize_stamps([(15.0, 15.0, 2.0, 5.0, 0.0)], 0.5)[0]
+        b = rasterize_stamps([(15.0, 15.0, 2.0, 5.0, math.pi / 2)], 0.5)[0]
         # disk symmetry: identical footprints up to one pixel of boundary churn
         assert (a.mask ^ b.mask).sum() <= a.mask.shape[0]
 
     def test_elongated_bounding_box_scales(self):
         res = 0.4
         # semi-axes 40x12 at scale 0.7 -> bbox 56.0 x 16.8 mm
-        stamp = rasterize_stamp(40.0 * 0.7, 12.0 * 0.7, 4.0, 5.0, 0.0, res)
+        stamp = rasterize_stamps([(40.0 * 0.7, 12.0 * 0.7, 4.0, 5.0, 0.0)], res)[0]
         rows = np.flatnonzero(stamp.mask.any(axis=1))
         cols = np.flatnonzero(stamp.mask.any(axis=0))
         width_mm = (cols[-1] - cols[0] + 1) * res
@@ -78,57 +77,58 @@ class TestRasterizeStamp:
         assert height_mm == pytest.approx(16.8, abs=2 * res)
 
     def test_top_tapers_to_zero_at_boundary(self):
-        stamp = rasterize_stamp(10.0, 8.0, 2.5, 6.0, 0.3, 0.5)
+        stamp = rasterize_stamps([(10.0, 8.0, 2.5, 6.0, 0.3)], 0.5)[0]
         assert (stamp.top[~stamp.mask] == 0).all()
         assert stamp.top[stamp.mask].min() >= 0
-
-
-class TestMakeStamp:
-    def test_scale_out_of_range_rejected(self):
-        arch = disk_archetype()
-        with pytest.raises(ParameterError):
-            make_stamp(arch, 1.5, 0.0, np.random.default_rng(0))
-
-    def test_zero_jitter_matches_direct_rasterization(self):
-        arch = disk_archetype(radius=15.0, jitter=0.0)
-        stamp = make_stamp(arch, 1.0, 0.0, np.random.default_rng(0), resolution=0.5)
-        direct = rasterize_stamp(15.0, 15.0, 2.0, 0.5 * 15.0, 0.0, 0.5)
-        np.testing.assert_array_equal(stamp.mask, direct.mask)
-        np.testing.assert_allclose(stamp.top, direct.top)
-
-    def test_jitter_stays_within_fraction(self):
-        arch = dataclasses.replace(disk_archetype(), jitter=0.2)
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            stamp = make_stamp(arch, 1.0, 0.0, rng, resolution=0.5)
-            assert 15.0 * 0.8 <= stamp.params["semi_a"] <= 15.0 * 1.2
-            assert 15.0 * 0.8 <= stamp.params["semi_b"] <= 15.0 * 1.2
-
-    def test_consumes_exactly_three_draws(self):
-        arch = disk_archetype(jitter=0.1)
-        rng_a = np.random.default_rng(3)
-        rng_b = np.random.default_rng(3)
-        make_stamp(arch, 1.0, 0.0, rng_a)
-        rng_b.uniform(-0.1, 0.1, 3)
-        assert rng_a.random() == rng_b.random()
 
 
 class TestDropPiece:
     def test_drop_on_empty_tray(self):
         scene = empty_scene(resolution=1.0, tray_dims=(100.0, 100.0, 50.0))
-        stamp = rasterize_stamp(10.0, 10.0, 2.0, 5.0, 0.0, 1.0)
-        piece = drop_piece(scene, stamp, 50.0, 50.0, "disk")
+        stamp = rasterize_stamps([(10.0, 10.0, 2.0, 5.0, 0.0)], 1.0)[0]
+        piece = drop_piece(scene, stamp, 50.0, 50.0, "mushroom")
         assert piece.rest_height == 0.0
         # ownership covers exactly the footprint (interior heights are > 0)
         owned = scene.owner_map == piece.id
         expected = stamp.top > 0
         assert owned.sum() == expected.sum()
 
+    @pytest.mark.parametrize("name", ["", "tofu"])
+    def test_archetype_name_not_in_the_scene_refused(self, name):
+        """Two pieces dropped without a name, "" by default, used to make a
+        fixed-finger grasp raise KeyError: '' in graspsim._damage, and
+        save_scene to write a scene load_scene refuses."""
+        scene = empty_scene(resolution=1.0, tray_dims=(100.0, 100.0, 50.0))
+        stamp = rasterize_stamps([(10.0, 10.0, 2.0, 5.0, 0.0)], 1.0)[0]
+        with pytest.raises(ParameterError, match=f"archetype {name!r}"):
+            drop_piece(scene, stamp, 50.0, 50.0, name)
+        assert scene.next_id == 1 and not scene.pieces and not scene.heightmap.any()
+
+    def test_stamp_of_another_resolution_refused(self, tmp_path):
+        """A nominal mushroom stamp rasterized at the default tray's 424/600
+        mm/px and dropped at the centre of a 106-mm tray (0.177 mm/px) used to
+        own 753 px, and 12,079 px after save_scene and load_scene, which
+        rasterize it again at the scene's resolution. Stamps from
+        generate_scene's default tray were dropped the same way."""
+        arch = DEFAULT_ARCHETYPES["mushroom"]
+        a, b = arch.semi_axes_mm
+        shape = (a, b, arch.exponent, arch.dome_ratio * 0.5 * (a + b), 0.0)
+        scene = empty_scene(tray_dims=(106.0, 106.0, 160.0))
+        default_tray = generate_scene(SceneConfig(archetype="mushroom"), 17)
+        for stamp in (rasterize_stamps([shape], mm_per_pixel())[0], default_tray.pieces[1].stamp):
+            with pytest.raises(ParameterError, match="mm/px"):
+                drop_piece(scene, stamp, 53.0, 53.0, "mushroom")
+        assert scene.next_id == 1 and not scene.pieces and not scene.heightmap.any()
+        piece = drop_piece(scene, rasterize_stamps([shape], scene.resolution)[0], 53.0, 53.0, "mushroom")
+        save_scene(scene, tmp_path)
+        owned = np.count_nonzero(scene.owner_map == piece.id)
+        assert np.count_nonzero(load_scene(tmp_path).owner_map == piece.id) == owned > 10_000
+
     def test_stacking_identical_flats(self):
         scene = empty_scene(resolution=1.0, tray_dims=(100.0, 100.0, 50.0))
         stamp = flat_stamp(21, 10.0)
-        drop_piece(scene, stamp, 50.0, 50.0)
-        second = drop_piece(scene, stamp, 50.0, 50.0)
+        drop_piece(scene, stamp, 50.0, 50.0, "mushroom")
+        second = drop_piece(scene, stamp, 50.0, 50.0, "mushroom")
         assert second.rest_height == pytest.approx(10.0)
         assert scene.heightmap.max() == pytest.approx(20.0)
 
@@ -137,17 +137,15 @@ class TestDropPiece:
         rng = np.random.default_rng(11)
         for trial in range(20):
             scene = empty_scene(resolution=1.0, tray_dims=(120.0, 120.0, 80.0))
-            stamps = [
-                rasterize_stamp(
-                    rng.uniform(6, 18), rng.uniform(6, 18), rng.uniform(2, 4),
-                    rng.uniform(3, 12), rng.uniform(0, math.pi), 1.0,
-                )
+            stamps = rasterize_stamps([
+                (rng.uniform(6, 18), rng.uniform(6, 18), rng.uniform(2, 4),
+                 rng.uniform(3, 12), rng.uniform(0, math.pi))
                 for _ in range(4)
-            ]
+            ], 1.0)
             positions = [(rng.uniform(30, 90), rng.uniform(30, 90)) for _ in stamps]
             for stamp, (x, y) in zip(stamps, positions):
                 before = scene.heightmap.copy()
-                piece = drop_piece(scene, stamp, x, y)
+                piece = drop_piece(scene, stamp, x, y, "mushroom")
                 cy, cx = int(round(y)), int(round(x))
                 hy, hx = stamp.center
                 expected = 0.0
@@ -165,37 +163,37 @@ class TestDropPiece:
         scene = empty_scene(resolution=1.0, tray_dims=(100.0, 100.0, 80.0))
         for _ in range(10):
             before = scene.heightmap.copy()
-            stamp = rasterize_stamp(8.0, 6.0, 2.0, 4.0, rng.uniform(0, 3), 1.0)
-            drop_piece(scene, stamp, rng.uniform(10, 90), rng.uniform(10, 90))
+            stamp = rasterize_stamps([(8.0, 6.0, 2.0, 4.0, rng.uniform(0, 3))], 1.0)[0]
+            drop_piece(scene, stamp, rng.uniform(10, 90), rng.uniform(10, 90), "mushroom")
             assert (scene.heightmap >= before - 1e-12).all()
 
     def test_out_of_tray_position_rejected(self):
         scene = empty_scene(resolution=1.0, tray_dims=(100.0, 100.0, 50.0))
-        stamp = rasterize_stamp(5.0, 5.0, 2.0, 3.0, 0.0, 1.0)
+        stamp = rasterize_stamps([(5.0, 5.0, 2.0, 3.0, 0.0)], 1.0)[0]
         with pytest.raises(PlacementError):
-            drop_piece(scene, stamp, 150.0, 50.0)
+            drop_piece(scene, stamp, 150.0, 50.0, "mushroom")
 
     def test_no_pixel_in_the_tray_rejected(self):
         scene = empty_scene(resolution=1.0, tray_dims=(100.0, 100.0, 50.0))
-        dot = rasterize_stamp(0.3, 0.3, 2.0, 1.0, 0.0, 1.0)  # the centre pixel alone
+        dot = rasterize_stamps([(0.3, 0.3, 2.0, 1.0, 0.0)], 1.0)[0]  # the centre pixel alone
         with pytest.raises(PlacementError, match="clipped footprint is empty"):
-            drop_piece(scene, dot, 99.7, 50.0)  # centre in column nx
+            drop_piece(scene, dot, 99.7, 50.0, "mushroom")  # centre in column nx
         with pytest.raises(PlacementError, match="entirely outside"):
-            drop_piece(scene, flat_stamp(1, 5.0), 50.0, 99.7)  # a 1 x 1 stamp in row ny
+            drop_piece(scene, flat_stamp(1, 5.0), 50.0, 99.7, "mushroom")  # a 1 x 1 stamp in row ny
         assert scene.next_id == 1 and not scene.pieces and not scene.heightmap.any()
 
     def test_stamp_off_the_raster_has_an_empty_window(self):
         """The clipped raster stop used to go negative, and numpy read it from
         the far end of the raster."""
         scene = empty_scene(resolution=1.0, tray_dims=(100.0, 100.0, 50.0))
-        stamp = rasterize_stamp(5.0, 5.0, 2.0, 3.0, 0.0, 1.0)
+        stamp = rasterize_stamps([(5.0, 5.0, 2.0, 3.0, 0.0)], 1.0)[0]
         win, st = stamp_window(scene, stamp, (-20.0, -20.0))
         assert scene.heightmap[win].shape == stamp.top[st].shape == (0, 0)
 
     def test_partial_overlap_with_wall_clips(self):
         scene = empty_scene(resolution=1.0, tray_dims=(100.0, 100.0, 50.0))
-        stamp = rasterize_stamp(10.0, 10.0, 2.0, 5.0, 0.0, 1.0)
-        piece = drop_piece(scene, stamp, 1.0, 50.0)
+        stamp = rasterize_stamps([(10.0, 10.0, 2.0, 5.0, 0.0)], 1.0)[0]
+        piece = drop_piece(scene, stamp, 1.0, 50.0, "mushroom")
         owned = (scene.owner_map == piece.id).sum()
         assert 0 < owned < (stamp.top > 0).sum()
 
@@ -204,8 +202,8 @@ class TestDropPiece:
         scene = empty_scene(resolution=1.0, tray_dims=(100.0, 100.0, 80.0))
         pieces = []
         for _ in range(8):
-            stamp = rasterize_stamp(8.0, 8.0, 2.0, 5.0, 0.0, 1.0)
-            pieces.append(drop_piece(scene, stamp, rng.uniform(20, 80), rng.uniform(20, 80)))
+            stamp = rasterize_stamps([(8.0, 8.0, 2.0, 5.0, 0.0)], 1.0)[0]
+            pieces.append(drop_piece(scene, stamp, rng.uniform(20, 80), rng.uniform(20, 80), "mushroom"))
         # heightmap = 0 exactly where unowned; owned pixels match the owner's top
         np.testing.assert_array_equal(scene.heightmap == 0, scene.owner_map == 0)
 
@@ -240,6 +238,15 @@ class TestGenerateScene:
     def test_unknown_archetype_rejected(self):
         with pytest.raises(ParameterError):
             generate_scene(SceneConfig(archetype="tofu"), 0)
+
+    def test_jitter_stays_within_fraction(self):
+        arch = dataclasses.replace(disk_archetype(), jitter=0.2)
+        scene = generate_scene(SceneConfig(archetype="disk", archetypes={"disk": arch}), 7)
+        assert len(scene.pieces) >= 10
+        for piece in scene.pieces.values():
+            nominal = 15.0 * piece.stamp.scale
+            assert nominal * 0.8 <= piece.stamp.params["semi_a"] <= nominal * 1.2
+            assert nominal * 0.8 <= piece.stamp.params["semi_b"] <= nominal * 1.2
 
     def test_randomization_record_populated(self):
         scene = generate_scene(SceneConfig(), 3)
@@ -288,8 +295,8 @@ class TestSceneFiles:
         recompose. A stored flag is not read: a file whose flags say the
         opposite loads, and saves the owner map's values."""
         scene = empty_scene(resolution=1.0, tray_dims=(100.0, 100.0, 80.0))
-        buried = drop_piece(scene, rasterize_stamp(4.0, 4.0, 2.0, 1.0, 0.0, 1.0), 50.0, 50.0, "mushroom")
-        top = drop_piece(scene, rasterize_stamp(15.0, 15.0, 2.0, 10.0, 0.0, 1.0), 50.0, 50.0, "mushroom")
+        buried = drop_piece(scene, rasterize_stamps([(4.0, 4.0, 2.0, 1.0, 0.0)], 1.0)[0], 50.0, 50.0, "mushroom")
+        top = drop_piece(scene, rasterize_stamps([(15.0, 15.0, 2.0, 10.0, 0.0)], 1.0)[0], 50.0, 50.0, "mushroom")
         save_scene(scene, tmp_path / "s")
         path = tmp_path / "s" / "scene.json"
         doc = json.loads(path.read_text())
@@ -350,7 +357,7 @@ class TestSceneFiles:
         the raster; the other two loaded silently as well."""
         scene = generate_scene(SceneConfig(), 17)
         with pytest.raises(PlacementError, match="outside tray"):
-            drop_piece(scene, scene.pieces[1].stamp, *position)
+            drop_piece(scene, scene.pieces[1].stamp, *position, "fried_chicken")
 
         def edit(doc):
             doc["pieces"][0]["position"] = list(position)
@@ -411,6 +418,20 @@ class TestSceneFiles:
                 pd["archetype"] = name
         with pytest.raises(ParameterError, match=f"piece 1 archetype {name!r} is not in archetypes.json"):
             load_scene(self.edited(tmp_path, edit))
+
+    @pytest.mark.parametrize("value", [424.5, 848.0])
+    @pytest.mark.parametrize("key", ["semi_a", "semi_b"])
+    def test_semi_axis_longer_than_the_tray_rejected(self, tmp_path, monkeypatch, key, value):
+        """A semi_a of 848 mm, twice the tray's width, used to load as a
+        2403 x 2403 px stamp: a stamp's memory grows with the square of its
+        semi-axis. It is refused before any stamp is rasterized."""
+        scene_dir = self.edited(tmp_path, lambda doc: doc["pieces"][0]["stamp"].update({key: value}))
+
+        def rasterize(*args):
+            raise AssertionError("a stamp was rasterized")
+        monkeypatch.setattr("traypick.scenegen.rasterize_stamps", rasterize)
+        with pytest.raises(ParameterError, match=f"piece 1 stamp {key} must be <= 424"):
+            load_scene(scene_dir)
 
     def test_misspelt_key_next_to_the_right_one_rejected(self, tmp_path):
         """A piece holding rest_heigth next to rest_height used to load."""

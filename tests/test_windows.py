@@ -92,8 +92,6 @@ from traypick.scenegen import (
     empty_scene,
     generate_scene,
     load_scene,
-    mm_per_pixel,
-    rasterize_stamp,
     rasterize_stamps,
     recompose,
     save_scene,
@@ -352,14 +350,9 @@ def oracle_rasterize_stamp(semi_a, semi_b, exponent, peak, rotation, resolution)
     return top, mask
 
 
-def oracle_make_stamp(archetype, scale, rotation, rng, resolution=None):
-    """make_stamp with its own jitter draw, on the full-square rasterizer."""
-    lo, hi = archetype.scale_range
-    if not (lo <= scale <= hi):
-        raise ParameterError(
-            f"scale {scale} outside {archetype.name} range [{lo}, {hi}]"
-        )
-    res = mm_per_pixel(resolution=resolution)
+def oracle_piece_stamp(archetype, scale, rotation, rng, res):
+    """A generated piece's stamp from its own three jitter draws (axis-a,
+    axis-b, dome), on the full-square rasterizer."""
     j = archetype.jitter
     ja, jb, jd = 1.0 + rng.uniform(-j, j, 3)
     semi_a = archetype.semi_axes_mm[0] * scale * ja
@@ -368,10 +361,10 @@ def oracle_make_stamp(archetype, scale, rotation, rng, resolution=None):
     top, mask = oracle_rasterize_stamp(semi_a, semi_b, archetype.exponent, peak, rotation, res)
     params = {"semi_a": semi_a, "semi_b": semi_b, "exponent": archetype.exponent,
               "peak": peak, "rotation": rotation}
-    return PieceStamp(top=top, mask=mask, scale=scale, params=params)
+    return PieceStamp(top=top, mask=mask, scale=scale, params=params, resolution=res)
 
 
-def oracle_drop_piece(scene, stamp, x, y, archetype_name=""):
+def oracle_drop_piece(scene, stamp, x, y, archetype_name):
     """drop_piece with its support and raised pixels gathered by indexing."""
     if not (0 <= x < scene.tray_dims[0] and 0 <= y < scene.tray_dims[1]):
         raise PlacementError(f"drop position ({x}, {y}) outside tray")
@@ -431,7 +424,7 @@ def oracle_generate_scene(config, seed):
     for _ in range(count):
         scale = float(rng.uniform(*arch.scale_range))
         rotation = float(rng.uniform(0.0, math.pi))
-        stamp = oracle_make_stamp(arch, scale, rotation, rng, scene.resolution)
+        stamp = oracle_piece_stamp(arch, scale, rotation, rng, scene.resolution)
         for _ in range(config.max_placement_retries):
             x = float(rng.uniform(0.0, config.tray_dims[0]))
             y = float(rng.uniform(0.0, config.tray_dims[1]))
@@ -845,7 +838,7 @@ def test_median_equals_numpy_bit_for_bit(values):
 @example(semi_a=12.0, semi_b=5.0, exponent=2.5, peak=30.0, rotation=math.nextafter(math.pi, 0.0),
          res=424.0 / 600)
 def test_rasterize_stamp_equals_full_square(semi_a, semi_b, exponent, peak, rotation, res):
-    stamp = rasterize_stamp(semi_a, semi_b, exponent, peak, rotation, res)
+    stamp = rasterize_stamps([(semi_a, semi_b, exponent, peak, rotation)], res)[0]
     top, mask = oracle_rasterize_stamp(semi_a, semi_b, exponent, peak, rotation, res)
     np.testing.assert_array_equal(stamp.mask, mask)
     assert stamp.top.tobytes() == top.tobytes()
@@ -854,7 +847,7 @@ def test_rasterize_stamp_equals_full_square(semi_a, semi_b, exponent, peak, rota
 @pytest.mark.parametrize("res", [424.0 / 600, 0.5, 1.3])
 def test_rasterize_stamp_equals_its_slice_of_a_batch(res):
     """Stamps batched by side and exponent equal the same stamps rasterized
-    one at a time, bit for bit."""
+    one at a time, in one-shape batches, bit for bit."""
     rng = np.random.default_rng(17)
     rotations = [0.0, math.pi / 2, math.nextafter(math.pi, 0.0), *rng.uniform(0.0, math.pi, 87)]
     shapes = [
@@ -865,11 +858,11 @@ def test_rasterize_stamp_equals_its_slice_of_a_batch(res):
     batches = Counter((int(math.ceil(max(a, b) / res)) + 1, n) for a, b, n, _, _ in shapes)
     assert sum(k for k in batches.values() if k > 1) >= len(shapes) // 2
     for shape, got in zip(shapes, rasterize_stamps(shapes, res)):
-        alone = rasterize_stamp(*shape, res)
+        alone = rasterize_stamps([shape], res)[0]
         assert got.top.tobytes() == alone.top.tobytes()
         assert got.mask.tobytes() == alone.mask.tobytes()
         assert got.top.shape == alone.top.shape
-        assert (got.scale, got.params) == (alone.scale, alone.params)
+        assert (got.scale, got.params, got.resolution) == (alone.scale, alone.params, res)
 
 
 # At sigma 5e-324 most of sigma * z rounds to +-0.0: the noise is then drawn
@@ -1334,9 +1327,9 @@ def buried_scene():
     """A hand-built tray: a piece buried under a later, larger drop, and a
     piece clipped at the raster's corner."""
     scene = empty_scene(resolution=1.0, tray_dims=(100.0, 100.0, 80.0))
-    drop_piece(scene, rasterize_stamp(4.0, 4.0, 2.0, 1.0, 0.0, 1.0), 50.0, 50.0)
-    drop_piece(scene, rasterize_stamp(15.0, 15.0, 2.0, 10.0, 0.0, 1.0), 50.0, 50.0)
-    drop_piece(scene, rasterize_stamp(9.0, 4.0, 2.0, 12.0, 0.5, 1.0), 99.5, 1.0)
+    drop_piece(scene, rasterize_stamps([(4.0, 4.0, 2.0, 1.0, 0.0)], 1.0)[0], 50.0, 50.0, "mushroom")
+    drop_piece(scene, rasterize_stamps([(15.0, 15.0, 2.0, 10.0, 0.0)], 1.0)[0], 50.0, 50.0, "mushroom")
+    drop_piece(scene, rasterize_stamps([(9.0, 4.0, 2.0, 12.0, 0.5)], 1.0)[0], 99.5, 1.0, "mushroom")
     return scene
 
 
