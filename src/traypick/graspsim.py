@@ -95,16 +95,19 @@ class GraspOutcome:
     insertion: InsertionResult
 
 
-def _pieces_in_region(scene: TrayScene, region: np.ndarray) -> dict[int, np.ndarray]:
-    """Heights of each piece's pixels among the flat raster indices region."""
+def _piece_tops(scene: TrayScene, region: np.ndarray) -> dict[int, float]:
+    """Each piece's highest height among the flat raster indices region, by
+    ascending id."""
     owners = scene.owner_map.take(region)
     heights = scene.heightmap.take(region)
-    out: dict[int, np.ndarray] = {}
-    for pid in np.unique(owners):
-        if pid == 0:
-            continue
-        out[int(pid)] = heights[owners == pid]
-    return out
+    return {int(pid): float(heights[owners == pid].max()) for pid in np.unique(owners) if pid != 0}
+
+
+def _magnitude(fm: FingerModel, overlap: float) -> float:
+    """A contact's magnitude for an overlap of mm above the finger bottom:
+    the penetration itself for a fixed finger, the spring force at the
+    retraction it asks for (capped at the budget) for an adaptive one."""
+    return overlap if fm.kind is FingerKind.FIXED else fm.stiffness * min(overlap, fm.retraction_budget)
 
 
 def _insert_one(
@@ -114,26 +117,18 @@ def _insert_one(
     fm: FingerModel,
     params: ExecutionParams,
 ) -> FingerInsertion:
+    """Every piece standing above h is a contact. A fixed finger penetrates
+    each by its own overlap; an adaptive one retracts by the tallest
+    obstruction, so all its contacts take the same force."""
     if not region.size:
         return FingerInsertion(h, h, 0.0, {}, False)
     obstruction = max(0.0, float(scene.heightmap.take(region).max()) - h)
-    by_piece = _pieces_in_region(scene, region)
-    contacts: dict[int, float] = {}
-    if fm.kind is FingerKind.FIXED:
-        blocked = False
-        for pid, heights in by_piece.items():
-            pen = float(heights.max()) - h
-            if pen <= 0:
-                continue
-            contacts[pid] = pen
-            if pen > params.pierce_block:
-                blocked = True
-        return FingerInsertion(h, h, 0.0, contacts, blocked)
+    fixed = fm.kind is FingerKind.FIXED
+    contacts = {pid: _magnitude(fm, top - h if fixed else obstruction)
+                for pid, top in _piece_tops(scene, region).items() if top > h}
+    if fixed:
+        return FingerInsertion(h, h, 0.0, contacts, max(contacts.values(), default=0.0) > params.pierce_block)
     retraction = min(obstruction, fm.retraction_budget)
-    force = fm.stiffness * retraction
-    for pid, heights in by_piece.items():
-        if float(heights.max()) > h:
-            contacts[pid] = force
     return FingerInsertion(h, h + retraction, retraction, contacts, obstruction > fm.retraction_budget)
 
 
@@ -162,9 +157,8 @@ def insert_fingers(
     """Insert both fingers vertically at the candidate's contact regions.
 
     A finger whose rectangle reaches past the tray interior hits the tray
-    wall and blocks outright. Otherwise, fixed fingers damage a piece when
-    penetration exceeds its archetype's damage tolerance; adaptive fingers
-    damage it when the spring force exceeds its fragility force.
+    wall and blocks outright. A contact damages its piece when its
+    magnitude exceeds the piece's threshold for this finger (_damage).
     """
     params = params or ExecutionParams()
     fm.validate()
@@ -197,20 +191,13 @@ def _jaw_regions(
 
     A gripped piece is held even where it overhangs the fingers lengthwise,
     so the corridor spans the piece's own major extent when that exceeds the
-    finger breadth.
-
-    Only the sweep is rasterized. The jaw has its centre, axis and breadth
-    and a shorter length, and _rectangle_pixels' per-pixel u does not depend
-    on where the tested square starts, so the jaw is the sweep's pixels
-    with |u| within its half-length, in the same ascending order."""
-    jaw_half_len = (c.w / 2.0 + fg.clearance) / scene.resolution
+    finger breadth. Both are rasterized by _rectangle_pixels, with the same
+    centre, axis and breadth."""
+    rect = [(c.x, c.y, math.cos(c.theta), math.sin(c.theta))]
     half_breadth_px = max(_finger_half_sizes(fg, scene.resolution)[1], c.axis_major / 2.0)
-    cos, sin = math.cos(c.theta), math.sin(c.theta)
-    sweep = _rectangle_pixels(scene.shape, [(c.x, c.y, cos, sin)],
-                              (c.w / 2.0 + fg.clearance + fg.width) / scene.resolution, half_breadth_px)[0]
-    rows, cols = np.divmod(sweep, scene.shape[1])
-    u = (cols - c.x) * cos + (rows - c.y) * sin  # _rectangle_pixels' formula
-    return sweep[np.abs(u) <= jaw_half_len], sweep
+    jaw_mm = c.w / 2.0 + fg.clearance
+    return tuple(_rectangle_pixels(scene.shape, rect, half_mm / scene.resolution, half_breadth_px)[0]
+                 for half_mm in (jaw_mm, jaw_mm + fg.width))
 
 
 def _visible_fraction_in(scene: TrayScene, pid: int, label_counts: np.ndarray) -> float:
@@ -268,15 +255,9 @@ def close_and_lift(
                 picked.append(pid)
 
     damaged = dict(ins.damaged)
-    for pid, heights in _pieces_in_region(scene, sweep).items():
-        if pid in picked:
-            continue
-        overlap = float(heights.max()) - max_bottom
-        if overlap <= 0:
-            continue
-        magnitude = (overlap if fm.kind is FingerKind.FIXED
-                     else fm.stiffness * min(overlap, fm.retraction_budget))
-        _damage(scene, fm, pid, magnitude, damaged)
+    for pid, top in _piece_tops(scene, sweep).items():
+        if pid not in picked and top > max_bottom:
+            _damage(scene, fm, pid, _magnitude(fm, top - max_bottom), damaged)
 
     if len(picked) == 1:
         classification = Classification.SUCCESS_SINGLE

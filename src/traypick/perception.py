@@ -212,15 +212,10 @@ def _spread(px: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _adjacent(a: MaskWindow, b: MaskWindow, shape: tuple[int, int]) -> bool:
-    """8-neighborhood adjacency, evaluated on the overlap of padded boxes,
-    which corrupt_masks passes only for pairs whose padded boxes overlap
-    inside the raster."""
-    ba, bb = _box(a), _box(b)
-    r0 = max(ba[0] - 1, bb[0] - 1, 0)
-    r1 = min(ba[1] + 1, bb[1] + 1, shape[0])
-    c0 = max(ba[2] - 1, bb[2] - 1, 0)
-    c1 = min(ba[3] + 1, bb[3] + 1, shape[1])
+def _adjacent(a: MaskWindow, b: MaskWindow, r0: int, r1: int, c0: int, c1: int) -> bool:
+    """8-neighborhood adjacency, evaluated on rows r0:r1 and columns c0:c1,
+    the non-empty overlap of the pair's boxes padded by 1 px and clipped to
+    the raster."""
     # 3 x 3 dilation of a, separable: rows, then columns
     dilated = _spread(_spread(_pixels_in(a, r0, r1, c0, c1), 0), 1)
     return bool((dilated & _pixels_in(b, r0, r1, c0, c1)).any())
@@ -293,7 +288,8 @@ def corrupt_masks(
         hi = np.minimum(np.minimum(b[:, None, 1::2], b[None, :, 1::2]) + 1, shape)
         for i_idx, j_idx in zip(*np.nonzero(np.triu((hi > lo).all(axis=2), 1))):
             wi, wj = ordered[i_idx], ordered[j_idx]
-            if _adjacent(wi, wj, shape) and rng.random() < params.merge_prob:
+            (r0, c0), (r1, c1) = lo[i_idx, j_idx].tolist(), hi[i_idx, j_idx].tolist()
+            if _adjacent(wi, wj, r0, r1, c0, c1) and rng.random() < params.merge_prob:
                 parent[find(wj.id)] = find(wi.id)
 
     groups: dict[int, list[MaskWindow]] = {}

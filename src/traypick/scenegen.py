@@ -287,6 +287,11 @@ def check_tray(tray_dims, resolution) -> None:
         check_number("resolution", resolution, low=0, low_open=True, finite=True)
 
 
+def _max_semi_axis(tray_dims) -> float:
+    """The longest stamp semi-axis, in mm, a tray takes: its longer side."""
+    return max(tray_dims[0], tray_dims[1])
+
+
 @dataclass
 class SceneConfig:
     archetype: str = "fried_chicken"
@@ -301,8 +306,15 @@ class SceneConfig:
         check_type("archetypes", self.archetypes, dict)
         if not isinstance(self.archetype, str) or self.archetype not in self.archetypes:
             raise ParameterError(f"unknown archetype {self.archetype!r}")
-        self.archetypes[self.archetype].validate()
+        arch = self.archetypes[self.archetype]
+        arch.validate()
         check_tray(self.tray_dims, self.resolution)
+        # the largest semi-axis _piece_shape can draw, so every scene loads
+        longest = max(arch.semi_axes_mm) * arch.scale_range[1] * (1.0 + arch.jitter)
+        bound = _max_semi_axis(self.tray_dims)
+        if longest > bound:
+            raise ParameterError(f"archetype {self.archetype!r} pieces reach a semi-axis of {longest:.2f} mm,"
+                                 f" longer than the tray's {bound} mm side")
         check_number("max_placement_retries", self.max_placement_retries, integral=True, low=1)
 
 
@@ -481,7 +493,7 @@ def load_scene(in_dir: str | Path) -> TrayScene:
     archetypes = load_archetypes(src / "archetypes.json")
     ids: set[int] = set()
     for i, pd in enumerate(doc["pieces"]):
-        _check_piece(pd, i, archetypes, max(doc["tray_dims"][0], doc["tray_dims"][1]))
+        _check_piece(pd, i, archetypes, _max_semi_axis(doc["tray_dims"]))
         if pd["id"] in ids:
             raise ParameterError(f"duplicate piece id {pd['id']}")
         ids.add(pd["id"])

@@ -18,7 +18,7 @@ from traypick.graspsim import (
     insert_fingers,
 )
 from traypick.perception import render_depth, render_masks
-from traypick.planner import GraspCandidate, plan
+from traypick.planner import GraspCandidate, filter_grasps, plan
 from traypick.scenegen import (
     SceneConfig,
     empty_scene,
@@ -303,3 +303,19 @@ class TestExecuteGrasp:
         out_b = execute_grasp(scene_b, p.target, FingerModel(kind=FingerKind.FIXED))
         assert out_a.classification == out_b.classification
         assert out_a.picked == out_b.picked
+
+
+@pytest.mark.xfail(strict=True, reason="filter_grasps drops a candidate only when a contact rectangle misses "
+                   "the raster entirely, while insert_fingers blocks a finger with any corner past it")
+def test_filter_keeps_no_grasp_the_tray_wall_blocks():
+    """On dense mushroom trays, no candidate filter_grasps retains has a
+    finger blocked by the tray wall (blocked with no piece contact)."""
+    fm = FingerModel(kind=FingerKind.FIXED)
+    walled = []
+    for seed in range(3):
+        scene = generate_scene(SceneConfig(archetype="mushroom"), seed)
+        depth = render_depth(scene)
+        p = plan(render_masks(scene), depth, scene.archetypes["mushroom"], fm.geometry, filtering_enabled=False)
+        walled += [(seed, c.instance_id) for c in filter_grasps(p.candidates, depth, fm.geometry)
+                   if any(f.blocked and not f.contacts for f in insert_fingers(scene, c, fm).fingers)]
+    assert walled == []

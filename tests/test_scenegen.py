@@ -433,6 +433,21 @@ class TestSceneFiles:
         with pytest.raises(ParameterError, match=f"piece 1 stamp {key} must be <= 424"):
             load_scene(scene_dir)
 
+    def test_archetype_longer_than_the_tray_refused_at_generation(self):
+        """A sausage tray of 25 x 20 mm generated 41 pieces at seed 3 that
+        load_scene then refused (piece 3 semi_a 25.66 mm); sausage pieces
+        reach 24 x 1.1 x 1.05 = 27.72 mm, so the config itself is refused."""
+        with pytest.raises(ParameterError, match="archetype 'sausage'.*27.72 mm"):
+            generate_scene(SceneConfig(archetype="sausage", tray_dims=(25.0, 20.0, 50.0)), 3)
+
+    def test_archetype_within_the_tray_round_trips(self, tmp_path):
+        scene = generate_scene(SceneConfig(archetype="sausage", tray_dims=(28.0, 20.0, 50.0)), 3)
+        save_scene(scene, tmp_path)
+        loaded = load_scene(tmp_path)
+        assert sorted(loaded.pieces) == sorted(scene.pieces)
+        assert loaded.heightmap.tobytes() == scene.heightmap.tobytes()
+        assert loaded.owner_map.tobytes() == scene.owner_map.tobytes()
+
     def test_misspelt_key_next_to_the_right_one_rejected(self, tmp_path):
         """A piece holding rest_heigth next to rest_height used to load."""
         def edit(doc):

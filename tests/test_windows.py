@@ -11,9 +11,11 @@ against the code it replaced or np.median, and for scene generation, whose
 oracle tries each drop as it draws it with scalar Generator.uniform calls,
 rasterizing every stamp on its own over the full square.
 plan's one stacked eigen-solve per tray is held to one fit_ellipse and
-derive_grasp per window, the one-pass jaw to its own rectangle, each
-piece's recorded window to a fresh stamp_window, and the extreme-corner
-tray-wall test to the four corners of each finger rectangle.
+derive_grasp per window, the jaw and sweep to their own rectangles, each
+piece's recorded window to a fresh stamp_window, the extreme-corner
+tray-wall test to the four corners of each finger rectangle, and the one
+contact rule and one overlap rule of both fingers to the loop per finger
+kind they replaced.
 """
 from __future__ import annotations
 
@@ -38,11 +40,16 @@ from hypothesis.extra.numpy import arrays
 from traypick.archetypes import DEFAULT_ARCHETYPES
 from traypick.errors import FitError, ParameterError, PlacementError
 from traypick.graspsim import (
+    ExecutionParams,
+    FingerInsertion,
     FingerKind,
     FingerModel,
+    _damage,
+    _insert_one,
     _jaw_regions,
-    _pieces_in_region,
+    _piece_tops,
     _visible_fraction_in,
+    close_and_lift,
     execute_grasp,
     insert_fingers,
 )
@@ -200,6 +207,53 @@ def oracle_wall_contacts(scene, c, fg):
     ny, nx = scene.shape
     return tuple(any(not (0.0 <= px <= nx - 1 and 0.0 <= py <= ny - 1) for px, py in corners)
                  for corners in oracle_finger_corners(scene, c, fg))
+
+
+def oracle_pieces_in_region(scene, region):
+    """Heights of each piece's pixels among the flat raster indices region."""
+    owners = scene.owner_map.take(region)
+    heights = scene.heightmap.take(region)
+    return {int(pid): heights[owners == pid] for pid in np.unique(owners) if pid != 0}
+
+
+def oracle_insert_one(scene, region, h, fm, params):
+    """_insert_one with one contact loop per finger kind and the adaptive
+    force written out."""
+    if not region.size:
+        return FingerInsertion(h, h, 0.0, {}, False)
+    obstruction = max(0.0, float(scene.heightmap.take(region).max()) - h)
+    by_piece = oracle_pieces_in_region(scene, region)
+    contacts = {}
+    if fm.kind is FingerKind.FIXED:
+        blocked = False
+        for pid, heights in by_piece.items():
+            pen = float(heights.max()) - h
+            if pen <= 0:
+                continue
+            contacts[pid] = pen
+            if pen > params.pierce_block:
+                blocked = True
+        return FingerInsertion(h, h, 0.0, contacts, blocked)
+    retraction = min(obstruction, fm.retraction_budget)
+    force = fm.stiffness * retraction
+    for pid, heights in by_piece.items():
+        if float(heights.max()) > h:
+            contacts[pid] = force
+    return FingerInsertion(h, h + retraction, retraction, contacts, obstruction > fm.retraction_budget)
+
+
+def oracle_sweep_damage(scene, sweep, picked, max_bottom, fm, damaged):
+    """close_and_lift's closure-damage loop with the spring rule inline."""
+    for pid, heights in oracle_pieces_in_region(scene, sweep).items():
+        if pid in picked:
+            continue
+        overlap = float(heights.max()) - max_bottom
+        if overlap <= 0:
+            continue
+        magnitude = (overlap if fm.kind is FingerKind.FIXED
+                     else fm.stiffness * min(overlap, fm.retraction_budget))
+        _damage(scene, fm, pid, magnitude, damaged)
+    return damaged
 
 
 def oracle_visible_fraction_in(scene, pid, region) -> float:
@@ -927,18 +981,80 @@ def test_jaw_contents_and_fractions_equal_full_raster(scenes, idx, c, outer, bre
     region = oracle_jaw_region(scene, c, fg, outer)
     flat = sweep if outer else jaw
 
-    got = _pieces_in_region(scene, flat)
+    got = _piece_tops(scene, flat)
     owners = scene.owner_map[region]
-    expected = {int(p): scene.heightmap[region][owners == p] for p in np.unique(owners) if p != 0}
-    assert sorted(got) == sorted(expected)
-    for pid in expected:
-        np.testing.assert_array_equal(got[pid], expected[pid])
+    expected = {int(p): scene.heightmap[region][owners == p].max() for p in np.unique(owners) if p != 0}
+    assert list(got) == sorted(expected)
+    assert {pid: float_bits(top) for pid, top in got.items()} == {
+        pid: float_bits(top) for pid, top in expected.items()
+    }
 
     in_region = np.bincount(scene.owner_map.take(flat))
     for pid in [0, -1, scene.next_id + 5, *scene.pieces]:
         assert _visible_fraction_in(scene, pid, in_region) == oracle_visible_fraction_in(
             scene, pid, region
         )
+
+
+def insertion_bits(fin):
+    """A FingerInsertion's fields, floats as their bytes, contacts in order."""
+    return (float_bits(fin.commanded), float_bits(fin.achieved), float_bits(fin.retraction),
+            [(pid, float_bits(v)) for pid, v in fin.contacts.items()], fin.blocked)
+
+
+def damage_bits(damaged):
+    return [(pid, float_bits(v)) for pid, v in damaged.items()]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=list(HealthCheck))
+@given(idx=st.integers(0, 2), c=candidates(), kind=st.sampled_from(FingerKind),
+       # depths at and either side of the fixed block (15 mm) and the adaptive budget (22.5 mm) too
+       depth=st.one_of(st.floats(-5.0, 45.0),
+                       st.tuples(st.sampled_from([15.0, 22.5]), st.sampled_from([0.5, 0.0, -0.5])).map(sum)),
+       h_is=st.sampled_from(["below the top", "a piece top", "-0.0"]), on_piece=st.booleans(),
+       data=st.data())
+def test_finger_rules_equal_two_branch_oracles(scenes, idx, c, kind, depth, h_is, on_piece, data):
+    """One contact rule for both fingers and one overlap rule give the
+    insertions and damage of one loop per finger kind, bit for bit, also
+    for an empty region and a piece whose top is exactly h."""
+    scene = scenes[idx]
+    ny, nx = scene.shape
+    if on_piece:  # aimed at a piece, within 10 px of its centre
+        c.instance_id = data.draw(st.sampled_from(sorted(scene.pieces)))
+        x, y = scene.pieces[c.instance_id].position
+        c.x, c.y = x / scene.resolution + (c.x - 25.0) / 11.5, y / scene.resolution + (c.y - 25.0) / 11.5
+    else:  # anywhere over the raster, the tray walls included
+        c.x, c.y = (c.x + 90.0) * 2.6, (c.y + 90.0) * 1.9
+        c.instance_id = int(scene.owner_map[min(max(int(c.y), 0), ny - 1), min(max(int(c.x), 0), nx - 1)]) or 1
+    fm, params = FingerModel(kind=kind), ExecutionParams()
+    hl, hb = _finger_half_sizes(fm.geometry, scene.resolution)
+    flat, counts = _rectangle_pixels(scene.shape, _contact_rectangles(c, fm.geometry, scene.resolution), hl, hb)
+    regions = [*segments(flat, counts), np.zeros(0, dtype=np.int64)]
+    tops = oracle_pieces_in_region(scene, flat)
+    h = float(scene.heightmap.take(flat).max(initial=0.0)) - depth
+    if h_is == "-0.0":
+        h = -0.0
+    elif h_is == "a piece top" and tops:
+        h = float(tops[data.draw(st.sampled_from(sorted(tops)))].max())
+    for region in regions:
+        assert insertion_bits(_insert_one(scene, region, h, fm, params)) == insertion_bits(
+            oracle_insert_one(scene, region, h, fm, params))
+
+    c.h = h
+    ins = insert_fingers(scene, c, fm, params)
+    fins = [FingerInsertion(h, h, 0.0, {}, True) if wall else oracle_insert_one(scene, region, h, fm, params)
+            for wall, region in zip(oracle_wall_contacts(scene, c, fm.geometry), regions)]
+    assert [insertion_bits(f) for f in ins.fingers] == [insertion_bits(f) for f in fins]
+    damaged = {}
+    for fin in fins:
+        for pid, magnitude in fin.contacts.items():
+            _damage(scene, fm, pid, magnitude, damaged)
+    assert damage_bits(ins.damaged) == damage_bits(damaged)
+
+    outcome = close_and_lift(scene, c, ins, fm, params)
+    sweep = np.flatnonzero(oracle_jaw_region(scene, c, fm.geometry, True))
+    expected = oracle_sweep_damage(scene, sweep, outcome.picked, max(f.achieved for f in fins), fm, damaged)
+    assert damage_bits(outcome.damaged) == damage_bits(expected)
 
 
 def test_wall_test_equals_four_corners_at_the_boundary():
