@@ -6,7 +6,7 @@ with median-height filtering (planner) -> fixed/adaptive finger execution
 (graspsim) -> seeded campaigns and comparisons (experiment).
 """
 
-from .archetypes import DEFAULT_ARCHETYPES, FoodArchetype, Hardness
+from .archetypes import DEFAULT_ARCHETYPES, FoodArchetype
 from .errors import FitError, ParameterError, PlacementError
 from .experiment import (
     ExperimentConfig,

@@ -7,18 +7,11 @@ scene generation, and the physical parameters the finger models consume
 """
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import ParameterError, check_number, check_type, field_keys, read_json, read_object
-
-
-class Hardness(enum.Enum):
-    SOFT = "soft"
-    HARD = "hard"
-    VERY_HARD = "very_hard"
+from .errors import ParameterError, check_number, field_keys, read_json, read_object
 
 
 @dataclass(frozen=True)
@@ -28,7 +21,6 @@ class FoodArchetype:
     exponent: float  # superellipse exponent; 2 = ellipse, higher = boxier
     jitter: float  # per-piece fractional jitter on axes and dome
     dome_ratio: float  # peak height / mean footprint semi-axis
-    hardness: Hardness
     fragility_force: float  # N; adaptive-finger damage threshold
     damage_tolerance: float  # mm; fixed-finger penetration allowance
     grasp_height_offset: float  # mm; added to the food-area median height
@@ -55,50 +47,41 @@ class FoodArchetype:
         if self.jitter == 1:
             raise ParameterError(f"{n}: jitter must be < 1, got {self.jitter!r}")
         check_number(f"{n}: dome_ratio", self.dome_ratio, low=0, low_open=True, finite=True)
-        check_type(f"{n}: hardness", self.hardness, Hardness)
         check_number(f"{n}: fragility_force", self.fragility_force, low=0, low_open=True, finite=True)
         check_number(f"{n}: damage_tolerance", self.damage_tolerance, low=0, finite=True)
         check_number(f"{n}: grasp_height_offset", self.grasp_height_offset, finite=True)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["hardness"] = self.hardness.value
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FoodArchetype":
         """The archetype a to_dict document describes. A document that is not
-        an object, an unknown or missing key, an unknown hardness and a value
-        validate() refuses raise ParameterError."""
+        an object, an unknown or missing key and a value validate() refuses raise
+        ParameterError."""
         read_object(d, "archetype", *field_keys(cls))
         d = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
-        try:
-            d["hardness"] = Hardness(d["hardness"])
-        except ValueError:
-            raise ParameterError(f"unknown hardness {d['hardness']!r}") from None
         a = cls(**d)
         a.validate()
         return a
 
 
 def _defaults() -> dict[str, FoodArchetype]:
-    # Hardness classes follow the evaluated foods; the geometric and force
-    # numbers are configuration defaults, tuned for the desk-scale simulator.
     items = [
         FoodArchetype("fried_chicken", (19.0, 15.0), 2.5, 0.20, 0.60,
-                      Hardness.SOFT, 3.0, 4.0, -10.0),
+                      3.0, 4.0, -10.0),
         FoodArchetype("broccoli", (18.0, 15.0), 2.0, 0.25, 0.70,
-                      Hardness.SOFT, 2.5, 3.0, -12.0),
+                      2.5, 3.0, -12.0),
         FoodArchetype("mushroom", (12.0, 10.0), 2.0, 0.15, 0.70,
-                      Hardness.SOFT, 2.0, 3.0, -8.0, count_range=(40, 100)),
+                      2.0, 3.0, -8.0, count_range=(40, 100)),
         FoodArchetype("meatball", (12.0, 12.0), 2.0, 0.05, 0.90,
-                      Hardness.HARD, 3.8, 6.0, -8.0),
+                      3.8, 6.0, -8.0),
         FoodArchetype("taro", (17.0, 13.0), 2.2, 0.10, 0.70,
-                      Hardness.HARD, 4.0, 8.0, -10.0),
+                      4.0, 8.0, -10.0),
         FoodArchetype("sausage", (24.0, 9.0), 4.0, 0.05, 0.90,
-                      Hardness.VERY_HARD, 4.5, 10.0, -12.0),
+                      4.5, 10.0, -12.0),
         FoodArchetype("gyoza", (16.0, 11.0), 3.0, 0.10, 0.55,
-                      Hardness.SOFT, 3.6, 1.0, -10.0),
+                      3.6, 1.0, -10.0),
     ]
     for a in items:
         a.validate()

@@ -26,6 +26,7 @@ def _base_config(args) -> ExperimentConfig:
         cfg.base_seed = args.seed
     if args.out is not None:
         cfg.output_dir = args.out
+    cfg.validate()  # again, with --seed and --out applied
     return cfg
 
 

@@ -48,7 +48,7 @@ class ExperimentConfig:
         check_type("finger", self.finger, FingerKind)
         check_type("filtering", self.filtering, bool)
         check_number("n_attempts", self.n_attempts, integral=True, low=1)
-        check_number("base_seed", self.base_seed, integral=True)
+        check_number("base_seed", self.base_seed, integral=True, low=0)
         if self.refill_policy not in (FRESH, DEPLETE):
             raise ParameterError(f"unknown refill policy {self.refill_policy!r}")
         check_number("depth_sigma", self.depth_sigma, low=0, finite=True)

@@ -141,6 +141,8 @@ def render_depth(
     Quantization rounds half-down: 12.5 mm at 1 mm steps yields 12 mm.
     sigma = quant = 0 returns the exact heightmap.
     """
+    check_number("sigma", sigma)
+    check_number("quant", quant)
     if not (0 <= sigma < math.inf and 0 <= quant < math.inf):
         raise ParameterError("sigma and quant must be finite and >= 0")
     if sigma > 0:
@@ -182,11 +184,10 @@ class CorruptionParams:
     boundary_jitter: int = 0  # px; uniform dilation/erosion amplitude
     merge_prob: float = 0.0  # per adjacent pair
     drop_prob: float = 0.0  # per mask
-    confidence_floor: float = 0.5  # emulated detector scores
 
     def validate(self) -> None:
         check_number("boundary_jitter", self.boundary_jitter, integral=True, low=0)
-        for name in ("merge_prob", "drop_prob", "confidence_floor"):
+        for name in ("merge_prob", "drop_prob"):
             check_number(name, getattr(self, name), low=0, high=1)
 
     @property
@@ -312,7 +313,7 @@ def corrupt_masks(
         if params.drop_prob > 0 and rng.random() < params.drop_prob:
             continue
         out.append(merged)
-        confidences[root] = float(rng.uniform(params.confidence_floor, 1.0))
+        confidences[root] = float(rng.uniform(0.5, 1.0))  # an emulated detector score
     return InstanceMaskSet(out, shape, "corrupted", confidences)
 
 

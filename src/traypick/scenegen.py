@@ -76,7 +76,6 @@ class TrayScene:
     owner_map: np.ndarray  # int32 instance ids, 0 = tray floor
     pieces: dict[int, PieceInstance]
     archetypes: dict[str, FoodArchetype]
-    randomization: dict
     seed: int
     next_id: int = 1
 
@@ -101,7 +100,6 @@ def empty_scene(
         owner_map=np.zeros((ny, nx), dtype=np.int32),
         pieces={},
         archetypes=dict(archetypes or DEFAULT_ARCHETYPES),
-        randomization={},
         seed=seed,
     )
 
@@ -325,24 +323,16 @@ def _random_blocks(rng: np.random.Generator, block: int) -> Iterator[float]:
 
 
 def generate_scene(config: SceneConfig, seed: int) -> TrayScene:
-    """Generate one domain-randomized cluttered tray; pure in (config, seed)."""
+    """Generate one domain-randomized cluttered tray; pure in (config, seed).
+    A seed that is not an integer >= 0 raises ParameterError, as in load_scene."""
     config.validate()
+    check_number("seed", seed, integral=True, low=0)
     arch = config.archetypes[config.archetype]
     rng = np.random.default_rng(seed)
     scene = empty_scene(config.archetypes, config.tray_dims, config.resolution, seed)
 
-    # appearance metadata only; masks and depth are rendered directly
-    azimuth = rng.uniform(0.0, 2.0 * math.pi)
-    elevation = rng.uniform(math.pi / 6, math.pi / 2)
-    scene.randomization = {
-        "tray_color": [round(v, 6) for v in rng.uniform(0.5, 1.0, 3)],
-        "light_direction": [
-            round(math.cos(azimuth) * math.cos(elevation), 6),
-            round(math.sin(azimuth) * math.cos(elevation), 6),
-            round(math.sin(elevation), 6),
-        ],
-        "shadows": bool(rng.random() < 0.5),
-    }
+    # skip the six doubles an RGB appearance record once drew, so every record stays put
+    rng.random(6)
 
     # Three passes: draw every piece's shape and position in the stream's
     # order, rasterize the placed pieces' stamps in batches, drop them in order.
@@ -423,7 +413,6 @@ def save_scene(scene: TrayScene, out_dir: str | Path) -> None:
         "resolution": scene.resolution,
         "seed": scene.seed,
         "next_id": scene.next_id,
-        "randomization": scene.randomization,
         "pieces": [
             {
                 "id": p.id,
@@ -445,7 +434,7 @@ def save_scene(scene: TrayScene, out_dir: str | Path) -> None:
     write_pgm16(out / "owner_map.pgm", scene.owner_map.astype(np.uint16))
 
 
-_SCENE_KEYS = ("tray_dims", "resolution", "seed", "next_id", "randomization", "pieces")
+_SCENE_KEYS = ("tray_dims", "resolution", "seed", "next_id", "pieces")
 _PIECE_KEYS = ("id", "archetype", "position", "rest_height", "scale", "stamp", "damaged", "damage_magnitude")
 _STAMP_KEYS = ("semi_a", "semi_b", "exponent", "peak", "rotation")
 
@@ -504,7 +493,6 @@ def load_scene(in_dir: str | Path) -> TrayScene:
         doc["resolution"],
         doc["seed"],
     )
-    scene.randomization = doc["randomization"]
     stamps = rasterize_stamps(
         [tuple(pd["stamp"][k] for k in _STAMP_KEYS) for pd in doc["pieces"]], scene.resolution
     )

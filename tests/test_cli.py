@@ -238,6 +238,16 @@ def test_deleted_options_are_usage_errors(tmp_path, capsys, command, option):
     assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["generate", "experiment"])
+def test_negative_seed_rejected(tmp_path, command):
+    """--seed -5 overrode a validated config, and both commands stopped in
+    numpy with ValueError: expected non-negative integer."""
+    out = tmp_path / "out"
+    with pytest.raises(ParameterError, match="base_seed must be >= 0"):
+        main([command, "--config", write_config(tmp_path), "--seed", "-5", "--out", str(out)])
+    assert not out.exists()
+
+
 class TestGrasp:
     def run_plan(self, tmp_path, d, cfg):
         plan_path = tmp_path / "plan.json"

@@ -33,6 +33,7 @@ CONSTRAINTS = [
     (None, "n_attempts", 2.5),
     (None, "n_attempts", 0),
     (None, "base_seed", 1.5),
+    (None, "base_seed", -5),
     (None, "refill_policy", "sometimes"),
     (None, "output_dir", 5),
     ("depth", "sigma", "0.5"),
@@ -47,9 +48,6 @@ CONSTRAINTS = [
     ("corruption", "drop_prob", None),
     ("corruption", "drop_prob", -0.5),
     ("corruption", "drop_prob", 2),
-    ("corruption", "confidence_floor", "high"),
-    ("corruption", "confidence_floor", -0.01),
-    ("corruption", "confidence_floor", 1.01),
     ("finger_geometry", "width", "4"),
     ("finger_geometry", "width", 0),
     ("finger_geometry", "breadth", False),
@@ -83,7 +81,6 @@ CONSTRAINTS += [
     ("depth", "quant", NAN),
     ("corruption", "merge_prob", NAN),
     ("corruption", "drop_prob", NAN),
-    ("corruption", "confidence_floor", NAN),
     ("finger_geometry", "width", NAN),
     ("finger_geometry", "breadth", NAN),
     ("finger_geometry", "clearance", NAN),
@@ -184,6 +181,22 @@ def test_render_depth_rejects_infinite_noise_and_quantization(sigma, quant):
         render_depth(scene, sigma=sigma, quant=quant, rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("key", ["sigma", "quant"])
+@pytest.mark.parametrize("bad", [True, "0.5"], ids=repr)
+def test_render_depth_rejects_noise_that_is_not_a_number(key, bad):
+    """sigma True used to run as sigma 1, and "0.5" raised TypeError."""
+    scene = generate_scene(SceneConfig(), 0)
+    with pytest.raises(ParameterError, match=f"{key} must be a number"):
+        render_depth(scene, rng=np.random.default_rng(0), **{key: bad})
+
+
+def test_confidence_floor_is_an_unknown_key():
+    """The bound on the emulated detector scores is gone; they are drawn in
+    [0.5, 1]. A config that still sets it is refused, not silently ignored."""
+    with pytest.raises(ParameterError, match="config corruption has unknown key 'confidence_floor'"):
+        experiment_config_from_document({"corruption": {"confidence_floor": 0.5}})
+
+
 def test_nan_rejected_by_unconfigured_bounds():
     scene = generate_scene(SceneConfig(), 0)
     with pytest.raises(ParameterError):
@@ -252,8 +265,7 @@ class TestDefaults:
             "refill_policy": FRESH,
             "output_dir": "out",
             "depth": {"sigma": 0.5, "quant": 0.25},
-            "corruption": {"boundary_jitter": 1, "merge_prob": 0.2, "drop_prob": 0.1,
-                           "confidence_floor": 0.4},
+            "corruption": {"boundary_jitter": 1, "merge_prob": 0.2, "drop_prob": 0.1},
             "finger_geometry": {"width": 5.0, "breadth": 18, "clearance": 1.5},
             "execution": {"pierce_block": 12.0, "grasp_depth_margin": 4,
                           "capture_fraction": 0.7, "multipick_fraction": 0.4},
@@ -270,7 +282,7 @@ class TestDefaults:
             output_dir="out",
             depth_sigma=0.5,
             depth_quant=0.25,
-            corruption=CorruptionParams(1, 0.2, 0.1, 0.4),
+            corruption=CorruptionParams(1, 0.2, 0.1),
             finger_geometry=FingerGeometry(5.0, 18, 1.5),
             execution=ExecutionParams(12.0, 4, 0.7, 0.4),
             scene=SceneConfig(archetype="gyoza", tray_dims=(400, 300, 150), resolution=0.7,

@@ -65,7 +65,7 @@ def config_document(tmp_path):
 
 # (document, where in it, where the message names it, a required key)
 DOCUMENTS = [
-    (scene_document, [], "scene.json", "randomization"),
+    (scene_document, [], "scene.json", "next_id"),
     (scene_document, ["pieces", 0], r"scene.json pieces\[0\]", "damaged"),
     (scene_document, ["pieces", 0, "stamp"], "scene.json piece 1 stamp", "rotation"),
     (mask_document, [], "mask manifest .*masks_manifest.json", "size"),

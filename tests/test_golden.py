@@ -91,11 +91,11 @@ PLANS = [
 # two buried pieces, and its first pick uncovers one and damages another.
 SCENES = [
     ("mushroom", 2, FIXED,
-     "069cc569c9f6e47b7db144d80473149030e33b963ec0b54f3dd49ecff3b77336",
-     "65f8d8dde754ceb03b9c709e5f46226191c9e3f4da153bb7f5b92b219b8e08e2"),
+     "01753ab8c86ec4316a08c28f4ecf0f75c1ad1f25542fd0b2e5ada4af60b78d54",
+     "1a16518d9fcd0eade874e5129632a36599bd285519cd5e3676046a1da24cd8b8"),
     ("fried_chicken", 12, ADAPTIVE,
-     "3d331cb31987a795687ddb002533f0e9a9ed85af247e54d5106bf3506df15755",
-     "b98a1bbfed9ddd530c7090f5a1a7279e54563944635437bd7da83077c28b0290"),
+     "5b30ba526a56119773907b0a48582c6db7b33823c5f4ca978a3af808a19022e6",
+     "7b6cc9b397421b122195b6d9a76155ece54e6ef09ffa60ffbabbd413d309455b"),
 ]
 
 

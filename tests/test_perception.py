@@ -189,13 +189,10 @@ class TestCorruptMasks:
             corrupt_masks(masks, CorruptionParams(), np.random.default_rng(0))
 
     def test_confidences_respect_floor(self):
-        out = corrupt_masks(
-            self.two_touching(),
-            CorruptionParams(boundary_jitter=1, confidence_floor=0.7),
-            np.random.default_rng(2),
-        )
+        out = corrupt_masks(self.two_touching(), CorruptionParams(boundary_jitter=1), np.random.default_rng(2))
+        assert out.ids()
         for pid in out.ids():
-            assert 0.7 <= out.confidences[pid] <= 1.0
+            assert 0.5 <= out.confidences[pid] <= 1.0
 
 
 class TestMaskIou:

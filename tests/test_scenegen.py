@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from traypick.archetypes import (DEFAULT_ARCHETYPES, FoodArchetype, Hardness, load_archetypes,
-                                 save_archetypes)
+from traypick.archetypes import DEFAULT_ARCHETYPES, FoodArchetype, load_archetypes, save_archetypes
 from traypick.config import experiment_config_from_document
 from traypick.errors import ParameterError, PlacementError
 from traypick.scenegen import (
@@ -32,7 +31,6 @@ def disk_archetype(radius=15.0, jitter=0.0, dome=0.5):
         exponent=2.0,
         jitter=jitter,
         dome_ratio=dome,
-        hardness=Hardness.SOFT,
         fragility_force=3.0,
         damage_tolerance=3.0,
         grasp_height_offset=-5.0,
@@ -224,7 +222,6 @@ class TestGenerateScene:
         b = generate_scene(cfg, 42)
         assert a.heightmap.tobytes() == b.heightmap.tobytes()
         assert a.owner_map.tobytes() == b.owner_map.tobytes()
-        assert a.randomization == b.randomization
 
     def test_mean_piece_count_over_seeds(self):
         arch = dataclasses.replace(
@@ -248,11 +245,12 @@ class TestGenerateScene:
             assert nominal * 0.8 <= piece.stamp.params["semi_a"] <= nominal * 1.2
             assert nominal * 0.8 <= piece.stamp.params["semi_b"] <= nominal * 1.2
 
-    def test_randomization_record_populated(self):
-        scene = generate_scene(SceneConfig(), 3)
-        assert len(scene.randomization["tray_color"]) == 3
-        assert len(scene.randomization["light_direction"]) == 3
-        assert isinstance(scene.randomization["shadows"], bool)
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True], ids=repr)
+    def test_seed_not_a_nonnegative_integer_rejected(self, seed):
+        """Seed -1 used to stop in numpy with ValueError: expected
+        non-negative integer."""
+        with pytest.raises(ParameterError, match="seed"):
+            generate_scene(SceneConfig(), seed)
 
     def test_default_raster_dimensions(self):
         scene = generate_scene(SceneConfig(), 0)
@@ -269,7 +267,6 @@ class TestSceneFiles:
         np.testing.assert_allclose(loaded.heightmap, scene.heightmap, atol=1e-9)
         np.testing.assert_array_equal(loaded.owner_map, scene.owner_map)
         assert sorted(loaded.pieces) == sorted(scene.pieces)
-        assert loaded.randomization == scene.randomization
 
     def test_heightmap_pgm_quantization(self, tmp_path):
         scene = generate_scene(SceneConfig(), 4)
@@ -342,6 +339,14 @@ class TestSceneFiles:
             doc["next_id"] = 65536
         scene = load_scene(self.edited(tmp_path, edit))
         assert max(scene.pieces) == 65535 and (scene.owner_map == 65535).any()
+
+    def test_appearance_record_rejected(self, tmp_path):
+        """scene.json once held an RGB appearance record that no stage read;
+        a scene directory that still holds one is regenerated, not read."""
+        def edit(doc):
+            doc["randomization"] = {"shadows": True}
+        with pytest.raises(ParameterError, match="scene.json has unknown key 'randomization'"):
+            load_scene(self.edited(tmp_path, edit))
 
     @pytest.mark.parametrize("next_id", [1, "max", 0, 3.5])
     def test_next_id_not_above_every_id_rejected(self, tmp_path, next_id):
@@ -471,7 +476,7 @@ class TestArchetypeValidation:
             arch.validate()
 
     @pytest.mark.parametrize("bad", [{"count_range": (40.5, 100)}, {"count_range": (10, 60, 80)},
-                                     {"jitter": 1.0}, {"hardness": "soft"}])
+                                     {"jitter": 1.0}])
     def test_bad_value_rejected(self, bad):
         with pytest.raises(ParameterError):
             dataclasses.replace(DEFAULT_ARCHETYPES["mushroom"], **bad).validate()
@@ -483,13 +488,14 @@ class TestArchetypeValidation:
     @pytest.mark.parametrize("key, value, match", [
         ("colour", "red", "archetype has unknown key 'colour'"),
         ("exponent", None, "missing exponent"),
-        ("hardness", "mushy", "unknown hardness 'mushy'"),
+        ("hardness", "soft", "archetype has unknown key 'hardness'"),
         ("dome_ratio", math.nan, "dome_ratio"),
         ("semi_axes_mm", 19.0, "semi_axes_mm"),
     ])
     def test_from_dict_rejects_with_parameter_error(self, key, value, match):
-        """An unknown or missing key (value None) and an unknown hardness
-        used to raise TypeError, KeyError or ValueError."""
+        """An unknown or missing key (value None) used to raise TypeError or
+        KeyError. The hardness class archetypes.json once held is an unknown
+        key now: such a file is regenerated, not read."""
         doc = DEFAULT_ARCHETYPES["gyoza"].to_dict()
         doc[key] = value
         if value is None:
