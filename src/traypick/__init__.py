@@ -34,7 +34,6 @@ from .perception import (
     MaskWindow,
     agreement,
     corrupt_masks,
-    mask_iou,
     render_depth,
     render_masks,
 )

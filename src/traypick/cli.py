@@ -74,9 +74,6 @@ def cmd_plan(args) -> int:
     sc = cfg.scene_config()
     masks = load_masks(args.masks)
     depth = load_depth(args.depth, mm_per_pixel(sc.tray_dims, sc.resolution))
-    if depth.heights.shape != masks.shape:
-        raise ParameterError(f"depth {args.depth} is {depth.heights.shape[0]} x {depth.heights.shape[1]} px, "
-                             f"the masks' raster {masks.shape[0]} x {masks.shape[1]} px")
     p = plan(masks, depth, sc.archetypes[cfg.archetype], cfg.finger_geometry, cfg.filtering)
     return _emit({**plan_to_dict(p), "archetype": cfg.archetype}, args.out)
 

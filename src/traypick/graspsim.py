@@ -248,9 +248,9 @@ def close_and_lift(
         for pid in np.flatnonzero(in_jaw).tolist():  # ascending labels with a jaw pixel
             if pid == c.instance_id or pid not in scene.pieces:
                 continue
-            if _visible_fraction_in(scene, pid, in_jaw) < params.multipick_fraction:
-                continue
             win, visible = visible_window(scene, pid)
+            if int(in_jaw[pid]) / int(np.count_nonzero(visible)) < params.multipick_fraction:
+                continue
             if median(scene.heightmap[win][visible]) > max_bottom:
                 picked.append(pid)
 

@@ -8,8 +8,7 @@ greedy-matched precision over IoU thresholds 0.50:0.95.
 from __future__ import annotations
 
 import json
-import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -41,9 +40,26 @@ class MaskWindow(NamedTuple):
 _EMPTY_BOX = (slice(0, 0), slice(0, 0))
 
 
-def _box(w: MaskWindow) -> tuple[int, int, int, int]:
-    rows, cols = w.slices
-    return rows.start, rows.stop, cols.start, cols.stop
+def _boxes(windows: Sequence[MaskWindow]) -> np.ndarray:
+    """The (n, 4) int array of the windows' boxes, (r0, r1, c0, c1) each."""
+    return np.array([(r.start, r.stop, c.start, c.stop) for r, c in (w.slices for w in windows)],
+                    dtype=np.int64).reshape(-1, 4)
+
+
+def _grown(boxes: np.ndarray, pad: int, shape: tuple[int, int]) -> np.ndarray:
+    """boxes grown by pad px on every side and clipped to the raster."""
+    ny, nx = shape
+    return np.clip(boxes + (-pad, pad, -pad, pad), 0, (ny, ny, nx, nx))
+
+
+def _overlaps(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[int, int, tuple[int, int, int, int]]]:
+    """(i, j, box) for each box i of a and box j of b that intersect, with
+    their intersection (r0, r1, c0, c1), in row-major (i, j) order."""
+    lo = np.maximum(a[:, None, ::2], b[None, :, ::2])
+    hi = np.minimum(a[:, None, 1::2], b[None, :, 1::2])
+    ii, jj = np.nonzero((hi > lo).all(axis=2))
+    for i, j, (r0, c0), (r1, c1) in zip(ii.tolist(), jj.tolist(), lo[ii, jj].tolist(), hi[ii, jj].tolist()):
+        yield i, j, (r0, r1, c0, c1)
 
 
 def _pixels_in(w: MaskWindow, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
@@ -141,10 +157,8 @@ def render_depth(
     Quantization rounds half-down: 12.5 mm at 1 mm steps yields 12 mm.
     sigma = quant = 0 returns the exact heightmap.
     """
-    check_number("sigma", sigma)
-    check_number("quant", quant)
-    if not (0 <= sigma < math.inf and 0 <= quant < math.inf):
-        raise ParameterError("sigma and quant must be finite and >= 0")
+    check_number("sigma", sigma, low=0, finite=True)
+    check_number("quant", quant, low=0, finite=True)
     if sigma > 0:
         if rng is None:
             raise ParameterError("rng required when sigma > 0")
@@ -225,12 +239,7 @@ def _adjacent(a: MaskWindow, b: MaskWindow, r0: int, r1: int, c0: int, c1: int) 
 def _morph_jitter(w: MaskWindow, steps: int, shape: tuple[int, int]) -> MaskWindow:
     """Dilate (steps > 0) or erode (steps < 0) on the box padded by
     |steps| + 1 px and clipped to the raster."""
-    box = _box(w)
-    pad = abs(steps) + 1
-    r0 = max(box[0] - pad, 0)
-    r1 = min(box[1] + pad, shape[0])
-    c0 = max(box[2] - pad, 0)
-    c1 = min(box[3] + pad, shape[1])
+    r0, r1, c0, c1 = _grown(_boxes([w]), abs(steps) + 1, shape)[0].tolist()
     px = _pixels_in(w, r0, r1, c0, c1)
     # |steps| passes of the 4-neighbour cross; erosion keeps a pixel unless
     # it or a cross neighbour is background, and everything outside the box
@@ -282,16 +291,12 @@ def corrupt_masks(
 
     if params.merge_prob > 0 and jittered:
         ordered = sorted(jittered, key=lambda w: w.id)
-        # only pairs whose padded boxes overlap inside the raster can be
-        # adjacent; np.nonzero keeps the sorted pair order of the RNG draws
-        b = np.array([_box(w) for w in ordered]).reshape(-1, 4)
-        lo = np.maximum(np.maximum(b[:, None, ::2], b[None, :, ::2]) - 1, 0)
-        hi = np.minimum(np.minimum(b[:, None, 1::2], b[None, :, 1::2]) + 1, shape)
-        for i_idx, j_idx in zip(*np.nonzero(np.triu((hi > lo).all(axis=2), 1))):
-            wi, wj = ordered[i_idx], ordered[j_idx]
-            (r0, c0), (r1, c1) = lo[i_idx, j_idx].tolist(), hi[i_idx, j_idx].tolist()
-            if _adjacent(wi, wj, r0, r1, c0, c1) and rng.random() < params.merge_prob:
-                parent[find(wj.id)] = find(wi.id)
+        # only pairs whose boxes, grown by 1 px, overlap can be adjacent; the
+        # row-major scan keeps the sorted pair order of the RNG draws
+        grown = _grown(_boxes(ordered), 1, shape)
+        for i, j, box in _overlaps(grown, grown):
+            if i < j and _adjacent(ordered[i], ordered[j], *box) and rng.random() < params.merge_prob:
+                parent[find(ordered[j].id)] = find(ordered[i].id)
 
     groups: dict[int, list[MaskWindow]] = {}
     for w in jittered:
@@ -303,7 +308,7 @@ def corrupt_masks(
         group = groups[root]
         merged = group[0]
         if len(group) > 1:
-            boxes = np.array([_box(w) for w in group])
+            boxes = _boxes(group)
             r0, c0 = boxes[:, ::2].min(axis=0).tolist()
             r1, c1 = boxes[:, 1::2].max(axis=0).tolist()
             local = np.zeros((r1 - r0, c1 - c0), dtype=bool)
@@ -315,16 +320,6 @@ def corrupt_masks(
         out.append(merged)
         confidences[root] = float(rng.uniform(0.5, 1.0))  # an emulated detector score
     return InstanceMaskSet(out, shape, "corrupted", confidences)
-
-
-def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
-    """Intersection over union of two boolean masks; 0 when both are empty."""
-    if a.shape != b.shape:
-        raise ParameterError(f"mask shape mismatch: {a.shape} vs {b.shape}")
-    union = int(np.count_nonzero(a | b))
-    if union == 0:
-        return 0.0
-    return int(np.count_nonzero(a & b)) / union
 
 
 def agreement(pred: InstanceMaskSet, gt: InstanceMaskSet) -> AgreementScore:
@@ -345,19 +340,15 @@ def agreement(pred: InstanceMaskSet, gt: InstanceMaskSet) -> AgreementScore:
     if n_gt and pred.shape != gt.shape:
         raise ParameterError(f"mask shape mismatch: {pred.shape} vs {gt.shape}")
 
-    # a pair whose boxes do not intersect shares no pixel: its IoU is 0
-    pb = np.array([_box(w) for w in pred.windows]).reshape(-1, 4)
-    gb = np.array([_box(w) for w in gt.windows]).reshape(-1, 4)
-    lo = np.maximum(pb[:, None, ::2], gb[None, :, ::2])
-    hi = np.minimum(pb[:, None, 1::2], gb[None, :, 1::2])
+    # a pair whose boxes do not intersect shares no pixel: its IoU is 0;
+    # the pixels a pair shares all lie in the intersection of its boxes
+    pred_px = [int(np.count_nonzero(w.local)) for w in pred.windows]
+    gt_px = [int(np.count_nonzero(w.local)) for w in gt.windows]
     pairs: list[tuple[float, int, int]] = []  # (IoU, pred index, gt index)
-    for i, j in zip(*np.nonzero((hi > lo).all(axis=2))):
-        pw, gw = pred.windows[i], gt.windows[j]
-        r0, r1 = min(pb[i, 0], gb[j, 0]), max(pb[i, 1], gb[j, 1])
-        c0, c1 = min(pb[i, 2], gb[j, 2]), max(pb[i, 3], gb[j, 3])
-        iou = mask_iou(_pixels_in(pw, r0, r1, c0, c1), _pixels_in(gw, r0, r1, c0, c1))
-        if iou > 0:
-            pairs.append((iou, i, j))
+    for i, j, box in _overlaps(_boxes(pred.windows), _boxes(gt.windows)):
+        shared = int(np.count_nonzero(_pixels_in(pred.windows[i], *box) & _pixels_in(gt.windows[j], *box)))
+        if shared > 0:
+            pairs.append((shared / (pred_px[i] + gt_px[j] - shared), i, j))
     pred_ids, gt_ids = pred.ids(), gt.ids()
     pairs.sort(key=lambda t: (-t[0], pred_ids[t[1]], gt_ids[t[2]]))
 

@@ -347,9 +347,13 @@ def plan(
     fg: FingerGeometry | None = None,
     filtering_enabled: bool = True,
 ) -> Plan:
-    """Full detection pipeline: fit, derive, filter (optional), select."""
+    """Full detection pipeline: fit, derive, filter (optional), select.
+    Masks and a depth image of different raster shapes raise ParameterError."""
     fg = fg or FingerGeometry()
     fg.validate()
+    if depth.heights.shape != tuple(masks.shape):
+        (dh, dw), (mh, mw) = depth.heights.shape, masks.shape
+        raise ParameterError(f"depth is {dh} x {dw} px, the masks' raster {mh} x {mw} px")
     candidates: list[GraspCandidate] = []
     skipped: dict[int, str] = {}
     fits = fit_ellipses([(w.local, (w.slices[0].start, w.slices[1].start)) for w in masks.windows])

@@ -176,8 +176,11 @@ def test_infinity_literal_in_config_file_rejected(tmp_path):
 @pytest.mark.parametrize("sigma, quant", [(INF, 0.0), (0.0, INF), (INF, INF), (-INF, 0.0),
                                           (0.0, -INF), (0.5, INF)])
 def test_render_depth_rejects_infinite_noise_and_quantization(sigma, quant):
+    """Each value is checked on its own, sigma first: -inf breaks its lower
+    bound, +inf its finiteness."""
     scene = generate_scene(SceneConfig(), 0)
-    with pytest.raises(ParameterError, match="finite"):
+    name, bad = ("sigma", sigma) if math.isinf(sigma) else ("quant", quant)
+    with pytest.raises(ParameterError, match=f"{name} must be {'>= 0' if bad < 0 else 'finite'}, got {bad}"):
         render_depth(scene, sigma=sigma, quant=quant, rng=np.random.default_rng(0))
 
 

@@ -110,7 +110,8 @@ def test_campaign_records_digest(name, tmp_path):
     assert _sha256((tmp_path / "records.jsonl").read_bytes()) == digest
 
 
-@pytest.mark.parametrize("archetype,seed,corruption,expected", AGREEMENTS)
+@pytest.mark.parametrize("archetype,seed,corruption,expected", AGREEMENTS,
+                         ids=[f"{a}-{seed}" for a, seed, *_ in AGREEMENTS])
 def test_agreement_scores(archetype, seed, corruption, expected):
     scene = generate_scene(SceneConfig(archetype=archetype), seed)
     truth = render_masks(scene)
@@ -119,7 +120,8 @@ def test_agreement_scores(archetype, seed, corruption, expected):
     assert agreement(truth, truth).value == 1.0
 
 
-@pytest.mark.parametrize("archetype,seed,corruption,sigma,quant,digest", PLANS)
+@pytest.mark.parametrize("archetype,seed,corruption,sigma,quant,digest", PLANS,
+                         ids=[f"{a}-{seed}" for a, seed, *_ in PLANS])
 def test_plan_digest(archetype, seed, corruption, sigma, quant, digest):
     scene = generate_scene(SceneConfig(archetype=archetype), seed)
     depth = render_depth(scene, sigma, quant, np.random.default_rng((seed, 1)))
@@ -130,7 +132,8 @@ def test_plan_digest(archetype, seed, corruption, sigma, quant, digest):
     assert _sha256(json.dumps(doc, sort_keys=True).encode()) == digest
 
 
-@pytest.mark.parametrize("archetype,seed,finger,generated,picked", SCENES)
+@pytest.mark.parametrize("archetype,seed,finger,generated,picked", SCENES,
+                         ids=[f"{a}-{seed}-{finger.value}" for a, seed, finger, *_ in SCENES])
 def test_scene_file_digests(archetype, seed, finger, generated, picked, tmp_path):
     scene = generate_scene(SceneConfig(archetype=archetype), seed)
     save_scene(scene, tmp_path / "generated")

@@ -18,7 +18,6 @@ from traypick.perception import (
     corrupt_masks,
     load_depth,
     load_masks,
-    mask_iou,
     render_depth,
     render_masks,
     save_depth,
@@ -196,33 +195,50 @@ class TestCorruptMasks:
 
 
 class TestMaskIou:
+    """IoU of one predicted and one true mask, as agreement scores it on
+    one-mask sets: 0.1 for each threshold the IoU reaches."""
+
+    @staticmethod
+    def score(a, b):
+        return agreement(InstanceMaskSet.from_rasters([(1, a)]), InstanceMaskSet.from_rasters([(1, b)]))
+
     def test_identical(self):
         m = square_mask((20, 20), 5, 5, 10)
-        assert mask_iou(m, m) == 1.0
+        assert self.score(m, m).value == 1.0
 
     def test_disjoint(self):
         a = square_mask((20, 20), 0, 0, 5)
         b = square_mask((20, 20), 10, 10, 5)
-        assert mask_iou(a, b) == 0.0
+        assert self.score(a, b).value == 0.0
 
     def test_shifted_square_is_one_third(self):
+        # 50 shared pixels of 150 reach no threshold
         a = square_mask((30, 30), 10, 5, 10)
         b = square_mask((30, 30), 10, 10, 10)
-        assert mask_iou(a, b) == pytest.approx(50 / 150)
+        assert all(v == 0.0 for v in self.score(a, b).per_threshold.values())
+        # 100 shared pixels of 200: IoU 0.5 exactly reaches the 0.50 threshold and no other
+        wide = np.zeros((30, 30), dtype=bool)
+        wide[10:20, 5:25] = True
+        score = self.score(b, wide)
+        assert score.per_threshold[0.50] == 1.0
+        assert score.per_threshold[0.55] == 0.0
+        assert score.value == 0.1
 
     def test_both_empty(self):
         z = np.zeros((10, 10), dtype=bool)
-        assert mask_iou(z, z) == 0.0
+        assert self.score(z, z).value == 0.0
 
     def test_shape_mismatch(self):
-        with pytest.raises(ParameterError):
-            mask_iou(np.zeros((5, 5), bool), np.zeros((6, 6), bool))
+        with pytest.raises(ParameterError, match="mask shape mismatch"):
+            self.score(square_mask((5, 5), 1, 1, 2), square_mask((6, 6), 1, 1, 2))
 
     def test_symmetric(self):
         rng = np.random.default_rng(0)
-        a = rng.random((15, 15)) > 0.5
-        b = rng.random((15, 15)) > 0.5
-        assert mask_iou(a, b) == mask_iou(b, a)
+        a = rng.random((15, 15)) > 0.2
+        b = rng.random((15, 15)) > 0.2
+        forward, backward = self.score(a, b), self.score(b, a)
+        assert 0.0 < forward.value < 1.0
+        assert forward.per_threshold == backward.per_threshold
 
 
 def fraction_overlap_set(iou_target):
@@ -260,7 +276,7 @@ class TestAgreement:
         pred_hit = np.zeros(shape, dtype=bool)
         pred_hit[10:20, 12:22] = True
         pred_hit[10:13, 12] = False
-        iou = mask_iou(pred_hit, gt_mask)
+        iou = np.count_nonzero(pred_hit & gt_mask) / np.count_nonzero(pred_hit | gt_mask)
         assert 0.60 <= iou < 0.65
         pred_miss = square_mask(shape, 40, 40, 10)
         pred = InstanceMaskSet.from_rasters([(1, pred_hit), (2, pred_miss)])

@@ -320,6 +320,15 @@ class TestPlan:
         assert p.target is None
         assert p.candidates == []
 
+    @pytest.mark.parametrize("depth_shape", [(80, 100), (100, 120), (100, 99)])
+    def test_depth_of_another_raster_rejected(self, depth_shape):
+        """Masks planned against a depth image of another size used to get
+        candidates read on clipped windows."""
+        masks = InstanceMaskSet.from_rasters([(3, raster_ellipse((100, 100), 50.0, 90.0, 0.3, 12.0, 20.0))])
+        with pytest.raises(ParameterError, match=rf"depth is {depth_shape[0]} x {depth_shape[1]} px, "
+                                                 r"the masks' raster 100 x 100 px"):
+            plan(masks, flat_depth(depth_shape, 10.0), DEFAULT_ARCHETYPES["fried_chicken"])
+
     def test_filtering_disabled_takes_global_argmax(self):
         scene = generate_scene(SceneConfig(), 12)
         depth = render_depth(scene)

@@ -66,7 +66,6 @@ from traypick.perception import (
     agreement,
     corrupt_masks,
     load_masks,
-    mask_iou,
     render_depth,
     render_masks,
     save_masks,
@@ -367,7 +366,13 @@ def oracle_corrupt_masks(masks, params, rng):
 
 
 def oracle_agreement_ious(pred, gt):
-    return np.array([[mask_iou(pm, gm) for _, gm in gt.masks] for _, pm in pred.masks])
+    """Every (pred, gt) pair's IoU on the full rasters: shared pixels over
+    the pixels of either, 0 when both are empty."""
+    def iou(a, b):
+        union = np.count_nonzero(a | b)
+        return np.count_nonzero(a & b) / union if union else 0.0
+
+    return np.array([[iou(pm, gm) for _, gm in gt.masks] for _, pm in pred.masks])
 
 
 def oracle_recompose(scene):
@@ -704,8 +709,7 @@ def assert_plan_equals_per_window_fits(masks, depth, filtering_enabled):
 def mixed_mask_sets(draw):
     """(mask set, depth shape): scattered label masks, some under 5 px,
     digital lines, whose covariance is rank-deficient, and compact blobs;
-    when the depth raster is cut short, blobs beyond it have an ellipse
-    entirely outside it. Ids come in shuffled order."""
+    a depth raster cut short is refused. Ids come in shuffled order."""
     h, w = draw(st.tuples(st.integers(1, 40), st.integers(1, 40)))
     labels = draw(arrays(np.int32, (h, w), elements=st.integers(0, 6)))
     rasters = [labels == p for p in range(1, 7)]
@@ -734,7 +738,10 @@ def mixed_mask_sets(draw):
 @example(case=(InstanceMaskSet([], (5, 7)), (5, 7)), seed=0, filtering_enabled=True)
 def test_plan_batched_fit_equals_per_window_fits(case, seed, filtering_enabled):
     masks, depth_shape = case
-    assert_plan_equals_per_window_fits(masks, DepthImage(heights_for(depth_shape, seed), 0.7), filtering_enabled)
+    if depth_shape != masks.shape:
+        with pytest.raises(ParameterError, match="the masks' raster"):
+            plan(masks, DepthImage(heights_for(depth_shape, seed), 0.7), DEFAULT_ARCHETYPES["mushroom"])
+    assert_plan_equals_per_window_fits(masks, DepthImage(heights_for(masks.shape, seed), 0.7), filtering_enabled)
 
 
 def test_plan_batched_fit_skips_as_per_window_fits():
@@ -747,17 +754,19 @@ def test_plan_batched_fit_skips_as_per_window_fits():
         rasters[pid] = np.zeros(shape, dtype=bool)
         rasters[pid][r0:r1, c0:c1] = True
     rasters[5] = np.eye(*shape, dtype=bool)  # a diagonal line
-    depth = DepthImage(heights_for((24, 32), 1), 0.7)  # blob 3 lies beyond it
+    depth = DepthImage(heights_for(shape, 1), 0.7)
     masks = InstanceMaskSet.from_rasters(list(rasters.items()), shape=shape)
     got = assert_plan_equals_per_window_fits(masks, depth, True)
-    assert [c.instance_id for c in got.candidates] == [4, 2]
-    assert list(got.skipped) == [9, 7, 3, 8, 5]
+    assert [c.instance_id for c in got.candidates] == [4, 2, 3]
+    assert list(got.skipped) == [9, 7, 8, 5]
     assert {*got.skipped.values()} == {
-        "mask has 4 pixels, need >= 5", "degenerate mask: rank-deficient pixel covariance",
-        "ellipse lies entirely outside the raster"}
-    failing = InstanceMaskSet.from_rasters([(i, rasters[i]) for i in (9, 7, 3, 8, 5)], shape=shape)
+        "mask has 4 pixels, need >= 5", "degenerate mask: rank-deficient pixel covariance"}
+    failing = InstanceMaskSet.from_rasters([(i, rasters[i]) for i in (9, 7, 8, 5)], shape=shape)
     got = assert_plan_equals_per_window_fits(failing, depth, True)
-    assert (got.candidates, got.target, list(got.skipped)) == ([], None, [9, 7, 3, 8, 5])
+    assert (got.candidates, got.target, list(got.skipped)) == ([], None, [9, 7, 8, 5])
+    # a depth raster that leaves blob 3 out is refused, not planned on clipped windows
+    with pytest.raises(ParameterError, match="depth is 24 x 32 px, the masks' raster 30 x 40 px"):
+        plan(masks, DepthImage(heights_for((24, 32), 1), 0.7), DEFAULT_ARCHETYPES["mushroom"])
 
 
 # ---------------------------------------------------------------------------
@@ -1248,8 +1257,21 @@ def test_render_and_corrupt_masks_on_trays_equal_full_raster(trays, idx, seed, p
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 
+def _square(shape, r0, c0, size):
+    m = np.zeros(shape, dtype=bool)
+    m[r0 : r0 + size, c0 : c0 + size] = True
+    return m
+
+
 @SETTINGS
 @given(pred=label_maps(), gt=label_maps(), seed=st.integers(0, 2**32 - 1), params=corruptions)
+@example(  # an empty mask on each side, and predictions that overlap each other and both truths
+    pred=InstanceMaskSet.from_rasters([(1, np.zeros((12, 12), bool)), (2, _square((12, 12), 2, 2, 5)),
+                                       (3, _square((12, 12), 4, 4, 6))]),
+    gt=InstanceMaskSet.from_rasters([(4, np.zeros((12, 12), bool)), (5, _square((12, 12), 2, 2, 4)),
+                                     (6, _square((12, 12), 6, 6, 5))]),
+    seed=0, params=CorruptionParams(),
+)
 def test_agreement_equals_every_pair_iou(pred, gt, seed, params):
     pred = corrupt_masks(pred, params, np.random.default_rng(seed))  # may overlap
     if pred.windows and gt.windows and pred.shape != gt.shape:
@@ -1271,12 +1293,6 @@ def test_agreement_equals_every_pair_iou(pred, gt, seed, params):
                 used_g.add(j)
         assert score.per_threshold[t] == len(used_p) / len(pred_ids)
     assert score.value == sum(score.per_threshold[t] for t in IOU_THRESHOLDS) / len(IOU_THRESHOLDS)
-
-
-def _square(shape, r0, c0, size):
-    m = np.zeros(shape, dtype=bool)
-    m[r0 : r0 + size, c0 : c0 + size] = True
-    return m
 
 
 @SETTINGS
