@@ -21,7 +21,7 @@ from .graspsim import Classification, ExecutionParams, FingerKind, FingerModel, 
 from .perception import (CorruptionParams, DepthImage, InstanceMaskSet, corrupt_masks,
                          render_depth, render_masks)
 from .planner import FingerGeometry, plan
-from .scenegen import SceneConfig, TrayScene, generate_scene
+from .scenegen import SceneConfig, TrayScene, generate_scene, raster_shape
 
 FRESH = "fresh_scene_each_attempt"
 DEPLETE = "deplete_until_empty_then_refresh"
@@ -58,13 +58,15 @@ class ExperimentConfig:
         for name, kind in (("corruption", CorruptionParams), ("finger_geometry", FingerGeometry),
                            ("execution", ExecutionParams)):
             check_type(name, getattr(self, name), kind)
-            getattr(self, name).validate()
+        self.finger_geometry.validate()
+        self.execution.validate()
         scene = self.scene_config()
         scene.validate()
         if scene.archetype != self.archetype:
             raise ParameterError(
                 f"archetype {self.archetype!r} differs from scene.archetype {scene.archetype!r}"
             )
+        self.corruption.validate(raster_shape(scene.tray_dims, scene.resolution))
 
     def scene_config(self) -> SceneConfig:
         if self.scene is not None:

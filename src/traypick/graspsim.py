@@ -26,23 +26,17 @@ class FingerKind(enum.Enum):
     ADAPTIVE = "adaptive"
 
 
+RETRACTION_BUDGET = 22.5  # mm an adaptive finger retracts at most
+MAX_FORCE = 4.1  # N of spring force at full retraction
+
+
 @dataclass
 class FingerModel:
     kind: FingerKind = FingerKind.ADAPTIVE
-    retraction_budget: float = 22.5  # mm, adaptive only
-    max_force: float = 4.1  # N at full retraction, adaptive only
     geometry: FingerGeometry = field(default_factory=FingerGeometry)
-
-    @property
-    def stiffness(self) -> float:
-        # N/mm; spring force at retraction r is stiffness * r
-        return self.max_force / self.retraction_budget
 
     def validate(self) -> None:
         check_type("kind", self.kind, FingerKind)
-        if self.kind is FingerKind.ADAPTIVE:
-            for name in ("retraction_budget", "max_force"):
-                check_number(name, getattr(self, name), low=0, low_open=True, finite=True)
         self.geometry.validate()
 
 
@@ -107,7 +101,8 @@ def _magnitude(fm: FingerModel, overlap: float) -> float:
     """A contact's magnitude for an overlap of mm above the finger bottom:
     the penetration itself for a fixed finger, the spring force at the
     retraction it asks for (capped at the budget) for an adaptive one."""
-    return overlap if fm.kind is FingerKind.FIXED else fm.stiffness * min(overlap, fm.retraction_budget)
+    fixed = fm.kind is FingerKind.FIXED
+    return overlap if fixed else MAX_FORCE / RETRACTION_BUDGET * min(overlap, RETRACTION_BUDGET)
 
 
 def _insert_one(
@@ -128,8 +123,8 @@ def _insert_one(
                 for pid, top in _piece_tops(scene, region).items() if top > h}
     if fixed:
         return FingerInsertion(h, h, 0.0, contacts, max(contacts.values(), default=0.0) > params.pierce_block)
-    retraction = min(obstruction, fm.retraction_budget)
-    return FingerInsertion(h, h + retraction, retraction, contacts, obstruction > fm.retraction_budget)
+    retraction = min(obstruction, RETRACTION_BUDGET)
+    return FingerInsertion(h, h + retraction, retraction, contacts, obstruction > RETRACTION_BUDGET)
 
 
 def _damage(
@@ -162,6 +157,7 @@ def insert_fingers(
     """
     params = params or ExecutionParams()
     fm.validate()
+    params.validate()
     ny, nx = scene.shape
     hl, hb = _finger_half_sizes(fm.geometry, scene.resolution)
     rects = _contact_rectangles(c, fm.geometry, scene.resolution)
@@ -201,8 +197,9 @@ def _jaw_regions(
 
 
 def _visible_fraction_in(scene: TrayScene, pid: int, label_counts: np.ndarray) -> float:
-    """Share of pid's visible pixels in a region with these per-label counts."""
-    inside = int(label_counts[pid]) if 0 <= pid < label_counts.size else 0
+    """Share of pid's visible pixels in a region with these per-label counts;
+    0 for an id that names no piece, the floor's 0 included."""
+    inside = int(label_counts[pid]) if pid in scene.pieces and pid < label_counts.size else 0
     if inside == 0:
         return 0.0
     return inside / int(np.count_nonzero(visible_window(scene, pid)[1]))
@@ -227,9 +224,12 @@ def close_and_lift(
     The jaw and sweep regions are flat raster indices; jaw fractions divide
     label counts inside the jaw by counts on each piece's stamp window. Only
     pieces with a pixel inside the jaw are captured or co-picked, whatever
-    the fractions asked for.
+    the fractions asked for, and a target id that names no piece is never
+    captured.
     """
     params = params or ExecutionParams()
+    fm.validate()
+    params.validate()
     jaw, sweep = _jaw_regions(scene, c, fm.geometry)
     in_jaw = np.bincount(scene.owner_map.take(jaw))
     bottoms = [fin.achieved for fin in ins.fingers]
@@ -281,7 +281,6 @@ def execute_grasp(
     The scene is mutated in place.
     """
     params = params or ExecutionParams()
-    params.validate()
     ins = insert_fingers(scene, c, fm, params)
     outcome = close_and_lift(scene, c, ins, fm, params)
     for pid, magnitude in outcome.damaged.items():

@@ -199,8 +199,10 @@ class CorruptionParams:
     merge_prob: float = 0.0  # per adjacent pair
     drop_prob: float = 0.0  # per mask
 
-    def validate(self) -> None:
-        check_number("boundary_jitter", self.boundary_jitter, integral=True, low=0)
+    def validate(self, shape: tuple[int, int]) -> None:
+        """Check each value's type and range on a raster of shape (ny, nx):
+        a jitter wider than its longer side is refused."""
+        check_number("boundary_jitter", self.boundary_jitter, integral=True, low=0, high=max(shape))
         for name in ("merge_prob", "drop_prob"):
             check_number(name, getattr(self, name), low=0, high=1)
 
@@ -266,7 +268,7 @@ def corrupt_masks(
     pairs are merged with merge_prob, and each surviving mask is dropped with
     drop_prob. Output is tagged "corrupted"; masks may overlap after dilation.
     """
-    params.validate()
+    params.validate(masks.shape)
     if masks.source != "ground_truth":
         raise ParameterError("corrupt_masks expects ground-truth masks")
     shape = masks.shape
@@ -426,9 +428,9 @@ def load_masks(manifest_path: str | Path) -> InstanceMaskSet:
     that is not an object holding exactly source, size and instances, a
     source other than ground_truth, corrupted or external, a size that is
     not two positive integers, an instance that is not an object holding id,
-    counts and optionally confidence, a non-integer or repeated id, counts
-    that are not non-negative integers summing to h * w, or a confidence
-    outside [0, 1] raise ParameterError."""
+    counts and optionally confidence, an id that is not an integer >= 1 or
+    is repeated, counts that are not non-negative integers summing to h * w,
+    or a confidence outside [0, 1] raise ParameterError."""
     where = f"mask manifest {manifest_path}"
     manifest = read_object(read_json(manifest_path), where, ("source", "size", "instances"))
     source, size, instances = manifest["source"], manifest["size"], manifest["instances"]
@@ -443,7 +445,7 @@ def load_masks(manifest_path: str | Path) -> InstanceMaskSet:
     for i, entry in enumerate(instances):
         read_object(entry, f"{where} instances[{i}]", ("id", "counts"), ("confidence",))
         pid, counts = entry["id"], entry["counts"]
-        check_number("instance id", pid, integral=True)
+        check_number("instance id", pid, integral=True, low=1)
         if pid in windows:
             raise ParameterError(f"duplicate instance id {pid}")
         if not (isinstance(counts, list) and all(type(c) is int and c >= 0 for c in counts)

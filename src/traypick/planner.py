@@ -258,7 +258,7 @@ def _segment_medians(values: np.ndarray, counts: np.ndarray) -> list[float]:
 
 
 def derive_grasp(
-    fit: EllipseFit, depth: DepthImage, archetype: FoodArchetype, instance_id: int = 0
+    fit: EllipseFit, depth: DepthImage, archetype: FoodArchetype, instance_id: int
 ) -> GraspCandidate:
     """Turn an ellipse fit into a grasp candidate.
 

@@ -24,6 +24,7 @@ from .grids import heights_to_levels, write_pgm16
 
 DEFAULT_TRAY_DIMS = (424.0, 308.0, 160.0)  # mm, industry-standard food tray
 RASTER_WIDTH_PX = 600  # tray width maps to 600 px
+MAX_PLACEMENT_RETRIES = 100  # positions drawn for a piece before it is skipped
 
 
 def mm_per_pixel(
@@ -34,13 +35,18 @@ def mm_per_pixel(
     return tray_dims[0] / RASTER_WIDTH_PX if resolution is None else resolution
 
 
+def raster_shape(tray_dims, resolution: float | None) -> tuple[int, int]:
+    """(ny, nx) of a tray's raster at mm_per_pixel(tray_dims, resolution)."""
+    res = mm_per_pixel(tray_dims, resolution)
+    return int(round(tray_dims[1] / res)), int(round(tray_dims[0] / res))
+
+
 @dataclass
 class PieceStamp:
     """A single piece's rasterized geometry, relative to its own base plane."""
 
     top: np.ndarray  # mm above the piece base plane, whose bottom is flat
     mask: np.ndarray  # boolean footprint
-    scale: float
     params: dict  # jittered shape parameters, enough to re-rasterize
     resolution: float  # mm per pixel it was rasterized at, which its scene's must equal
 
@@ -90,14 +96,12 @@ def empty_scene(
     resolution: float | None = None,
     seed: int = 0,
 ) -> TrayScene:
-    res = mm_per_pixel(tray_dims, resolution)
-    nx = int(round(tray_dims[0] / res))
-    ny = int(round(tray_dims[1] / res))
+    shape = raster_shape(tray_dims, resolution)
     return TrayScene(
         tray_dims=tray_dims,
-        resolution=res,
-        heightmap=np.zeros((ny, nx)),
-        owner_map=np.zeros((ny, nx), dtype=np.int32),
+        resolution=mm_per_pixel(tray_dims, resolution),
+        heightmap=np.zeros(shape),
+        owner_map=np.zeros(shape, dtype=np.int32),
         pieces={},
         archetypes=dict(archetypes or DEFAULT_ARCHETYPES),
         seed=seed,
@@ -151,7 +155,6 @@ def rasterize_stamps(
             stamps[i] = PieceStamp(
                 top=tops[k],
                 mask=masks[k],
-                scale=1.0,
                 params={"semi_a": a, "semi_b": b, "exponent": n, "peak": pk, "rotation": rot},
                 resolution=resolution,
             )
@@ -232,11 +235,10 @@ def _composite(scene: TrayScene, piece: PieceInstance, window: StampWindow) -> N
 
 
 def visible_window(scene: TrayScene, pid: int) -> Window:
-    """Visible pixels of piece pid: the owner map tested on its recorded
-    stamp window, which holds every pixel the piece can own. An id that
-    names no piece is tested over the whole raster."""
-    piece = scene.pieces.get(pid)
-    win = (slice(0, scene.shape[0]), slice(0, scene.shape[1])) if piece is None else piece.window[0]
+    """Visible pixels of piece pid, which must be in scene.pieces: the owner
+    map tested on its recorded stamp window, which holds every pixel the
+    piece can own."""
+    win = scene.pieces[pid].window[0]
     return win, scene.owner_map[win] == pid
 
 
@@ -298,7 +300,6 @@ class SceneConfig:
     archetypes: dict[str, FoodArchetype] = field(
         default_factory=lambda: dict(DEFAULT_ARCHETYPES)
     )
-    max_placement_retries: int = 100
 
     def validate(self) -> None:
         check_type("archetypes", self.archetypes, dict)
@@ -313,7 +314,6 @@ class SceneConfig:
         if longest > bound:
             raise ParameterError(f"archetype {self.archetype!r} pieces reach a semi-axis of {longest:.2f} mm,"
                                  f" longer than the tray's {bound} mm side")
-        check_number("max_placement_retries", self.max_placement_retries, integral=True, low=1)
 
 
 def _random_blocks(rng: np.random.Generator, block: int) -> Iterator[float]:
@@ -345,7 +345,7 @@ def generate_scene(config: SceneConfig, seed: int) -> TrayScene:
     lo, hi = float(arch.scale_range[0]), float(arch.scale_range[1])
     j = float(arch.jitter)
     ny, nx = scene.shape
-    placed: list[tuple[float, tuple, float, float]] = []  # scale, shape, x, y
+    placed: list[tuple[tuple, float, float]] = []  # shape, x, y
     count = int(rng.integers(arch.count_range[0], arch.count_range[1] + 1))
     draws = _random_blocks(rng, 7 * count)
     for _ in range(count):
@@ -354,8 +354,7 @@ def generate_scene(config: SceneConfig, seed: int) -> TrayScene:
         jitter = tuple(-j + (j + j) * next(draws) for _ in range(3))
         shape = _piece_shape(arch, scale, rotation, jitter)
         edge_stamp = None
-        # a piece that cannot be placed within the retry budget is skipped
-        for _ in range(config.max_placement_retries):
+        for _ in range(MAX_PLACEMENT_RETRIES):
             x = 0.0 + width * next(draws)
             y = 0.0 + depth * next(draws)
             # drop_piece's placement test, decided before any drop. The
@@ -370,12 +369,11 @@ def generate_scene(config: SceneConfig, seed: int) -> TrayScene:
                     _placement(scene, edge_stamp, (x, y))
                 except PlacementError:
                     continue
-            placed.append((scale, shape, x, y))
+            placed.append((shape, x, y))
             break
 
-    stamps = rasterize_stamps([shape for _, shape, _, _ in placed], scene.resolution)
-    for (scale, _, x, y), stamp in zip(placed, stamps):
-        stamp.scale = scale
+    stamps = rasterize_stamps([shape for shape, _, _ in placed], scene.resolution)
+    for (_, x, y), stamp in zip(placed, stamps):
         drop_piece(scene, stamp, x, y, arch.name)
     return scene
 
@@ -403,9 +401,7 @@ def recompose(scene: TrayScene, region: tuple[slice, slice] | None = None) -> No
 
 
 def save_scene(scene: TrayScene, out_dir: str | Path) -> None:
-    """Write scene.json, archetypes.json and the heightmap and owner-map PGMs.
-    Each piece's occlusion flag is computed here from the owner map: true
-    when no pixel of its stamp window is its own."""
+    """Write scene.json, archetypes.json and the heightmap and owner-map PGMs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     doc = {
@@ -419,9 +415,7 @@ def save_scene(scene: TrayScene, out_dir: str | Path) -> None:
                 "archetype": p.archetype,
                 "position": [p.position[0], p.position[1]],
                 "rest_height": p.rest_height,
-                "scale": p.stamp.scale,
                 "stamp": p.stamp.params,
-                "fully_occluded": not visible_window(scene, p.id)[1].any(),
                 "damaged": p.damaged,
                 "damage_magnitude": p.damage_magnitude,
             }
@@ -435,7 +429,7 @@ def save_scene(scene: TrayScene, out_dir: str | Path) -> None:
 
 
 _SCENE_KEYS = ("tray_dims", "resolution", "seed", "next_id", "pieces")
-_PIECE_KEYS = ("id", "archetype", "position", "rest_height", "scale", "stamp", "damaged", "damage_magnitude")
+_PIECE_KEYS = ("id", "archetype", "position", "rest_height", "stamp", "damaged", "damage_magnitude")
 _STAMP_KEYS = ("semi_a", "semi_b", "exponent", "peak", "rotation")
 
 
@@ -443,7 +437,7 @@ def _check_piece(pd, i: int, archetypes: dict[str, FoodArchetype], max_semi: flo
     """Check the keys and values of scene.json's pieces[i], its stamp's
     semi-axes at most max_semi mm; whether drop_piece would place it is left
     to the caller."""
-    read_object(pd, f"scene.json pieces[{i}]", _PIECE_KEYS, ("fully_occluded",))
+    read_object(pd, f"scene.json pieces[{i}]", _PIECE_KEYS)
     check_number("piece id", pd["id"], integral=True, low=1, high=65535)
     where = f"scene.json piece {pd['id']}"
     if not (isinstance(pd["archetype"], str) and pd["archetype"] in archetypes):
@@ -454,7 +448,6 @@ def _check_piece(pd, i: int, archetypes: dict[str, FoodArchetype], max_semi: flo
         check_number(f"{where} position", v, finite=True)
     for key in ("rest_height", "damage_magnitude"):
         check_number(f"{where} {key}", pd[key], low=0, finite=True)
-    check_number(f"{where} scale", pd["scale"], low=0, low_open=True, finite=True)
     check_type(f"{where} damaged", pd["damaged"], bool)
     stamp = read_object(pd["stamp"], f"{where} stamp", _STAMP_KEYS)
     # the ranges FoodArchetype.validate gives a footprint, and a dome above it;
@@ -466,14 +459,13 @@ def _check_piece(pd, i: int, archetypes: dict[str, FoodArchetype], max_semi: flo
 
 
 def load_scene(in_dir: str | Path) -> TrayScene:
-    """Read a scene written by save_scene and recompose its maps; a stored
-    occlusion flag is ignored. Besides read_object's key checks, a tray or
-    resolution SceneConfig.validate would refuse, a seed that is not an
-    integer >= 0, a piece id that is repeated or outside 1..65535 (the
-    owner-map PGM holds 16 bits), a next_id not above every id, an archetype
-    name not in archetypes.json, a NaN, infinite or out-of-range piece or
-    stamp number (a stamp semi-axis is at most the tray's longer side), and
-    a piece drop_piece would refuse at its position raise ParameterError."""
+    """Read a scene written by save_scene and recompose its maps. Besides
+    read_object's key checks, a tray or resolution SceneConfig.validate would
+    refuse, a seed that is not an integer >= 0, a piece id that is repeated or
+    outside 1..65535 (the owner-map PGM holds 16 bits), a next_id not above
+    every id, an archetype name not in archetypes.json, a NaN, infinite or
+    out-of-range piece or stamp number (a stamp semi-axis is at most the
+    tray's longer side), and a piece drop_piece would refuse raise ParameterError."""
     src = Path(in_dir)
     doc = read_object(read_json(src / "scene.json"), "scene.json", _SCENE_KEYS)
     check_tray(doc["tray_dims"], doc["resolution"])
@@ -497,7 +489,6 @@ def load_scene(in_dir: str | Path) -> TrayScene:
         [tuple(pd["stamp"][k] for k in _STAMP_KEYS) for pd in doc["pieces"]], scene.resolution
     )
     for pd, stamp in zip(doc["pieces"], stamps):
-        stamp.scale = pd["scale"]
         position = tuple(pd["position"])
         try:
             window = _placement(scene, stamp, position)

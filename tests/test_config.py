@@ -42,6 +42,7 @@ CONSTRAINTS = [
     ("depth", "quant", -0.25),
     ("corruption", "boundary_jitter", 1.5),
     ("corruption", "boundary_jitter", -1),
+    ("corruption", "boundary_jitter", 100000),
     ("corruption", "merge_prob", "0.2"),
     ("corruption", "merge_prob", -0.1),
     ("corruption", "merge_prob", 1.5),
@@ -71,8 +72,6 @@ CONSTRAINTS = [
     ("scene", "tray_dims", [424.0, 308.0, 160.0, 1.0]),
     ("scene", "resolution", "fine"),
     ("scene", "resolution", 0.0),
-    ("scene", "max_placement_retries", 2.5),
-    ("scene", "max_placement_retries", 0),
 ]
 # NaN compares false with every bound, so each bounded real field gets a row.
 NAN = float("nan")
@@ -142,7 +141,15 @@ def python_config(section, key, value) -> ExperimentConfig:
     return ExperimentConfig(**{section: SECTIONS[section](**{key: value})})
 
 
-@pytest.mark.parametrize("row", CONSTRAINTS, ids=row_id)
+# Values that became constants: a document that still sets one is refused as
+# an unknown key, whatever the value.
+RETIRED = [
+    ("scene", "max_placement_retries", 2.5),
+    ("scene", "max_placement_retries", 0),
+]
+
+
+@pytest.mark.parametrize("row", CONSTRAINTS + RETIRED, ids=row_id)
 def test_bad_value_rejected_in_document(row):
     with pytest.raises(ParameterError):
         experiment_config_from_document(document(*row))
@@ -204,20 +211,7 @@ def test_nan_rejected_by_unconfigured_bounds():
     scene = generate_scene(SceneConfig(), 0)
     with pytest.raises(ParameterError):
         render_depth(scene, sigma=NAN, rng=np.random.default_rng(0))
-    with pytest.raises(ParameterError):
-        FingerModel(retraction_budget=NAN).validate()
 
-
-
-@pytest.mark.parametrize("field", ["retraction_budget", "max_force"])
-@pytest.mark.parametrize("bad", [INF, True, "4", 0.0, -1.0, NAN], ids=repr)
-def test_adaptive_finger_constants_checked(field, bad):
-    """The adaptive spring's budget and force are checked like every config
-    number: infinity and True were accepted and "4" raised TypeError. A
-    fixed finger has no spring, so it ignores both."""
-    with pytest.raises(ParameterError, match=field):
-        FingerModel(**{field: bad}).validate()
-    FingerModel(kind=FingerKind.FIXED, **{field: bad}).validate()
 
 @pytest.mark.parametrize("doc", DOCUMENT_ONLY, ids=repr)
 def test_bad_document_shape_rejected(doc):
@@ -227,8 +221,7 @@ def test_bad_document_shape_rejected(doc):
 
 @pytest.mark.parametrize(
     "doc",
-    [{"n_attempts": 3.0}, {"base_seed": 9.0}, {"corruption": {"boundary_jitter": 1.0}},
-     {"scene": {"max_placement_retries": 5.0}}],
+    [{"n_attempts": 3.0}, {"base_seed": 9.0}, {"corruption": {"boundary_jitter": 1.0}}],
     ids=repr,
 )
 def test_integer_key_rejects_integral_float(doc):
@@ -272,8 +265,7 @@ class TestDefaults:
             "finger_geometry": {"width": 5.0, "breadth": 18, "clearance": 1.5},
             "execution": {"pierce_block": 12.0, "grasp_depth_margin": 4,
                           "capture_fraction": 0.7, "multipick_fraction": 0.4},
-            "scene": {"tray_dims": [400, 300, 150], "resolution": 0.7,
-                      "max_placement_retries": 50},
+            "scene": {"tray_dims": [400, 300, 150], "resolution": 0.7},
         }
         assert experiment_config_from_document(doc) == ExperimentConfig(
             archetype="gyoza",
@@ -288,14 +280,13 @@ class TestDefaults:
             corruption=CorruptionParams(1, 0.2, 0.1),
             finger_geometry=FingerGeometry(5.0, 18, 1.5),
             execution=ExecutionParams(12.0, 4, 0.7, 0.4),
-            scene=SceneConfig(archetype="gyoza", tray_dims=(400, 300, 150), resolution=0.7,
-                              max_placement_retries=50),
+            scene=SceneConfig(archetype="gyoza", tray_dims=(400, 300, 150), resolution=0.7),
         )
 
     def test_section_defaults_are_valid(self):
-        for cfg in (ExperimentConfig(), CorruptionParams(), FingerGeometry(),
-                    ExecutionParams(), SceneConfig()):
+        for cfg in (ExperimentConfig(), FingerGeometry(), ExecutionParams(), SceneConfig()):
             cfg.validate()
+        CorruptionParams().validate((436, 600))
 
 
 def planned_scene(seed=0):
@@ -334,8 +325,19 @@ class TestSilentMisconfigurations:
                 generate_scene(SceneConfig(archetypes={"fried_chicken": arch}), 0)
 
     def test_zero_placement_retries(self):
-        with pytest.raises(ParameterError, match="max_placement_retries"):
-            generate_scene(SceneConfig(max_placement_retries=0), 0)
+        """A budget of 0 generated an empty tray. The budget is now the
+        constant MAX_PLACEMENT_RETRIES, and a document that sets it is
+        refused."""
+        with pytest.raises(ParameterError, match="config scene has unknown key 'max_placement_retries'"):
+            experiment_config_from_document({"scene": {"max_placement_retries": 0}})
+
+    def test_jitter_wider_than_the_raster(self):
+        """A jitter of 100000 px ran for more than a minute. A jitter above the
+        longer side of the raster the scene config gives is refused."""
+        scene = SceneConfig(tray_dims=(100.0, 80.0, 50.0), resolution=0.5)  # 160 x 200 px
+        ExperimentConfig(scene=scene, corruption=CorruptionParams(boundary_jitter=200)).validate()
+        with pytest.raises(ParameterError, match="boundary_jitter must be <= 200"):
+            ExperimentConfig(scene=scene, corruption=CorruptionParams(boundary_jitter=201)).validate()
 
     def test_filtering_string(self):
         with pytest.raises(ParameterError, match="filtering"):

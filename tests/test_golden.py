@@ -6,9 +6,10 @@ campaign digest is the SHA-256 of the ``records.jsonl`` a small campaign
 writes; the matrix covers both refill policies, both fingers, filtering on
 and off, every mask corruption and depth noise with quantization. The plan
 digests pin every candidate's ellipse fit, medians and filter decision, which
-the records only summarize. The scene digests pin scene.json, occlusion
-flags and damage included, after generation, after picks and after a load
-and save. A digest may change only in a change that says why in CHANGES.md.
+the records only summarize. The scene digests pin scene.json, damage
+included, and owner_map.pgm, which holds every visible piece's id, after
+generation, after picks and after a load and save. A digest may change only
+in a change that says why in CHANGES.md.
 """
 from __future__ import annotations
 
@@ -86,21 +87,30 @@ PLANS = [
      "504e5588189eca44cfcd8f0e9c722b62b5c7536c54bad4d949007b61132de2b7"),
 ]
 
-# (archetype, scene seed, finger) -> SHA-256 of scene.json as generated, and
-# after two noise-free planned picks with that finger. The mushroom tray holds
-# two buried pieces, and its first pick uncovers one and damages another.
+# (archetype, scene seed, finger) -> SHA-256s of scene.json and owner_map.pgm
+# as generated, and after two noise-free planned picks with that finger. The
+# mushroom tray holds two buried pieces, and its first pick uncovers one and
+# damages another.
 SCENES = [
     ("mushroom", 2, FIXED,
-     "01753ab8c86ec4316a08c28f4ecf0f75c1ad1f25542fd0b2e5ada4af60b78d54",
-     "1a16518d9fcd0eade874e5129632a36599bd285519cd5e3676046a1da24cd8b8"),
+     ("aabeacadcfcdae297c18ed535d9fdd2cf58bf2b85c674e5fe80a0707e89f85b1",
+      "ca63f47325f3193cd859021feab3ab50e9f228b817f45b534461f6ad0815b1b8"),
+     ("27a713305afa3e757ffd64116ef969de584fb3b8708653a68199e41fa83ae482",
+      "6eb8bb765b59f4de171bfca71478656e20e4290039f568974ca0ebf28fa1dfbf")),
     ("fried_chicken", 12, ADAPTIVE,
-     "5b30ba526a56119773907b0a48582c6db7b33823c5f4ca978a3af808a19022e6",
-     "7b6cc9b397421b122195b6d9a76155ece54e6ef09ffa60ffbabbd413d309455b"),
+     ("3061368a872001c461cd59e7024b2bebdcb3690a4ce842605e4226d79bc753d1",
+      "d5829a5897d32f8d39f7aaee17abf60aef6a123579efe44db681ac9589aee81f"),
+     ("3ab0a663c737920785e7ca1af1e0afe1f99d1ec37b6988fd1b9915bcdb51645f",
+      "5f2c12e1a8906fad9f602e4db302b08017449fedf631036bd9b951fda4d3e56f")),
 ]
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _scene_digests(scene_dir) -> tuple[str, str]:
+    return tuple(_sha256((scene_dir / name).read_bytes()) for name in ("scene.json", "owner_map.pgm"))
 
 
 @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
@@ -137,12 +147,12 @@ def test_plan_digest(archetype, seed, corruption, sigma, quant, digest):
 def test_scene_file_digests(archetype, seed, finger, generated, picked, tmp_path):
     scene = generate_scene(SceneConfig(archetype=archetype), seed)
     save_scene(scene, tmp_path / "generated")
-    assert _sha256((tmp_path / "generated" / "scene.json").read_bytes()) == generated
+    assert _scene_digests(tmp_path / "generated") == generated
     for _ in range(2):
         p = plan(render_masks(scene), render_depth(scene), DEFAULT_ARCHETYPES[archetype])
         assert execute_grasp(scene, p.target, FingerModel(kind=finger)).picked
     save_scene(scene, tmp_path / "picked")
-    assert _sha256((tmp_path / "picked" / "scene.json").read_bytes()) == picked
-    for name, digest in (("generated", generated), ("picked", picked)):
+    assert _scene_digests(tmp_path / "picked") == picked
+    for name, digests in (("generated", generated), ("picked", picked)):
         save_scene(load_scene(tmp_path / name), tmp_path / f"{name}-loaded")
-        assert _sha256((tmp_path / f"{name}-loaded" / "scene.json").read_bytes()) == digest
+        assert _scene_digests(tmp_path / f"{name}-loaded") == digests

@@ -8,7 +8,10 @@ import pytest
 
 from traypick.archetypes import DEFAULT_ARCHETYPES
 from traypick.errors import ParameterError
+from traypick import graspsim
 from traypick.graspsim import (
+    MAX_FORCE,
+    RETRACTION_BUDGET,
     Classification,
     ExecutionParams,
     FingerKind,
@@ -51,16 +54,18 @@ def lone_piece_scene(thickness=20.0):
 
 class TestFingerModel:
     def test_stiffness_from_paper_constants(self):
-        fm = FingerModel()
-        assert fm.stiffness == pytest.approx(4.1 / 22.5)
-
-    def test_validate_rejects_bad_budget(self):
-        fm = FingerModel(retraction_budget=0.0)
-        with pytest.raises(ParameterError):
-            fm.validate()
+        assert (RETRACTION_BUDGET, MAX_FORCE) == (22.5, 4.1)
+        assert MAX_FORCE / RETRACTION_BUDGET == pytest.approx(4.1 / 22.5)
 
 
 class TestInsertFingers:
+    def test_parameters_checked(self):
+        """A pierce_block of -1 used to block both fingers silently."""
+        scene, _ = lone_piece_scene()
+        c = candidate(100.0, 100.0, h=5.0, w=30.0, food_median=20.0)
+        with pytest.raises(ParameterError, match="pierce_block"):
+            insert_fingers(scene, c, FingerModel(kind=FingerKind.FIXED), ExecutionParams(pierce_block=-1.0))
+
     def test_clear_floor_full_insertion(self):
         scene, piece = lone_piece_scene()
         c = candidate(100.0, 100.0, h=5.0, w=30.0, food_median=20.0)
@@ -147,6 +152,17 @@ class TestInsertFingers:
 
 
 class TestCloseAndLift:
+    def test_parameters_checked(self):
+        """A capture_fraction of 1.5 used to fail every grasp silently, and a
+        finger kind given as a string to run as adaptive."""
+        scene, _ = lone_piece_scene()
+        c = candidate(100.0, 100.0, h=5.0, w=30.0, food_median=20.0)
+        ins = insert_fingers(scene, c, FingerModel())
+        with pytest.raises(ParameterError, match="capture_fraction"):
+            close_and_lift(scene, c, ins, FingerModel(), ExecutionParams(capture_fraction=1.5))
+        with pytest.raises(ParameterError, match="kind"):
+            close_and_lift(scene, c, ins, FingerModel(kind="fixed"))
+
     def test_lone_piece_success_single(self):
         scene, piece = lone_piece_scene(thickness=20.0)
         c = candidate(100.0, 100.0, h=10.0, w=30.0, food_median=20.0,
@@ -233,6 +249,18 @@ class TestCloseAndLift:
         assert picked(elsewhere, capture_fraction=0.0) == picked(elsewhere, capture_fraction=1e-9) == []
 
 
+    @pytest.mark.parametrize("pieces", [0, 1])
+    def test_the_floor_is_never_captured(self, pieces):
+        """Id 0 used to be scored by the floor's share inside the jaw, so with
+        capture_fraction 0 a grasp on it succeeded and picked [0]."""
+        scene = (lone_piece_scene()[0] if pieces
+                 else empty_scene(resolution=1.0, tray_dims=(200.0, 200.0, 120.0)))
+        c = candidate(100.0, 100.0, h=5.0, w=30.0, food_median=20.0, instance_id=0)
+        out = execute_grasp(scene, c, FingerModel(), ExecutionParams(capture_fraction=0.0))
+        assert (out.classification, out.picked) == (Classification.FAILURE, [])
+        assert len(scene.pieces) == pieces
+
+
 class TestExecuteGrasp:
     def scene_and_plan(self, seed=3):
         scene = generate_scene(SceneConfig(), seed)
@@ -289,18 +317,16 @@ class TestExecuteGrasp:
             out_a = execute_grasp(scene_a, p.target, FingerModel(kind=FingerKind.ADAPTIVE))
             out_f = execute_grasp(scene_f, p.target, FingerModel(kind=FingerKind.FIXED))
             arch = DEFAULT_ARCHETYPES["fried_chicken"]
-            stiffness = 4.1 / 22.5
-            if arch.fragility_force >= stiffness * arch.damage_tolerance:
+            if arch.fragility_force >= MAX_FORCE / RETRACTION_BUDGET * arch.damage_tolerance:
                 assert len(out_a.damaged) <= len(out_f.damaged)
 
-    def test_fixed_outcome_ignores_spring_fields(self):
+    def test_fixed_outcome_ignores_spring_fields(self, monkeypatch):
         scene, p = self.scene_and_plan(seed=5)
         scene_b = copy.deepcopy(scene)
-        out_a = execute_grasp(
-            scene, p.target, FingerModel(kind=FingerKind.FIXED, retraction_budget=1.0,
-                                         max_force=99.0)
-        )
         out_b = execute_grasp(scene_b, p.target, FingerModel(kind=FingerKind.FIXED))
+        monkeypatch.setattr(graspsim, "RETRACTION_BUDGET", 1.0)
+        monkeypatch.setattr(graspsim, "MAX_FORCE", 99.0)
+        out_a = execute_grasp(scene, p.target, FingerModel(kind=FingerKind.FIXED))
         assert out_a.classification == out_b.classification
         assert out_a.picked == out_b.picked
 

@@ -104,16 +104,17 @@ class TestRenderMasks:
         np.testing.assert_array_equal(union, scene.owner_map > 0)
 
     def test_buried_piece_excluded_and_flagged(self, tmp_path):
+        """A fully occluded piece is flagged by its absence: no mask, and no
+        pixel of the saved owner map."""
         scene = empty_scene(resolution=1.0, tray_dims=(100.0, 100.0, 80.0))
         small = rasterize_stamps([(4.0, 4.0, 2.0, 1.0, 0.0)], 1.0)[0]
         buried = drop_piece(scene, small, 50.0, 50.0, "mushroom")
         big = rasterize_stamps([(15.0, 15.0, 2.0, 10.0, 0.0)], 1.0)[0]
-        drop_piece(scene, big, 50.0, 50.0, "mushroom")
+        top = drop_piece(scene, big, 50.0, 50.0, "mushroom")
         masks = render_masks(scene)
-        assert buried.id not in masks.ids()
+        assert masks.ids() == [top.id]
         save_scene(scene, tmp_path)
-        doc = json.loads((tmp_path / "scene.json").read_text())
-        assert {pd["id"]: pd["fully_occluded"] for pd in doc["pieces"]} == {buried.id: True, buried.id + 1: False}
+        assert set(np.unique(read_pgm16(tmp_path / "owner_map.pgm")).tolist()) == {0, top.id}
 
 
 class TestCorruptMasks:
@@ -166,6 +167,14 @@ class TestCorruptMasks:
                 orig = dict(masks.masks)[pid]
                 # dilation/erosion by at most 2 px changes the bounding box by <= 2
                 assert abs(int(m.sum()) - int(orig.sum())) <= orig.sum() * 3
+
+    def test_jitter_wider_than_the_raster_rejected(self):
+        """A jitter of 100000 px on a 600-px raster ran for minutes; above the
+        longer side of the masks' raster it is refused."""
+        masks = self.two_touching()  # a 40 x 40 raster
+        corrupt_masks(masks, CorruptionParams(boundary_jitter=40), np.random.default_rng(0))
+        with pytest.raises(ParameterError, match="boundary_jitter must be <= 40"):
+            corrupt_masks(masks, CorruptionParams(boundary_jitter=41), np.random.default_rng(0))
 
     def test_jitter_runs_without_scipy(self, capsys):
         """Boundary jitter needs numpy alone: with every scipy import made to
@@ -472,6 +481,8 @@ class TestMaskAndDepthFiles:
         (lambda d: d.update(size=None), "size must be"),
         (lambda d: d["instances"].append(dict(d["instances"][0])), "duplicate instance id 1"),
         (lambda d: d["instances"][0].update(id="1"), "instance id must be an integer"),
+        (lambda d: d["instances"][0].update(id=0), "instance id must be >= 1"),
+        (lambda d: d["instances"][0].update(id=-4), "instance id must be >= 1"),
         (lambda d: without(d, "instances"), "mask manifest .* is missing instances"),
         (lambda d: without(d, "size"), "mask manifest .* is missing size"),
         (lambda d: without(d, "source"), "mask manifest .* is missing source"),
@@ -487,7 +498,7 @@ class TestMaskAndDepthFiles:
     ], ids=["negative count", "float count", "bool count", "counts not a list",
             "counts sum above h*w", "counts sum below h*w", "size of one number",
             "float size", "negative size", "zero size", "null size", "duplicate ids",
-            "string id", "no instances", "no size", "no source", "top-level list",
+            "string id", "floor id", "negative id", "no instances", "no size", "no source", "top-level list",
             "instances not a list", "entry without counts", "entry without id",
             "entry not an object", "string confidence", "confidence above 1",
             "negative confidence", "unknown source"])

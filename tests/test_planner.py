@@ -122,7 +122,7 @@ class TestDeriveGrasp:
         fit = EllipseFit(50.0, 50.0, 0.0, 20.0, 30.0)
         depth = flat_depth((100, 100), 25.0)
         arch = DEFAULT_ARCHETYPES["fried_chicken"]
-        c = derive_grasp(fit, depth, arch)
+        c = derive_grasp(fit, depth, arch, 1)
         assert c.food_median == pytest.approx(25.0)
         assert c.h == pytest.approx(25.0 + arch.grasp_height_offset)
 
@@ -134,14 +134,14 @@ class TestDeriveGrasp:
         arch = dataclasses.replace(
             DEFAULT_ARCHETYPES["fried_chicken"], grasp_height_offset=-30.0
         )
-        assert derive_grasp(fit, depth, arch).h == 0.0
+        assert derive_grasp(fit, depth, arch, 1).h == 0.0
 
     def test_median_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(3)
         heights = rng.uniform(10.0, 40.0, (120, 120))
         depth = DepthImage(heights, 1.0)
         fit = EllipseFit(60.0, 55.0, 0.8, 26.0, 44.0)
-        c = derive_grasp(fit, depth, DEFAULT_ARCHETYPES["fried_chicken"])
+        c = derive_grasp(fit, depth, DEFAULT_ARCHETYPES["fried_chicken"], 1)
         # independent membership test per pixel
         vals = []
         cth, sth = math.cos(fit.theta), math.sin(fit.theta)
@@ -157,14 +157,14 @@ class TestDeriveGrasp:
     def test_width_converted_to_mm(self):
         fit = EllipseFit(50.0, 50.0, 0.0, 20.0, 30.0)
         depth = flat_depth((100, 100), 25.0, resolution=0.5)
-        c = derive_grasp(fit, depth, DEFAULT_ARCHETYPES["fried_chicken"])
+        c = derive_grasp(fit, depth, DEFAULT_ARCHETYPES["fried_chicken"], 1)
         assert c.w == pytest.approx(20.0 * 0.5)
 
     def test_ellipse_outside_raster_rejected(self):
         fit = EllipseFit(500.0, 500.0, 0.0, 20.0, 30.0)
         depth = flat_depth((100, 100), 25.0)
         with pytest.raises(ParameterError):
-            derive_grasp(fit, depth, DEFAULT_ARCHETYPES["fried_chicken"])
+            derive_grasp(fit, depth, DEFAULT_ARCHETYPES["fried_chicken"], 1)
 
 
 def make_candidate(x, y, theta, w_mm, food_median, instance_id=1, h=None):

@@ -9,6 +9,7 @@ import pytest
 from traypick.archetypes import DEFAULT_ARCHETYPES, FoodArchetype, load_archetypes, save_archetypes
 from traypick.config import experiment_config_from_document
 from traypick.errors import ParameterError, PlacementError
+from traypick.grids import read_pgm16
 from traypick.scenegen import (
     DEFAULT_TRAY_DIMS,
     SceneConfig,
@@ -240,10 +241,14 @@ class TestGenerateScene:
         arch = dataclasses.replace(disk_archetype(), jitter=0.2)
         scene = generate_scene(SceneConfig(archetype="disk", archetypes={"disk": arch}), 7)
         assert len(scene.pieces) >= 10
+        lo, hi = arch.scale_range
         for piece in scene.pieces.values():
-            nominal = 15.0 * piece.stamp.scale
-            assert nominal * 0.8 <= piece.stamp.params["semi_a"] <= nominal * 1.2
-            assert nominal * 0.8 <= piece.stamp.params["semi_b"] <= nominal * 1.2
+            a, b, peak = (piece.stamp.params[k] for k in ("semi_a", "semi_b", "peak"))
+            assert 15.0 * lo * 0.8 <= min(a, b) and max(a, b) <= 15.0 * hi * 1.2
+            # the scale draw cancels: the axes differ by their jitters alone,
+            # and the dome by its own over the mean axis
+            assert 0.8 / 1.2 <= a / b <= 1.2 / 0.8
+            assert 0.8 <= peak / (arch.dome_ratio * 0.5 * (a + b)) <= 1.2
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", True], ids=repr)
     def test_seed_not_a_nonnegative_integer_rejected(self, seed):
@@ -289,22 +294,19 @@ class TestSceneFiles:
 
     def test_saved_occlusion_flags_come_from_the_owner_map(self, tmp_path):
         """A piece buried by a later drop is saved as fully occluded without a
-        recompose. A stored flag is not read: a file whose flags say the
-        opposite loads, and saves the owner map's values."""
+        recompose: its id is missing from owner_map.pgm. scene.json no
+        longer holds a flag, and a file that still does is refused."""
         scene = empty_scene(resolution=1.0, tray_dims=(100.0, 100.0, 80.0))
         buried = drop_piece(scene, rasterize_stamps([(4.0, 4.0, 2.0, 1.0, 0.0)], 1.0)[0], 50.0, 50.0, "mushroom")
         top = drop_piece(scene, rasterize_stamps([(15.0, 15.0, 2.0, 10.0, 0.0)], 1.0)[0], 50.0, 50.0, "mushroom")
         save_scene(scene, tmp_path / "s")
+        assert set(np.unique(read_pgm16(tmp_path / "s" / "owner_map.pgm")).tolist()) == {0, top.id}
         path = tmp_path / "s" / "scene.json"
         doc = json.loads(path.read_text())
-        expected = {buried.id: True, top.id: False}
-        assert {pd["id"]: pd["fully_occluded"] for pd in doc["pieces"]} == expected
-        for pd in doc["pieces"]:
-            pd["fully_occluded"] = not pd["fully_occluded"]
+        doc["pieces"][0]["fully_occluded"] = True
         path.write_text(json.dumps(doc))
-        save_scene(load_scene(tmp_path / "s"), tmp_path / "t")
-        saved = json.loads((tmp_path / "t" / "scene.json").read_text())
-        assert {pd["id"]: pd["fully_occluded"] for pd in saved["pieces"]} == expected
+        with pytest.raises(ParameterError, match="pieces\\[0\\] has unknown key 'fully_occluded'"):
+            load_scene(tmp_path / "s")
 
     def test_repeated_piece_id_rejected(self, tmp_path):
         scene = generate_scene(SceneConfig(), 17)
@@ -384,6 +386,8 @@ class TestSceneFiles:
         with pytest.raises(ParameterError, match=f"missing {key}"):
             load_scene(self.edited(tmp_path, edit))
 
+    # A piece's "scale" is no longer a key: a file that still holds one is
+    # refused as holding an unknown key, whatever its value.
     SCENE_NUMBERS = [["tray_dims", 0], ["resolution"], ["seed"], ["pieces", 0, "rest_height"],
                      ["pieces", 0, "scale"], ["pieces", 0, "damage_magnitude"],
                      *(["pieces", 0, "stamp", k] for k in ("semi_a", "semi_b", "exponent", "peak", "rotation"))]

@@ -23,7 +23,6 @@ import math
 
 import copy
 import dataclasses
-import json
 from collections import Counter
 import os
 import tempfile
@@ -37,9 +36,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from traypick import scenegen
 from traypick.archetypes import DEFAULT_ARCHETYPES
 from traypick.errors import FitError, ParameterError, PlacementError
+from traypick.grids import read_pgm16
 from traypick.graspsim import (
+    MAX_FORCE,
+    RETRACTION_BUDGET,
     ExecutionParams,
     FingerInsertion,
     FingerKind,
@@ -233,12 +236,12 @@ def oracle_insert_one(scene, region, h, fm, params):
             if pen > params.pierce_block:
                 blocked = True
         return FingerInsertion(h, h, 0.0, contacts, blocked)
-    retraction = min(obstruction, fm.retraction_budget)
-    force = fm.stiffness * retraction
+    retraction = min(obstruction, RETRACTION_BUDGET)
+    force = MAX_FORCE / RETRACTION_BUDGET * retraction
     for pid, heights in by_piece.items():
         if float(heights.max()) > h:
             contacts[pid] = force
-    return FingerInsertion(h, h + retraction, retraction, contacts, obstruction > fm.retraction_budget)
+    return FingerInsertion(h, h + retraction, retraction, contacts, obstruction > RETRACTION_BUDGET)
 
 
 def oracle_sweep_damage(scene, sweep, picked, max_bottom, fm, damaged):
@@ -250,12 +253,14 @@ def oracle_sweep_damage(scene, sweep, picked, max_bottom, fm, damaged):
         if overlap <= 0:
             continue
         magnitude = (overlap if fm.kind is FingerKind.FIXED
-                     else fm.stiffness * min(overlap, fm.retraction_budget))
+                     else MAX_FORCE / RETRACTION_BUDGET * min(overlap, RETRACTION_BUDGET))
         _damage(scene, fm, pid, magnitude, damaged)
     return damaged
 
 
 def oracle_visible_fraction_in(scene, pid, region) -> float:
+    if pid not in scene.pieces:
+        return 0.0
     visible = scene.owner_map == pid
     total = int(np.count_nonzero(visible))
     if total == 0:
@@ -420,7 +425,7 @@ def oracle_piece_stamp(archetype, scale, rotation, rng, res):
     top, mask = oracle_rasterize_stamp(semi_a, semi_b, archetype.exponent, peak, rotation, res)
     params = {"semi_a": semi_a, "semi_b": semi_b, "exponent": archetype.exponent,
               "peak": peak, "rotation": rotation}
-    return PieceStamp(top=top, mask=mask, scale=scale, params=params, resolution=res)
+    return PieceStamp(top=top, mask=mask, params=params, resolution=res)
 
 
 def oracle_drop_piece(scene, stamp, x, y, archetype_name):
@@ -478,7 +483,7 @@ def oracle_generate_scene(config, seed):
         scale = float(rng.uniform(*arch.scale_range))
         rotation = float(rng.uniform(0.0, math.pi))
         stamp = oracle_piece_stamp(arch, scale, rotation, rng, scene.resolution)
-        for _ in range(config.max_placement_retries):
+        for _ in range(scenegen.MAX_PLACEMENT_RETRIES):
             x = float(rng.uniform(0.0, config.tray_dims[0]))
             y = float(rng.uniform(0.0, config.tray_dims[1]))
             try:
@@ -847,7 +852,7 @@ def test_food_median_equals_full_raster(shape, fit, seed):
     interior = oracle_ellipse_interior(fit, shape)
     if not interior.any():
         return
-    cand = derive_grasp(fit, depth, DEFAULT_ARCHETYPES["mushroom"])
+    cand = derive_grasp(fit, depth, DEFAULT_ARCHETYPES["mushroom"], 1)
     assert cand.food_median == float(np.median(depth.heights[interior]))
 
 
@@ -919,7 +924,7 @@ def test_rasterize_stamp_equals_its_slice_of_a_batch(res):
         assert got.top.tobytes() == alone.top.tobytes()
         assert got.mask.tobytes() == alone.mask.tobytes()
         assert got.top.shape == alone.top.shape
-        assert (got.scale, got.params, got.resolution) == (alone.scale, alone.params, res)
+        assert (got.params, got.resolution) == (alone.params, res)
 
 
 # At sigma 5e-324 most of sigma * z rounds to +-0.0: the noise is then drawn
@@ -1176,6 +1181,7 @@ def corner_masks_with_an_empty_one():
 @example(masks=corner_masks_with_an_empty_one(), seed=0, jitter=1, merge=1.0, drop=0.0)
 @example(masks=corner_masks_with_an_empty_one(), seed=1, jitter=1, merge=0.5, drop=0.3)
 def test_pruned_merge_scan_matches_unpruned(masks, seed, jitter, merge, drop):
+    jitter = min(jitter, max(masks.shape))  # corrupt_masks refuses a jitter wider than the raster
     params = CorruptionParams(boundary_jitter=jitter, merge_prob=merge, drop_prob=drop)
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
     got = corrupt_masks(masks, params, rng_new)
@@ -1273,6 +1279,8 @@ def _square(shape, r0, c0, size):
     seed=0, params=CorruptionParams(),
 )
 def test_agreement_equals_every_pair_iou(pred, gt, seed, params):
+    # corrupt_masks refuses a jitter wider than the raster
+    params = dataclasses.replace(params, boundary_jitter=min(params.boundary_jitter, max(pred.shape)))
     pred = corrupt_masks(pred, params, np.random.default_rng(seed))  # may overlap
     if pred.windows and gt.windows and pred.shape != gt.shape:
         return
@@ -1308,6 +1316,7 @@ def test_agreement_equals_every_pair_iou(pred, gt, seed, params):
     seed=1, jitter=0,
 )
 def test_mask_files_round_trip(masks, seed, jitter):
+    jitter = min(jitter, max(masks.shape))  # corrupt_masks refuses a jitter wider than the raster
     params = CorruptionParams(boundary_jitter=jitter, merge_prob=0.3)
     corrupted = corrupt_masks(masks, params, np.random.default_rng(seed))  # may overlap
     for original in (masks, corrupted):
@@ -1391,7 +1400,7 @@ def test_small_trays_clip_stamp_windows(trays):
 
 
 # ---------------------------------------------------------------------------
-# recorded piece windows, and the occlusion flags save_scene computes from them
+# recorded piece windows, and the owner map save_scene writes from them
 
 
 def assert_windows_recorded(scene):
@@ -1400,11 +1409,12 @@ def assert_windows_recorded(scene):
 
 
 def saved_flags(scene):
-    """The "fully_occluded" that save_scene writes, per piece id."""
+    """Per piece id, whether the owner map save_scene writes lacks it: a
+    fully occluded piece is an id missing from owner_map.pgm."""
     with tempfile.TemporaryDirectory() as out:
         save_scene(scene, out)
-        doc = json.loads((Path(out) / "scene.json").read_text())
-    return {pd["id"]: pd["fully_occluded"] for pd in doc["pieces"]}
+        present = set(np.unique(read_pgm16(Path(out) / "owner_map.pgm")).tolist())
+    return {pid: pid not in present for pid in scene.pieces}
 
 
 @pytest.fixture(scope="module")
@@ -1504,8 +1514,8 @@ def assert_same_scene(got, expected):
         assert [float_bits(v) for v in (*q.position, q.rest_height)] == [
             float_bits(v) for v in (*p.position, p.rest_height)]
         assert list(q.stamp.params) == list(p.stamp.params)
-        assert [float_bits(v) for v in (*q.stamp.params.values(), q.stamp.scale)] == [
-            float_bits(v) for v in (*p.stamp.params.values(), p.stamp.scale)]
+        assert [float_bits(v) for v in q.stamp.params.values()] == [
+            float_bits(v) for v in p.stamp.params.values()]
         assert q.stamp.top.shape == p.stamp.top.shape
         assert q.stamp.top.tobytes() == p.stamp.top.tobytes()
         assert q.stamp.mask.tobytes() == p.stamp.mask.tobytes()
@@ -1529,13 +1539,14 @@ def test_generate_scene_equals_try_drop_loop(config, seed):
 
 
 @pytest.mark.parametrize("retries", [1, 2])
-def test_sub_pixel_pieces_rejected_and_skipped_as_by_the_loop(retries):
+def test_sub_pixel_pieces_rejected_and_skipped_as_by_the_loop(retries, monkeypatch):
     """Pieces smaller than a pixel: a centre one past the last row or column
     leaves an empty clipped footprint, so positions are rejected and, within
     a budget of one or two, whole pieces skipped."""
     tiny = dataclasses.replace(DEFAULT_ARCHETYPES["mushroom"], name="tiny", semi_axes_mm=(0.3, 0.2))
+    monkeypatch.setattr(scenegen, "MAX_PLACEMENT_RETRIES", retries)
     config = SceneConfig(archetype="tiny", archetypes={"tiny": tiny}, tray_dims=(40.0, 30.0, 50.0),
-                         resolution=5.0, max_placement_retries=retries)
+                         resolution=5.0)
     rejected = skipped = 0
     for seed in range(20):
         expected, r, k = oracle_generate_scene(config, seed)
@@ -1553,7 +1564,7 @@ def test_generate_scene_refills_its_block_of_draws():
     several more."""
     tiny = dataclasses.replace(DEFAULT_ARCHETYPES["mushroom"], name="tiny", semi_axes_mm=(0.3, 0.2))
     config = SceneConfig(archetype="tiny", archetypes={"tiny": tiny}, tray_dims=(6.0, 6.0, 50.0),
-                         resolution=5.0, max_placement_retries=100)
+                         resolution=5.0)
     for seed in range(3):
         expected, rejected, skipped = oracle_generate_scene(config, seed)
         count = len(expected.pieces) + skipped
