@@ -18,7 +18,6 @@ from .experiment import (
 )
 from .graspsim import (
     Classification,
-    ExecutionParams,
     FingerKind,
     FingerModel,
     GraspOutcome,

@@ -12,7 +12,7 @@ from pathlib import Path
 from .archetypes import load_archetypes
 from .errors import ParameterError, field_keys, read_json, read_object
 from .experiment import ExperimentConfig
-from .graspsim import ExecutionParams, FingerKind
+from .graspsim import FingerKind
 from .perception import CorruptionParams
 from .planner import FingerGeometry
 from .scenegen import SceneConfig
@@ -25,8 +25,7 @@ def _names(cls) -> set[str]:
 def experiment_config_from_document(doc: dict, config_dir: Path | None = None) -> ExperimentConfig:
     top_keys = _names(ExperimentConfig) - {"depth_sigma", "depth_quant"} | {"depth"}
     kwargs = dict(read_object(doc, "config", (), top_keys))
-    for name, cls in (("corruption", CorruptionParams), ("finger_geometry", FingerGeometry),
-                      ("execution", ExecutionParams)):
+    for name, cls in (("corruption", CorruptionParams), ("finger_geometry", FingerGeometry)):
         if name in kwargs:
             kwargs[name] = cls(**read_object(kwargs[name], f"config {name}", *field_keys(cls)))
     for key, value in read_object(kwargs.pop("depth", {}), "config depth", (), ("sigma", "quant")).items():

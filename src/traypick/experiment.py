@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError, check_number, check_type, field_keys, read_object
-from .graspsim import Classification, ExecutionParams, FingerKind, FingerModel, execute_grasp
+from .graspsim import Classification, FingerKind, FingerModel, execute_grasp
 from .perception import (CorruptionParams, DepthImage, InstanceMaskSet, corrupt_masks,
                          render_depth, render_masks)
 from .planner import FingerGeometry, plan
@@ -39,7 +39,6 @@ class ExperimentConfig:
     depth_quant: float = 0.0
     corruption: CorruptionParams = field(default_factory=CorruptionParams)
     finger_geometry: FingerGeometry = field(default_factory=FingerGeometry)
-    execution: ExecutionParams = field(default_factory=ExecutionParams)
     scene: SceneConfig | None = None
     output_dir: str | None = None
 
@@ -55,11 +54,9 @@ class ExperimentConfig:
         check_number("depth_quant", self.depth_quant, low=0, finite=True)
         check_type("output_dir", self.output_dir, (str, type(None)))
         check_type("scene", self.scene, (SceneConfig, type(None)))
-        for name, kind in (("corruption", CorruptionParams), ("finger_geometry", FingerGeometry),
-                           ("execution", ExecutionParams)):
+        for name, kind in (("corruption", CorruptionParams), ("finger_geometry", FingerGeometry)):
             check_type(name, getattr(self, name), kind)
         self.finger_geometry.validate()
-        self.execution.validate()
         scene = self.scene_config()
         scene.validate()
         if scene.archetype != self.archetype:
@@ -145,8 +142,7 @@ def run_trial(
     p = plan(masks if corrupted is None else corrupted, depth, arch, cfg.finger_geometry,
              cfg.filtering)
     retained = sum(not c.filtered for c in p.candidates)  # all of them when unfiltered
-    outcome = (None if p.target is None
-               else execute_grasp(scene, p.target, cfg.finger_model(), cfg.execution))
+    outcome = None if p.target is None else execute_grasp(scene, p.target, cfg.finger_model())
     record = TrialRecord(
         attempt=attempt_idx,
         seed=seed,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import check_number, check_type
+from .errors import check_type
 from .planner import (FingerGeometry, GraspCandidate, _contact_rectangles, _finger_half_sizes,
                       _rectangle_pixels, median)
 from .scenegen import TrayScene, recompose, visible_window
@@ -28,6 +28,11 @@ class FingerKind(enum.Enum):
 
 RETRACTION_BUDGET = 22.5  # mm an adaptive finger retracts at most
 MAX_FORCE = 4.1  # N of spring force at full retraction
+# The capture model's own thresholds; the paper gives none.
+PIERCE_BLOCK = 15.0  # mm of fixed-finger penetration that blocks
+GRASP_DEPTH_MARGIN = 5.0  # mm below the target median needed to hold
+CAPTURE_FRACTION = 0.6  # of the target's visible mask inside the jaw
+MULTIPICK_FRACTION = 0.5  # of a neighbor's visible mask inside the jaw
 
 
 @dataclass
@@ -38,22 +43,6 @@ class FingerModel:
     def validate(self) -> None:
         check_type("kind", self.kind, FingerKind)
         self.geometry.validate()
-
-
-@dataclass
-class ExecutionParams:
-    """Invented, config-exposed constants of the capture model."""
-
-    pierce_block: float = 15.0  # mm; fixed-finger penetration that blocks
-    grasp_depth_margin: float = 5.0  # mm below the target median needed to hold
-    capture_fraction: float = 0.6  # of target visible mask inside the jaw
-    multipick_fraction: float = 0.5  # of a neighbor's visible mask inside the jaw
-
-    def validate(self) -> None:
-        check_number("pierce_block", self.pierce_block, low=0, low_open=True)
-        check_number("grasp_depth_margin", self.grasp_depth_margin, low=0, finite=True)
-        for name in ("capture_fraction", "multipick_fraction"):
-            check_number(name, getattr(self, name), low=0, high=1)
 
 
 @dataclass
@@ -105,13 +94,7 @@ def _magnitude(fm: FingerModel, overlap: float) -> float:
     return overlap if fixed else MAX_FORCE / RETRACTION_BUDGET * min(overlap, RETRACTION_BUDGET)
 
 
-def _insert_one(
-    scene: TrayScene,
-    region: np.ndarray,
-    h: float,
-    fm: FingerModel,
-    params: ExecutionParams,
-) -> FingerInsertion:
+def _insert_one(scene: TrayScene, region: np.ndarray, h: float, fm: FingerModel) -> FingerInsertion:
     """Every piece standing above h is a contact. A fixed finger penetrates
     each by its own overlap; an adaptive one retracts by the tallest
     obstruction, so all its contacts take the same force."""
@@ -122,7 +105,7 @@ def _insert_one(
     contacts = {pid: _magnitude(fm, top - h if fixed else obstruction)
                 for pid, top in _piece_tops(scene, region).items() if top > h}
     if fixed:
-        return FingerInsertion(h, h, 0.0, contacts, max(contacts.values(), default=0.0) > params.pierce_block)
+        return FingerInsertion(h, h, 0.0, contacts, max(contacts.values(), default=0.0) > PIERCE_BLOCK)
     retraction = min(obstruction, RETRACTION_BUDGET)
     return FingerInsertion(h, h + retraction, retraction, contacts, obstruction > RETRACTION_BUDGET)
 
@@ -143,21 +126,14 @@ def _damage(
         damaged[pid] = max(damaged.get(pid, 0.0), magnitude)
 
 
-def insert_fingers(
-    scene: TrayScene,
-    c: GraspCandidate,
-    fm: FingerModel,
-    params: ExecutionParams | None = None,
-) -> InsertionResult:
+def insert_fingers(scene: TrayScene, c: GraspCandidate, fm: FingerModel) -> InsertionResult:
     """Insert both fingers vertically at the candidate's contact regions.
 
     A finger whose rectangle reaches past the tray interior hits the tray
     wall and blocks outright. A contact damages its piece when its
     magnitude exceeds the piece's threshold for this finger (_damage).
     """
-    params = params or ExecutionParams()
     fm.validate()
-    params.validate()
     ny, nx = scene.shape
     hl, hb = _finger_half_sizes(fm.geometry, scene.resolution)
     rects = _contact_rectangles(c, fm.geometry, scene.resolution)
@@ -169,7 +145,7 @@ def insert_fingers(
         # left to right as the corner's own coordinate is.
         inside = (0.0 <= cx - hl * abs(ux) - hb * abs(uy) and cx + hl * abs(ux) + hb * abs(uy) <= nx - 1
                   and 0.0 <= cy - hl * abs(uy) - hb * abs(ux) and cy + hl * abs(uy) + hb * abs(ux) <= ny - 1)
-        fins.append(_insert_one(scene, region, c.h, fm, params) if inside
+        fins.append(_insert_one(scene, region, c.h, fm) if inside
                     else FingerInsertion(c.h, c.h, 0.0, {}, True))
     damaged: dict[int, float] = {}
     for fin in fins:
@@ -206,11 +182,7 @@ def _visible_fraction_in(scene: TrayScene, pid: int, label_counts: np.ndarray) -
 
 
 def close_and_lift(
-    scene: TrayScene,
-    c: GraspCandidate,
-    ins: InsertionResult,
-    fm: FingerModel,
-    params: ExecutionParams | None = None,
+    scene: TrayScene, c: GraspCandidate, ins: InsertionResult, fm: FingerModel
 ) -> GraspOutcome:
     """Close the jaw and classify the outcome.
 
@@ -222,26 +194,20 @@ def close_and_lift(
     under the same force/penetration rules as insertion.
 
     The jaw and sweep regions are flat raster indices; jaw fractions divide
-    label counts inside the jaw by counts on each piece's stamp window. Only
-    pieces with a pixel inside the jaw are captured or co-picked, whatever
-    the fractions asked for, and a target id that names no piece is never
-    captured.
+    label counts inside the jaw by counts on each piece's stamp window. A
+    target id that names no piece is never captured.
     """
-    params = params or ExecutionParams()
     fm.validate()
-    params.validate()
     jaw, sweep = _jaw_regions(scene, c, fm.geometry)
     in_jaw = np.bincount(scene.owner_map.take(jaw))
     bottoms = [fin.achieved for fin in ins.fingers]
     max_bottom = max(bottoms)
     picked: list[int] = []
 
-    target_fraction = _visible_fraction_in(scene, c.instance_id, in_jaw)
     target_ok = (
         not ins.blocked
-        and all(b <= c.food_median - params.grasp_depth_margin for b in bottoms)
-        and target_fraction > 0.0
-        and target_fraction >= params.capture_fraction
+        and all(b <= c.food_median - GRASP_DEPTH_MARGIN for b in bottoms)
+        and _visible_fraction_in(scene, c.instance_id, in_jaw) >= CAPTURE_FRACTION
     )
     if target_ok:
         picked.append(c.instance_id)
@@ -249,7 +215,7 @@ def close_and_lift(
             if pid == c.instance_id or pid not in scene.pieces:
                 continue
             win, visible = visible_window(scene, pid)
-            if int(in_jaw[pid]) / int(np.count_nonzero(visible)) < params.multipick_fraction:
+            if int(in_jaw[pid]) / int(np.count_nonzero(visible)) < MULTIPICK_FRACTION:
                 continue
             if median(scene.heightmap[win][visible]) > max_bottom:
                 picked.append(pid)
@@ -268,21 +234,15 @@ def close_and_lift(
     return GraspOutcome(classification, picked, damaged, ins)
 
 
-def execute_grasp(
-    scene: TrayScene,
-    c: GraspCandidate,
-    fm: FingerModel,
-    params: ExecutionParams | None = None,
-) -> GraspOutcome:
+def execute_grasp(scene: TrayScene, c: GraspCandidate, fm: FingerModel) -> GraspOutcome:
     """Run insertion then closure, remove picked pieces, and rebuild the maps
     on the union of their stamp windows.
 
     Damaged pieces that were not picked stay in the tray with damage flags.
     The scene is mutated in place.
     """
-    params = params or ExecutionParams()
-    ins = insert_fingers(scene, c, fm, params)
-    outcome = close_and_lift(scene, c, ins, fm, params)
+    ins = insert_fingers(scene, c, fm)
+    outcome = close_and_lift(scene, c, ins, fm)
     for pid, magnitude in outcome.damaged.items():
         piece = scene.pieces.get(pid)
         if piece is not None and pid not in outcome.picked:

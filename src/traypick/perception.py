@@ -333,14 +333,15 @@ def agreement(pred: InstanceMaskSet, gt: InstanceMaskSet) -> AgreementScore:
     the matches with IoU at or above it over |pred|. The pairs come sorted,
     so one greedy pass over every pair with IoU > 0 gives the matches of
     every threshold. Empty-vs-empty scores 1, empty-pred-vs-nonempty-gt
-    scores 0. Not symmetric by design.
+    scores 0. Sets of different shapes raise ParameterError, empty ones
+    too. Not symmetric by design.
     """
+    if pred.shape != gt.shape:
+        raise ParameterError(f"mask shape mismatch: {pred.shape} vs {gt.shape}")
     n_pred, n_gt = len(pred.windows), len(gt.windows)
     if n_pred == 0:
         p = 1.0 if n_gt == 0 else 0.0
         return AgreementScore(p, {t: p for t in IOU_THRESHOLDS})
-    if n_gt and pred.shape != gt.shape:
-        raise ParameterError(f"mask shape mismatch: {pred.shape} vs {gt.shape}")
 
     # a pair whose boxes do not intersect shares no pixel: its IoU is 0;
     # the pixels a pair shares all lie in the intersection of its boxes

@@ -25,6 +25,7 @@ from .grids import heights_to_levels, write_pgm16
 DEFAULT_TRAY_DIMS = (424.0, 308.0, 160.0)  # mm, industry-standard food tray
 RASTER_WIDTH_PX = 600  # tray width maps to 600 px
 MAX_PLACEMENT_RETRIES = 100  # positions drawn for a piece before it is skipped
+MAX_RASTER_SIDE = 4096  # px on either side of a raster; a float64 raster stays within 128 MiB
 
 
 def mm_per_pixel(
@@ -276,8 +277,9 @@ def drop_piece(
 
 
 def check_tray(tray_dims, resolution) -> None:
-    """Raise ParameterError unless tray_dims is three positive finite numbers
-    and resolution None or a positive finite number."""
+    """Raise ParameterError unless tray_dims is three positive finite numbers,
+    resolution None or a positive finite number, and neither side of their
+    raster longer than MAX_RASTER_SIDE."""
     check_type("tray_dims", tray_dims, (tuple, list))
     if len(tray_dims) != 3:
         raise ParameterError(f"tray_dims must hold 3 numbers, got {tray_dims!r}")
@@ -285,6 +287,13 @@ def check_tray(tray_dims, resolution) -> None:
         check_number("tray_dims", dim, low=0, low_open=True, finite=True)
     if resolution is not None:
         check_number("resolution", resolution, low=0, low_open=True, finite=True)
+    # raster_shape's sides before rounding: one above the cap + 0.5 rounds
+    # above it, and an infinite one, which round() refuses, is caught too
+    res = mm_per_pixel(tray_dims, resolution)
+    ny, nx = tray_dims[1] / res, tray_dims[0] / res
+    if max(ny, nx) > MAX_RASTER_SIDE + 0.5:
+        raise ParameterError(f"raster of {ny:.0f} x {nx:.0f} px is over {MAX_RASTER_SIDE} px on a side; "
+                             "raise resolution or shrink tray_dims")
 
 
 def _max_semi_axis(tray_dims) -> float:

@@ -14,15 +14,13 @@ from traypick.config import experiment_config_from_document, load_experiment_con
 from traypick.errors import ParameterError
 from traypick.experiment import FRESH, ExperimentConfig, run_trial
 from traypick.graspsim import (
-    ExecutionParams,
     FingerKind,
     FingerModel,
-    execute_grasp,
     insert_fingers,
 )
 from traypick.perception import CorruptionParams, corrupt_masks, render_depth, render_masks
 from traypick.planner import FingerGeometry, plan
-from traypick.scenegen import SceneConfig, generate_scene
+from traypick.scenegen import MAX_RASTER_SIDE, SceneConfig, generate_scene
 
 # One row per type or range constraint on a config value:
 # (document section or None for top level, key, bad value).
@@ -55,16 +53,6 @@ CONSTRAINTS = [
     ("finger_geometry", "breadth", -20.0),
     ("finger_geometry", "clearance", [2.0]),
     ("finger_geometry", "clearance", 0.0),
-    ("execution", "pierce_block", "15"),
-    ("execution", "pierce_block", 0),
-    ("execution", "grasp_depth_margin", None),
-    ("execution", "grasp_depth_margin", -1.0),
-    ("execution", "capture_fraction", "0.6"),
-    ("execution", "capture_fraction", -0.1),
-    ("execution", "capture_fraction", 1.5),
-    ("execution", "multipick_fraction", True),
-    ("execution", "multipick_fraction", -0.5),
-    ("execution", "multipick_fraction", 1.2),
     ("scene", "tray_dims", "424x308x160"),
     ("scene", "tray_dims", [424.0, "308", 160.0]),
     ("scene", "tray_dims", [424.0, 0.0, 160.0]),
@@ -72,6 +60,8 @@ CONSTRAINTS = [
     ("scene", "tray_dims", [424.0, 308.0, 160.0, 1.0]),
     ("scene", "resolution", "fine"),
     ("scene", "resolution", 0.0),
+    ("scene", "resolution", 0.01),  # a 30800 x 42400 px raster, 9.7 GiB of heights
+    ("scene", "tray_dims", [424.0, 3080.0, 160.0]),  # 4358 px high at 600 px wide
 ]
 # NaN compares false with every bound, so each bounded real field gets a row.
 NAN = float("nan")
@@ -83,15 +73,11 @@ CONSTRAINTS += [
     ("finger_geometry", "width", NAN),
     ("finger_geometry", "breadth", NAN),
     ("finger_geometry", "clearance", NAN),
-    ("execution", "pierce_block", NAN),
-    ("execution", "grasp_depth_margin", NAN),
-    ("execution", "capture_fraction", NAN),
-    ("execution", "multipick_fraction", NAN),
     ("scene", "tray_dims", [424.0, NAN, 160.0]),
     ("scene", "resolution", NAN),
 ]
 # Infinity passes every lower bound, so each real field with no infinite
-# meaning gets a row (an infinite pierce_block means "never blocks").
+# meaning gets a row.
 INF = float("inf")
 CONSTRAINTS += [
     ("depth", "sigma", INF),
@@ -99,7 +85,6 @@ CONSTRAINTS += [
     ("finger_geometry", "width", INF),
     ("finger_geometry", "breadth", INF),
     ("finger_geometry", "clearance", INF),
-    ("execution", "grasp_depth_margin", INF),
     ("scene", "tray_dims", [424.0, INF, 160.0]),
     ("scene", "resolution", INF),
 ]
@@ -110,7 +95,6 @@ DOCUMENT_ONLY = [
     {"depth": []},
     {"corruption": "none"},
     {"finger_geometry": 3},
-    {"execution": None},
     {"scene": []},
     {"scene": {"archetypes_path": 5}},
 ]
@@ -118,7 +102,6 @@ DOCUMENT_ONLY = [
 SECTIONS = {
     "corruption": CorruptionParams,
     "finger_geometry": FingerGeometry,
-    "execution": ExecutionParams,
 }
 
 
@@ -146,6 +129,21 @@ def python_config(section, key, value) -> ExperimentConfig:
 RETIRED = [
     ("scene", "max_placement_retries", 2.5),
     ("scene", "max_placement_retries", 0),
+    ("execution", "pierce_block", "15"),
+    ("execution", "pierce_block", 0),
+    ("execution", "pierce_block", NAN),
+    ("execution", "grasp_depth_margin", None),
+    ("execution", "grasp_depth_margin", -1.0),
+    ("execution", "grasp_depth_margin", NAN),
+    ("execution", "grasp_depth_margin", INF),
+    ("execution", "capture_fraction", "0.6"),
+    ("execution", "capture_fraction", -0.1),
+    ("execution", "capture_fraction", 1.5),
+    ("execution", "capture_fraction", NAN),
+    ("execution", "multipick_fraction", True),
+    ("execution", "multipick_fraction", -0.5),
+    ("execution", "multipick_fraction", 1.2),
+    ("execution", "multipick_fraction", NAN),
 ]
 
 
@@ -237,7 +235,7 @@ def test_integer_key_rejects_integral_float(doc):
         ({"depth": {"noise": 1.0}}, "noise"),
         ({"corruption": {"merge": 0.1}}, "merge"),
         ({"finger_geometry": {"length": 4.0}}, "length"),
-        ({"execution": {"capture": 0.5}}, "capture"),
+        ({"execution": {"capture_fraction": 0.7}}, "execution"),
         ({"scene": {"archetypes": {}}}, "archetypes"),
         ({"scene": {"archetype": "gyoza"}}, "archetype"),
     ],
@@ -263,8 +261,6 @@ class TestDefaults:
             "depth": {"sigma": 0.5, "quant": 0.25},
             "corruption": {"boundary_jitter": 1, "merge_prob": 0.2, "drop_prob": 0.1},
             "finger_geometry": {"width": 5.0, "breadth": 18, "clearance": 1.5},
-            "execution": {"pierce_block": 12.0, "grasp_depth_margin": 4,
-                          "capture_fraction": 0.7, "multipick_fraction": 0.4},
             "scene": {"tray_dims": [400, 300, 150], "resolution": 0.7},
         }
         assert experiment_config_from_document(doc) == ExperimentConfig(
@@ -279,12 +275,11 @@ class TestDefaults:
             depth_quant=0.25,
             corruption=CorruptionParams(1, 0.2, 0.1),
             finger_geometry=FingerGeometry(5.0, 18, 1.5),
-            execution=ExecutionParams(12.0, 4, 0.7, 0.4),
             scene=SceneConfig(archetype="gyoza", tray_dims=(400, 300, 150), resolution=0.7),
         )
 
     def test_section_defaults_are_valid(self):
-        for cfg in (ExperimentConfig(), FingerGeometry(), ExecutionParams(), SceneConfig()):
+        for cfg in (ExperimentConfig(), FingerGeometry(), SceneConfig()):
             cfg.validate()
         CorruptionParams().validate((436, 600))
 
@@ -307,13 +302,6 @@ class TestSilentMisconfigurations:
                           np.random.default_rng(0))
         with pytest.raises(ParameterError, match="merge_prob"):
             run_trial(ExperimentConfig(corruption=CorruptionParams(merge_prob=1.5)), 0)
-
-    def test_capture_fraction_above_one(self):
-        scene, target = planned_scene()
-        with pytest.raises(ParameterError, match="capture_fraction"):
-            execute_grasp(scene, target, FingerModel(), ExecutionParams(capture_fraction=1.5))
-        with pytest.raises(ParameterError, match="capture_fraction"):
-            run_trial(ExperimentConfig(execution=ExecutionParams(capture_fraction=1.5)), 0)
 
     def test_archetype_without_a_centre_pixel(self):
         """An archetype built without validate() whose footprint misses its own
@@ -339,6 +327,14 @@ class TestSilentMisconfigurations:
         with pytest.raises(ParameterError, match="boundary_jitter must be <= 200"):
             ExperimentConfig(scene=scene, corruption=CorruptionParams(boundary_jitter=201)).validate()
 
+    def test_raster_over_the_side_cap(self):
+        """A resolution of 0.01 mm validated and then asked for 9.7 GiB of
+        heights (MemoryError). A raster over MAX_RASTER_SIDE px on a side is
+        refused, naming both sides, before anything is allocated."""
+        with pytest.raises(ParameterError, match="raster of 30800 x 42400 px is over 4096 px on a side"):
+            generate_scene(SceneConfig(resolution=0.01), 0)
+        SceneConfig(resolution=424.0 / MAX_RASTER_SIDE).validate()  # 2975 x 4096 px
+
     def test_filtering_string(self):
         with pytest.raises(ParameterError, match="filtering"):
             run_trial(ExperimentConfig(filtering="no"), 0)
@@ -348,4 +344,4 @@ class TestSilentMisconfigurations:
             run_trial(ExperimentConfig(archetype="gyoza", finger="fixed"), 0)
         scene, target = planned_scene()
         with pytest.raises(ParameterError, match="kind"):
-            insert_fingers(scene, target, FingerModel(kind="fixed"), ExecutionParams())
+            insert_fingers(scene, target, FingerModel(kind="fixed"))

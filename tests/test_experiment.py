@@ -309,7 +309,6 @@ class TestConfigDocument:
             "refill_policy": FRESH,
             "depth": {"sigma": 0.5, "quant": 0.25},
             "corruption": {"merge_prob": 0.2},
-            "execution": {"capture_fraction": 0.7},
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
@@ -319,7 +318,6 @@ class TestConfigDocument:
         assert cfg.filtering is False
         assert cfg.depth_sigma == 0.5
         assert cfg.corruption.merge_prob == 0.2
-        assert cfg.execution.capture_fraction == 0.7
 
     def test_unknown_key_rejected(self, tmp_path):
         from traypick.config import experiment_config_from_document

@@ -1,6 +1,5 @@
 """Grasp execution: insertion mechanics, capture, damage, scene updates."""
 import copy
-import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from traypick.graspsim import (
     MAX_FORCE,
     RETRACTION_BUDGET,
     Classification,
-    ExecutionParams,
     FingerKind,
     FingerModel,
     close_and_lift,
@@ -60,11 +58,11 @@ class TestFingerModel:
 
 class TestInsertFingers:
     def test_parameters_checked(self):
-        """A pierce_block of -1 used to block both fingers silently."""
+        """A finger kind given as a string used to run as adaptive."""
         scene, _ = lone_piece_scene()
         c = candidate(100.0, 100.0, h=5.0, w=30.0, food_median=20.0)
-        with pytest.raises(ParameterError, match="pierce_block"):
-            insert_fingers(scene, c, FingerModel(kind=FingerKind.FIXED), ExecutionParams(pierce_block=-1.0))
+        with pytest.raises(ParameterError, match="kind"):
+            insert_fingers(scene, c, FingerModel(kind="fixed"))
 
     def test_clear_floor_full_insertion(self):
         scene, piece = lone_piece_scene()
@@ -114,7 +112,7 @@ class TestInsertFingers:
         drop_piece(scene, slab_stamp(15, 25, 25.0), 121.0, 100.0, "fried_chicken")
         c = candidate(100.0, 100.0, h=5.0, w=26.0, food_median=30.0)
         ins = insert_fingers(scene, c, FingerModel(kind=FingerKind.FIXED))
-        assert ins.fingers[1].blocked  # 20 mm > 15 mm pierce block
+        assert ins.fingers[1].blocked  # 20 mm > PIERCE_BLOCK, 15 mm
 
     def test_adaptive_blocked_beyond_budget(self):
         scene = empty_scene(resolution=1.0, tray_dims=(200.0, 200.0, 120.0))
@@ -153,13 +151,10 @@ class TestInsertFingers:
 
 class TestCloseAndLift:
     def test_parameters_checked(self):
-        """A capture_fraction of 1.5 used to fail every grasp silently, and a
-        finger kind given as a string to run as adaptive."""
+        """A finger kind given as a string used to run as adaptive."""
         scene, _ = lone_piece_scene()
         c = candidate(100.0, 100.0, h=5.0, w=30.0, food_median=20.0)
         ins = insert_fingers(scene, c, FingerModel())
-        with pytest.raises(ParameterError, match="capture_fraction"):
-            close_and_lift(scene, c, ins, FingerModel(), ExecutionParams(capture_fraction=1.5))
         with pytest.raises(ParameterError, match="kind"):
             close_and_lift(scene, c, ins, FingerModel(kind="fixed"))
 
@@ -223,40 +218,14 @@ class TestCloseAndLift:
         # gyoza damage_tolerance 1 mm; the bystander stands far above the bottoms
         assert bystander.id in out.damaged
 
-    @pytest.mark.parametrize("kind", list(FingerKind))
-    def test_zero_fractions_still_need_a_pixel_in_the_jaw(self, kind):
-        """capture_fraction and multipick_fraction of 0 are valid, and a
-        piece with no pixel inside the jaw is still neither co-picked nor
-        captured: 0 behaves as the smallest positive fraction does."""
-        scene = generate_scene(SceneConfig(archetype="fried_chicken"), 3)
-        masks = render_masks(scene)
-        p = plan(masks, render_depth(scene), DEFAULT_ARCHETYPES["fried_chicken"])
-        fm = FingerModel(kind=kind)
-        ins = insert_fingers(scene, p.target, fm)
-
-        def picked(c, **fractions):
-            params = ExecutionParams(**fractions)
-            params.validate()
-            return close_and_lift(scene, c, ins, fm, params).picked
-
-        assert picked(p.target, multipick_fraction=0.0) == picked(p.target, multipick_fraction=1e-9)
-        assert picked(p.target, multipick_fraction=0.0)[0] == p.target.instance_id
-        # the same grasp, aimed at the visible piece farthest from the jaw
-        far = max(masks.windows, key=lambda w: math.hypot(
-            (w.slices[1].start + w.slices[1].stop) / 2 - p.target.x,
-            (w.slices[0].start + w.slices[0].stop) / 2 - p.target.y))
-        elsewhere = dataclasses.replace(p.target, instance_id=far.id)
-        assert picked(elsewhere, capture_fraction=0.0) == picked(elsewhere, capture_fraction=1e-9) == []
-
-
     @pytest.mark.parametrize("pieces", [0, 1])
     def test_the_floor_is_never_captured(self, pieces):
-        """Id 0 used to be scored by the floor's share inside the jaw, so with
-        capture_fraction 0 a grasp on it succeeded and picked [0]."""
+        """Id 0 used to be scored by the floor's share inside the jaw, so a
+        grasp on it could succeed and pick [0]."""
         scene = (lone_piece_scene()[0] if pieces
                  else empty_scene(resolution=1.0, tray_dims=(200.0, 200.0, 120.0)))
         c = candidate(100.0, 100.0, h=5.0, w=30.0, food_median=20.0, instance_id=0)
-        out = execute_grasp(scene, c, FingerModel(), ExecutionParams(capture_fraction=0.0))
+        out = execute_grasp(scene, c, FingerModel())
         assert (out.classification, out.picked) == (Classification.FAILURE, [])
         assert len(scene.pieces) == pieces
 

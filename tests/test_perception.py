@@ -1,6 +1,7 @@
 """Depth rendering, masks, corruption, and the mask-agreement metric."""
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -330,10 +331,21 @@ class TestAgreement:
         gt = InstanceMaskSet.from_rasters([(9, m)])
         assert agreement(pred, gt).value == pytest.approx(0.5)
 
-    def test_shape_mismatch_rejected(self):
-        pred = InstanceMaskSet.from_rasters([(1, square_mask((20, 20), 5, 5, 5))])
-        gt = InstanceMaskSet.from_rasters([(1, square_mask((20, 30), 5, 5, 5))])
-        with pytest.raises(ParameterError, match=r"mask shape mismatch: \(20, 20\) vs \(20, 30\)"):
+    @pytest.mark.parametrize("pred_shape, pred_empty, gt_shape, gt_empty", [
+        ((20, 20), False, (20, 30), False),
+        ((20, 20), True, (20, 30), False),  # read 0.0
+        ((20, 20), False, (20, 30), True),  # read 0.0
+        ((20, 20), True, (7, 9), True),  # read 1.0
+    ], ids=["both-masked", "empty-pred", "empty-gt", "both-empty"])
+    def test_shape_mismatch_rejected(self, pred_shape, pred_empty, gt_shape, gt_empty):
+        """Sets of different rasters are refused, an empty one too: empty
+        sets used to skip the check and score 0 or 1."""
+        def mask_set(shape, empty):
+            return (InstanceMaskSet([], shape) if empty
+                    else InstanceMaskSet.from_rasters([(1, square_mask(shape, 5, 5, 5))]))
+
+        pred, gt = mask_set(pred_shape, pred_empty), mask_set(gt_shape, gt_empty)
+        with pytest.raises(ParameterError, match=re.escape(f"mask shape mismatch: {pred_shape} vs {gt_shape}")):
             agreement(pred, gt)
 
 

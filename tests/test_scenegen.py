@@ -407,14 +407,16 @@ class TestSceneFiles:
             load_scene(self.edited(tmp_path, lambda doc: self.set_at(doc, path, bad)))
 
     @pytest.mark.parametrize("path, bad", [
-        (["resolution"], 0), (["resolution"], -1.0), (["tray_dims"], [424.0, 308.0]), (["seed"], -1),
+        (["resolution"], 0), (["resolution"], -1.0), (["resolution"], 0.01), (["tray_dims"], [424.0, 308.0]),
+        (["seed"], -1),
         (["seed"], 1.5), (["pieces", 0, "stamp", "semi_a"], -19.0), (["pieces", 0, "stamp", "peak"], 0.0),
         (["pieces", 0, "rest_height"], -1.0), (["pieces", 0, "scale"], 0.0), (["pieces", 0, "damaged"], "no"),
         (["pieces", 0, "damage_magnitude"], -0.5),
     ], ids=repr)
     def test_scene_number_range_checked(self, tmp_path, path, bad):
-        """Resolution 0 used to raise ZeroDivisionError and -1 numpy's
-        negative dimensions; the others loaded."""
+        """Resolution 0 used to raise ZeroDivisionError, -1 numpy's negative
+        dimensions and 0.01 MemoryError (a 30800 x 42400 px raster); the
+        others loaded."""
         with pytest.raises(ParameterError, match=rf"\b{path[-1]}\b"):
             load_scene(self.edited(tmp_path, lambda doc: self.set_at(doc, path, bad)))
 

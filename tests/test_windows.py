@@ -42,8 +42,8 @@ from traypick.errors import FitError, ParameterError, PlacementError
 from traypick.grids import read_pgm16
 from traypick.graspsim import (
     MAX_FORCE,
+    PIERCE_BLOCK,
     RETRACTION_BUDGET,
-    ExecutionParams,
     FingerInsertion,
     FingerKind,
     FingerModel,
@@ -218,7 +218,7 @@ def oracle_pieces_in_region(scene, region):
     return {int(pid): heights[owners == pid] for pid in np.unique(owners) if pid != 0}
 
 
-def oracle_insert_one(scene, region, h, fm, params):
+def oracle_insert_one(scene, region, h, fm):
     """_insert_one with one contact loop per finger kind and the adaptive
     force written out."""
     if not region.size:
@@ -233,7 +233,7 @@ def oracle_insert_one(scene, region, h, fm, params):
             if pen <= 0:
                 continue
             contacts[pid] = pen
-            if pen > params.pierce_block:
+            if pen > PIERCE_BLOCK:
                 blocked = True
         return FingerInsertion(h, h, 0.0, contacts, blocked)
     retraction = min(obstruction, RETRACTION_BUDGET)
@@ -1034,7 +1034,7 @@ def test_finger_rules_equal_two_branch_oracles(scenes, idx, c, kind, depth, h_is
     else:  # anywhere over the raster, the tray walls included
         c.x, c.y = (c.x + 90.0) * 2.6, (c.y + 90.0) * 1.9
         c.instance_id = int(scene.owner_map[min(max(int(c.y), 0), ny - 1), min(max(int(c.x), 0), nx - 1)]) or 1
-    fm, params = FingerModel(kind=kind), ExecutionParams()
+    fm = FingerModel(kind=kind)
     hl, hb = _finger_half_sizes(fm.geometry, scene.resolution)
     flat, counts = _rectangle_pixels(scene.shape, _contact_rectangles(c, fm.geometry, scene.resolution), hl, hb)
     regions = [*segments(flat, counts), np.zeros(0, dtype=np.int64)]
@@ -1045,12 +1045,12 @@ def test_finger_rules_equal_two_branch_oracles(scenes, idx, c, kind, depth, h_is
     elif h_is == "a piece top" and tops:
         h = float(tops[data.draw(st.sampled_from(sorted(tops)))].max())
     for region in regions:
-        assert insertion_bits(_insert_one(scene, region, h, fm, params)) == insertion_bits(
-            oracle_insert_one(scene, region, h, fm, params))
+        assert insertion_bits(_insert_one(scene, region, h, fm)) == insertion_bits(
+            oracle_insert_one(scene, region, h, fm))
 
     c.h = h
-    ins = insert_fingers(scene, c, fm, params)
-    fins = [FingerInsertion(h, h, 0.0, {}, True) if wall else oracle_insert_one(scene, region, h, fm, params)
+    ins = insert_fingers(scene, c, fm)
+    fins = [FingerInsertion(h, h, 0.0, {}, True) if wall else oracle_insert_one(scene, region, h, fm)
             for wall, region in zip(oracle_wall_contacts(scene, c, fm.geometry), regions)]
     assert [insertion_bits(f) for f in ins.fingers] == [insertion_bits(f) for f in fins]
     damaged = {}
@@ -1059,7 +1059,7 @@ def test_finger_rules_equal_two_branch_oracles(scenes, idx, c, kind, depth, h_is
             _damage(scene, fm, pid, magnitude, damaged)
     assert damage_bits(ins.damaged) == damage_bits(damaged)
 
-    outcome = close_and_lift(scene, c, ins, fm, params)
+    outcome = close_and_lift(scene, c, ins, fm)
     sweep = np.flatnonzero(oracle_jaw_region(scene, c, fm.geometry, True))
     expected = oracle_sweep_damage(scene, sweep, outcome.picked, max(f.achieved for f in fins), fm, damaged)
     assert damage_bits(outcome.damaged) == damage_bits(expected)
@@ -1282,7 +1282,9 @@ def test_agreement_equals_every_pair_iou(pred, gt, seed, params):
     # corrupt_masks refuses a jitter wider than the raster
     params = dataclasses.replace(params, boundary_jitter=min(params.boundary_jitter, max(pred.shape)))
     pred = corrupt_masks(pred, params, np.random.default_rng(seed))  # may overlap
-    if pred.windows and gt.windows and pred.shape != gt.shape:
+    if pred.shape != gt.shape:  # refused, empty sets too
+        with pytest.raises(ParameterError, match="mask shape mismatch"):
+            agreement(pred, gt)
         return
     ious = oracle_agreement_ious(pred, gt)
     pred_ids, gt_ids = pred.ids(), gt.ids()
