@@ -20,8 +20,8 @@ from .errors import ParameterError, check_number, check_type, field_keys, read_o
 from .graspsim import Classification, FingerKind, FingerModel, execute_grasp
 from .perception import (CorruptionParams, DepthImage, InstanceMaskSet, corrupt_masks,
                          render_depth, render_masks)
-from .planner import FingerGeometry, plan
-from .scenegen import SceneConfig, TrayScene, generate_scene, raster_shape
+from .planner import FingerGeometry, check_finger, plan
+from .scenegen import SceneConfig, TrayScene, _max_semi_axis, generate_scene, raster_shape
 
 FRESH = "fresh_scene_each_attempt"
 DEPLETE = "deplete_until_empty_then_refresh"
@@ -56,9 +56,9 @@ class ExperimentConfig:
         check_type("scene", self.scene, (SceneConfig, type(None)))
         for name, kind in (("corruption", CorruptionParams), ("finger_geometry", FingerGeometry)):
             check_type(name, getattr(self, name), kind)
-        self.finger_geometry.validate()
         scene = self.scene_config()
         scene.validate()
+        check_finger(self.finger_geometry, _max_semi_axis(scene.tray_dims))
         if scene.archetype != self.archetype:
             raise ParameterError(
                 f"archetype {self.archetype!r} differs from scene.archetype {scene.archetype!r}"

@@ -100,7 +100,7 @@ def _insert_one(scene: TrayScene, region: np.ndarray, h: float, fm: FingerModel)
     obstruction, so all its contacts take the same force."""
     if not region.size:
         return FingerInsertion(h, h, 0.0, {}, False)
-    obstruction = max(0.0, float(scene.heightmap.take(region).max()) - h)
+    obstruction = max(0.0, float(np.maximum.reduce(scene.heightmap.take(region))) - h)
     fixed = fm.kind is FingerKind.FIXED
     contacts = {pid: _magnitude(fm, top - h if fixed else obstruction)
                 for pid, top in _piece_tops(scene, region).items() if top > h}

@@ -57,7 +57,7 @@ def _overlaps(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[int, int, tuple[in
     their intersection (r0, r1, c0, c1), in row-major (i, j) order."""
     lo = np.maximum(a[:, None, ::2], b[None, :, ::2])
     hi = np.minimum(a[:, None, 1::2], b[None, :, 1::2])
-    ii, jj = np.nonzero((hi > lo).all(axis=2))
+    ii, jj = np.logical_and.reduce(hi > lo, axis=2).nonzero()
     for i, j, (r0, c0), (r1, c1) in zip(ii.tolist(), jj.tolist(), lo[ii, jj].tolist(), hi[ii, jj].tolist()):
         yield i, j, (r0, r1, c0, c1)
 
@@ -212,10 +212,10 @@ class CorruptionParams:
 
 
 def _bbox(mask: np.ndarray) -> tuple[int, int, int, int] | None:
-    rows = np.flatnonzero(mask.any(axis=1))
+    rows = np.logical_or.reduce(mask, axis=1).nonzero()[0]
     if rows.size == 0:
         return None
-    cols = np.flatnonzero(mask[rows[0] : rows[-1] + 1].any(axis=0))
+    cols = np.logical_or.reduce(mask[rows[0] : rows[-1] + 1], axis=0).nonzero()[0]
     return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
 
 
@@ -235,7 +235,7 @@ def _adjacent(a: MaskWindow, b: MaskWindow, r0: int, r1: int, c0: int, c1: int) 
     the raster."""
     # 3 x 3 dilation of a, separable: rows, then columns
     dilated = _spread(_spread(_pixels_in(a, r0, r1, c0, c1), 0), 1)
-    return bool((dilated & _pixels_in(b, r0, r1, c0, c1)).any())
+    return bool(np.count_nonzero(dilated & _pixels_in(b, r0, r1, c0, c1)))
 
 
 def _morph_jitter(w: MaskWindow, steps: int, shape: tuple[int, int]) -> MaskWindow:

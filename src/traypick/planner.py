@@ -45,6 +45,18 @@ class FingerGeometry:
             check_number(name, getattr(self, name), low=0, low_open=True, finite=True)
 
 
+def check_finger(fg: FingerGeometry, side: float) -> None:
+    """fg.validate(), and ParameterError for a width, breadth or clearance
+    longer than side, the tray's longer side in mm. _rectangle_pixels tests
+    a square of (2 ceil(hypot(hl, hb)) + 4)^2 px per contact rectangle, so a
+    finger larger than the tray only costs time and memory."""
+    fg.validate()
+    for name in ("width", "breadth", "clearance"):
+        size = getattr(fg, name)
+        if size > side:
+            raise ParameterError(f"finger {name} of {size} mm is longer than the tray's {side} mm side")
+
+
 @dataclass
 class GraspCandidate:
     instance_id: int
@@ -73,18 +85,22 @@ def median(values: np.ndarray) -> float:
     """float(np.median(values)) of a non-empty 1-D float array, bit for bit,
     without np.median's fixed cost per call.
 
-    It partitions at the same indices (the middle one or two, and the last,
-    which holds any NaN), adds the middle values to 0.0 as np.mean's sum
-    does (so -0.0 comes out as 0.0) and halves an even-length pair's sum.
+    It sorts a copy (np.sort), adds the middle value or two to 0.0 as
+    np.mean's sum does (so the order of -0.0 and 0.0 cannot matter and -0.0
+    comes out as 0.0) and halves an even-length pair's sum. NaN sorts last,
+    but sorting can move NaN payloads; so when the last value is NaN the
+    result is the last value of np.median's own partition, at its indices
+    (the middle one or two, and the last).
     """
+    ordered = values.copy()  # np.sort without its wrapper
+    ordered.sort()
     half = values.size // 2
+    if math.isnan(ordered[-1]):
+        kth = [half, -1] if values.size % 2 else [half - 1, half, -1]
+        return float(np.partition(values, kth)[-1])
     if values.size % 2:
-        part = np.partition(values, [half, -1])
-        mid = 0.0 + part[half]
-    else:
-        part = np.partition(values, [half - 1, half, -1])
-        mid = (0.0 + part[half - 1] + part[half]) / 2.0
-    return float(part[-1] if math.isnan(part[-1]) else mid)
+        return float(0.0 + ordered[half])
+    return float((0.0 + ordered[half - 1] + ordered[half]) / 2.0)
 
 
 def fit_ellipses(
@@ -110,30 +126,31 @@ def fit_ellipses(
     centroids: list[tuple[float, float]] = []
     covs: list[tuple[tuple[float, float], tuple[float, float]]] = []
     for mask, offset in windows:
-        ys, xs = np.nonzero(mask)
+        ys, xs = mask.nonzero()
         ys += offset[0]
         xs += offset[1]
         n = xs.size
         if n < 5:
             fits.append(FitError(f"mask has {n} pixels, need >= 5"))
             continue
-        # what ndarray.mean computes for integer input, without its wrapper
-        mx = np.add.reduce(xs, dtype=np.float64) / n
-        my = np.add.reduce(ys, dtype=np.float64) / n
+        # what ndarray.mean computes for integer input, without its wrapper;
+        # the moments are Python floats, the same IEEE doubles as numpy's
+        mx = float(np.add.reduce(xs, dtype=np.float64)) / n
+        my = float(np.add.reduce(ys, dtype=np.float64)) / n
         dx, dy = xs - mx, ys - my
-        sxx, sxy, syy = dx @ dx / n, dx @ dy / n, dy @ dy / n
+        sxx, sxy, syy = float(dx @ dx) / n, float(dx @ dy) / n, float(dy @ dy) / n
         # The smallest eigenvalue is at least det / tr, and the margin over the
         # 1e-9 rank test covers the rounding of det and of LAPACK, so eigvalsh
         # only runs where its answer could differ.
-        tr = float(sxx + syy)
-        det = float(sxx * syy - sxy * sxy)
+        tr = sxx + syy
+        det = sxx * syy - sxy * sxy
         if not det > 2e-9 * tr + 1e-12 * tr * tr and (
             np.linalg.eigvalsh(np.array([[sxx, sxy], [sxy, syy]]))[0] <= 1e-9
         ):
             fits.append(FitError("degenerate mask: rank-deficient pixel covariance"))
             continue
         fits.append(None)
-        centroids.append((float(mx), float(my)))
+        centroids.append((mx, my))
         covs.append(((sxx + 1.0 / 12.0, sxy), (sxy, syy + 1.0 / 12.0)))
     if covs:
         evals, evecs = np.linalg.eigh(np.array(covs))  # ascending
@@ -157,8 +174,9 @@ def fit_ellipse(mask: np.ndarray, offset: tuple[int, int] = (0, 0)) -> EllipseFi
 # Rectangles per vectorised pass of _rectangle_pixels. Over finger contacts
 # (34 x 34 px squares at the default tray) a pass of 8 keeps each float
 # temporary near 74 KB; passes of 16 (150 KB) and one pass over a whole
-# tray's rectangles were slower and raised peak RSS more. Each pass clips
-# and indexes its own hits, so no temporary spans all of them.
+# tray's rectangles were slower and raised peak RSS more. Each pass keeps
+# only the flat indices of its hits; one divmod, clip and bincount over
+# all of them then does the bookkeeping, so no float temporary spans them.
 _RECTANGLES_PER_PASS = 8
 
 
@@ -216,20 +234,19 @@ def _rectangle_pixels(
     dx = (col0[:, np.newaxis] + steps) - geo[:, 0:1]
     dy = (row0[:, np.newaxis] + steps) - geo[:, 1:2]
     cos, sin = geo[:, 2, np.newaxis, np.newaxis], geo[:, 3, np.newaxis, np.newaxis]
-    flats, counts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    hits = [np.zeros(0, dtype=np.int64)]  # indices into the (rect, row, col) squares
     for lo in range(0, len(rects), _RECTANGLES_PER_PASS):
         k = slice(lo, lo + _RECTANGLES_PER_PASS)
         x, y = dx[k, np.newaxis, :], dy[k, :, np.newaxis]
         inside = np.abs(x * cos[k] + y * sin[k]) <= half_len
         inside &= np.abs(y * cos[k] - x * sin[k]) <= half_breadth
-        rect, local = np.divmod(np.flatnonzero(inside), side * side)  # rect within this pass
-        row, col = np.divmod(local, side)
-        row += row0[k][rect]
-        col += col0[k][rect]
-        keep = (row >= 0) & (row < ny) & (col >= 0) & (col < nx)
-        flats.append((row * nx + col)[keep])
-        counts.append(np.bincount(rect[keep], minlength=inside.shape[0]))
-    return np.concatenate(flats), np.concatenate(counts)
+        hits.append(inside.reshape(-1).nonzero()[0] + lo * side * side)
+    rect, local = np.divmod(np.concatenate(hits), side * side)
+    row, col = np.divmod(local, side)
+    row += row0[rect]
+    col += col0[rect]
+    keep = (row >= 0) & (row < ny) & (col >= 0) & (col < nx)
+    return (row * nx + col)[keep], np.bincount(rect[keep], minlength=len(rects))
 
 
 def _segment_medians(values: np.ndarray, counts: np.ndarray) -> list[float]:
@@ -348,12 +365,14 @@ def plan(
     filtering_enabled: bool = True,
 ) -> Plan:
     """Full detection pipeline: fit, derive, filter (optional), select.
-    Masks and a depth image of different raster shapes raise ParameterError."""
+    Masks and a depth image of different raster shapes raise ParameterError,
+    and so does a finger check_finger refuses on the depth raster's longer
+    side in mm."""
     fg = fg or FingerGeometry()
-    fg.validate()
     if depth.heights.shape != tuple(masks.shape):
         (dh, dw), (mh, mw) = depth.heights.shape, masks.shape
         raise ParameterError(f"depth is {dh} x {dw} px, the masks' raster {mh} x {mw} px")
+    check_finger(fg, max(depth.heights.shape) * depth.resolution)
     candidates: list[GraspCandidate] = []
     skipped: dict[int, str] = {}
     fits = fit_ellipses([(w.local, (w.slices[0].start, w.slices[1].start)) for w in masks.windows])

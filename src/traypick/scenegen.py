@@ -268,7 +268,7 @@ def drop_piece(
         stamp=stamp,
         position=(x, y),
         window=(win, st),
-        rest_height=float(max(0.0, scene.heightmap[win][stamp.mask[st]].max())),
+        rest_height=float(max(0.0, np.maximum.reduce(scene.heightmap[win][stamp.mask[st]]))),
     )
     scene.next_id += 1
     _composite(scene, piece, piece.window)
@@ -278,8 +278,8 @@ def drop_piece(
 
 def check_tray(tray_dims, resolution) -> None:
     """Raise ParameterError unless tray_dims is three positive finite numbers,
-    resolution None or a positive finite number, and neither side of their
-    raster longer than MAX_RASTER_SIDE."""
+    resolution None or a positive finite number, and each side of their
+    raster at least 1 px and at most MAX_RASTER_SIDE."""
     check_type("tray_dims", tray_dims, (tuple, list))
     if len(tray_dims) != 3:
         raise ParameterError(f"tray_dims must hold 3 numbers, got {tray_dims!r}")
@@ -294,10 +294,15 @@ def check_tray(tray_dims, resolution) -> None:
     if max(ny, nx) > MAX_RASTER_SIDE + 0.5:
         raise ParameterError(f"raster of {ny:.0f} x {nx:.0f} px is over {MAX_RASTER_SIDE} px on a side; "
                              "raise resolution or shrink tray_dims")
+    for i, px in ((0, nx), (1, ny)):
+        if round(px) < 1:
+            raise ParameterError(f"tray_dims[{i}] of {tray_dims[i]} mm rounds to 0 px at {res} mm per pixel; "
+                                 "lower resolution or widen the tray")
 
 
 def _max_semi_axis(tray_dims) -> float:
-    """The longest stamp semi-axis, in mm, a tray takes: its longer side."""
+    """The tray's longer side in mm: the longest stamp semi-axis and finger
+    size it takes."""
     return max(tray_dims[0], tray_dims[1])
 
 

@@ -4,6 +4,7 @@ Each bad value must be rejected with ParameterError both when it arrives in
 a JSON document and when it is set through the Python constructors.
 """
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from traypick.graspsim import (
 )
 from traypick.perception import CorruptionParams, corrupt_masks, render_depth, render_masks
 from traypick.planner import FingerGeometry, plan
-from traypick.scenegen import MAX_RASTER_SIDE, SceneConfig, generate_scene
+from traypick.scenegen import MAX_RASTER_SIDE, SceneConfig, generate_scene, load_scene, save_scene
 
 # One row per type or range constraint on a config value:
 # (document section or None for top level, key, bad value).
@@ -62,6 +63,11 @@ CONSTRAINTS = [
     ("scene", "resolution", 0.0),
     ("scene", "resolution", 0.01),  # a 30800 x 42400 px raster, 9.7 GiB of heights
     ("scene", "tray_dims", [424.0, 3080.0, 160.0]),  # 4358 px high at 600 px wide
+    ("scene", "tray_dims", [424.0, 0.2, 160.0]),  # 0 px high at 600 px wide
+    ("scene", "resolution", 1000.0),  # a 0 x 0 px raster
+    ("finger_geometry", "width", 425.0),  # longer than the default tray's 424-mm side
+    ("finger_geometry", "breadth", 3000.0),  # 38 s and 2.4 GB for two attempts when it ran
+    ("finger_geometry", "clearance", 425.0),
 ]
 # NaN compares false with every bound, so each bounded real field gets a row.
 NAN = float("nan")
@@ -334,6 +340,39 @@ class TestSilentMisconfigurations:
         with pytest.raises(ParameterError, match="raster of 30800 x 42400 px is over 4096 px on a side"):
             generate_scene(SceneConfig(resolution=0.01), 0)
         SceneConfig(resolution=424.0 / MAX_RASTER_SIDE).validate()  # 2975 x 4096 px
+
+    def test_raster_side_of_zero_px(self, tmp_path):
+        """A 0.2-mm tray side validated as a 0 x 600 px raster, and every
+        attempt then recorded no-target. A side that rounds to 0 px is
+        refused, naming it, by every reader of a tray."""
+        message = r"tray_dims\[1\] of 0.2 mm rounds to 0 px"
+        scene = SceneConfig(archetype="mushroom", tray_dims=(424.0, 0.2, 160.0))
+        with pytest.raises(ParameterError, match=message):
+            scene.validate()
+        with pytest.raises(ParameterError, match=message):
+            ExperimentConfig(archetype="mushroom", scene=scene).validate()
+        save_scene(generate_scene(SceneConfig(archetype="mushroom"), 0), tmp_path)
+        doc = json.loads((tmp_path / "scene.json").read_text())
+        doc["tray_dims"] = [424.0, 0.2, 160.0]
+        (tmp_path / "scene.json").write_text(json.dumps(doc))
+        with pytest.raises(ParameterError, match=message):
+            load_scene(tmp_path)
+        with pytest.raises(ParameterError, match=r"tray_dims\[0\] of 424.0 mm rounds to 0 px"):
+            SceneConfig(resolution=1000.0).validate()
+        SceneConfig(tray_dims=(424.0, 0.36, 160.0)).validate()  # 0.51 px rounds to 1
+
+    def test_finger_longer_than_the_tray(self):
+        """A finger breadth of 3000 mm took 38 s and 2.4 GB for two attempts:
+        every contact rectangle is tested over a square of its diagonal. A
+        finger size longer than the tray's longer side is refused by the
+        config and by plan, which measures the side on its depth raster."""
+        with pytest.raises(ParameterError, match="finger breadth of 3000.0 mm is longer than the tray's 424.0 mm"):
+            ExperimentConfig(finger_geometry=FingerGeometry(breadth=3000.0)).validate()
+        ExperimentConfig(finger_geometry=FingerGeometry(breadth=424.0)).validate()
+        scene = generate_scene(SceneConfig(), 0)
+        with pytest.raises(ParameterError, match="finger breadth of 3000.0 mm is longer than the tray's 424.0"):
+            plan(render_masks(scene), render_depth(scene), DEFAULT_ARCHETYPES["fried_chicken"],
+                 FingerGeometry(breadth=3000.0))
 
     def test_filtering_string(self):
         with pytest.raises(ParameterError, match="filtering"):

@@ -746,7 +746,10 @@ def test_plan_batched_fit_equals_per_window_fits(case, seed, filtering_enabled):
     if depth_shape != masks.shape:
         with pytest.raises(ParameterError, match="the masks' raster"):
             plan(masks, DepthImage(heights_for(depth_shape, seed), 0.7), DEFAULT_ARCHETYPES["mushroom"])
-    assert_plan_equals_per_window_fits(masks, DepthImage(heights_for(masks.shape, seed), 0.7), filtering_enabled)
+    # plan refuses a finger longer than the raster's longer side in mm, so a
+    # raster under 29 px takes a coarser resolution than 0.7 mm
+    res = max(0.7, FingerGeometry().breadth / max(masks.shape))
+    assert_plan_equals_per_window_fits(masks, DepthImage(heights_for(masks.shape, seed), res), filtering_enabled)
 
 
 def test_plan_batched_fit_skips_as_per_window_fits():
@@ -780,6 +783,19 @@ def test_plan_batched_fit_skips_as_per_window_fits():
 
 def float_bits(x: float) -> bytes:
     return np.float64(x).tobytes()
+
+
+def nan_with_payload(bits: int) -> float:
+    """The NaN whose IEEE bits are bits, e.g. 0x7ff8000000000001."""
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+# Two quiet NaNs and a negative one, told apart only by their bits. np.sort
+# may rewrite a NaN's payload (numpy's x86-64 AVX-512 sort returned
+# 0x7ff8000000000000 for each of them), so a median taken from a plain sort
+# would give other bits than np.median's.
+NAN_A, NAN_B, NAN_NEG = (nan_with_payload(b) for b in (0x7FF8000000000001, 0x7FF8000000000002,
+                                                       0xFFF8000000000003))
 
 
 special_floats = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan])
@@ -834,6 +850,7 @@ def test_filter_medians_equal_full_raster(shape, data, seed, n, mode, res):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=list(HealthCheck))
 @given(runs=st.lists(st.lists(sample_values, max_size=40), max_size=20))
+@example(runs=[[NAN_A, NAN_B], [1.0, 2.0], [NAN_B, 3.0, NAN_A], []])
 def test_segment_medians_equal_median(runs):
     """Each run's median from the padded row sort is median()'s, bit for bit;
     an empty run gives inf."""
@@ -872,6 +889,13 @@ def median_inputs(draw):
 @example(values=np.array([-5e-324, 0.0]))  # the halved sum rounds to -0.0
 @example(values=np.array([1.0, math.nan, 2.0, 3.0]))
 @example(values=np.array([math.inf, -math.inf]))
+# NaN runs take np.median's payload: two payloads in both orders, a
+# negative NaN, and odd-length runs holding NaN
+@example(values=np.array([NAN_A, NAN_B]))
+@example(values=np.array([NAN_B, NAN_A]))
+@example(values=np.array([NAN_NEG, NAN_A]))
+@example(values=np.array([1.0, NAN_A, 2.0]))
+@example(values=np.array([NAN_A, NAN_NEG, 1.0, NAN_B, 2.0]))
 def test_median_equals_numpy_bit_for_bit(values):
     before = values.copy()
     with np.errstate(over="ignore", invalid="ignore"):
