@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import check_type
 from .planner import (FingerGeometry, GraspCandidate, _contact_rectangles, _finger_half_sizes,
-                      _rectangle_pixels, median)
-from .scenegen import TrayScene, recompose, visible_window
+                      _rectangle_pixels, check_finger, median)
+from .scenegen import TrayScene, _max_semi_axis, recompose, visible_window
 
 
 class FingerKind(enum.Enum):
@@ -40,9 +40,11 @@ class FingerModel:
     kind: FingerKind = FingerKind.ADAPTIVE
     geometry: FingerGeometry = field(default_factory=FingerGeometry)
 
-    def validate(self) -> None:
+    def validate(self, side: float) -> None:
+        """ParameterError for a kind that is no FingerKind or a geometry
+        planner.check_finger refuses on a tray whose longer side is side mm."""
         check_type("kind", self.kind, FingerKind)
-        self.geometry.validate()
+        check_finger(self.geometry, side)
 
 
 @dataclass
@@ -131,9 +133,11 @@ def insert_fingers(scene: TrayScene, c: GraspCandidate, fm: FingerModel) -> Inse
 
     A finger whose rectangle reaches past the tray interior hits the tray
     wall and blocks outright. A contact damages its piece when its
-    magnitude exceeds the piece's threshold for this finger (_damage).
+    magnitude exceeds the piece's threshold for this finger (_damage). A
+    finger model that fails its validation on the scene's tray raises
+    ParameterError.
     """
-    fm.validate()
+    fm.validate(_max_semi_axis(scene.tray_dims))
     ny, nx = scene.shape
     hl, hb = _finger_half_sizes(fm.geometry, scene.resolution)
     rects = _contact_rectangles(c, fm.geometry, scene.resolution)
@@ -163,13 +167,15 @@ def _jaw_regions(
 
     A gripped piece is held even where it overhangs the fingers lengthwise,
     so the corridor spans the piece's own major extent when that exceeds the
-    finger breadth. Both are rasterized by _rectangle_pixels, with the same
+    finger breadth. Both come from one _rectangle_pixels call, with the same
     centre, axis and breadth."""
-    rect = [(c.x, c.y, math.cos(c.theta), math.sin(c.theta))]
+    rect = (c.x, c.y, math.cos(c.theta), math.sin(c.theta))
     half_breadth_px = max(_finger_half_sizes(fg, scene.resolution)[1], c.axis_major / 2.0)
     jaw_mm = c.w / 2.0 + fg.clearance
-    return tuple(_rectangle_pixels(scene.shape, rect, half_mm / scene.resolution, half_breadth_px)[0]
-                 for half_mm in (jaw_mm, jaw_mm + fg.width))
+    flat, counts = _rectangle_pixels(scene.shape, [rect, rect],
+                                     [jaw_mm / scene.resolution, (jaw_mm + fg.width) / scene.resolution],
+                                     half_breadth_px)
+    return flat[: counts[0]], flat[counts[0] :]
 
 
 def _visible_fraction_in(scene: TrayScene, pid: int, label_counts: np.ndarray) -> float:
@@ -195,9 +201,10 @@ def close_and_lift(
 
     The jaw and sweep regions are flat raster indices; jaw fractions divide
     label counts inside the jaw by counts on each piece's stamp window. A
-    target id that names no piece is never captured.
+    target id that names no piece is never captured. A finger model that
+    fails its validation on the scene's tray raises ParameterError.
     """
-    fm.validate()
+    fm.validate(_max_semi_axis(scene.tray_dims))
     jaw, sweep = _jaw_regions(scene, c, fm.geometry)
     in_jaw = np.bincount(scene.owner_map.take(jaw))
     bottoms = [fin.achieved for fin in ins.fingers]

@@ -8,7 +8,7 @@ greedy-matched precision over IoU thresholds 0.50:0.95.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -52,14 +52,15 @@ def _grown(boxes: np.ndarray, pad: int, shape: tuple[int, int]) -> np.ndarray:
     return np.clip(boxes + (-pad, pad, -pad, pad), 0, (ny, ny, nx, nx))
 
 
-def _overlaps(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[int, int, tuple[int, int, int, int]]]:
-    """(i, j, box) for each box i of a and box j of b that intersect, with
-    their intersection (r0, r1, c0, c1), in row-major (i, j) order."""
+def _overlaps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, boxes): the indices of each box of a and box of b that
+    intersect, in row-major (i, j) order, and their intersections as an
+    (n, 4) array of (r0, r1, c0, c1)."""
     lo = np.maximum(a[:, None, ::2], b[None, :, ::2])
     hi = np.minimum(a[:, None, 1::2], b[None, :, 1::2])
     ii, jj = np.logical_and.reduce(hi > lo, axis=2).nonzero()
-    for i, j, (r0, c0), (r1, c1) in zip(ii.tolist(), jj.tolist(), lo[ii, jj].tolist(), hi[ii, jj].tolist()):
-        yield i, j, (r0, r1, c0, c1)
+    lo, hi = lo[ii, jj], hi[ii, jj]
+    return ii, jj, np.stack((lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]), axis=1)
 
 
 def _pixels_in(w: MaskWindow, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
@@ -294,10 +295,13 @@ def corrupt_masks(
     if params.merge_prob > 0 and jittered:
         ordered = sorted(jittered, key=lambda w: w.id)
         # only pairs whose boxes, grown by 1 px, overlap can be adjacent; the
-        # row-major scan keeps the sorted pair order of the RNG draws
+        # row-major scan keeps the sorted pair order of the RNG draws, and
+        # each pair comes once, as i < j
         grown = _grown(_boxes(ordered), 1, shape)
-        for i, j, box in _overlaps(grown, grown):
-            if i < j and _adjacent(ordered[i], ordered[j], *box) and rng.random() < params.merge_prob:
+        ii, jj, boxes = _overlaps(grown, grown)
+        pair = ii < jj
+        for i, j, box in zip(ii[pair].tolist(), jj[pair].tolist(), boxes[pair].tolist()):
+            if _adjacent(ordered[i], ordered[j], *box) and rng.random() < params.merge_prob:
                 parent[find(ordered[j].id)] = find(ordered[i].id)
 
     groups: dict[int, list[MaskWindow]] = {}
@@ -348,7 +352,7 @@ def agreement(pred: InstanceMaskSet, gt: InstanceMaskSet) -> AgreementScore:
     pred_px = [int(np.count_nonzero(w.local)) for w in pred.windows]
     gt_px = [int(np.count_nonzero(w.local)) for w in gt.windows]
     pairs: list[tuple[float, int, int]] = []  # (IoU, pred index, gt index)
-    for i, j, box in _overlaps(_boxes(pred.windows), _boxes(gt.windows)):
+    for i, j, box in zip(*(a.tolist() for a in _overlaps(_boxes(pred.windows), _boxes(gt.windows)))):
         shared = int(np.count_nonzero(_pixels_in(pred.windows[i], *box) & _pixels_in(gt.windows[j], *box)))
         if shared > 0:
             pairs.append((shared / (pred_px[i] + gt_px[j] - shared), i, j))

@@ -7,6 +7,7 @@ contact region has a median height at or above the food-area median.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -15,7 +16,6 @@ import numpy as np
 from .archetypes import FoodArchetype
 from .errors import FitError, ParameterError, check_number, check_type, field_keys, read_object
 from .perception import DepthImage, InstanceMaskSet
-from .scenegen import Window
 
 
 @dataclass
@@ -47,9 +47,9 @@ class FingerGeometry:
 
 def check_finger(fg: FingerGeometry, side: float) -> None:
     """fg.validate(), and ParameterError for a width, breadth or clearance
-    longer than side, the tray's longer side in mm. _rectangle_pixels tests
-    a square of (2 ceil(hypot(hl, hb)) + 4)^2 px per contact rectangle, so a
-    finger larger than the tray only costs time and memory."""
+    longer than side, the tray's longer side in mm. _rectangle_pixels scans
+    each contact rectangle's bounding box row by row and returns its
+    pixels, so a finger larger than the tray only costs time and memory."""
     fg.validate()
     for name in ("width", "breadth", "clearance"):
         size = getattr(fg, name)
@@ -171,82 +171,270 @@ def fit_ellipse(mask: np.ndarray, offset: tuple[int, int] = (0, 0)) -> EllipseFi
     return fit
 
 
-# Rectangles per vectorised pass of _rectangle_pixels. Over finger contacts
-# (34 x 34 px squares at the default tray) a pass of 8 keeps each float
-# temporary near 74 KB; passes of 16 (150 KB) and one pass over a whole
-# tray's rectangles were slower and raised peak RSS more. Each pass keeps
-# only the flat indices of its hits; one divmod, clip and bincount over
-# all of them then does the bookkeeping, so no float temporary spans them.
-_RECTANGLES_PER_PASS = 8
+def _per_row(table: np.ndarray, r0: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(table repeated for each row, each row as a float, bounds) for the
+    k[i] rows from r0[i] of every shape i, shape by shape; shape i's rows
+    are bounds[i]:bounds[i + 1]. table's last row is overwritten."""
+    bounds = np.zeros(k.size + 1, dtype=np.intp)
+    k.cumsum(out=bounds[1:])
+    table[-1] = r0 - bounds[:-1]
+    t = table.repeat(k, axis=1)
+    return t, t[-1] + np.arange(t.shape[1]), bounds
 
 
-def _ellipse_window(fit: EllipseFit, shape: tuple[int, int]) -> Window:
-    """Pixels inside the fitted ellipse, tested over its axis-aligned bounding
-    box plus 1 px and clipped to the raster (an empty window when it misses).
+# a span's columns (before, first, last, after): their steps from the
+# estimated ends, and whether each must test inside
+_SPAN_STEPS = np.array([-1.0, 0.0, 0.0, 1.0]).reshape(4, 1, 1)
+_SPAN_INSIDE = np.array([False, True, True, False]).reshape(4, 1, 1)
 
-    A pixel 1 px beyond the ellipse's extent has (u/a)^2 + (v/b)^2 >=
-    1 + 2/max(a, b), far above rounding, so the margin keeps every pixel
-    the test accepts."""
-    a = fit.axis_minor / 2.0  # semi-axis along theta
-    b = fit.axis_major / 2.0  # semi-axis along theta + pi/2
-    c, s = math.cos(fit.theta), math.sin(fit.theta)
-    half_x = math.sqrt(a * a * c * c + b * b * s * s)
-    half_y = math.sqrt(a * a * s * s + b * b * c * c)
-    r0 = max(0, math.ceil(fit.y - half_y) - 1)
-    r1 = max(r0, min(shape[0], math.floor(fit.y + half_y) + 2))
-    c0 = max(0, math.ceil(fit.x - half_x) - 1)
-    c1 = max(c0, min(shape[1], math.floor(fit.x + half_x) + 2))
-    dx = np.arange(c0, c1, dtype=np.float64)[np.newaxis, :] - fit.x
-    dy = np.arange(r0, r1, dtype=np.float64)[:, np.newaxis] - fit.y
-    u = dx * c + dy * s
-    v = dy * c - dx * s
-    # (u / a) ** 2 + (v / b) ** 2 in place; ** 2 on floats is x * x
-    u /= a
-    u *= u
-    v /= b
-    v *= v
-    u += v
-    return (slice(r0, r1), slice(c0, c1)), u <= 1.0
+
+def _exact_spans(inside, ok: np.ndarray, lo_c: np.ndarray, hi_c: np.ndarray,
+                 lo: np.ndarray, hi: np.ndarray) -> None:
+    """Set lo and hi of each row not ok from the shape's own test on every
+    column of its clip range: inside(rows, cols) is that test on broadcast
+    row indices and columns. The columns inside form one interval, so its
+    first and last column bound it (hi = lo - 1 when there is none)."""
+    if ok.all():
+        return
+    bad = (~ok).nonzero()[0]
+    c0, c1 = lo_c[bad], hi_c[bad]
+    cols = c0[:, np.newaxis] + np.arange(int((c1 - c0).max()) + 1)
+    hit = inside(bad[:, np.newaxis], cols) & (cols <= c1[:, np.newaxis])
+    lo[bad] = c0 + hit.argmax(axis=1)
+    hi[bad] = np.where(hit.any(axis=1), c0 + hit.shape[1] - 1 - hit[:, ::-1].argmax(axis=1), lo[bad] - 1)
+
+
+def _spans_to_flat(
+    shape: tuple[int, int], bounds: np.ndarray, row: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat raster indices of the columns lo..hi of each row, row by row, and
+    the pixel count of each shape, whose rows are bounds[i]:bounds[i + 1]
+    (bounds may start above 0). The indices are intp, which take uses as
+    they are."""
+    ends = _pixels_before(lo, hi)
+    flat = np.arange(ends[-1])
+    start = row * shape[1]
+    start += lo
+    start -= ends[:-1]
+    flat += start.astype(np.intp).repeat(ends[1:] - ends[:-1])
+    ends = ends[bounds - bounds[0]]
+    return flat, ends[1:] - ends[:-1]
+
+
+def _pixels_before(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The pixels of the spans lo..hi before each one, and in all."""
+    n = hi - lo
+    n += 1.0
+    np.maximum(n, 0.0, out=n)
+    ends = np.zeros(n.size + 1, dtype=np.intp)
+    n.astype(np.intp).cumsum(out=ends[1:])
+    return ends
+
+
+_END_SIDES = np.array([-1.0, 1.0]).reshape(2, 1, 1)
+_SLAB_P = np.array([[1.0], [-1.0]])  # the column's factor in u is cos, in v -sin
+
+
+def _slab_estimate(x: np.ndarray, p: np.ndarray, q: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """[first, last]: per slab and row, the first column with (col - x) p + q
+    >= -h and the last with (col - x) p + q <= h, for p >= 0, in real
+    arithmetic. A p below 1e-300 (the sine of 0) counts as 1e-300, so the
+    estimate lies far beyond the raster on the side a constant slab takes,
+    and no division overflows or divides by 0."""
+    ends = h * _END_SIDES
+    ends -= q
+    ends /= np.maximum(p, 1e-300)
+    ends += x
+    np.ceil(ends[0], out=ends[0])
+    np.floor(ends[1], out=ends[1])
+    return ends
+
+
+def _rectangle_spans(
+    shape: tuple[int, int], rects: list[tuple[float, float, float, float]],
+    half_len: float | list[float], half_breadth: float | list[float],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """_rectangle_pixels' spans: (bounds, row, lo, hi) for _spans_to_flat."""
+    rect = np.array(rects, dtype=float).reshape(-1, 4).T
+    # per rectangle: cx, cy; per slab |p|, q / dy and h; the clip bounds of
+    # the first column (first, first - 1) and of the last (last + 1, last);
+    # the row offset
+    table = np.empty((13, rect.shape[1]))
+    table[0:2] = rect[0:2]
+    p = rect[2:4] * _SLAB_P
+    sign = np.copysign(1.0, p)
+    np.abs(p, out=table[2:4])
+    np.multiply(rect[3:1:-1], sign, out=table[4:6])
+    table[6], table[7] = half_len, half_breadth
+    extent = table[2:4] * table[6]  # hl |cos| + hb |sin| along x, hl |sin| + hb |cos| along y
+    extent += table[3:1:-1] * table[7]
+    first = np.ceil(rect[0:2] - extent)  # the box's first column and row
+    first -= 1.0
+    np.maximum(first, 0.0, out=first)
+    last = np.floor(rect[0:2] + extent)
+    last += 1.0
+    np.minimum(last, ((shape[1] - 1.0,), (shape[0] - 1.0,)), out=last)
+    table[8:10] = first[0]
+    table[9] -= 1.0
+    table[10:12] = last[0]
+    table[10] += 1.0
+    rows = last[1] - first[1] + 1.0
+    rows *= last[0] >= first[0]
+    t, row, bounds = _per_row(table, first[1], np.maximum(rows, 0.0).astype(np.intp))
+    x, p, h, lo_c, hi_c = t[0], t[2:4], t[6:8], t[8], t[11]
+    # slab s = dx p + q: u = dx cos + dy sin and v = dx (-sin) + dy cos bit
+    # for bit, made to rise with the column by negating both terms where
+    # p < 0, which rounding does not see
+    q = (row - t[1]) * t[4:6]
+    ends = _slab_estimate(x, p, q, h)
+    np.fmax(ends, t[8:10, np.newaxis], out=ends)  # NaN goes to the clip bound
+    np.fmin(ends, t[10:12, np.newaxis], out=ends)
+    s = ends.repeat(2, axis=0)
+    s += _SPAN_STEPS
+    ok = (s < lo_c) | (s > hi_c)  # beyond the box, where an end needs no neighbour outside
+    s -= x  # the columns become their slab values
+    s *= p
+    s += q
+    s[:2] *= -1.0  # s >= -h before and at the first column as -s <= h
+    ok |= (s <= h) == _SPAN_INSIDE
+    ok = np.logical_and.reduce(ok, axis=(0, 1))
+    lo, hi = np.maximum(ends[0, 0], ends[0, 1]), np.minimum(ends[1, 0], ends[1, 1])
+
+    def inside(j: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        tj, dx, dy = t[:, j], cols - x[j], row[j] - t[1, j]
+        return (np.abs(dx * tj[2] + tj[4] * dy) <= tj[6]) & (np.abs(dx * tj[3] + tj[5] * dy) <= tj[7])
+
+    _exact_spans(inside, ok, lo_c, hi_c, lo, hi)
+    return bounds, row, lo, hi
 
 
 def _rectangle_pixels(
     shape: tuple[int, int], rects: list[tuple[float, float, float, float]],
-    half_len: float, half_breadth: float,
+    half_len: float | list[float], half_breadth: float | list[float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pixels inside rotated rectangles, as flat raster indices.
 
     rects holds (cx, cy, cos theta, sin theta) per rectangle, in px; each is
-    half_len px long along theta and half_breadth px across it. A rectangle
-    is tested over the square of side 2r + 2, r = ceil(hypot(half_len,
-    half_breadth)) + 1, from int(cx) - r, int(cy) - r, in its own frame
-    (u along theta), and clipped to the raster after selection.
+    half_len px long along theta and half_breadth px across it (one value
+    for all, or one per rectangle). A pixel is inside when it lies in the
+    raster, |u| <= half_len and |v| <= half_breadth, u = dx cos + dy sin
+    and v = dy cos - dx sin its offset from the centre in the rectangle's
+    frame. Only the rectangle's axis-aligned bounding box plus 1 px is
+    scanned: a pixel beyond it misses by far more than rounding.
 
-    Returns the indices, grouped by rectangle in order and ascending within
-    each, and each rectangle's pixel count (0 when it misses the raster).
+    Each row of the box is one span. On a row, u and v are monotone in the
+    column (rounding is monotone), so each slab, |u| <= half_len or
+    |v| <= half_breadth, holds one interval of columns: from the first
+    column with s >= -h to the last with s <= h, s being u or v signed to
+    rise with the column. Each end is estimated in real arithmetic and
+    certified by the float test on its column and the one beyond it (or
+    the box's edge); a row whose four ends all hold is the two intervals'
+    intersection, possibly empty. A row that fails is tested on every
+    column of its box. Returns the indices, grouped by rectangle in order
+    and ascending within each, and each rectangle's pixel count (0 when it
+    misses the raster).
+    """
+    return _spans_to_flat(shape, *_rectangle_spans(shape, rects, half_len, half_breadth))
+
+
+def _ellipse_estimate(
+    x: np.ndarray, dy: np.ndarray, cos: np.ndarray, sin: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row, in real arithmetic: the first and last column inside the
+    ellipse (first > last when there is none) and the column at or left of
+    the minimum of (u/a)^2 + (v/b)^2, a quadratic in the column."""
+    ia, ib = 1.0 / (a * a), 1.0 / (b * b)
+    quad = cos * cos * ia + sin * sin * ib
+    vertex = x - dy * cos * sin * (ia - ib) / quad
+    disc = (x - vertex) ** 2 - (dy * dy * (sin * sin * ia + cos * cos * ib) - 1.0) / quad
+    root = np.sqrt(np.abs(disc)) * np.sign(disc)  # < 0 where the row misses: first > last
+    return np.ceil(vertex - root), np.floor(vertex + root), np.floor(vertex)
+
+
+def _ellipse_spans(
+    shape: tuple[int, int], fits: list[EllipseFit]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pixels inside fitted ellipses as row spans (bounds, row, lo, hi):
+    fit i's rows are bounds[i]:bounds[i + 1], and _spans_to_flat turns them
+    into flat raster indices, in raster order per fit, with each fit's
+    pixel count (0 when it misses the raster). A pixel is inside when
+    (u/a)^2 + (v/b)^2 <= 1, u = dx cos + dy sin and v = dy cos - dx sin its
+    offset from the centre, a and b the semi-axes along theta and across
+    it, and it lies in the ellipse's axis-aligned bounding box plus 1 px
+    clipped to the raster. A pixel 1 px beyond the ellipse's extent has a
+    value >= 1 + 2/max(a, b), far above rounding, so the box keeps every
+    pixel the test accepts.
+
+    Each row of the box is one span. On a row the value is a convex
+    quadratic in the column whose second difference, 2(cos^2/a^2 +
+    sin^2/b^2), dwarfs rounding, so the columns inside form one interval.
+    It is estimated in real arithmetic and certified by the float test: its
+    end columns inside and the columns beyond them outside (or beyond the
+    box). A row estimated empty is certified by two adjacent columns
+    outside that bracket the minimum: the column before them holds at
+    least the first's value and the one after at least the second's. A row
+    that fails is tested on every column of its box.
     """
     ny, nx = shape
-    r = math.ceil(math.hypot(half_len, half_breadth)) + 1
-    side = 2 * r + 2
-    geo = np.array(rects, dtype=float).reshape(-1, 4)
-    col0 = np.array([int(cx) for cx, _, _, _ in rects], dtype=np.int64) - r
-    row0 = np.array([int(cy) for _, cy, _, _ in rects], dtype=np.int64) - r
-    steps = np.arange(side)
-    dx = (col0[:, np.newaxis] + steps) - geo[:, 0:1]
-    dy = (row0[:, np.newaxis] + steps) - geo[:, 1:2]
-    cos, sin = geo[:, 2, np.newaxis, np.newaxis], geo[:, 3, np.newaxis, np.newaxis]
-    hits = [np.zeros(0, dtype=np.int64)]  # indices into the (rect, row, col) squares
-    for lo in range(0, len(rects), _RECTANGLES_PER_PASS):
-        k = slice(lo, lo + _RECTANGLES_PER_PASS)
-        x, y = dx[k, np.newaxis, :], dy[k, :, np.newaxis]
-        inside = np.abs(x * cos[k] + y * sin[k]) <= half_len
-        inside &= np.abs(y * cos[k] - x * sin[k]) <= half_breadth
-        hits.append(inside.reshape(-1).nonzero()[0] + lo * side * side)
-    rect, local = np.divmod(np.concatenate(hits), side * side)
-    row, col = np.divmod(local, side)
-    row += row0[rect]
-    col += col0[rect]
-    keep = (row >= 0) & (row < ny) & (col >= 0) & (col < nx)
-    return (row * nx + col)[keep], np.bincount(rect[keep], minlength=len(rects))
+    # per fit: x, y, cos, sin, a, b, the box's first and last column on the
+    # raster, the row offset
+    table = np.empty((9, len(fits)))
+    table[:6] = np.array([(f.x, f.y, math.cos(f.theta), math.sin(f.theta), f.axis_minor / 2.0,
+                           f.axis_major / 2.0) for f in fits], dtype=float).reshape(-1, 6).T
+    x, y, cos, sin, a, b = table[:6]
+    half_x = np.sqrt(a * a * cos * cos + b * b * sin * sin)
+    half_y = np.sqrt(a * a * sin * sin + b * b * cos * cos)
+    table[6] = np.maximum(0.0, np.ceil(x - half_x) - 1.0)
+    table[7] = np.minimum(nx, np.floor(x + half_x) + 2.0) - 1.0
+    r0 = np.maximum(0.0, np.ceil(y - half_y) - 1.0)
+    r1 = np.maximum(r0, np.minimum(ny, np.floor(y + half_y) + 2.0))
+    t, row, bounds = _per_row(table, r0, ((r1 - r0) * (table[7] >= table[6])).astype(np.intp))
+    lo_c, hi_c = t[6], t[7]
+    dy = row - t[1]
+
+    def value(j, cols: np.ndarray) -> np.ndarray:
+        tj, dyj = t[:, j], dy[j]
+        dx = cols - tj[0]
+        u = dx * tj[2]
+        u += dyj * tj[3]
+        u /= tj[4]
+        dx *= tj[3]  # v = dy cos - dx sin, in dx's place
+        np.subtract(dyj * tj[2], dx, out=dx)
+        dx /= tj[5]
+        u *= u
+        dx *= dx
+        u += dx
+        return u
+
+    # numpy keeps up to 7 freed buffers of each size under 1 KB, and a
+    # tray's row count is a new size nearly every call; so the row flags
+    # (empty, certified, bracketed) share one buffer and no other boolean
+    # is row-sized
+    first, last, vertex = _ellipse_estimate(t[0], dy, t[2], t[3], t[4], t[5])
+    lo, hi = np.maximum(first, lo_c), np.minimum(last, hi_c)
+    flags = np.empty((3, lo.size), dtype=bool)
+    empty, ok, bracket = flags
+    np.greater(lo, hi, out=empty)
+    # a row estimated empty is tested at (m, m + 1), outside and bracketing the minimum
+    np.copyto(lo, np.minimum(np.maximum(vertex, lo_c), hi_c - 1.0), where=empty)
+    np.copyto(hi, lo + 1.0, where=empty)
+    cols = np.stack((lo, lo, hi, hi)) + _SPAN_STEPS[:, 0]
+    beyond = cols < lo_c
+    beyond |= cols > hi_c
+    f = value(slice(None), cols)
+    test = f <= 1.0
+    np.equal(test, _SPAN_INSIDE[:, 0], out=test)
+    test |= beyond
+    np.logical_and.reduce(test, axis=0, out=ok)
+    np.greater(f, 1.0, out=test)
+    np.greater_equal(f[0], f[1], out=test[0])
+    np.greater_equal(f[3], f[2], out=test[3])
+    test |= beyond
+    np.logical_and.reduce(test, axis=0, out=bracket)
+    np.copyto(ok, bracket, where=empty)
+    np.copyto(hi, lo - 1.0, where=empty)
+    _exact_spans(lambda j, cols: value(j, cols) <= 1.0, ok, lo_c, hi_c, lo, hi)
+    return bounds, row, lo, hi
 
 
 def _segment_medians(values: np.ndarray, counts: np.ndarray) -> list[float]:
@@ -274,32 +462,64 @@ def _segment_medians(values: np.ndarray, counts: np.ndarray) -> list[float]:
     return out
 
 
-def derive_grasp(
-    fit: EllipseFit, depth: DepthImage, archetype: FoodArchetype, instance_id: int
-) -> GraspCandidate:
-    """Turn an ellipse fit into a grasp candidate.
+# Ellipse pixels per pass of derive_grasps: its indices and heights take
+# 16 bytes a pixel, so a pass stays near 512 KB however many pixels a
+# tray's ellipses hold (a sparse tray's ~50 hold ~60,000).
+_MEDIAN_PASS_PIXELS = 1 << 15
+
+
+def derive_grasps(
+    fits: list[EllipseFit], depth: DepthImage, archetype: FoodArchetype, ids: list[int]
+) -> list[GraspCandidate | ParameterError]:
+    """Turn ellipse fits into grasp candidates, the i-th with instance id
+    ids[i]. A fit whose ellipse lies entirely outside the raster gets a
+    ParameterError in its place.
 
     Grasp width is the minor axis converted to mm; insertion height is the
     median depth over the ellipse interior plus the archetype's offset,
-    floored at the tray floor.
+    floored at the tray floor. One _ellipse_spans call rasterizes every
+    interior; their indices and heights are then taken in passes of whole
+    fits of about _MEDIAN_PASS_PIXELS pixels (a larger fit alone).
     """
-    win, interior = _ellipse_window(fit, depth.heights.shape)
-    heights = depth.heights[win][interior]
-    if not heights.size:
-        raise ParameterError("ellipse lies entirely outside the raster")
-    food_median = median(heights)
-    h = max(0.0, food_median + archetype.grasp_height_offset)
-    return GraspCandidate(
-        instance_id=instance_id,
-        x=fit.x,
-        y=fit.y,
-        theta=fit.theta,
-        h=h,
-        w=fit.axis_minor * depth.resolution,
-        food_median=food_median,
-        axis_minor=fit.axis_minor,
-        axis_major=fit.axis_major,
-    )
+    bounds, row, lo, hi = _ellipse_spans(depth.heights.shape, fits)
+    before = _pixels_before(lo, hi)[bounds].tolist()  # pixels before each fit, and in all
+    passes = [0]
+    while passes[-1] < len(fits):
+        f0 = passes[-1]
+        passes.append(max(f0 + 1, bisect.bisect_right(before, before[f0] + _MEDIAN_PASS_PIXELS, f0 + 1) - 1))
+    medians: list[float | None] = []  # None for a fit with no pixel
+    for f0, f1 in zip(passes, passes[1:]):
+        r0, r1 = bounds[f0], bounds[f1]
+        flat, counts = _spans_to_flat(depth.heights.shape, bounds[f0 : f1 + 1], row[r0:r1], lo[r0:r1], hi[r0:r1])
+        medians += [median(h) if h.size else None
+                    for h in np.split(depth.heights.take(flat), np.cumsum(counts)[:-1])]
+    out: list[GraspCandidate | ParameterError] = []
+    for fit, instance_id, food_median in zip(fits, ids, medians):
+        if food_median is None:
+            out.append(ParameterError("ellipse lies entirely outside the raster"))
+            continue
+        out.append(GraspCandidate(
+            instance_id=instance_id,
+            x=fit.x,
+            y=fit.y,
+            theta=fit.theta,
+            h=max(0.0, food_median + archetype.grasp_height_offset),
+            w=fit.axis_minor * depth.resolution,
+            food_median=food_median,
+            axis_minor=fit.axis_minor,
+            axis_major=fit.axis_major,
+        ))
+    return out
+
+
+def derive_grasp(
+    fit: EllipseFit, depth: DepthImage, archetype: FoodArchetype, instance_id: int
+) -> GraspCandidate:
+    """The one-fit case of derive_grasps; raises its ParameterError."""
+    (cand,) = derive_grasps([fit], depth, archetype, [instance_id])
+    if isinstance(cand, ParameterError):
+        raise cand
+    return cand
 
 
 def _finger_half_sizes(fg: FingerGeometry, resolution: float) -> tuple[float, float]:
@@ -376,16 +596,14 @@ def plan(
     candidates: list[GraspCandidate] = []
     skipped: dict[int, str] = {}
     fits = fit_ellipses([(w.local, (w.slices[0].start, w.slices[1].start)) for w in masks.windows])
+    fitted = [(w.id, fit) for w, fit in zip(masks.windows, fits) if not isinstance(fit, FitError)]
+    derived = iter(derive_grasps([fit for _, fit in fitted], depth, archetype, [i for i, _ in fitted]))
     for w, fit in zip(masks.windows, fits):
-        if isinstance(fit, FitError):
-            skipped[w.id] = str(fit)
-            continue
-        try:
-            cand = derive_grasp(fit, depth, archetype, w.id)
-        except ParameterError as exc:
-            skipped[w.id] = str(exc)
-            continue
-        candidates.append(cand)
+        cand = fit if isinstance(fit, FitError) else next(derived)
+        if isinstance(cand, GraspCandidate):
+            candidates.append(cand)
+        else:
+            skipped[w.id] = str(cand)
     if filtering_enabled:
         retained = filter_grasps(candidates, depth, fg)
     else:

@@ -19,7 +19,7 @@ from traypick.graspsim import (
     insert_fingers,
 )
 from traypick.perception import render_depth, render_masks
-from traypick.planner import GraspCandidate, filter_grasps, plan
+from traypick.planner import FingerGeometry, GraspCandidate, filter_grasps, plan
 from traypick.scenegen import (
     SceneConfig,
     empty_scene,
@@ -147,6 +147,29 @@ class TestInsertFingers:
                     assert fin.retraction <= 22.5
                     for force in fin.contacts.values():
                         assert force <= 4.1 + 1e-12
+
+
+@pytest.mark.parametrize("size", ["width", "breadth", "clearance"])
+def test_finger_longer_than_the_tray_refused(size):
+    """insert_fingers, close_and_lift and execute_grasp called from Python
+    apply plan's finger bound: a finger size longer than the tray's longer
+    side (200 mm here) raises ParameterError and leaves the scene as it
+    was; the side itself is accepted."""
+    scene, _ = lone_piece_scene()
+    before = copy.deepcopy(scene)
+    c = candidate(100.0, 100.0, h=5.0, w=30.0, food_median=20.0)
+    ins = insert_fingers(scene, c, FingerModel())
+    too_long = FingerModel(geometry=FingerGeometry(**{size: 200.5}))
+    message = f"finger {size} of 200.5 mm is longer than the tray's 200.0 mm side"
+    with pytest.raises(ParameterError, match=message):
+        insert_fingers(scene, c, too_long)
+    with pytest.raises(ParameterError, match=message):
+        close_and_lift(scene, c, ins, too_long)
+    with pytest.raises(ParameterError, match=message):
+        execute_grasp(scene, c, too_long)
+    assert list(scene.pieces) == list(before.pieces) and not any(p.damaged for p in scene.pieces.values())
+    assert (scene.heightmap == before.heightmap).all() and (scene.owner_map == before.owner_map).all()
+    insert_fingers(scene, c, FingerModel(geometry=FingerGeometry(**{size: 200.0})))
 
 
 class TestCloseAndLift:

@@ -14,9 +14,10 @@ from traypick.planner import (
     FingerGeometry,
     GraspCandidate,
     _contact_rectangles,
-    _ellipse_window,
+    _ellipse_spans,
     _finger_half_sizes,
     _rectangle_pixels,
+    _spans_to_flat,
     candidate_from_dict,
     derive_grasp,
     filter_grasps,
@@ -287,9 +288,9 @@ class TestFilterGrasps:
             cs = []
             for c in cands:
                 fit = EllipseFit(c.x, c.y, c.theta, c.axis_minor, c.axis_major)
-                win, interior = _ellipse_window(fit, (200, 200))
+                interior, _ = _spans_to_flat((200, 200), *_ellipse_spans((200, 200), [fit]))
                 cs.append(make_candidate(c.x, c.y, c.theta, c.w,
-                                         float(np.median((heights * scale)[win][interior])),
+                                         float(np.median((heights * scale).take(interior))),
                                          instance_id=c.instance_id))
             retained = filter_grasps(cs, depth, FingerGeometry())
             outcomes.append({c.instance_id for c in retained})

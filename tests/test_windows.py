@@ -78,13 +78,14 @@ from traypick.planner import (
     FingerGeometry,
     GraspCandidate,
     Plan,
-    _RECTANGLES_PER_PASS,
     _contact_rectangles,
-    _ellipse_window,
+    _ellipse_spans,
     _finger_half_sizes,
     _rectangle_pixels,
     _segment_medians,
+    _spans_to_flat,
     derive_grasp,
+    derive_grasps,
     filter_grasps,
     fit_ellipse,
     median,
@@ -515,7 +516,9 @@ def oracle_render_depth(scene, sigma, quant, rng):
 shapes = st.tuples(st.integers(1, 48), st.integers(1, 48))
 # centres well inside, on the edge of and entirely outside a <= 48 px raster
 coords = st.floats(-90.0, 140.0, allow_nan=False)
-thetas = st.floats(0.0, math.pi, allow_nan=False, exclude_max=True)
+# 0, pi/2 (cos 6.1e-17) and the last double below pi among any angle
+thetas = st.one_of(st.sampled_from([0.0, math.pi / 2, math.nextafter(math.pi, 0.0)]),
+                   st.floats(0.0, math.pi, allow_nan=False, exclude_max=True))
 axes = st.floats(0.6, 50.0, allow_nan=False)
 
 
@@ -543,20 +546,30 @@ def heights_for(shape, seed):
 # rotated windows
 
 
+# shape counts per rasterizer call: none, one, two and many
+batch_sizes = st.sampled_from([0, 1, 2, 17, 40])
+
+
 @SETTINGS
-@given(shape=shapes, fit=fits())
-def test_ellipse_window_equals_full_raster(shape, fit):
-    win, local = _ellipse_window(fit, shape)
-    assert local.shape == np.zeros(shape)[win].shape  # indexes cleanly, even when empty
-    np.testing.assert_array_equal(paste_window(shape, fit), oracle_ellipse_interior(fit, shape))
+@given(shape=shapes, data=st.data(), k=batch_sizes)
+def test_ellipse_window_equals_full_raster(shape, data, k):
+    """Each fit of a batch gets its full-raster interior, in raster order."""
+    fit_list = data.draw(st.lists(fits(), min_size=k, max_size=k))
+    flat, counts = ellipse_pixels(shape, fit_list)
+    assert counts.shape == (k,) and flat.size == counts.sum()
+    for fit, seg in zip(fit_list, segments(flat, counts)):
+        assert (np.diff(seg) > 0).all()
+        np.testing.assert_array_equal(paste_flat(shape, seg), oracle_ellipse_interior(fit, shape))
+
+
+def ellipse_pixels(shape, fits):
+    """Flat raster indices of the fits' interiors and each fit's count."""
+    return _spans_to_flat(shape, *_ellipse_spans(shape, fits))
 
 
 def paste_window(shape, fit) -> np.ndarray:
-    """_ellipse_window's pixels on a full raster."""
-    win, local = _ellipse_window(fit, shape)
-    out = np.zeros(shape, dtype=bool)
-    out[win] = local
-    return out
+    """One fit's ellipse_pixels on a full raster."""
+    return paste_flat(shape, ellipse_pixels(shape, [fit])[0])
 
 
 def paste_flat(shape, flat) -> np.ndarray:
@@ -569,24 +582,29 @@ def segments(flat, counts):
     return np.split(flat, np.cumsum(counts)[:-1])
 
 
-# rectangle counts on either side of the vectorised pass size
-batch_sizes = st.sampled_from([0, 1, _RECTANGLES_PER_PASS - 1, _RECTANGLES_PER_PASS,
-                               _RECTANGLES_PER_PASS + 1, 2 * _RECTANGLES_PER_PASS + 1])
+# half-sizes from a tenth of a pixel (a rectangle thinner than a pixel) up
+half_sizes = st.floats(0.1, 30.0)
 
 
 @SETTINGS
-@given(shape=shapes, data=st.data(), k=batch_sizes,
-       half_len=st.floats(0.1, 30.0), half_breadth=st.floats(0.1, 30.0))
-def test_rectangle_pixels_equal_full_raster(shape, data, k, half_len, half_breadth):
+@given(shape=shapes, data=st.data(), k=batch_sizes, half_len=half_sizes, half_breadth=half_sizes,
+       each=st.booleans())
+def test_rectangle_pixels_equal_full_raster(shape, data, k, half_len, half_breadth, each):
+    """Each rectangle of a batch gets its full-raster pixels, in raster
+    order, with one pair of half-sizes for the batch or, when each, one
+    pair per rectangle (as the jaw and sweep take)."""
     centres_angles = data.draw(st.lists(st.tuples(coords, coords, thetas), min_size=k, max_size=k))
     rects = [(cx, cy, math.cos(t), math.sin(t)) for cx, cy, t in centres_angles]
-    flat, counts = _rectangle_pixels(shape, rects, half_len, half_breadth)
+    sizes = data.draw(st.lists(st.tuples(half_sizes, half_sizes), min_size=k, max_size=k)) if each \
+        else [(half_len, half_breadth)] * k
+    if each:
+        flat, counts = _rectangle_pixels(shape, rects, [hl for hl, _ in sizes], [hb for _, hb in sizes])
+    else:
+        flat, counts = _rectangle_pixels(shape, rects, half_len, half_breadth)
     assert counts.shape == (k,) and flat.size == counts.sum()
-    for (cx, cy, theta), seg in zip(centres_angles, segments(flat, counts)):
+    for (cx, cy, theta), (hl, hb), seg in zip(centres_angles, sizes, segments(flat, counts)):
         assert (np.diff(seg) > 0).all()  # raster order, as a window's pixels are
-        np.testing.assert_array_equal(
-            paste_flat(shape, seg), oracle_rectangle_mask(shape, (cx, cy), theta, half_len, half_breadth)
-        )
+        np.testing.assert_array_equal(paste_flat(shape, seg), oracle_rectangle_mask(shape, (cx, cy), theta, hl, hb))
 
 
 def test_fully_clipped_windows_index_cleanly():
@@ -594,8 +612,8 @@ def test_fully_clipped_windows_index_cleanly():
     for cx, cy in [(-500.0, 10.0), (10.0, -500.0), (500.0, 500.0), (-500.0, -500.0), (60.0, 10.0)]:
         flat, counts = _rectangle_pixels(heights.shape, [(cx, cy, math.cos(0.3), math.sin(0.3))], 2.0, 3.0)
         assert heights.take(flat).size == 0 and counts.tolist() == [0]
-        win, local = _ellipse_window(EllipseFit(cx, cy, 0.3, 4.0, 6.0), heights.shape)
-        assert heights[win][local].size == 0
+        flat, counts = ellipse_pixels(heights.shape, [EllipseFit(cx, cy, 0.3, 4.0, 6.0)])
+        assert heights.take(flat).size == 0 and counts.tolist() == [0]
 
 
 @settings(max_examples=500, deadline=None, suppress_health_check=list(HealthCheck))
@@ -613,6 +631,51 @@ def test_ellipse_window_keeps_pixels_at_the_extent(theta, a, b, quarter_ulps, ax
     x, y = (near, 60.0 - other) if axis == "x" else (60.0 - other, near)
     fit = EllipseFit(x, y, theta, 2.0 * a, 2.0 * b)
     np.testing.assert_array_equal(paste_window((120, 120), fit), oracle_ellipse_interior(fit, (120, 120)))
+
+
+def span_cases():
+    """A 40 x 48 raster with 24 rectangles and 24 ellipses: centres on it,
+    at its edges and off it; theta 0, pi/2, the last double below pi and
+    others; rectangles thinner than a pixel, per-rectangle half-sizes, and
+    centres on pixel centres and halfway between."""
+    rng = np.random.default_rng(26)
+    angles = [0.0, math.pi / 2, math.nextafter(math.pi, 0.0), *rng.uniform(0.0, math.pi, 21)]
+    centres = [(20.0, 17.0), (20.5, 17.5), (-3.0, 10.0), (47.6, 39.2), *rng.uniform(-12.0, 60.0, (20, 2))]
+    rects = [(cx, cy, math.cos(t), math.sin(t)) for (cx, cy), t in zip(centres, angles)]
+    half_len = [0.2, 0.45, 0.5, *rng.uniform(0.1, 12.0, 21)]
+    half_breadth = [0.3, 6.0, 0.5, *rng.uniform(0.1, 12.0, 21)]
+    fit_list = [EllipseFit(cx, cy, t, a, a + d)
+                for (cx, cy), t, a, d in zip(centres, angles, rng.uniform(0.6, 15.0, 24), rng.uniform(0.0, 20.0, 24))]
+    return (40, 48), angles, rects, half_len, half_breadth, fit_list
+
+
+OFFSETS = (-40, -2, -1, 1, 2, 40)
+
+
+@pytest.mark.parametrize("off_last", OFFSETS)
+@pytest.mark.parametrize("off_first", OFFSETS)
+def test_spans_never_rest_on_the_estimate(monkeypatch, off_first, off_last):
+    """With every span estimate moved off by whole pixels, the rows the
+    certificate refuses are tested column by column, and the pixels stay
+    the same, bit for bit, as the oracles' and the true estimate's."""
+    from traypick import planner
+
+    shape, angles, rects, half_len, half_breadth, fit_list = span_cases()
+    expected = (_rectangle_pixels(shape, rects, half_len, half_breadth), ellipse_pixels(shape, fit_list))
+    for (cx, cy, _, _), theta, hl, hb, seg in zip(rects, angles, half_len, half_breadth, segments(*expected[0])):
+        np.testing.assert_array_equal(paste_flat(shape, seg), oracle_rectangle_mask(shape, (cx, cy), theta, hl, hb))
+    for fit, seg in zip(fit_list, segments(*expected[1])):
+        np.testing.assert_array_equal(paste_flat(shape, seg), oracle_ellipse_interior(fit, shape))
+    slab, ellipse = planner._slab_estimate, planner._ellipse_estimate
+    monkeypatch.setattr(planner, "_slab_estimate",
+                        lambda *args: slab(*args) + np.reshape((off_first, off_last), (2, 1, 1)))
+    monkeypatch.setattr(planner, "_ellipse_estimate", lambda *args: tuple(
+        e + off for e, off in zip(ellipse(*args), (off_first, off_last, off_first))))
+    got = (_rectangle_pixels(shape, rects, half_len, half_breadth), ellipse_pixels(shape, fit_list))
+    for (flat, counts), (want_flat, want_counts) in zip(got, expected):
+        assert flat.dtype == want_flat.dtype
+        np.testing.assert_array_equal(flat, want_flat)
+        np.testing.assert_array_equal(counts, want_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +883,7 @@ def special_heights(shape, seed, mode):
        n=st.sampled_from([1, 7, 8, 9, 16, 17]), mode=st.sampled_from(["plain", "signed-zeros", "nan", "ties"]),
        res=st.sampled_from([0.5, 0.7066666666666667, 1.3]))
 def test_filter_medians_equal_full_raster(shape, data, seed, n, mode, res):
-    """Every candidate of a tray, its 2n rectangles crossing the pass size,
+    """Every candidate of a tray, its 2n rectangles in one rasterizer call,
     gets the np.median of its full-raster contact regions, bit for bit, and
     the decision those medians give."""
     cands = data.draw(st.lists(candidates(), min_size=n, max_size=n))
@@ -871,6 +934,28 @@ def test_food_median_equals_full_raster(shape, fit, seed):
         return
     cand = derive_grasp(fit, depth, DEFAULT_ARCHETYPES["mushroom"], 1)
     assert cand.food_median == float(np.median(depth.heights[interior]))
+
+
+@pytest.mark.parametrize("pass_pixels", [1, 40, 1 << 15])
+def test_food_medians_in_passes_equal_full_raster(monkeypatch, pass_pixels):
+    """derive_grasps takes its heights in passes of whole fits; at any pass
+    size each fit gets its full-raster median, bit for bit, and a fit off
+    the raster its ParameterError."""
+    from traypick import planner
+
+    monkeypatch.setattr(planner, "_MEDIAN_PASS_PIXELS", pass_pixels)
+    shape, *_, fit_list = span_cases()
+    fit_list = [*fit_list[:5], EllipseFit(-80.0, 20.0, 0.4, 3.0, 5.0), *fit_list[5:]]
+    depth = DepthImage(special_heights(shape, 7, "ties"), 0.7)
+    got = derive_grasps(fit_list, depth, DEFAULT_ARCHETYPES["mushroom"], list(range(1, len(fit_list) + 1)))
+    for i, (fit, cand) in enumerate(zip(fit_list, got), start=1):
+        interior = oracle_ellipse_interior(fit, shape)
+        if not interior.any():
+            assert isinstance(cand, ParameterError) and str(cand) == "ellipse lies entirely outside the raster"
+            continue
+        assert cand.instance_id == i
+        assert float_bits(cand.food_median) == float_bits(float(np.median(depth.heights[interior])))
+    assert isinstance(got[5], ParameterError)
 
 
 @st.composite
