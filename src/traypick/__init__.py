@@ -13,6 +13,7 @@ from .experiment import (
     SummaryStats,
     TrialRecord,
     compare_conditions,
+    run_campaigns,
     run_experiment,
     run_trial,
 )
@@ -21,8 +22,10 @@ from .graspsim import (
     FingerKind,
     FingerModel,
     GraspOutcome,
+    apply_outcome,
     close_and_lift,
     execute_grasp,
+    grasp_outcome,
     insert_fingers,
 )
 from .perception import (
@@ -43,6 +46,7 @@ from .planner import (
     Plan,
     derive_grasp,
     filter_grasps,
+    filter_plan,
     fit_ellipse,
     plan,
     select_grasp,
@@ -52,6 +56,7 @@ from .scenegen import (
     PieceStamp,
     SceneConfig,
     TrayScene,
+    copy_scene,
     drop_piece,
     generate_scene,
     load_scene,

@@ -3,7 +3,9 @@
 A campaign runs n attempts of the full pipeline (generate or continue a
 scene, render depth and masks, corrupt masks, plan, execute) with per-attempt
 seeds derived additively from the base seed, so campaigns are reproducible
-bit-for-bit and extensible without reshuffling history.
+bit-for-bit and extensible without reshuffling history. Campaigns that
+differ only in finger and filtering run in lock step and share each
+attempt's scene, observation and fitted candidates (common random numbers).
 """
 from __future__ import annotations
 
@@ -17,11 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError, check_number, check_type, field_keys, read_object
-from .graspsim import Classification, FingerKind, FingerModel, execute_grasp
+from .graspsim import Classification, FingerKind, FingerModel, GraspOutcome, apply_outcome
+# The outcome alone, under the name run_trial has always called it by, which
+# benchmarks/tracing.py patches; the scene update is apply_outcome.
+from .graspsim import grasp_outcome as execute_grasp
 from .perception import (CorruptionParams, DepthImage, InstanceMaskSet, corrupt_masks,
                          render_depth, render_masks)
-from .planner import FingerGeometry, check_finger, plan
-from .scenegen import SceneConfig, TrayScene, _max_semi_axis, generate_scene, raster_shape
+from .planner import MIN_FIT_PIXELS, FingerGeometry, Plan, check_finger, filter_plan, plan
+from .scenegen import (SceneConfig, TrayScene, _max_semi_axis, copy_scene, generate_scene, mm_per_pixel,
+                       raster_shape)
 
 FRESH = "fresh_scene_each_attempt"
 DEPLETE = "deplete_until_empty_then_refresh"
@@ -64,6 +70,28 @@ class ExperimentConfig:
                 f"archetype {self.archetype!r} differs from scene.archetype {scene.archetype!r}"
             )
         self.corruption.validate(raster_shape(scene.tray_dims, scene.resolution))
+        # Two trays on which the planner sees nothing, so every attempt would
+        # record no-target. The smallest unjittered piece, |u/a|^n + |v/b|^n
+        # < 1 with a and b at the low end of the scale range, covers
+        # 4ab Gamma(1 + 1/n)^2 / Gamma(1 + 2/n) mm^2; below MIN_FIT_PIXELS no
+        # mask of it can be fitted.
+        arch = scene.archetypes[scene.archetype]
+        res = mm_per_pixel(scene.tray_dims, scene.resolution)
+        a, b = (s * arch.scale_range[0] for s in arch.semi_axes_mm)
+        n = arch.exponent
+        px = 4.0 * a * b * math.exp(2.0 * math.lgamma(1.0 + 1.0 / n) - math.lgamma(1.0 + 2.0 / n)) / res**2
+        if not px >= MIN_FIT_PIXELS:
+            raise ParameterError(f"the smallest {scene.archetype!r} piece covers {px:.3g} px at {res:.4g} mm "
+                                 f"per pixel, fewer than the {MIN_FIT_PIXELS} px a mask needs to be fitted; "
+                                 "lower resolution or shrink tray_dims")
+        # render_depth's level of the tallest unjittered peak (top of the scale
+        # range), as it computes levels (ceil(x) >= 1 iff x > 0): a peak that
+        # keeps no level above 0 leaves a flat depth image.
+        hi = arch.scale_range[1]
+        peak = arch.dome_ratio * 0.5 * (arch.semi_axes_mm[0] * hi + arch.semi_axes_mm[1] * hi)
+        if self.depth_quant > 0 and not peak / self.depth_quant - 0.5 > 0.0:
+            raise ParameterError(f"depth_quant of {self.depth_quant} mm rounds the tallest {scene.archetype!r} "
+                                 f"peak, {peak:.3g} mm, to 0 mm")
 
     def scene_config(self) -> SceneConfig:
         if self.scene is not None:
@@ -127,37 +155,86 @@ def run_trial(
 ) -> tuple[TrialRecord, TrayScene | None, int]:
     """One pick attempt. Returns (record, scene-to-carry, epoch).
 
-    With the fresh policy a new scene is generated every attempt; with the
-    depleting policy the carried scene is reused until it runs out of pieces
-    or yields no target, then refreshed with the attempt's seed.
+    With the fresh policy a new scene is generated every attempt and none is
+    carried: the grasp's outcome is computed and the tray is left as it was
+    generated. With the depleting policy the carried scene is reused, with
+    each grasp's changes made to it (apply_outcome), until it runs out of
+    pieces or yields no target, then refreshed with the attempt's seed.
     """
     cfg.validate()
-    seed = cfg.base_seed + attempt_idx
-    if cfg.refill_policy == FRESH or scene is None or not scene.pieces:
-        scene = generate_scene(cfg.scene_config(), seed)
-        epoch += 1
-
-    depth, masks, corrupted = observe(cfg, scene, seed)
-    arch = scene.archetypes[cfg.archetype]
-    p = plan(masks if corrupted is None else corrupted, depth, arch, cfg.finger_geometry,
-             cfg.filtering)
-    retained = sum(not c.filtered for c in p.candidates)  # all of them when unfiltered
-    outcome = None if p.target is None else execute_grasp(scene, p.target, cfg.finger_model())
-    record = TrialRecord(
-        attempt=attempt_idx,
-        seed=seed,
-        epoch=epoch,
-        candidate_count=len(p.candidates),
-        retained_count=retained,
-        target_id=None if p.target is None else p.target.instance_id,
-        classification=(Classification.FAILURE if outcome is None else outcome.classification).value,
-        picked=[] if outcome is None else sorted(outcome.picked),
-        damaged=[] if outcome is None else sorted(outcome.damaged),
-        reason="no-target" if p.target is None else "",
-    )
-    # a depleting campaign must not retry the same dead scene forever
-    carry = None if p.target is None and cfg.refill_policy == DEPLETE else scene
+    ((record, carry, epoch),) = _attempt([cfg], attempt_idx, [scene], [epoch])
     return record, carry, epoch
+
+
+def _attempt(
+    cfgs: list[ExperimentConfig], attempt_idx: int, scenes: list[TrayScene | None], epochs: list[int]
+) -> list[tuple[TrialRecord, TrayScene | None, int]]:
+    """run_trial for each of campaigns that differ only in finger, filtering
+    and output_dir, on each one's carried scene and epoch, in lock step.
+
+    Campaigns that refresh share the attempt's one fresh scene, and
+    campaigns holding the same scene object share its observation, its
+    fitted and derived candidates, one plan per filtering setting and one
+    outcome per finger. Every outcome is computed before any scene changes;
+    a depleting campaign then changes a copy of a scene another campaign
+    still holds.
+    """
+    cfg = cfgs[0]
+    seed = cfg.base_seed + attempt_idx
+    scenes, epochs = list(scenes), list(epochs)
+    fresh = None
+    for i, arm in enumerate(cfgs):
+        if arm.refill_policy == FRESH or scenes[i] is None or not scenes[i].pieces:
+            if fresh is None:
+                fresh = generate_scene(cfg.scene_config(), seed)
+            scenes[i] = fresh
+            epochs[i] += 1
+
+    plans: dict[tuple[int, bool], Plan] = {}
+    for scene in {id(s): s for s in scenes}.values():
+        depth, masks, corrupted = observe(cfg, scene, seed)
+        args = (masks if corrupted is None else corrupted, depth, scene.archetypes[cfg.archetype],
+                cfg.finger_geometry)
+        settings = {arm.filtering for arm, s in zip(cfgs, scenes) if s is scene}
+        if len(settings) == 1:
+            (filtering,) = settings
+            plans[id(scene), filtering] = plan(*args, filtering)
+        else:  # one fit and derivation; filtering annotates copies of the candidates
+            plans[id(scene), False] = plan(*args, False)
+            plans[id(scene), True] = filter_plan(plans[id(scene), False], depth, cfg.finger_geometry)
+
+    outcomes: dict[tuple[int, FingerKind, int], GraspOutcome] = {}
+    records, carries, arm_outcomes = [], [], []
+    for arm, scene, epoch in zip(cfgs, scenes, epochs):
+        p = plans[id(scene), arm.filtering]
+        outcome = None
+        if p.target is not None:
+            key = (id(scene), arm.finger, p.target.instance_id)
+            if key not in outcomes:
+                outcomes[key] = execute_grasp(scene, p.target, arm.finger_model())
+            outcome = outcomes[key]
+        records.append(TrialRecord(
+            attempt=attempt_idx,
+            seed=seed,
+            epoch=epoch,
+            candidate_count=len(p.candidates),
+            retained_count=sum(not c.filtered for c in p.candidates),  # all of them when unfiltered
+            target_id=None if p.target is None else p.target.instance_id,
+            classification=(Classification.FAILURE if outcome is None else outcome.classification).value,
+            picked=[] if outcome is None else sorted(outcome.picked),
+            damaged=[] if outcome is None else sorted(outcome.damaged),
+            reason="no-target" if p.target is None else "",
+        ))
+        # a depleting campaign must not retry the same dead scene forever
+        carries.append(None if arm.refill_policy == FRESH or outcome is None else scene)
+        arm_outcomes.append(outcome)
+
+    for i, outcome in enumerate(arm_outcomes):
+        if carries[i] is not None and (outcome.picked or outcome.damaged):
+            if sum(carry is carries[i] for carry in carries) > 1:  # another campaign holds it too
+                carries[i] = copy_scene(carries[i])
+            apply_outcome(carries[i], outcome)
+    return list(zip(records, carries, epochs))
 
 
 def summarize(records: list[TrialRecord]) -> SummaryStats:
@@ -180,20 +257,38 @@ def summarize(records: list[TrialRecord]) -> SummaryStats:
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[SummaryStats, list[TrialRecord]]:
     """Run a full campaign; optionally persist records (JSONL) and summary (CSV)."""
-    cfg.validate()
-    records: list[TrialRecord] = []
-    scene: TrayScene | None = None
-    epoch = 0
-    for idx in range(cfg.n_attempts):
-        record, scene, epoch = run_trial(cfg, idx, scene, epoch)
-        records.append(record)
-    summary = summarize(records)
-    if cfg.output_dir:
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_records(records, out / "records.jsonl")
-        (out / "summary.csv").write_text(summary_csv([("campaign", cfg, summary)]))
-    return summary, records
+    return run_campaigns([cfg])[0]
+
+
+def run_campaigns(cfgs: list[ExperimentConfig]) -> list[tuple[SummaryStats, list[TrialRecord]]]:
+    """run_experiment for each of campaigns that differ only in finger,
+    filtering and output_dir, run in lock step so that they share each
+    attempt's work on a scene they hold alike (_attempt). Returns each
+    campaign's (summary, records), equal to its own run_experiment's; a
+    list of campaigns that differ in any other field raises ParameterError.
+    """
+    for cfg in cfgs:
+        cfg.validate()
+    base = cfgs[0]
+    for cfg in cfgs:
+        if replace(cfg, finger=base.finger, filtering=base.filtering, output_dir=base.output_dir) != base:
+            raise ParameterError("campaigns run together may differ only in finger, filtering and output_dir")
+    records: list[list[TrialRecord]] = [[] for _ in cfgs]
+    scenes: list[TrayScene | None] = [None] * len(cfgs)
+    epochs = [0] * len(cfgs)
+    for idx in range(base.n_attempts):
+        for i, (record, scenes[i], epochs[i]) in enumerate(_attempt(cfgs, idx, scenes, epochs)):
+            records[i].append(record)
+    results = []
+    for cfg, recs in zip(cfgs, records):
+        summary = summarize(recs)
+        if cfg.output_dir:
+            out = Path(cfg.output_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            write_records(recs, out / "records.jsonl")
+            (out / "summary.csv").write_text(summary_csv([("campaign", cfg, summary)]))
+        results.append((summary, recs))
+    return results
 
 
 def write_records(records: list[TrialRecord], path: str | Path) -> None:
@@ -246,16 +341,17 @@ def compare_conditions(
     (finger, filtering)).
     """
     base.validate()
+    cfgs = [
+        replace(base, finger=finger, filtering=filtering,
+                output_dir=(str(Path(base.output_dir) / f"{finger.value}_{'on' if filtering else 'off'}")
+                            if base.output_dir else None))
+        for finger in (FingerKind.ADAPTIVE, FingerKind.FIXED) for filtering in (True, False)
+    ]
     grid: dict[tuple[str, bool], SummaryStats] = {}
     rows = []
-    for finger in (FingerKind.ADAPTIVE, FingerKind.FIXED):
-        for filtering in (True, False):
-            out = (str(Path(base.output_dir) / f"{finger.value}_{'on' if filtering else 'off'}")
-                   if base.output_dir else None)
-            cfg = replace(base, finger=finger, filtering=filtering, output_dir=out)
-            summary, _ = run_experiment(cfg)
-            grid[finger.value, filtering] = summary
-            rows.append((f"{finger.value}/{'filter' if filtering else 'nofilter'}", cfg, summary))
+    for cfg, (summary, _) in zip(cfgs, run_campaigns(cfgs)):
+        grid[cfg.finger.value, cfg.filtering] = summary
+        rows.append((f"{cfg.finger.value}/{'filter' if cfg.filtering else 'nofilter'}", cfg, summary))
     csv_text = summary_csv(rows)
     for finger in (FingerKind.ADAPTIVE.value, FingerKind.FIXED.value):
         on, off = grid[finger, True], grid[finger, False]

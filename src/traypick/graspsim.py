@@ -128,22 +128,48 @@ def _damage(
         damaged[pid] = max(damaged.get(pid, 0.0), magnitude)
 
 
-def insert_fingers(scene: TrayScene, c: GraspCandidate, fm: FingerModel) -> InsertionResult:
+def _grasp_regions(scene: TrayScene, c: GraspCandidate, fg: FingerGeometry) -> list[np.ndarray]:
+    """Flat raster indices of a grasp's four rectangles, in one
+    _rectangle_pixels call: the two contact rectangles (as filter_grasps
+    rasterizes them), the jaw, the rectangle between them, and the sweep,
+    the full closure corridor including the finger start positions.
+
+    A gripped piece is held even where it overhangs the fingers lengthwise,
+    so the jaw and sweep span the piece's own major extent when that
+    exceeds the finger breadth; both share the candidate's centre and axis.
+    None of the four depends on the insertion."""
+    res = scene.resolution
+    hl, hb = _finger_half_sizes(fg, res)
+    jaw_mm = c.w / 2.0 + fg.clearance
+    held = max(hb, c.axis_major / 2.0)
+    centre = (c.x, c.y, math.cos(c.theta), math.sin(c.theta))
+    rects = [*_contact_rectangles(c, fg, res), centre, centre]
+    half_len = [hl, hl, jaw_mm / res, (jaw_mm + fg.width) / res]
+    half_breadth = [hb, hb, held, held]
+    flat, counts = _rectangle_pixels(scene.shape, rects, half_len, half_breadth)
+    stops = np.cumsum(counts).tolist()
+    return [flat[stop - n : stop] for stop, n in zip(stops, counts.tolist())]
+
+
+def insert_fingers(
+    scene: TrayScene, c: GraspCandidate, fm: FingerModel, regions: list[np.ndarray] | None = None
+) -> InsertionResult:
     """Insert both fingers vertically at the candidate's contact regions.
 
     A finger whose rectangle reaches past the tray interior hits the tray
     wall and blocks outright. A contact damages its piece when its
     magnitude exceeds the piece's threshold for this finger (_damage). A
     finger model that fails its validation on the scene's tray raises
-    ParameterError.
+    ParameterError. regions is _grasp_regions' list for this candidate and
+    finger, when the caller has it; only its contact rectangles are read.
     """
     fm.validate(_max_semi_axis(scene.tray_dims))
     ny, nx = scene.shape
     hl, hb = _finger_half_sizes(fm.geometry, scene.resolution)
-    rects = _contact_rectangles(c, fm.geometry, scene.resolution)
-    flat, counts = _rectangle_pixels(scene.shape, rects, hl, hb)
+    if regions is None:
+        regions = _grasp_regions(scene, c, fm.geometry)
     fins = []
-    for (cx, cy, ux, uy), region in zip(rects, (flat[: counts[0]], flat[counts[0] :])):
+    for (cx, cy, ux, uy), region in zip(_contact_rectangles(c, fm.geometry, scene.resolution), regions):
         # The raster covers the interior only, so a rectangle with a corner
         # beyond it hits the wall. Each sum is its extreme corner's, rounded
         # left to right as the corner's own coordinate is.
@@ -158,26 +184,6 @@ def insert_fingers(scene: TrayScene, c: GraspCandidate, fm: FingerModel) -> Inse
     return InsertionResult(tuple(fins), damaged)
 
 
-def _jaw_regions(
-    scene: TrayScene, c: GraspCandidate, fg: FingerGeometry
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat raster indices of the jaw, the rectangle between the finger
-    rectangles, and of the sweep, the full closure corridor including the
-    finger start positions.
-
-    A gripped piece is held even where it overhangs the fingers lengthwise,
-    so the corridor spans the piece's own major extent when that exceeds the
-    finger breadth. Both come from one _rectangle_pixels call, with the same
-    centre, axis and breadth."""
-    rect = (c.x, c.y, math.cos(c.theta), math.sin(c.theta))
-    half_breadth_px = max(_finger_half_sizes(fg, scene.resolution)[1], c.axis_major / 2.0)
-    jaw_mm = c.w / 2.0 + fg.clearance
-    flat, counts = _rectangle_pixels(scene.shape, [rect, rect],
-                                     [jaw_mm / scene.resolution, (jaw_mm + fg.width) / scene.resolution],
-                                     half_breadth_px)
-    return flat[: counts[0]], flat[counts[0] :]
-
-
 def _visible_fraction_in(scene: TrayScene, pid: int, label_counts: np.ndarray) -> float:
     """Share of pid's visible pixels in a region with these per-label counts;
     0 for an id that names no piece, the floor's 0 included."""
@@ -188,7 +194,8 @@ def _visible_fraction_in(scene: TrayScene, pid: int, label_counts: np.ndarray) -
 
 
 def close_and_lift(
-    scene: TrayScene, c: GraspCandidate, ins: InsertionResult, fm: FingerModel
+    scene: TrayScene, c: GraspCandidate, ins: InsertionResult, fm: FingerModel,
+    regions: list[np.ndarray] | None = None,
 ) -> GraspOutcome:
     """Close the jaw and classify the outcome.
 
@@ -202,10 +209,14 @@ def close_and_lift(
     The jaw and sweep regions are flat raster indices; jaw fractions divide
     label counts inside the jaw by counts on each piece's stamp window. A
     target id that names no piece is never captured. A finger model that
-    fails its validation on the scene's tray raises ParameterError.
+    fails its validation on the scene's tray raises ParameterError. regions
+    is _grasp_regions' list for this candidate and finger, when the caller
+    has it; only the jaw and sweep are read.
     """
     fm.validate(_max_semi_axis(scene.tray_dims))
-    jaw, sweep = _jaw_regions(scene, c, fm.geometry)
+    if regions is None:
+        regions = _grasp_regions(scene, c, fm.geometry)
+    jaw, sweep = regions[2:]
     in_jaw = np.bincount(scene.owner_map.take(jaw))
     bottoms = [fin.achieved for fin in ins.fingers]
     max_bottom = max(bottoms)
@@ -241,15 +252,19 @@ def close_and_lift(
     return GraspOutcome(classification, picked, damaged, ins)
 
 
-def execute_grasp(scene: TrayScene, c: GraspCandidate, fm: FingerModel) -> GraspOutcome:
-    """Run insertion then closure, remove picked pieces, and rebuild the maps
-    on the union of their stamp windows.
+def grasp_outcome(scene: TrayScene, c: GraspCandidate, fm: FingerModel) -> GraspOutcome:
+    """The outcome of a grasp on scene: insertion then closure, from one
+    rasterization of the grasp's four rectangles. The scene is not changed."""
+    fm.validate(_max_semi_axis(scene.tray_dims))  # before any rectangle is rasterized
+    regions = _grasp_regions(scene, c, fm.geometry)
+    return close_and_lift(scene, c, insert_fingers(scene, c, fm, regions), fm, regions)
 
-    Damaged pieces that were not picked stay in the tray with damage flags.
-    The scene is mutated in place.
-    """
-    ins = insert_fingers(scene, c, fm)
-    outcome = close_and_lift(scene, c, ins, fm)
+
+def apply_outcome(scene: TrayScene, outcome: GraspOutcome) -> None:
+    """Make the changes of a grasp whose outcome grasp_outcome gave on this
+    scene: damaged pieces that were not picked stay in the tray with damage
+    flags, picked pieces are removed, and the maps are rebuilt on the union
+    of their stamp windows. The scene is mutated in place."""
     for pid, magnitude in outcome.damaged.items():
         piece = scene.pieces.get(pid)
         if piece is not None and pid not in outcome.picked:
@@ -260,4 +275,10 @@ def execute_grasp(scene: TrayScene, c: GraspCandidate, fm: FingerModel) -> Grasp
         wins = [p.window[0] for p in removed]
         recompose(scene, (slice(min(r.start for r, _ in wins), max(r.stop for r, _ in wins)),
                           slice(min(c.start for _, c in wins), max(c.stop for _, c in wins))))
+
+
+def execute_grasp(scene: TrayScene, c: GraspCandidate, fm: FingerModel) -> GraspOutcome:
+    """grasp_outcome, then apply_outcome: the scene is mutated in place."""
+    outcome = grasp_outcome(scene, c, fm)
+    apply_outcome(scene, outcome)
     return outcome

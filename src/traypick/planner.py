@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .archetypes import FoodArchetype
 from .errors import FitError, ParameterError, check_number, check_type, field_keys, read_object
 from .perception import DepthImage, InstanceMaskSet
+
+
+MIN_FIT_PIXELS = 5  # px of the smallest mask fit_ellipses fits
 
 
 @dataclass
@@ -109,7 +112,7 @@ def fit_ellipses(
     """Fit the moment-equivalent ellipse of each (mask, offset): centroid plus
     eigen-decomposition of the pixel covariance, with semi-axis =
     2 * sqrt(eigenvalue). A mask that cannot be fitted gets a FitError in
-    its place: one smaller than 5 px or with rank-deficient covariance.
+    its place: one smaller than MIN_FIT_PIXELS or with rank-deficient covariance.
 
     Pixels are treated as unit squares (a 1/12 variance term) so rasterized
     shapes recover their continuous axes.
@@ -130,8 +133,8 @@ def fit_ellipses(
         ys += offset[0]
         xs += offset[1]
         n = xs.size
-        if n < 5:
-            fits.append(FitError(f"mask has {n} pixels, need >= 5"))
+        if n < MIN_FIT_PIXELS:
+            fits.append(FitError(f"mask has {n} pixels, need >= {MIN_FIT_PIXELS}"))
             continue
         # what ndarray.mean computes for integer input, without its wrapper;
         # the moments are Python floats, the same IEEE doubles as numpy's
@@ -610,6 +613,14 @@ def plan(
         retained = list(candidates)
     target = select_grasp(retained)
     return Plan(candidates, target, skipped, filtering_enabled)
+
+
+def filter_plan(p: Plan, depth: DepthImage, fg: FingerGeometry) -> Plan:
+    """What plan returns with filtering on, from p, its unfiltered plan of
+    the same masks, depth, archetype and finger, without fitting again.
+    filter_grasps annotates copies of p's candidates, so p stays as it was."""
+    candidates = [replace(c) for c in p.candidates]
+    return Plan(candidates, select_grasp(filter_grasps(candidates, depth, fg)), dict(p.skipped), True)
 
 
 def plan_to_dict(p: Plan) -> dict:

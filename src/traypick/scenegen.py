@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +107,14 @@ def empty_scene(
         archetypes=dict(archetypes or DEFAULT_ARCHETYPES),
         seed=seed,
     )
+
+
+def copy_scene(scene: TrayScene) -> TrayScene:
+    """A copy of scene with its own maps, piece registry and piece records,
+    so that changing either leaves the other as it was. Stamps and
+    archetypes, which no stage changes, are shared."""
+    return replace(scene, heightmap=scene.heightmap.copy(), owner_map=scene.owner_map.copy(),
+                   pieces={pid: replace(piece) for pid, piece in scene.pieces.items()})
 
 
 def rasterize_stamps(

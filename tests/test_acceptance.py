@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from traypick.archetypes import DEFAULT_ARCHETYPES
-from traypick.experiment import ExperimentConfig, FRESH, paired_success_pvalue, run_experiment
+from traypick.experiment import ExperimentConfig, FRESH, paired_success_pvalue, run_campaigns, run_experiment
 from traypick.graspsim import FingerKind, FingerModel, insert_fingers
 from traypick.perception import (
     CorruptionParams,
@@ -292,6 +292,8 @@ N_TRIALS = 500
 
 
 def paired_campaign(archetype, finger, base_seed, corruption=None):
+    """Filtering on and off, run together: the two share each attempt's
+    tray, observation and fitted candidates."""
     cfg = ExperimentConfig(
         archetype=archetype,
         finger=finger,
@@ -301,9 +303,7 @@ def paired_campaign(archetype, finger, base_seed, corruption=None):
         refill_policy=FRESH,
         corruption=corruption or CorruptionParams(),
     )
-    on = run_experiment(cfg)
-    off = run_experiment(dataclasses.replace(cfg, filtering=False))
-    return on, off
+    return run_campaigns([cfg, dataclasses.replace(cfg, filtering=False)])
 
 
 def test_filtering_improves_single_pick_success():
@@ -360,9 +360,9 @@ def test_filtering_reduces_multi_pick_rate():
 
 def test_adaptive_finger_reduces_damage():
     t0 = time.perf_counter()
-    totals = {}
-    for kind in (FingerKind.ADAPTIVE, FingerKind.FIXED):
-        cfg = ExperimentConfig(
+    kinds = (FingerKind.ADAPTIVE, FingerKind.FIXED)
+    cfgs = [
+        ExperimentConfig(
             archetype="gyoza",
             finger=kind,
             filtering=True,
@@ -370,8 +370,10 @@ def test_adaptive_finger_reduces_damage():
             base_seed=60_000,
             refill_policy=FRESH,
         )
-        summary, _ = run_experiment(cfg)
-        totals[kind] = summary.damaged_piece_total
+        for kind in kinds
+    ]
+    # both fingers run together, sharing each attempt's tray and plan
+    totals = {kind: summary.damaged_piece_total for kind, (summary, _) in zip(kinds, run_campaigns(cfgs))}
     CAMPAIGN_SECONDS["damage"] = time.perf_counter() - t0
     ok = totals[FingerKind.ADAPTIVE] < totals[FingerKind.FIXED]
     _report(

@@ -21,7 +21,15 @@ from traypick.graspsim import (
 )
 from traypick.perception import CorruptionParams, corrupt_masks, render_depth, render_masks
 from traypick.planner import FingerGeometry, plan
-from traypick.scenegen import MAX_RASTER_SIDE, SceneConfig, generate_scene, load_scene, save_scene
+from traypick.scenegen import MAX_RASTER_SIDE, SceneConfig, empty_scene, generate_scene, load_scene, save_scene
+
+
+def lone_peak_scene(peak):
+    """A 1-px scene whose one height is peak mm."""
+    scene = empty_scene(tray_dims=(1.0, 1.0, 10.0), resolution=1.0)
+    scene.heightmap[0, 0] = peak
+    return scene
+
 
 # One row per type or range constraint on a config value:
 # (document section or None for top level, key, bad value).
@@ -360,6 +368,44 @@ class TestSilentMisconfigurations:
         with pytest.raises(ParameterError, match=r"tray_dims\[0\] of 424.0 mm rounds to 0 px"):
             SceneConfig(resolution=1000.0).validate()
         SceneConfig(tray_dims=(424.0, 0.36, 160.0)).validate()  # 0.51 px rounds to 1
+
+    @pytest.mark.parametrize("scene", [{"resolution": 20}, {"tray_dims": [424000, 300000, 60]}],
+                             ids=["resolution 20", "a 424-m tray"])
+    def test_pieces_smaller_than_a_fitted_mask(self, scene):
+        """A 20-mm resolution, or a 424-m tray on 600 px, validated and then
+        recorded no-target on every attempt: no piece's mask reached the
+        MIN_FIT_PIXELS (5 px) fit_ellipses needs. A tray on which the
+        smallest unjittered piece covers fewer is refused."""
+        with pytest.raises(ParameterError, match="smallest 'mushroom' piece covers .* fewer than the 5 px"):
+            experiment_config_from_document({"archetype": "mushroom", "scene": scene})
+
+    def test_pieces_around_the_size_floor(self):
+        """The smallest mushroom, 8.4 x 7 mm semi-axes, covers 58.8 pi mm^2:
+        5 px at 6.0785 mm per pixel. Just inside, two attempts run and plan;
+        just outside, the config is refused."""
+        doc = {"archetype": "mushroom", "n_attempts": 2, "refill_policy": FRESH}
+        cfg = experiment_config_from_document({**doc, "scene": {"resolution": 6.0}})
+        records = [run_trial(cfg, i)[0] for i in range(2)]
+        assert any(r.candidate_count for r in records)
+        with pytest.raises(ParameterError, match="smallest 'mushroom' piece covers 4.94 px"):
+            experiment_config_from_document({**doc, "scene": {"resolution": 6.115}})
+
+    def test_depth_step_that_flattens_every_piece(self):
+        """depth.quant 1e9 rounded every height to 0 mm, and every attempt
+        recorded no-target. A step at which the tallest unjittered peak
+        keeps no level, as render_depth rounds, is refused; the next step
+        below it validates and runs."""
+        arch = DEFAULT_ARCHETYPES["mushroom"]
+        peak = arch.dome_ratio * 0.5 * (arch.semi_axes_mm[0] * 1.1 + arch.semi_axes_mm[1] * 1.1)
+        assert render_depth(lone_peak_scene(peak), quant=2.0 * peak).heights.max() == 0.0
+        for quant in (1e9, 2.0 * peak):
+            with pytest.raises(ParameterError, match="rounds the tallest 'mushroom' peak, 8.47 mm, to 0 mm"):
+                experiment_config_from_document({"archetype": "mushroom", "depth": {"quant": quant}})
+        below = float(np.nextafter(2.0 * peak, 0.0))
+        assert render_depth(lone_peak_scene(peak), quant=below).heights.max() == below
+        cfg = experiment_config_from_document({"archetype": "mushroom", "refill_policy": FRESH,
+                                               "depth": {"quant": below}})
+        run_trial(cfg, 0)
 
     def test_finger_longer_than_the_tray(self):
         """A finger breadth of 3000 mm took 38 s and 2.4 GB for two attempts:

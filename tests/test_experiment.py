@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import traypick
+from traypick import experiment
 from traypick.archetypes import DEFAULT_ARCHETYPES
 from traypick.errors import ParameterError
 from traypick.experiment import (
@@ -19,6 +21,7 @@ from traypick.experiment import (
     compare_conditions,
     paired_success_pvalue,
     read_records,
+    run_campaigns,
     run_experiment,
     run_trial,
     summarize,
@@ -27,7 +30,7 @@ from traypick.experiment import (
 )
 from traypick.graspsim import Classification, FingerKind
 from traypick.perception import CorruptionParams
-from traypick.scenegen import SceneConfig
+from traypick.scenegen import SceneConfig, generate_scene
 
 
 def small_config(**overrides):
@@ -95,6 +98,36 @@ class TestRunTrial:
         if rec2.target_id is not None:
             assert epoch2 == epoch1
             assert scene2 is scene1
+
+    @pytest.mark.parametrize("policy", [FRESH, DEPLETE])
+    def test_the_scene_changes_only_when_carried(self, policy, monkeypatch):
+        """A fresh attempt returns no scene and leaves the tray it generated
+        as generated; a depleting one returns that tray with the grasp's
+        changes made (picked pieces gone, damaged ones flagged)."""
+        cfg = small_config(refill_policy=policy, finger=FingerKind.FIXED, archetype="gyoza",
+                           scene=SceneConfig(archetype="gyoza"))
+        generated = []
+
+        def generate(config, seed):
+            generated.append(generate_scene(config, seed))
+            return generated[-1]
+
+        monkeypatch.setattr(experiment, "generate_scene", generate)
+        rec, carry, _ = run_trial(cfg, 0)
+        (scene,) = generated
+        assert rec.picked and set(rec.damaged) - set(rec.picked)  # the grasp changes the tray
+        expected = generate_scene(cfg.scene_config(), cfg.base_seed)
+        if policy == FRESH:
+            assert carry is None
+            np.testing.assert_array_equal(scene.heightmap, expected.heightmap)
+            np.testing.assert_array_equal(scene.owner_map, expected.owner_map)
+            assert [(p.id, p.damaged, p.damage_magnitude) for p in scene.pieces.values()] == [
+                (p.id, p.damaged, p.damage_magnitude) for p in expected.pieces.values()]
+        else:
+            assert carry is scene
+            assert set(scene.pieces) == set(expected.pieces) - set(rec.picked)
+            assert {pid for pid, p in scene.pieces.items() if p.damaged} == set(rec.damaged) - set(rec.picked)
+            assert not np.isin(scene.owner_map, rec.picked).any()
 
 
 class TestArchetypeConsistency:
@@ -244,6 +277,49 @@ class TestCompareConditions:
             assert read_records(out / "records.jsonl") == run_experiment(cfg)[1]
         assert (tmp_path / "cmp" / "comparison.csv").read_text() == csv_text
         assert base.output_dir == str(tmp_path / "cmp") and base.finger is FingerKind.FIXED
+
+    @pytest.mark.parametrize("policy", [FRESH, DEPLETE])
+    def test_shared_arms_equal_separate_campaigns(self, policy, tmp_path, monkeypatch):
+        """compare runs its four campaigns in lock step, sharing each
+        scene they hold alike; every file it writes equals the files of the
+        four campaigns run one at a time, with depth noise and corruption on.
+        Depleting campaigns refresh at different attempts, so their scenes
+        part and the shared loop must copy before it changes one."""
+        base = small_config(n_attempts=12, refill_policy=policy, depth_sigma=0.5, depth_quant=0.25,
+                            corruption=CorruptionParams(boundary_jitter=1, merge_prob=0.2, drop_prob=0.3))
+        seeds = []
+
+        def generate(config, seed):
+            seeds.append(seed)
+            return generate_scene(config, seed)
+
+        monkeypatch.setattr(experiment, "generate_scene", generate)
+        csv_text, _ = compare_conditions(dataclasses.replace(base, output_dir=str(tmp_path / "shared")))
+        # one tray per attempt that refreshes, shared by every campaign that does
+        assert seeds == sorted(set(seeds)) and (policy == DEPLETE or len(seeds) == base.n_attempts)
+        shared = run_campaigns
+        monkeypatch.setattr(experiment, "run_campaigns", lambda cfgs: [shared([cfg])[0] for cfg in cfgs])
+        assert compare_conditions(dataclasses.replace(base, output_dir=str(tmp_path / "alone")))[0] == csv_text
+        files = sorted(p.relative_to(tmp_path / "alone") for p in (tmp_path / "alone").rglob("*") if p.is_file())
+        assert len(files) == 9
+        for name in files:
+            assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+        epochs = {read_records(tmp_path / "alone" / name)[-1].epoch
+                  for name in files if name.name == "records.jsonl"}
+        assert len(epochs) == (1 if policy == FRESH else 2)
+        for name in files:
+            if name.name == "records.jsonl":
+                cfg = dataclasses.replace(base, finger=FingerKind(name.parent.name.split("_")[0]),
+                                          filtering=name.parent.name.endswith("_on"))
+                assert read_records(tmp_path / "shared" / name) == run_experiment(cfg)[1]
+
+    def test_campaigns_run_together_share_all_but_finger_and_filtering(self):
+        base = small_config(n_attempts=2)
+        with pytest.raises(ParameterError, match="may differ only in finger, filtering and output_dir"):
+            run_campaigns([base, dataclasses.replace(base, base_seed=101)])
+        on, off = run_campaigns([base, dataclasses.replace(base, filtering=False, output_dir=None)])
+        assert on == run_experiment(base)
+        assert off == run_experiment(dataclasses.replace(base, filtering=False))
 
     def test_csv_has_header_and_rows(self):
         cfg = small_config()

@@ -14,18 +14,22 @@ from traypick.graspsim import (
     Classification,
     FingerKind,
     FingerModel,
+    apply_outcome,
     close_and_lift,
     execute_grasp,
+    grasp_outcome,
     insert_fingers,
 )
 from traypick.perception import render_depth, render_masks
 from traypick.planner import FingerGeometry, GraspCandidate, filter_grasps, plan
 from traypick.scenegen import (
     SceneConfig,
+    copy_scene,
     empty_scene,
     generate_scene,
     drop_piece,
     rasterize_stamps,
+    recompose,
 )
 
 
@@ -321,6 +325,52 @@ class TestExecuteGrasp:
         out_a = execute_grasp(scene, p.target, FingerModel(kind=FingerKind.FIXED))
         assert out_a.classification == out_b.classification
         assert out_a.picked == out_b.picked
+
+
+def assert_same_tray(a, b):
+    np.testing.assert_array_equal(a.heightmap, b.heightmap)
+    np.testing.assert_array_equal(a.owner_map, b.owner_map)
+    assert a.pieces == b.pieces  # ids, damage flags and magnitudes; the stamps are shared
+
+
+def one_step_grasp(scene, c, fm):
+    """The reference grasp, in one step: insert_fingers and close_and_lift
+    each rasterizing their own rectangles, then damage flags, removal and a
+    recompose of the whole raster."""
+    outcome = close_and_lift(scene, c, insert_fingers(scene, c, fm), fm)
+    for pid, magnitude in outcome.damaged.items():
+        if pid in scene.pieces and pid not in outcome.picked:
+            scene.pieces[pid].damaged = True
+            scene.pieces[pid].damage_magnitude = max(scene.pieces[pid].damage_magnitude, magnitude)
+    for pid in outcome.picked:
+        scene.pieces.pop(pid, None)
+    recompose(scene)
+    return outcome
+
+
+@pytest.mark.parametrize("finger", list(FingerKind), ids=lambda f: f.value)
+@pytest.mark.parametrize("archetype", sorted(DEFAULT_ARCHETYPES))
+def test_outcome_and_update_equal_the_one_step_grasp(archetype, finger):
+    """grasp_outcome (one rasterization of both contacts, the jaw and the
+    sweep) leaves the scene as it was and gives the one-step grasp's
+    outcome; apply_outcome then leaves the maps and flags it leaves. Every
+    fourth candidate of two unfiltered trays is grasped, and each grasp
+    starts from the tray the last one left."""
+    fm = FingerModel(kind=finger)
+    grasps = changed = 0
+    for seed in (0, 1):
+        scene = generate_scene(SceneConfig(archetype=archetype), seed)
+        p = plan(render_masks(scene), render_depth(scene), scene.archetypes[archetype], fm.geometry, False)
+        for c in p.candidates[::4]:
+            before = copy_scene(scene)
+            outcome = grasp_outcome(scene, c, fm)
+            assert_same_tray(scene, before)
+            assert outcome == one_step_grasp(before, c, fm)
+            apply_outcome(scene, outcome)
+            assert_same_tray(scene, before)
+            grasps += 1
+            changed += bool(outcome.picked or outcome.damaged)
+    assert grasps >= 10 and changed >= 3
 
 
 @pytest.mark.xfail(strict=True, reason="filter_grasps drops a candidate only when a contact rectangle misses "

@@ -21,6 +21,7 @@ from traypick.planner import (
     candidate_from_dict,
     derive_grasp,
     filter_grasps,
+    filter_plan,
     fit_ellipse,
     plan,
     plan_to_dict,
@@ -374,6 +375,19 @@ class TestPlan:
         reasons = {c.instance_id: c.filter_reason for c in p_on.candidates}
         assert reasons[mid.id] == "contact-median-too-high"
         assert reasons[wall_piece.id] == "out-of-tray"
+
+    @pytest.mark.parametrize("archetype, seed", [("fried_chicken", 9), ("mushroom", 4)])
+    def test_filter_plan_is_the_filtered_plan(self, archetype, seed):
+        """filter_plan of the unfiltered plan equals plan with filtering on,
+        plan document and all, and leaves the unfiltered plan unannotated."""
+        scene = generate_scene(SceneConfig(archetype=archetype), seed)
+        args = (render_masks(scene), render_depth(scene), scene.archetypes[archetype], FingerGeometry())
+        off = plan(*args, filtering_enabled=False)
+        on = filter_plan(off, args[1], args[3])
+        assert on == plan(*args, filtering_enabled=True)
+        assert plan_to_dict(on) == plan_to_dict(plan(*args, filtering_enabled=True))
+        assert off == plan(*args, filtering_enabled=False)
+        assert any(c.filtered for c in on.candidates) and not any(c.filtered for c in off.candidates)
 
     def test_deterministic(self):
         scene = generate_scene(SceneConfig(), 9)

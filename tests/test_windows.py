@@ -48,8 +48,8 @@ from traypick.graspsim import (
     FingerKind,
     FingerModel,
     _damage,
+    _grasp_regions,
     _insert_one,
-    _jaw_regions,
     _piece_tops,
     _visible_fraction_in,
     close_and_lift,
@@ -1091,7 +1091,7 @@ def test_jaw_contents_and_fractions_equal_full_raster(scenes, idx, c, outer, bre
     scene = scenes[idx]
     c.x, c.y = c.x * 6.0, c.y * 3.0  # spread the candidates over the 600 x 436 raster
     fg = FingerGeometry(breadth=breadth)
-    jaw, sweep = _jaw_regions(scene, c, fg)
+    jaw, sweep = _grasp_regions(scene, c, fg)[2:]
     for got, rect_is_outer in ((jaw, False), (sweep, True)):
         assert (np.diff(got) > 0).all()
         np.testing.assert_array_equal(paste_flat(scene.shape, got), oracle_jaw_region(scene, c, fg, rect_is_outer))
