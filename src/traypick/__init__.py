@@ -41,7 +41,6 @@ from .perception import (
 )
 from .planner import (
     EllipseFit,
-    FingerGeometry,
     GraspCandidate,
     Plan,
     derive_grasp,

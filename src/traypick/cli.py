@@ -74,7 +74,7 @@ def cmd_plan(args) -> int:
     sc = cfg.scene_config()
     masks = load_masks(args.masks)
     depth = load_depth(args.depth, mm_per_pixel(sc.tray_dims, sc.resolution))
-    p = plan(masks, depth, sc.archetypes[cfg.archetype], cfg.finger_geometry, cfg.filtering)
+    p = plan(masks, depth, sc.archetypes[cfg.archetype], cfg.filtering)
     return _emit({**plan_to_dict(p), "archetype": cfg.archetype}, args.out)
 
 

@@ -14,7 +14,6 @@ from .errors import ParameterError, field_keys, read_json, read_object
 from .experiment import ExperimentConfig
 from .graspsim import FingerKind
 from .perception import CorruptionParams
-from .planner import FingerGeometry
 from .scenegen import SceneConfig
 
 
@@ -25,9 +24,9 @@ def _names(cls) -> set[str]:
 def experiment_config_from_document(doc: dict, config_dir: Path | None = None) -> ExperimentConfig:
     top_keys = _names(ExperimentConfig) - {"depth_sigma", "depth_quant"} | {"depth"}
     kwargs = dict(read_object(doc, "config", (), top_keys))
-    for name, cls in (("corruption", CorruptionParams), ("finger_geometry", FingerGeometry)):
-        if name in kwargs:
-            kwargs[name] = cls(**read_object(kwargs[name], f"config {name}", *field_keys(cls)))
+    if "corruption" in kwargs:
+        kwargs["corruption"] = CorruptionParams(
+            **read_object(kwargs["corruption"], "config corruption", *field_keys(CorruptionParams)))
     for key, value in read_object(kwargs.pop("depth", {}), "config depth", (), ("sigma", "quant")).items():
         kwargs[f"depth_{key}"] = value
     if "finger" in kwargs:

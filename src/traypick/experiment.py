@@ -25,9 +25,9 @@ from .graspsim import Classification, FingerKind, FingerModel, GraspOutcome, app
 from .graspsim import grasp_outcome as execute_grasp
 from .perception import (CorruptionParams, DepthImage, InstanceMaskSet, corrupt_masks,
                          render_depth, render_masks)
-from .planner import MIN_FIT_PIXELS, FingerGeometry, Plan, check_finger, filter_plan, plan
-from .scenegen import (SceneConfig, TrayScene, _max_semi_axis, copy_scene, generate_scene, mm_per_pixel,
-                       raster_shape)
+from .planner import FINGER_BREADTH, MIN_FIT_PIXELS, Plan, filter_plan, plan
+from .scenegen import (SceneConfig, TrayScene, _max_semi_axis, _piece_shape, copy_scene, generate_scene,
+                       mm_per_pixel, raster_shape)
 
 FRESH = "fresh_scene_each_attempt"
 DEPLETE = "deplete_until_empty_then_refresh"
@@ -44,7 +44,6 @@ class ExperimentConfig:
     depth_sigma: float = 0.0
     depth_quant: float = 0.0
     corruption: CorruptionParams = field(default_factory=CorruptionParams)
-    finger_geometry: FingerGeometry = field(default_factory=FingerGeometry)
     scene: SceneConfig | None = None
     output_dir: str | None = None
 
@@ -60,11 +59,14 @@ class ExperimentConfig:
         check_number("depth_quant", self.depth_quant, low=0, finite=True)
         check_type("output_dir", self.output_dir, (str, type(None)))
         check_type("scene", self.scene, (SceneConfig, type(None)))
-        for name, kind in (("corruption", CorruptionParams), ("finger_geometry", FingerGeometry)):
-            check_type(name, getattr(self, name), kind)
+        check_type("corruption", self.corruption, CorruptionParams)
         scene = self.scene_config()
         scene.validate()
-        check_finger(self.finger_geometry, _max_semi_axis(scene.tray_dims))
+        # the finger's largest size, so no contact rectangle is longer than the tray
+        side = _max_semi_axis(scene.tray_dims)
+        if FINGER_BREADTH > side:
+            raise ParameterError(f"the finger's {FINGER_BREADTH} mm breadth is longer than the tray's "
+                                 f"{side} mm side")
         if scene.archetype != self.archetype:
             raise ParameterError(
                 f"archetype {self.archetype!r} differs from scene.archetype {scene.archetype!r}"
@@ -77,8 +79,7 @@ class ExperimentConfig:
         # mask of it can be fitted.
         arch = scene.archetypes[scene.archetype]
         res = mm_per_pixel(scene.tray_dims, scene.resolution)
-        a, b = (s * arch.scale_range[0] for s in arch.semi_axes_mm)
-        n = arch.exponent
+        a, b, n, _, _ = _piece_shape(arch, arch.scale_range[0], 0.0, (0.0, 0.0, 0.0))
         px = 4.0 * a * b * math.exp(2.0 * math.lgamma(1.0 + 1.0 / n) - math.lgamma(1.0 + 2.0 / n)) / res**2
         if not px >= MIN_FIT_PIXELS:
             raise ParameterError(f"the smallest {scene.archetype!r} piece covers {px:.3g} px at {res:.4g} mm "
@@ -87,8 +88,7 @@ class ExperimentConfig:
         # render_depth's level of the tallest unjittered peak (top of the scale
         # range), as it computes levels (ceil(x) >= 1 iff x > 0): a peak that
         # keeps no level above 0 leaves a flat depth image.
-        hi = arch.scale_range[1]
-        peak = arch.dome_ratio * 0.5 * (arch.semi_axes_mm[0] * hi + arch.semi_axes_mm[1] * hi)
+        peak = _piece_shape(arch, arch.scale_range[1], 0.0, (0.0, 0.0, 0.0))[3]
         if self.depth_quant > 0 and not peak / self.depth_quant - 0.5 > 0.0:
             raise ParameterError(f"depth_quant of {self.depth_quant} mm rounds the tallest {scene.archetype!r} "
                                  f"peak, {peak:.3g} mm, to 0 mm")
@@ -99,7 +99,7 @@ class ExperimentConfig:
         return SceneConfig(archetype=self.archetype)
 
     def finger_model(self) -> FingerModel:
-        return FingerModel(kind=self.finger, geometry=self.finger_geometry)
+        return FingerModel(kind=self.finger)
 
 
 @dataclass
@@ -193,15 +193,14 @@ def _attempt(
     plans: dict[tuple[int, bool], Plan] = {}
     for scene in {id(s): s for s in scenes}.values():
         depth, masks, corrupted = observe(cfg, scene, seed)
-        args = (masks if corrupted is None else corrupted, depth, scene.archetypes[cfg.archetype],
-                cfg.finger_geometry)
+        args = (masks if corrupted is None else corrupted, depth, scene.archetypes[cfg.archetype])
         settings = {arm.filtering for arm, s in zip(cfgs, scenes) if s is scene}
         if len(settings) == 1:
             (filtering,) = settings
             plans[id(scene), filtering] = plan(*args, filtering)
         else:  # one fit and derivation; filtering annotates copies of the candidates
             plans[id(scene), False] = plan(*args, False)
-            plans[id(scene), True] = filter_plan(plans[id(scene), False], depth, cfg.finger_geometry)
+            plans[id(scene), True] = filter_plan(plans[id(scene), False], depth)
 
     outcomes: dict[tuple[int, FingerKind, int], GraspOutcome] = {}
     records, carries, arm_outcomes = [], [], []

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import check_type
-from .planner import (FingerGeometry, GraspCandidate, _contact_rectangles, _finger_half_sizes,
-                      _rectangle_pixels, check_finger, median)
-from .scenegen import TrayScene, _max_semi_axis, recompose, visible_window
+from .planner import (FINGER_CLEARANCE, FINGER_WIDTH, GraspCandidate, _contact_rectangles, _finger_half_sizes,
+                      _rectangle_pixels, median)
+from .scenegen import TrayScene, recompose, visible_window
 
 
 class FingerKind(enum.Enum):
@@ -38,13 +38,10 @@ MULTIPICK_FRACTION = 0.5  # of a neighbor's visible mask inside the jaw
 @dataclass
 class FingerModel:
     kind: FingerKind = FingerKind.ADAPTIVE
-    geometry: FingerGeometry = field(default_factory=FingerGeometry)
 
-    def validate(self, side: float) -> None:
-        """ParameterError for a kind that is no FingerKind or a geometry
-        planner.check_finger refuses on a tray whose longer side is side mm."""
+    def validate(self) -> None:
+        """ParameterError for a kind that is no FingerKind."""
         check_type("kind", self.kind, FingerKind)
-        check_finger(self.geometry, side)
 
 
 @dataclass
@@ -128,7 +125,7 @@ def _damage(
         damaged[pid] = max(damaged.get(pid, 0.0), magnitude)
 
 
-def _grasp_regions(scene: TrayScene, c: GraspCandidate, fg: FingerGeometry) -> list[np.ndarray]:
+def _grasp_regions(scene: TrayScene, c: GraspCandidate) -> list[np.ndarray]:
     """Flat raster indices of a grasp's four rectangles, in one
     _rectangle_pixels call: the two contact rectangles (as filter_grasps
     rasterizes them), the jaw, the rectangle between them, and the sweep,
@@ -139,12 +136,12 @@ def _grasp_regions(scene: TrayScene, c: GraspCandidate, fg: FingerGeometry) -> l
     exceeds the finger breadth; both share the candidate's centre and axis.
     None of the four depends on the insertion."""
     res = scene.resolution
-    hl, hb = _finger_half_sizes(fg, res)
-    jaw_mm = c.w / 2.0 + fg.clearance
+    hl, hb = _finger_half_sizes(res)
+    jaw_mm = c.w / 2.0 + FINGER_CLEARANCE
     held = max(hb, c.axis_major / 2.0)
     centre = (c.x, c.y, math.cos(c.theta), math.sin(c.theta))
-    rects = [*_contact_rectangles(c, fg, res), centre, centre]
-    half_len = [hl, hl, jaw_mm / res, (jaw_mm + fg.width) / res]
+    rects = [*_contact_rectangles(c, res), centre, centre]
+    half_len = [hl, hl, jaw_mm / res, (jaw_mm + FINGER_WIDTH) / res]
     half_breadth = [hb, hb, held, held]
     flat, counts = _rectangle_pixels(scene.shape, rects, half_len, half_breadth)
     stops = np.cumsum(counts).tolist()
@@ -159,17 +156,17 @@ def insert_fingers(
     A finger whose rectangle reaches past the tray interior hits the tray
     wall and blocks outright. A contact damages its piece when its
     magnitude exceeds the piece's threshold for this finger (_damage). A
-    finger model that fails its validation on the scene's tray raises
-    ParameterError. regions is _grasp_regions' list for this candidate and
-    finger, when the caller has it; only its contact rectangles are read.
+    finger model that fails its validation raises ParameterError. regions
+    is _grasp_regions' list for this candidate, when the caller has it;
+    only its contact rectangles are read.
     """
-    fm.validate(_max_semi_axis(scene.tray_dims))
+    fm.validate()
     ny, nx = scene.shape
-    hl, hb = _finger_half_sizes(fm.geometry, scene.resolution)
+    hl, hb = _finger_half_sizes(scene.resolution)
     if regions is None:
-        regions = _grasp_regions(scene, c, fm.geometry)
+        regions = _grasp_regions(scene, c)
     fins = []
-    for (cx, cy, ux, uy), region in zip(_contact_rectangles(c, fm.geometry, scene.resolution), regions):
+    for (cx, cy, ux, uy), region in zip(_contact_rectangles(c, scene.resolution), regions):
         # The raster covers the interior only, so a rectangle with a corner
         # beyond it hits the wall. Each sum is its extreme corner's, rounded
         # left to right as the corner's own coordinate is.
@@ -209,13 +206,13 @@ def close_and_lift(
     The jaw and sweep regions are flat raster indices; jaw fractions divide
     label counts inside the jaw by counts on each piece's stamp window. A
     target id that names no piece is never captured. A finger model that
-    fails its validation on the scene's tray raises ParameterError. regions
-    is _grasp_regions' list for this candidate and finger, when the caller
-    has it; only the jaw and sweep are read.
+    fails its validation raises ParameterError. regions is _grasp_regions'
+    list for this candidate, when the caller has it; only the jaw and sweep
+    are read.
     """
-    fm.validate(_max_semi_axis(scene.tray_dims))
+    fm.validate()
     if regions is None:
-        regions = _grasp_regions(scene, c, fm.geometry)
+        regions = _grasp_regions(scene, c)
     jaw, sweep = regions[2:]
     in_jaw = np.bincount(scene.owner_map.take(jaw))
     bottoms = [fin.achieved for fin in ins.fingers]
@@ -255,8 +252,7 @@ def close_and_lift(
 def grasp_outcome(scene: TrayScene, c: GraspCandidate, fm: FingerModel) -> GraspOutcome:
     """The outcome of a grasp on scene: insertion then closure, from one
     rasterization of the grasp's four rectangles. The scene is not changed."""
-    fm.validate(_max_semi_axis(scene.tray_dims))  # before any rectangle is rasterized
-    regions = _grasp_regions(scene, c, fm.geometry)
+    regions = _grasp_regions(scene, c)
     return close_and_lift(scene, c, insert_fingers(scene, c, fm, regions), fm, regions)
 
 

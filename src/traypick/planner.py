@@ -19,6 +19,10 @@ from .perception import DepthImage, InstanceMaskSet
 
 
 MIN_FIT_PIXELS = 5  # px of the smallest mask fit_ellipses fits
+# The gripper's one finger size, in mm.
+FINGER_WIDTH = 4.0  # along the grasp axis (contact-rectangle thickness)
+FINGER_BREADTH = 20.0  # across the grasp axis
+FINGER_CLEARANCE = 2.0  # jaw-opening margin beyond w/2
 
 
 @dataclass
@@ -35,29 +39,6 @@ class EllipseFit:
     theta: float  # rad, minor-axis direction
     axis_minor: float  # px (A)
     axis_major: float  # px (B)
-
-
-@dataclass
-class FingerGeometry:
-    width: float = 4.0  # mm along the grasp axis (contact-rectangle thickness)
-    breadth: float = 20.0  # mm perpendicular to the grasp axis
-    clearance: float = 2.0  # mm jaw-opening margin beyond w/2
-
-    def validate(self) -> None:
-        for name in ("width", "breadth", "clearance"):
-            check_number(name, getattr(self, name), low=0, low_open=True, finite=True)
-
-
-def check_finger(fg: FingerGeometry, side: float) -> None:
-    """fg.validate(), and ParameterError for a width, breadth or clearance
-    longer than side, the tray's longer side in mm. _rectangle_pixels scans
-    each contact rectangle's bounding box row by row and returns its
-    pixels, so a finger larger than the tray only costs time and memory."""
-    fg.validate()
-    for name in ("width", "breadth", "clearance"):
-        size = getattr(fg, name)
-        if size > side:
-            raise ParameterError(f"finger {name} of {size} mm is longer than the tray's {side} mm side")
 
 
 @dataclass
@@ -525,23 +506,19 @@ def derive_grasp(
     return cand
 
 
-def _finger_half_sizes(fg: FingerGeometry, resolution: float) -> tuple[float, float]:
+def _finger_half_sizes(resolution: float) -> tuple[float, float]:
     """Half-sizes in px of a contact rectangle, along the grasp axis and across."""
-    return fg.width / 2.0 / resolution, fg.breadth / 2.0 / resolution
+    return FINGER_WIDTH / 2.0 / resolution, FINGER_BREADTH / 2.0 / resolution
 
 
-def _contact_rectangles(
-    c: GraspCandidate, fg: FingerGeometry, resolution: float
-) -> list[tuple[float, float, float, float]]:
+def _contact_rectangles(c: GraspCandidate, resolution: float) -> list[tuple[float, float, float, float]]:
     """(cx, cy, cos c.theta, sin c.theta) in px of each contact rectangle."""
-    d_px = (c.w / 2.0 + fg.clearance + fg.width / 2.0) / resolution
+    d_px = (c.w / 2.0 + FINGER_CLEARANCE + FINGER_WIDTH / 2.0) / resolution
     ux, uy = math.cos(c.theta), math.sin(c.theta)
     return [(c.x + side * d_px * ux, c.y + side * d_px * uy, ux, uy) for side in (-1.0, 1.0)]
 
 
-def filter_grasps(
-    cands: list[GraspCandidate], depth: DepthImage, fg: FingerGeometry
-) -> list[GraspCandidate]:
+def filter_grasps(cands: list[GraspCandidate], depth: DepthImage) -> list[GraspCandidate]:
     """Annotate contact medians and keep candidates whose both contact-region
     medians are strictly below the food-area median.
 
@@ -550,10 +527,8 @@ def filter_grasps(
     afresh, so a list can be filtered again. All 2N contact rectangles are
     rasterized and their medians taken in a few vectorised passes.
     """
-    rects = [rect for c in cands for rect in _contact_rectangles(c, fg, depth.resolution)]
-    flat, counts = _rectangle_pixels(
-        depth.heights.shape, rects, *_finger_half_sizes(fg, depth.resolution)
-    )
+    rects = [rect for c in cands for rect in _contact_rectangles(c, depth.resolution)]
+    flat, counts = _rectangle_pixels(depth.heights.shape, rects, *_finger_half_sizes(depth.resolution))
     medians = _segment_medians(depth.heights.take(flat), counts)
     counts = counts.tolist()
     retained: list[GraspCandidate] = []
@@ -584,18 +559,15 @@ def plan(
     masks: InstanceMaskSet,
     depth: DepthImage,
     archetype: FoodArchetype,
-    fg: FingerGeometry | None = None,
     filtering_enabled: bool = True,
 ) -> Plan:
     """Full detection pipeline: fit, derive, filter (optional), select.
     Masks and a depth image of different raster shapes raise ParameterError,
-    and so does a finger check_finger refuses on the depth raster's longer
-    side in mm."""
-    fg = fg or FingerGeometry()
+    and so does a filtering_enabled that is not a bool."""
+    check_type("filtering_enabled", filtering_enabled, bool)
     if depth.heights.shape != tuple(masks.shape):
         (dh, dw), (mh, mw) = depth.heights.shape, masks.shape
         raise ParameterError(f"depth is {dh} x {dw} px, the masks' raster {mh} x {mw} px")
-    check_finger(fg, max(depth.heights.shape) * depth.resolution)
     candidates: list[GraspCandidate] = []
     skipped: dict[int, str] = {}
     fits = fit_ellipses([(w.local, (w.slices[0].start, w.slices[1].start)) for w in masks.windows])
@@ -608,19 +580,19 @@ def plan(
         else:
             skipped[w.id] = str(cand)
     if filtering_enabled:
-        retained = filter_grasps(candidates, depth, fg)
+        retained = filter_grasps(candidates, depth)
     else:
         retained = list(candidates)
     target = select_grasp(retained)
     return Plan(candidates, target, skipped, filtering_enabled)
 
 
-def filter_plan(p: Plan, depth: DepthImage, fg: FingerGeometry) -> Plan:
+def filter_plan(p: Plan, depth: DepthImage) -> Plan:
     """What plan returns with filtering on, from p, its unfiltered plan of
-    the same masks, depth, archetype and finger, without fitting again.
+    the same masks, depth and archetype, without fitting again.
     filter_grasps annotates copies of p's candidates, so p stays as it was."""
     candidates = [replace(c) for c in p.candidates]
-    return Plan(candidates, select_grasp(filter_grasps(candidates, depth, fg)), dict(p.skipped), True)
+    return Plan(candidates, select_grasp(filter_grasps(candidates, depth)), dict(p.skipped), True)
 
 
 def plan_to_dict(p: Plan) -> dict:

@@ -310,7 +310,7 @@ def check_tray(tray_dims, resolution) -> None:
 
 def _max_semi_axis(tray_dims) -> float:
     """The tray's longer side in mm: the longest stamp semi-axis and finger
-    size it takes."""
+    breadth it takes."""
     return max(tray_dims[0], tray_dims[1])
 
 
@@ -331,7 +331,8 @@ class SceneConfig:
         arch.validate()
         check_tray(self.tray_dims, self.resolution)
         # the largest semi-axis _piece_shape can draw, so every scene loads
-        longest = max(arch.semi_axes_mm) * arch.scale_range[1] * (1.0 + arch.jitter)
+        j = arch.jitter
+        longest = max(_piece_shape(arch, arch.scale_range[1], 0.0, (j, j, j))[:2])
         bound = _max_semi_axis(self.tray_dims)
         if longest > bound:
             raise ParameterError(f"archetype {self.archetype!r} pieces reach a semi-axis of {longest:.2f} mm,"

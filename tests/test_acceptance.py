@@ -23,7 +23,9 @@ from traypick.perception import (
     render_masks,
 )
 from traypick.planner import (
-    FingerGeometry,
+    FINGER_BREADTH,
+    FINGER_CLEARANCE,
+    FINGER_WIDTH,
     GraspCandidate,
     fit_ellipse,
     plan,
@@ -142,7 +144,6 @@ def oracle_ellipse_values(depth, fit):
 
 
 def test_filter_matches_exhaustive_median_oracle():
-    fg = FingerGeometry()
     names = sorted(DEFAULT_ARCHETYPES)
     mismatches = 0
     checked = 0
@@ -152,14 +153,14 @@ def test_filter_matches_exhaustive_median_oracle():
         depth = render_depth(scene)
         masks = render_masks(scene)
         arch = DEFAULT_ARCHETYPES[name]
-        p = plan(masks, depth, arch, fg, filtering_enabled=True)
+        p = plan(masks, depth, arch, filtering_enabled=True)
         res = depth.resolution
         for c in p.candidates:
             checked += 1
-            d_px = (c.w / 2.0 + fg.clearance + fg.width / 2.0) / res
+            d_px = (c.w / 2.0 + FINGER_CLEARANCE + FINGER_WIDTH / 2.0) / res
             ux, uy = math.cos(c.theta), math.sin(c.theta)
-            hl = fg.width / 2.0 / res
-            hb = fg.breadth / 2.0 / res
+            hl = FINGER_WIDTH / 2.0 / res
+            hb = FINGER_BREADTH / 2.0 / res
             sides = []
             for sgn in (-1.0, 1.0):
                 vals = oracle_rect_values(

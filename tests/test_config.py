@@ -9,19 +9,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from traypick.archetypes import DEFAULT_ARCHETYPES
 from traypick.config import experiment_config_from_document, load_experiment_config
 from traypick.errors import ParameterError
-from traypick.experiment import FRESH, ExperimentConfig, run_trial
+from traypick.experiment import FRESH, ExperimentConfig, run_experiment, run_trial
 from traypick.graspsim import (
     FingerKind,
     FingerModel,
     insert_fingers,
 )
 from traypick.perception import CorruptionParams, corrupt_masks, render_depth, render_masks
-from traypick.planner import FingerGeometry, plan
-from traypick.scenegen import MAX_RASTER_SIDE, SceneConfig, empty_scene, generate_scene, load_scene, save_scene
+from traypick.planner import FINGER_BREADTH, plan
+from traypick.scenegen import (MAX_RASTER_SIDE, SceneConfig, empty_scene, generate_scene, load_scene,
+                               raster_shape, save_scene)
 
 
 def lone_peak_scene(peak):
@@ -56,12 +59,6 @@ CONSTRAINTS = [
     ("corruption", "drop_prob", None),
     ("corruption", "drop_prob", -0.5),
     ("corruption", "drop_prob", 2),
-    ("finger_geometry", "width", "4"),
-    ("finger_geometry", "width", 0),
-    ("finger_geometry", "breadth", False),
-    ("finger_geometry", "breadth", -20.0),
-    ("finger_geometry", "clearance", [2.0]),
-    ("finger_geometry", "clearance", 0.0),
     ("scene", "tray_dims", "424x308x160"),
     ("scene", "tray_dims", [424.0, "308", 160.0]),
     ("scene", "tray_dims", [424.0, 0.0, 160.0]),
@@ -73,9 +70,6 @@ CONSTRAINTS = [
     ("scene", "tray_dims", [424.0, 3080.0, 160.0]),  # 4358 px high at 600 px wide
     ("scene", "tray_dims", [424.0, 0.2, 160.0]),  # 0 px high at 600 px wide
     ("scene", "resolution", 1000.0),  # a 0 x 0 px raster
-    ("finger_geometry", "width", 425.0),  # longer than the default tray's 424-mm side
-    ("finger_geometry", "breadth", 3000.0),  # 38 s and 2.4 GB for two attempts when it ran
-    ("finger_geometry", "clearance", 425.0),
 ]
 # NaN compares false with every bound, so each bounded real field gets a row.
 NAN = float("nan")
@@ -84,9 +78,6 @@ CONSTRAINTS += [
     ("depth", "quant", NAN),
     ("corruption", "merge_prob", NAN),
     ("corruption", "drop_prob", NAN),
-    ("finger_geometry", "width", NAN),
-    ("finger_geometry", "breadth", NAN),
-    ("finger_geometry", "clearance", NAN),
     ("scene", "tray_dims", [424.0, NAN, 160.0]),
     ("scene", "resolution", NAN),
 ]
@@ -96,9 +87,6 @@ INF = float("inf")
 CONSTRAINTS += [
     ("depth", "sigma", INF),
     ("depth", "quant", INF),
-    ("finger_geometry", "width", INF),
-    ("finger_geometry", "breadth", INF),
-    ("finger_geometry", "clearance", INF),
     ("scene", "tray_dims", [424.0, INF, 160.0]),
     ("scene", "resolution", INF),
 ]
@@ -112,11 +100,6 @@ DOCUMENT_ONLY = [
     {"scene": []},
     {"scene": {"archetypes_path": 5}},
 ]
-
-SECTIONS = {
-    "corruption": CorruptionParams,
-    "finger_geometry": FingerGeometry,
-}
 
 
 def row_id(row):
@@ -135,7 +118,7 @@ def python_config(section, key, value) -> ExperimentConfig:
         return ExperimentConfig(**{f"depth_{key}": value})
     if section == "scene":
         return ExperimentConfig(scene=SceneConfig(**{key: value}))
-    return ExperimentConfig(**{section: SECTIONS[section](**{key: value})})
+    return ExperimentConfig(corruption=CorruptionParams(**{key: value}))
 
 
 # Values that became constants: a document that still sets one is refused as
@@ -158,6 +141,21 @@ RETIRED = [
     ("execution", "multipick_fraction", -0.5),
     ("execution", "multipick_fraction", 1.2),
     ("execution", "multipick_fraction", NAN),
+    ("finger_geometry", "width", "4"),
+    ("finger_geometry", "width", 0),
+    ("finger_geometry", "width", 425.0),
+    ("finger_geometry", "width", NAN),
+    ("finger_geometry", "width", INF),
+    ("finger_geometry", "breadth", False),
+    ("finger_geometry", "breadth", -20.0),
+    ("finger_geometry", "breadth", 3000.0),
+    ("finger_geometry", "breadth", NAN),
+    ("finger_geometry", "breadth", INF),
+    ("finger_geometry", "clearance", [2.0]),
+    ("finger_geometry", "clearance", 0.0),
+    ("finger_geometry", "clearance", 425.0),
+    ("finger_geometry", "clearance", NAN),
+    ("finger_geometry", "clearance", INF),
 ]
 
 
@@ -248,7 +246,7 @@ def test_integer_key_rejects_integral_float(doc):
     [
         ({"depth": {"noise": 1.0}}, "noise"),
         ({"corruption": {"merge": 0.1}}, "merge"),
-        ({"finger_geometry": {"length": 4.0}}, "length"),
+        ({"finger_geometry": {"width": 4.0}}, "finger_geometry"),
         ({"execution": {"capture_fraction": 0.7}}, "execution"),
         ({"scene": {"archetypes": {}}}, "archetypes"),
         ({"scene": {"archetype": "gyoza"}}, "archetype"),
@@ -274,7 +272,6 @@ class TestDefaults:
             "output_dir": "out",
             "depth": {"sigma": 0.5, "quant": 0.25},
             "corruption": {"boundary_jitter": 1, "merge_prob": 0.2, "drop_prob": 0.1},
-            "finger_geometry": {"width": 5.0, "breadth": 18, "clearance": 1.5},
             "scene": {"tray_dims": [400, 300, 150], "resolution": 0.7},
         }
         assert experiment_config_from_document(doc) == ExperimentConfig(
@@ -288,12 +285,11 @@ class TestDefaults:
             depth_sigma=0.5,
             depth_quant=0.25,
             corruption=CorruptionParams(1, 0.2, 0.1),
-            finger_geometry=FingerGeometry(5.0, 18, 1.5),
             scene=SceneConfig(archetype="gyoza", tray_dims=(400, 300, 150), resolution=0.7),
         )
 
     def test_section_defaults_are_valid(self):
-        for cfg in (ExperimentConfig(), FingerGeometry(), SceneConfig()):
+        for cfg in (ExperimentConfig(), SceneConfig()):
             cfg.validate()
         CorruptionParams().validate((436, 600))
 
@@ -301,7 +297,7 @@ class TestDefaults:
 def planned_scene(seed=0):
     arch = dataclasses.replace(DEFAULT_ARCHETYPES["fried_chicken"], count_range=(3, 6))
     scene = generate_scene(SceneConfig(archetypes={"fried_chicken": arch}), seed)
-    p = plan(render_masks(scene), render_depth(scene), arch, FingerGeometry())
+    p = plan(render_masks(scene), render_depth(scene), arch)
     assert p.target is not None
     return scene, p.target
 
@@ -408,17 +404,22 @@ class TestSilentMisconfigurations:
         run_trial(cfg, 0)
 
     def test_finger_longer_than_the_tray(self):
-        """A finger breadth of 3000 mm took 38 s and 2.4 GB for two attempts:
-        every contact rectangle is tested over a square of its diagonal. A
-        finger size longer than the tray's longer side is refused by the
-        config and by plan, which measures the side on its depth raster."""
-        with pytest.raises(ParameterError, match="finger breadth of 3000.0 mm is longer than the tray's 424.0 mm"):
-            ExperimentConfig(finger_geometry=FingerGeometry(breadth=3000.0)).validate()
-        ExperimentConfig(finger_geometry=FingerGeometry(breadth=424.0)).validate()
-        scene = generate_scene(SceneConfig(), 0)
-        with pytest.raises(ParameterError, match="finger breadth of 3000.0 mm is longer than the tray's 424.0"):
-            plan(render_masks(scene), render_depth(scene), DEFAULT_ARCHETYPES["fried_chicken"],
-                 FingerGeometry(breadth=3000.0))
+        """The finger's size is fixed (planner.FINGER_*), and its breadth,
+        20 mm, is the largest of the three. A tray whose longer side is
+        shorter is refused, by the document and by the Python config; a
+        meatball, whose pieces reach 13.86 mm, fits the 19-mm tray, so the
+        finger is what refuses it. A 20-mm side is accepted and runs."""
+        assert FINGER_BREADTH == 20.0
+        message = r"the finger's 20.0 mm breadth is longer than the tray's 19 mm side"
+        doc = {"archetype": "meatball", "n_attempts": 2, "refill_policy": FRESH}
+        with pytest.raises(ParameterError, match=message):
+            experiment_config_from_document({**doc, "scene": {"tray_dims": [19, 15, 50]}})
+        with pytest.raises(ParameterError, match=message):
+            ExperimentConfig(archetype="meatball", scene=SceneConfig("meatball", (19, 15, 50))).validate()
+        SceneConfig("meatball", (19, 15, 50)).validate()  # the pieces fit; the finger does not
+        cfg = experiment_config_from_document({**doc, "scene": {"tray_dims": [20, 15, 50]}})
+        for i in range(2):
+            run_trial(cfg, i)
 
     def test_filtering_string(self):
         with pytest.raises(ParameterError, match="filtering"):
@@ -430,3 +431,89 @@ class TestSilentMisconfigurations:
         scene, target = planned_scene()
         with pytest.raises(ParameterError, match="kind"):
             insert_fingers(scene, target, FingerModel(kind="fixed"))
+
+
+# ---------------------------------------------------------------------------
+# every config that validates runs: configs drawn around each validation bound
+
+
+def longest_semi_axis(arch):
+    return max(arch.semi_axes_mm) * arch.scale_range[1] * (1.0 + arch.jitter)
+
+
+def size_floor_resolution(arch):
+    """The mm per pixel at which the smallest unjittered piece covers 5 px:
+    area 4ab Gamma(1 + 1/n)^2 / Gamma(1 + 2/n) of the superellipse."""
+    a, b = (s * arch.scale_range[0] for s in arch.semi_axes_mm)
+    n = arch.exponent
+    return math.sqrt(4.0 * a * b * math.gamma(1.0 + 1.0 / n) ** 2 / math.gamma(1.0 + 2.0 / n) / 5.0)
+
+
+# a factor at, one ulp either side of, or within 3% of 1
+NEAR_ONE = st.one_of(st.sampled_from([1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)]),
+                     st.floats(0.97, 1.03))
+BOUNDS = ["base_seed", "0-px side", "jitter", "semi-axis", "finger", "piece floor", "quantization",
+          "raster cap"]
+
+
+@st.composite
+def configs_near_a_bound(draw):
+    """(bound, a config of two fresh attempts on one side of that bound or
+    the other). Trays are at most 212 x 154 px, so that two attempts stay
+    cheap, except at the raster cap, whose configs are only validated."""
+    bound = draw(st.sampled_from(BOUNDS))
+    names = sorted(DEFAULT_ARCHETYPES)
+    if bound == "semi-axis":  # archetypes whose pieces, not the finger, bound the tray
+        names = [n for n in names if longest_semi_axis(DEFAULT_ARCHETYPES[n]) > FINGER_BREADTH]
+    elif bound == "finger":  # and the other way round
+        names = [n for n in names if longest_semi_axis(DEFAULT_ARCHETYPES[n]) < FINGER_BREADTH]
+    name = draw(st.sampled_from(names))
+    arch = DEFAULT_ARCHETYPES[name]
+    f = draw(NEAR_ONE)
+    tray, res, extra = [424.0, 308.0, 160.0], 2.0, {}
+    if bound == "base_seed":
+        extra["base_seed"] = draw(st.integers(-2, 2))
+    elif bound == "0-px side":
+        tray[draw(st.integers(0, 1))] = 0.5 * res * f
+    elif bound == "jitter":
+        tray, res = [40.0, 30.0, 50.0], 1.0  # 30 x 40 px
+        extra["corruption"] = CorruptionParams(boundary_jitter=draw(st.integers(38, 42)))
+    elif bound in ("semi-axis", "finger"):
+        side = (longest_semi_axis(arch) if bound == "semi-axis" else FINGER_BREADTH) * f
+        tray = [side, side * draw(st.floats(0.5, 1.0)), 50.0]
+        if draw(st.booleans()):
+            tray[:2] = tray[1::-1]
+        res = side / 50.0
+    elif bound == "piece floor":
+        res = size_floor_resolution(arch) * f
+    elif bound == "quantization":
+        peak = arch.dome_ratio * 0.5 * (arch.semi_axes_mm[0] + arch.semi_axes_mm[1]) * arch.scale_range[1]
+        extra["depth_quant"] = 2.0 * peak * f
+    else:  # a longer side of MAX_RASTER_SIDE px, give or take
+        if draw(st.booleans()):
+            res = 424.0 / MAX_RASTER_SIDE * f
+        else:
+            tray[1], res = 424.0 / 600.0 * (MAX_RASTER_SIDE + 0.5) * f, None
+    scene = SceneConfig(name, tuple(tray), res)
+    return bound, ExperimentConfig(archetype=name, n_attempts=2, refill_policy=FRESH, scene=scene, **extra)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=list(HealthCheck))
+@given(case=configs_near_a_bound())
+def test_config_near_a_bound_is_refused_or_runs(case):
+    """validate() raises ParameterError, or two fresh attempts run without
+    any other exception. At the raster cap only validate()'s verdict is
+    checked, so that no raster of thousands of px a side is allocated."""
+    bound, cfg = case
+    try:
+        cfg.validate()
+    except ParameterError:
+        event(f"{bound}: refused")
+        return
+    event(f"{bound}: accepted")
+    scene = cfg.scene_config()
+    if bound == "raster cap":
+        assert max(raster_shape(scene.tray_dims, scene.resolution)) <= MAX_RASTER_SIDE
+        return
+    _, records = run_experiment(cfg)
+    assert [r.attempt for r in records] == [0, 1]

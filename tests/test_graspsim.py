@@ -21,7 +21,7 @@ from traypick.graspsim import (
     insert_fingers,
 )
 from traypick.perception import render_depth, render_masks
-from traypick.planner import FingerGeometry, GraspCandidate, filter_grasps, plan
+from traypick.planner import GraspCandidate, filter_grasps, plan
 from traypick.scenegen import (
     SceneConfig,
     copy_scene,
@@ -67,6 +67,10 @@ class TestInsertFingers:
         c = candidate(100.0, 100.0, h=5.0, w=30.0, food_median=20.0)
         with pytest.raises(ParameterError, match="kind"):
             insert_fingers(scene, c, FingerModel(kind="fixed"))
+        before = copy.deepcopy(scene)
+        with pytest.raises(ParameterError, match="kind"):
+            execute_grasp(scene, c, FingerModel(kind="fixed"))
+        assert (scene.heightmap == before.heightmap).all() and list(scene.pieces) == list(before.pieces)
 
     def test_clear_floor_full_insertion(self):
         scene, piece = lone_piece_scene()
@@ -151,29 +155,6 @@ class TestInsertFingers:
                     assert fin.retraction <= 22.5
                     for force in fin.contacts.values():
                         assert force <= 4.1 + 1e-12
-
-
-@pytest.mark.parametrize("size", ["width", "breadth", "clearance"])
-def test_finger_longer_than_the_tray_refused(size):
-    """insert_fingers, close_and_lift and execute_grasp called from Python
-    apply plan's finger bound: a finger size longer than the tray's longer
-    side (200 mm here) raises ParameterError and leaves the scene as it
-    was; the side itself is accepted."""
-    scene, _ = lone_piece_scene()
-    before = copy.deepcopy(scene)
-    c = candidate(100.0, 100.0, h=5.0, w=30.0, food_median=20.0)
-    ins = insert_fingers(scene, c, FingerModel())
-    too_long = FingerModel(geometry=FingerGeometry(**{size: 200.5}))
-    message = f"finger {size} of 200.5 mm is longer than the tray's 200.0 mm side"
-    with pytest.raises(ParameterError, match=message):
-        insert_fingers(scene, c, too_long)
-    with pytest.raises(ParameterError, match=message):
-        close_and_lift(scene, c, ins, too_long)
-    with pytest.raises(ParameterError, match=message):
-        execute_grasp(scene, c, too_long)
-    assert list(scene.pieces) == list(before.pieces) and not any(p.damaged for p in scene.pieces.values())
-    assert (scene.heightmap == before.heightmap).all() and (scene.owner_map == before.owner_map).all()
-    insert_fingers(scene, c, FingerModel(geometry=FingerGeometry(**{size: 200.0})))
 
 
 class TestCloseAndLift:
@@ -360,7 +341,7 @@ def test_outcome_and_update_equal_the_one_step_grasp(archetype, finger):
     grasps = changed = 0
     for seed in (0, 1):
         scene = generate_scene(SceneConfig(archetype=archetype), seed)
-        p = plan(render_masks(scene), render_depth(scene), scene.archetypes[archetype], fm.geometry, False)
+        p = plan(render_masks(scene), render_depth(scene), scene.archetypes[archetype], False)
         for c in p.candidates[::4]:
             before = copy_scene(scene)
             outcome = grasp_outcome(scene, c, fm)
@@ -383,7 +364,7 @@ def test_filter_keeps_no_grasp_the_tray_wall_blocks():
     for seed in range(3):
         scene = generate_scene(SceneConfig(archetype="mushroom"), seed)
         depth = render_depth(scene)
-        p = plan(render_masks(scene), depth, scene.archetypes["mushroom"], fm.geometry, filtering_enabled=False)
-        walled += [(seed, c.instance_id) for c in filter_grasps(p.candidates, depth, fm.geometry)
+        p = plan(render_masks(scene), depth, scene.archetypes["mushroom"], filtering_enabled=False)
+        walled += [(seed, c.instance_id) for c in filter_grasps(p.candidates, depth)
                    if any(f.blocked and not f.contacts for f in insert_fingers(scene, c, fm).fingers)]
     assert walled == []

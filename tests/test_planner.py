@@ -9,9 +9,9 @@ import pytest
 from traypick.archetypes import DEFAULT_ARCHETYPES
 from traypick.errors import FitError, ParameterError
 from traypick.perception import DepthImage, InstanceMaskSet, render_depth, render_masks
+from traypick import planner
 from traypick.planner import (
     EllipseFit,
-    FingerGeometry,
     GraspCandidate,
     _contact_rectangles,
     _ellipse_spans,
@@ -45,11 +45,10 @@ def flat_depth(shape, value, resolution=1.0):
     return DepthImage(np.full(shape, float(value)), resolution)
 
 
-def contact_regions(c, fg, resolution, shape):
+def contact_regions(c, resolution, shape):
     """The two contact rectangles of c as full boolean rasters."""
     regions = np.zeros((2, shape[0] * shape[1]), dtype=bool)
-    flat, counts = _rectangle_pixels(shape, _contact_rectangles(c, fg, resolution),
-                                     *_finger_half_sizes(fg, resolution))
+    flat, counts = _rectangle_pixels(shape, _contact_rectangles(c, resolution), *_finger_half_sizes(resolution))
     for region, pixels in zip(regions, (flat[: counts[0]], flat[counts[0] :])):
         region[pixels] = True
     return regions[0].reshape(shape), regions[1].reshape(shape)
@@ -181,8 +180,7 @@ class TestContactRegions:
     def test_axis_aligned_centers(self):
         # w=20, clearance=2, width=4 -> centers at x +/- 14 mm
         c = make_candidate(100.0, 100.0, 0.0, 20.0, 30.0)
-        fg = FingerGeometry(width=4.0, breadth=20.0, clearance=2.0)
-        left, right = contact_regions(c, fg, 1.0, (200, 200))
+        left, right = contact_regions(c, 1.0, (200, 200))
         ys, xs = np.nonzero(left)
         assert xs.mean() == pytest.approx(100.0 - 14.0, abs=0.6)
         assert ys.mean() == pytest.approx(100.0, abs=0.6)
@@ -191,8 +189,7 @@ class TestContactRegions:
 
     def test_quarter_turn_displaces_along_y(self):
         c = make_candidate(100.0, 100.0, math.pi / 2, 20.0, 30.0)
-        fg = FingerGeometry(width=4.0, breadth=20.0, clearance=2.0)
-        left, right = contact_regions(c, fg, 1.0, (200, 200))
+        left, right = contact_regions(c, 1.0, (200, 200))
         ys, xs = np.nonzero(left)
         assert ys.mean() == pytest.approx(100.0 - 14.0, abs=0.6)
         assert xs.mean() == pytest.approx(100.0, abs=0.6)
@@ -200,10 +197,9 @@ class TestContactRegions:
         assert ys.mean() == pytest.approx(100.0 + 14.0, abs=0.6)
 
     def test_rotated_centers_match_rotation_matrix_oracle(self):
-        fg = FingerGeometry(width=4.0, breadth=20.0, clearance=2.0)
         for theta in (math.pi / 4, 1.0, 2.5):
             c = make_candidate(100.0, 100.0, theta, 20.0, 30.0)
-            left, right = contact_regions(c, fg, 1.0, (200, 200))
+            left, right = contact_regions(c, 1.0, (200, 200))
             # independent: rotate the displacement vector (14, 0) by theta
             ex = 14.0 * math.cos(theta)
             ey = 14.0 * math.sin(theta)
@@ -216,15 +212,13 @@ class TestContactRegions:
 
     def test_region_area_matches_geometry(self):
         c = make_candidate(100.0, 100.0, 0.3, 24.0, 30.0)
-        fg = FingerGeometry(width=4.0, breadth=20.0, clearance=2.0)
-        left, right = contact_regions(c, fg, 1.0, (200, 200))
+        left, right = contact_regions(c, 1.0, (200, 200))
         for region in (left, right):
             assert region.sum() == pytest.approx(4.0 * 20.0, rel=0.25)
 
     def test_fully_outside_region_is_empty(self):
         c = make_candidate(2.0, 100.0, 0.0, 40.0, 30.0)
-        fg = FingerGeometry()
-        left, _ = contact_regions(c, fg, 1.0, (200, 200))
+        left, _ = contact_regions(c, 1.0, (200, 200))
         assert not left.any()
 
 
@@ -232,7 +226,7 @@ class TestFilterGrasps:
     def test_lone_piece_retained(self):
         depth = flat_depth((200, 200), 0.0)
         c = make_candidate(100.0, 100.0, 0.0, 20.0, 25.0)
-        retained = filter_grasps([c], depth, FingerGeometry())
+        retained = filter_grasps([c], depth)
         assert retained == [c]
         assert c.contact_medians == (0.0, 0.0)
 
@@ -241,34 +235,35 @@ class TestFilterGrasps:
         heights[80:120, 70:95] = 40.0  # under the left contact region
         depth = DepthImage(heights, 1.0)
         c = make_candidate(100.0, 100.0, 0.0, 30.0, 25.0)
-        retained = filter_grasps([c], depth, FingerGeometry())
+        retained = filter_grasps([c], depth)
         assert retained == []
         assert c.filtered and c.filter_reason == "contact-median-too-high"
 
     def test_equal_median_rejected_by_strictness(self):
         depth = flat_depth((200, 200), 10.0)
         c = make_candidate(100.0, 100.0, 0.0, 20.0, 10.0)
-        assert filter_grasps([c], depth, FingerGeometry()) == []
+        assert filter_grasps([c], depth) == []
 
     def test_out_of_tray_reason(self):
         depth = flat_depth((200, 200), 0.0)
         c = make_candidate(2.0, 100.0, 0.0, 40.0, 25.0)
-        assert filter_grasps([c], depth, FingerGeometry()) == []
+        assert filter_grasps([c], depth) == []
         assert c.filter_reason == "out-of-tray"
 
-    def test_refiltering_resets_annotations(self):
+    def test_refiltering_resets_annotations(self, monkeypatch):
         """Filtering again with a wider finger gives what filtering fresh
         copies of the candidates gives: no stale filtered flag, reason or
         contact medians."""
         scene = generate_scene(SceneConfig(archetype="mushroom"), 21)
         depth = render_depth(scene)
         candidates = plan(render_masks(scene), depth, DEFAULT_ARCHETYPES["mushroom"]).candidates
-        wide = FingerGeometry(width=8.0, breadth=40.0, clearance=12.0)
+        for name, wide in (("FINGER_WIDTH", 8.0), ("FINGER_BREADTH", 40.0), ("FINGER_CLEARANCE", 12.0)):
+            monkeypatch.setattr(planner, name, wide)
         fresh = [dataclasses.replace(c, contact_medians=None, filtered=False, filter_reason="")
                  for c in candidates]
         before = [(c.contact_medians, c.filtered, c.filter_reason) for c in candidates]
-        retained = filter_grasps(candidates, depth, wide)
-        fresh_retained = filter_grasps(fresh, depth, wide)
+        retained = filter_grasps(candidates, depth)
+        fresh_retained = filter_grasps(fresh, depth)
         after = [(c.contact_medians, c.filtered, c.filter_reason) for c in candidates]
         assert after == [(c.contact_medians, c.filtered, c.filter_reason) for c in fresh]
         assert [c.instance_id for c in retained] == [c.instance_id for c in fresh_retained]
@@ -293,7 +288,7 @@ class TestFilterGrasps:
                 cs.append(make_candidate(c.x, c.y, c.theta, c.w,
                                          float(np.median((heights * scale).take(interior))),
                                          instance_id=c.instance_id))
-            retained = filter_grasps(cs, depth, FingerGeometry())
+            retained = filter_grasps(cs, depth)
             outcomes.append({c.instance_id for c in retained})
         assert outcomes[0] == outcomes[1]
 
@@ -330,6 +325,15 @@ class TestPlan:
         with pytest.raises(ParameterError, match=rf"depth is {depth_shape[0]} x {depth_shape[1]} px, "
                                                  r"the masks' raster 100 x 100 px"):
             plan(masks, flat_depth(depth_shape, 10.0), DEFAULT_ARCHETYPES["fried_chicken"])
+
+    @pytest.mark.parametrize("bad", [None, 0, 1, "no", {"width": 4.0}], ids=repr)
+    def test_filtering_enabled_not_a_bool_rejected(self, bad):
+        """plan's fourth positional argument was once the finger geometry, and
+        None meant the default finger. Anything but a bool there is refused,
+        not read as truthy or falsy."""
+        masks = InstanceMaskSet.from_rasters([(3, raster_ellipse((100, 100), 50.0, 50.0, 0.3, 12.0, 20.0))])
+        with pytest.raises(ParameterError, match="filtering_enabled must be"):
+            plan(masks, flat_depth((100, 100), 10.0), DEFAULT_ARCHETYPES["fried_chicken"], bad)
 
     def test_filtering_disabled_takes_global_argmax(self):
         scene = generate_scene(SceneConfig(), 12)
@@ -381,9 +385,9 @@ class TestPlan:
         """filter_plan of the unfiltered plan equals plan with filtering on,
         plan document and all, and leaves the unfiltered plan unannotated."""
         scene = generate_scene(SceneConfig(archetype=archetype), seed)
-        args = (render_masks(scene), render_depth(scene), scene.archetypes[archetype], FingerGeometry())
+        args = (render_masks(scene), render_depth(scene), scene.archetypes[archetype])
         off = plan(*args, filtering_enabled=False)
-        on = filter_plan(off, args[1], args[3])
+        on = filter_plan(off, args[1])
         assert on == plan(*args, filtering_enabled=True)
         assert plan_to_dict(on) == plan_to_dict(plan(*args, filtering_enabled=True))
         assert off == plan(*args, filtering_enabled=False)

@@ -74,8 +74,10 @@ from traypick.perception import (
     save_masks,
 )
 from traypick.planner import (
+    FINGER_BREADTH,
+    FINGER_CLEARANCE,
+    FINGER_WIDTH,
     EllipseFit,
-    FingerGeometry,
     GraspCandidate,
     Plan,
     _contact_rectangles,
@@ -175,41 +177,41 @@ def oracle_rectangle_mask(shape, center_px, theta, half_len_px, half_breadth_px)
     return out
 
 
-def oracle_contact_regions(c, fg, resolution, shape):
-    d_px = (c.w / 2.0 + fg.clearance + fg.width / 2.0) / resolution
+def oracle_contact_regions(c, resolution, shape):
+    d_px = (c.w / 2.0 + FINGER_CLEARANCE + FINGER_WIDTH / 2.0) / resolution
     ux, uy = math.cos(c.theta), math.sin(c.theta)
-    half_len = fg.width / 2.0 / resolution
-    half_breadth = fg.breadth / 2.0 / resolution
+    half_len = FINGER_WIDTH / 2.0 / resolution
+    half_breadth = FINGER_BREADTH / 2.0 / resolution
     left = oracle_rectangle_mask(shape, (c.x - d_px * ux, c.y - d_px * uy), c.theta, half_len, half_breadth)
     right = oracle_rectangle_mask(shape, (c.x + d_px * ux, c.y + d_px * uy), c.theta, half_len, half_breadth)
     return left, right
 
 
-def oracle_jaw_region(scene, c, fg, outer):
-    half_len_mm = c.w / 2.0 + fg.clearance + (fg.width if outer else 0.0)
-    half_breadth_px = max(fg.breadth / 2.0 / scene.resolution, c.axis_major / 2.0)
+def oracle_jaw_region(scene, c, outer):
+    half_len_mm = c.w / 2.0 + FINGER_CLEARANCE + (FINGER_WIDTH if outer else 0.0)
+    half_breadth_px = max(FINGER_BREADTH / 2.0 / scene.resolution, c.axis_major / 2.0)
     return oracle_rectangle_mask(
         scene.shape, (c.x, c.y), c.theta, half_len_mm / scene.resolution, half_breadth_px
     )
 
 
-def oracle_finger_corners(scene, c, fg):
+def oracle_finger_corners(scene, c):
     """The four corners (px, py) of each finger rectangle, as the per-corner
     tray-wall loop computed them."""
-    hl, hb = _finger_half_sizes(fg, scene.resolution)
+    hl, hb = _finger_half_sizes(scene.resolution)
     fingers = []
-    for cx, cy, ux, uy in _contact_rectangles(c, fg, scene.resolution):
+    for cx, cy, ux, uy in _contact_rectangles(c, scene.resolution):
         vx, vy = -uy, ux
         fingers.append([(cx + su * hl * ux + sv * hb * vx, cy + su * hl * uy + sv * hb * vy)
                         for su in (-1.0, 1.0) for sv in (-1.0, 1.0)])
     return fingers
 
 
-def oracle_wall_contacts(scene, c, fg):
+def oracle_wall_contacts(scene, c):
     """Whether each finger rectangle has a corner beyond the raster."""
     ny, nx = scene.shape
     return tuple(any(not (0.0 <= px <= nx - 1 and 0.0 <= py <= ny - 1) for px, py in corners)
-                 for corners in oracle_finger_corners(scene, c, fg))
+                 for corners in oracle_finger_corners(scene, c))
 
 
 def oracle_pieces_in_region(scene, region):
@@ -746,7 +748,7 @@ def test_fit_ellipse_near_degenerate_bit_identical(mask):
 # plan: every window's moments, then one stacked eigen-solve
 
 
-def oracle_plan(masks, depth, archetype, fg, filtering_enabled):
+def oracle_plan(masks, depth, archetype, filtering_enabled):
     """plan with one fit_ellipse and one derive_grasp per window."""
     candidates, skipped = [], {}
     for w in masks.windows:
@@ -758,14 +760,14 @@ def oracle_plan(masks, depth, archetype, fg, filtering_enabled):
             skipped[w.id] = str(exc)
             continue
         candidates.append(cand)
-    retained = filter_grasps(candidates, depth, fg) if filtering_enabled else list(candidates)
+    retained = filter_grasps(candidates, depth) if filtering_enabled else list(candidates)
     return Plan(candidates, select_grasp(retained), skipped, filtering_enabled)
 
 
 def assert_plan_equals_per_window_fits(masks, depth, filtering_enabled):
-    archetype, fg = DEFAULT_ARCHETYPES["mushroom"], FingerGeometry()
-    got = plan(masks, depth, archetype, fg, filtering_enabled)
-    expected = oracle_plan(masks, depth, archetype, fg, filtering_enabled)
+    archetype = DEFAULT_ARCHETYPES["mushroom"]
+    got = plan(masks, depth, archetype, filtering_enabled)
+    expected = oracle_plan(masks, depth, archetype, filtering_enabled)
     assert ([(c.x, c.y, c.theta, c.axis_minor, c.axis_major) for c in got.candidates]
             == [(c.x, c.y, c.theta, c.axis_minor, c.axis_major) for c in expected.candidates])
     assert list(got.skipped.items()) == list(expected.skipped.items())  # same ids, order, messages
@@ -809,10 +811,7 @@ def test_plan_batched_fit_equals_per_window_fits(case, seed, filtering_enabled):
     if depth_shape != masks.shape:
         with pytest.raises(ParameterError, match="the masks' raster"):
             plan(masks, DepthImage(heights_for(depth_shape, seed), 0.7), DEFAULT_ARCHETYPES["mushroom"])
-    # plan refuses a finger longer than the raster's longer side in mm, so a
-    # raster under 29 px takes a coarser resolution than 0.7 mm
-    res = max(0.7, FingerGeometry().breadth / max(masks.shape))
-    assert_plan_equals_per_window_fits(masks, DepthImage(heights_for(masks.shape, seed), res), filtering_enabled)
+    assert_plan_equals_per_window_fits(masks, DepthImage(heights_for(masks.shape, seed), 0.7), filtering_enabled)
 
 
 def test_plan_batched_fit_skips_as_per_window_fits():
@@ -888,12 +887,11 @@ def test_filter_medians_equal_full_raster(shape, data, seed, n, mode, res):
     the decision those medians give."""
     cands = data.draw(st.lists(candidates(), min_size=n, max_size=n))
     depth = DepthImage(special_heights(shape, seed, mode), res)
-    fg = FingerGeometry()
-    regions = [oracle_contact_regions(c, fg, res, shape) for c in cands]
-    retained = filter_grasps(cands, depth, fg)
+    regions = [oracle_contact_regions(c, res, shape) for c in cands]
+    retained = filter_grasps(cands, depth)
     expected_retained = []
     for c, (left, right) in zip(cands, regions):
-        flat, counts = _rectangle_pixels(shape, _contact_rectangles(c, fg, res), *_finger_half_sizes(fg, res))
+        flat, counts = _rectangle_pixels(shape, _contact_rectangles(c, res), *_finger_half_sizes(res))
         got_left, got_right = paste_flat(shape, flat[: counts[0]]), paste_flat(shape, flat[counts[0] :])
         np.testing.assert_array_equal(got_left, left)
         np.testing.assert_array_equal(got_right, right)
@@ -1085,17 +1083,15 @@ def scenes():
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=list(HealthCheck))
-@given(idx=st.integers(0, 2), c=candidates(), outer=st.booleans(),
-       breadth=st.floats(4.0, 40.0))
-def test_jaw_contents_and_fractions_equal_full_raster(scenes, idx, c, outer, breadth):
+@given(idx=st.integers(0, 2), c=candidates(), outer=st.booleans())
+def test_jaw_contents_and_fractions_equal_full_raster(scenes, idx, c, outer):
     scene = scenes[idx]
     c.x, c.y = c.x * 6.0, c.y * 3.0  # spread the candidates over the 600 x 436 raster
-    fg = FingerGeometry(breadth=breadth)
-    jaw, sweep = _grasp_regions(scene, c, fg)[2:]
+    jaw, sweep = _grasp_regions(scene, c)[2:]
     for got, rect_is_outer in ((jaw, False), (sweep, True)):
         assert (np.diff(got) > 0).all()
-        np.testing.assert_array_equal(paste_flat(scene.shape, got), oracle_jaw_region(scene, c, fg, rect_is_outer))
-    region = oracle_jaw_region(scene, c, fg, outer)
+        np.testing.assert_array_equal(paste_flat(scene.shape, got), oracle_jaw_region(scene, c, rect_is_outer))
+    region = oracle_jaw_region(scene, c, outer)
     flat = sweep if outer else jaw
 
     got = _piece_tops(scene, flat)
@@ -1144,8 +1140,8 @@ def test_finger_rules_equal_two_branch_oracles(scenes, idx, c, kind, depth, h_is
         c.x, c.y = (c.x + 90.0) * 2.6, (c.y + 90.0) * 1.9
         c.instance_id = int(scene.owner_map[min(max(int(c.y), 0), ny - 1), min(max(int(c.x), 0), nx - 1)]) or 1
     fm = FingerModel(kind=kind)
-    hl, hb = _finger_half_sizes(fm.geometry, scene.resolution)
-    flat, counts = _rectangle_pixels(scene.shape, _contact_rectangles(c, fm.geometry, scene.resolution), hl, hb)
+    hl, hb = _finger_half_sizes(scene.resolution)
+    flat, counts = _rectangle_pixels(scene.shape, _contact_rectangles(c, scene.resolution), hl, hb)
     regions = [*segments(flat, counts), np.zeros(0, dtype=np.int64)]
     tops = oracle_pieces_in_region(scene, flat)
     h = float(scene.heightmap.take(flat).max(initial=0.0)) - depth
@@ -1160,7 +1156,7 @@ def test_finger_rules_equal_two_branch_oracles(scenes, idx, c, kind, depth, h_is
     c.h = h
     ins = insert_fingers(scene, c, fm)
     fins = [FingerInsertion(h, h, 0.0, {}, True) if wall else oracle_insert_one(scene, region, h, fm)
-            for wall, region in zip(oracle_wall_contacts(scene, c, fm.geometry), regions)]
+            for wall, region in zip(oracle_wall_contacts(scene, c), regions)]
     assert [insertion_bits(f) for f in ins.fingers] == [insertion_bits(f) for f in fins]
     damaged = {}
     for fin in fins:
@@ -1169,7 +1165,7 @@ def test_finger_rules_equal_two_branch_oracles(scenes, idx, c, kind, depth, h_is
     assert damage_bits(ins.damaged) == damage_bits(damaged)
 
     outcome = close_and_lift(scene, c, ins, fm)
-    sweep = np.flatnonzero(oracle_jaw_region(scene, c, fm.geometry, True))
+    sweep = np.flatnonzero(oracle_jaw_region(scene, c, True))
     expected = oracle_sweep_damage(scene, sweep, outcome.picked, max(f.achieved for f in fins), fm, damaged)
     assert damage_bits(outcome.damaged) == damage_bits(expected)
 
@@ -1181,16 +1177,15 @@ def test_wall_test_equals_four_corners_at_the_boundary():
     where a corner lands on the edge itself."""
     scene = empty_scene()
     ny, nx = scene.shape
-    fg = FingerGeometry()
-    fm = FingerModel(kind=FingerKind.FIXED, geometry=fg)
-    hl, hb = _finger_half_sizes(fg, scene.resolution)
+    fm = FingerModel(kind=FingerKind.FIXED)
+    hl, hb = _finger_half_sizes(scene.resolution)
     rng = np.random.default_rng(7)
     thetas = [0.0, math.pi / 4, math.pi / 2, *rng.uniform(0.0, math.pi, 150).tolist()]
     outcomes, on_edge = Counter(), 0
     for theta in thetas:
         w = float(rng.uniform(1.0, 20.0))
         ux, uy = abs(math.cos(theta)), abs(math.sin(theta))
-        d = (w / 2.0 + fg.clearance + fg.width / 2.0) / scene.resolution
+        d = (w / 2.0 + FINGER_CLEARANCE + FINGER_WIDTH / 2.0) / scene.resolution
         reach_x, reach_y = (d + hl) * ux + hb * uy, (d + hl) * uy + hb * ux
         for x0, y0 in [(reach_x, ny / 2), (nx - 1 - reach_x, ny / 2), (nx / 2, reach_y), (nx / 2, ny - 1 - reach_y)]:
             for ulps in range(-8, 9):
@@ -1199,9 +1194,9 @@ def test_wall_test_equals_four_corners_at_the_boundary():
                     x, y = math.nextafter(x, ulps * math.inf), math.nextafter(y, ulps * math.inf)
                 c = GraspCandidate(1, x, y, theta, 0.0, w, 0.0, 1.0, 1.0)
                 blocked = tuple(f.blocked for f in insert_fingers(scene, c, fm).fingers)
-                assert blocked == oracle_wall_contacts(scene, c, fg)
+                assert blocked == oracle_wall_contacts(scene, c)
                 outcomes[blocked] += 1
-                corners = [xy for finger in oracle_finger_corners(scene, c, fg) for xy in finger]
+                corners = [xy for finger in oracle_finger_corners(scene, c) for xy in finger]
                 on_edge += any(px in (0.0, nx - 1) or py in (0.0, ny - 1) for px, py in corners)
     assert outcomes[(False, False)] and outcomes[(True, False)] and outcomes[(False, True)]
     assert on_edge
