@@ -20,7 +20,6 @@ from .experiment import (
 from .graspsim import (
     Classification,
     FingerKind,
-    FingerModel,
     GraspOutcome,
     apply_outcome,
     close_and_lift,

@@ -91,7 +91,7 @@ def cmd_grasp(args) -> int:
     if not (0 <= candidate.x < nx and 0 <= candidate.y < ny):
         raise ParameterError(f"{args.plan}: target ({candidate.x}, {candidate.y}) px is off the "
                              f"{nx} x {ny} px scene raster")
-    outcome = execute_grasp(scene, candidate, cfg.finger_model())
+    outcome = execute_grasp(scene, candidate, cfg.finger)
     save_scene(scene, args.out_scene or args.scene)
     doc = {
         "classification": outcome.classification.value,

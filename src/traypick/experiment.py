@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError, check_number, check_type, field_keys, read_object
-from .graspsim import Classification, FingerKind, FingerModel, GraspOutcome, apply_outcome
+from .graspsim import Classification, FingerKind, GraspOutcome, apply_outcome
 # The outcome alone, under the name run_trial has always called it by, which
 # benchmarks/tracing.py patches; the scene update is apply_outcome.
 from .graspsim import grasp_outcome as execute_grasp
@@ -71,14 +71,20 @@ class ExperimentConfig:
             raise ParameterError(
                 f"archetype {self.archetype!r} differs from scene.archetype {scene.archetype!r}"
             )
-        self.corruption.validate(raster_shape(scene.tray_dims, scene.resolution))
-        # Two trays on which the planner sees nothing, so every attempt would
-        # record no-target. The smallest unjittered piece, |u/a|^n + |v/b|^n
-        # < 1 with a and b at the low end of the scale range, covers
-        # 4ab Gamma(1 + 1/n)^2 / Gamma(1 + 2/n) mm^2; below MIN_FIT_PIXELS no
-        # mask of it can be fitted.
-        arch = scene.archetypes[scene.archetype]
+        shape = raster_shape(scene.tray_dims, scene.resolution)
+        self.corruption.validate(shape)
+        # Trays on which the planner sees nothing, so every attempt would
+        # record no-target. On a raster one pixel across, every mask's pixels
+        # share that row or column, so no mask has a full-rank covariance.
         res = mm_per_pixel(scene.tray_dims, scene.resolution)
+        if min(shape) < 2:
+            i = 1 if shape[0] < 2 else 0
+            raise ParameterError(f"tray_dims[{i}] of {scene.tray_dims[i]} mm is 1 px at {res:.4g} mm per pixel, "
+                                 "and no mask one pixel across can be fitted; lower resolution or widen the tray")
+        # The smallest unjittered piece, |u/a|^n + |v/b|^n < 1 with a and b at
+        # the low end of the scale range, covers 4ab Gamma(1 + 1/n)^2 /
+        # Gamma(1 + 2/n) mm^2; below MIN_FIT_PIXELS no mask of it can be fitted.
+        arch = scene.archetypes[scene.archetype]
         a, b, n, _, _ = _piece_shape(arch, arch.scale_range[0], 0.0, (0.0, 0.0, 0.0))
         px = 4.0 * a * b * math.exp(2.0 * math.lgamma(1.0 + 1.0 / n) - math.lgamma(1.0 + 2.0 / n)) / res**2
         if not px >= MIN_FIT_PIXELS:
@@ -97,9 +103,6 @@ class ExperimentConfig:
         if self.scene is not None:
             return self.scene
         return SceneConfig(archetype=self.archetype)
-
-    def finger_model(self) -> FingerModel:
-        return FingerModel(kind=self.finger)
 
 
 @dataclass
@@ -210,7 +213,7 @@ def _attempt(
         if p.target is not None:
             key = (id(scene), arm.finger, p.target.instance_id)
             if key not in outcomes:
-                outcomes[key] = execute_grasp(scene, p.target, arm.finger_model())
+                outcomes[key] = execute_grasp(scene, p.target, arm.finger)
             outcome = outcomes[key]
         records.append(TrialRecord(
             attempt=attempt_idx,

@@ -36,15 +36,6 @@ MULTIPICK_FRACTION = 0.5  # of a neighbor's visible mask inside the jaw
 
 
 @dataclass
-class FingerModel:
-    kind: FingerKind = FingerKind.ADAPTIVE
-
-    def validate(self) -> None:
-        """ParameterError for a kind that is no FingerKind."""
-        check_type("kind", self.kind, FingerKind)
-
-
-@dataclass
 class FingerInsertion:
     commanded: float  # mm, tray-frame insertion height h
     achieved: float  # mm, bottom height actually reached
@@ -85,23 +76,23 @@ def _piece_tops(scene: TrayScene, region: np.ndarray) -> dict[int, float]:
     return {int(pid): float(heights[owners == pid].max()) for pid in np.unique(owners) if pid != 0}
 
 
-def _magnitude(fm: FingerModel, overlap: float) -> float:
+def _magnitude(finger: FingerKind, overlap: float) -> float:
     """A contact's magnitude for an overlap of mm above the finger bottom:
     the penetration itself for a fixed finger, the spring force at the
     retraction it asks for (capped at the budget) for an adaptive one."""
-    fixed = fm.kind is FingerKind.FIXED
+    fixed = finger is FingerKind.FIXED
     return overlap if fixed else MAX_FORCE / RETRACTION_BUDGET * min(overlap, RETRACTION_BUDGET)
 
 
-def _insert_one(scene: TrayScene, region: np.ndarray, h: float, fm: FingerModel) -> FingerInsertion:
+def _insert_one(scene: TrayScene, region: np.ndarray, h: float, finger: FingerKind) -> FingerInsertion:
     """Every piece standing above h is a contact. A fixed finger penetrates
     each by its own overlap; an adaptive one retracts by the tallest
     obstruction, so all its contacts take the same force."""
     if not region.size:
         return FingerInsertion(h, h, 0.0, {}, False)
     obstruction = max(0.0, float(np.maximum.reduce(scene.heightmap.take(region))) - h)
-    fixed = fm.kind is FingerKind.FIXED
-    contacts = {pid: _magnitude(fm, top - h if fixed else obstruction)
+    fixed = finger is FingerKind.FIXED
+    contacts = {pid: _magnitude(finger, top - h if fixed else obstruction)
                 for pid, top in _piece_tops(scene, region).items() if top > h}
     if fixed:
         return FingerInsertion(h, h, 0.0, contacts, max(contacts.values(), default=0.0) > PIERCE_BLOCK)
@@ -110,7 +101,7 @@ def _insert_one(scene: TrayScene, region: np.ndarray, h: float, fm: FingerModel)
 
 
 def _damage(
-    scene: TrayScene, fm: FingerModel, pid: int, magnitude: float, damaged: dict[int, float]
+    scene: TrayScene, finger: FingerKind, pid: int, magnitude: float, damaged: dict[int, float]
 ) -> None:
     """Max-merge magnitude into damaged[pid] when it exceeds the piece's
     threshold for this finger: damage_tolerance (mm of penetration) for a
@@ -120,7 +111,7 @@ def _damage(
     if piece is None:
         return
     arch = scene.archetypes[piece.archetype]
-    threshold = arch.damage_tolerance if fm.kind is FingerKind.FIXED else arch.fragility_force
+    threshold = arch.damage_tolerance if finger is FingerKind.FIXED else arch.fragility_force
     if magnitude > threshold:
         damaged[pid] = max(damaged.get(pid, 0.0), magnitude)
 
@@ -149,18 +140,18 @@ def _grasp_regions(scene: TrayScene, c: GraspCandidate) -> list[np.ndarray]:
 
 
 def insert_fingers(
-    scene: TrayScene, c: GraspCandidate, fm: FingerModel, regions: list[np.ndarray] | None = None
+    scene: TrayScene, c: GraspCandidate, finger: FingerKind, regions: list[np.ndarray] | None = None
 ) -> InsertionResult:
     """Insert both fingers vertically at the candidate's contact regions.
 
     A finger whose rectangle reaches past the tray interior hits the tray
     wall and blocks outright. A contact damages its piece when its
     magnitude exceeds the piece's threshold for this finger (_damage). A
-    finger model that fails its validation raises ParameterError. regions
-    is _grasp_regions' list for this candidate, when the caller has it;
-    only its contact rectangles are read.
+    finger that is no FingerKind raises ParameterError. regions is
+    _grasp_regions' list for this candidate, when the caller has it; only
+    its contact rectangles are read.
     """
-    fm.validate()
+    check_type("finger", finger, FingerKind)
     ny, nx = scene.shape
     hl, hb = _finger_half_sizes(scene.resolution)
     if regions is None:
@@ -172,12 +163,12 @@ def insert_fingers(
         # left to right as the corner's own coordinate is.
         inside = (0.0 <= cx - hl * abs(ux) - hb * abs(uy) and cx + hl * abs(ux) + hb * abs(uy) <= nx - 1
                   and 0.0 <= cy - hl * abs(uy) - hb * abs(ux) and cy + hl * abs(uy) + hb * abs(ux) <= ny - 1)
-        fins.append(_insert_one(scene, region, c.h, fm) if inside
+        fins.append(_insert_one(scene, region, c.h, finger) if inside
                     else FingerInsertion(c.h, c.h, 0.0, {}, True))
     damaged: dict[int, float] = {}
     for fin in fins:
         for pid, magnitude in fin.contacts.items():
-            _damage(scene, fm, pid, magnitude, damaged)
+            _damage(scene, finger, pid, magnitude, damaged)
     return InsertionResult(tuple(fins), damaged)
 
 
@@ -191,7 +182,7 @@ def _visible_fraction_in(scene: TrayScene, pid: int, label_counts: np.ndarray) -
 
 
 def close_and_lift(
-    scene: TrayScene, c: GraspCandidate, ins: InsertionResult, fm: FingerModel,
+    scene: TrayScene, c: GraspCandidate, ins: InsertionResult, finger: FingerKind,
     regions: list[np.ndarray] | None = None,
 ) -> GraspOutcome:
     """Close the jaw and classify the outcome.
@@ -205,12 +196,11 @@ def close_and_lift(
 
     The jaw and sweep regions are flat raster indices; jaw fractions divide
     label counts inside the jaw by counts on each piece's stamp window. A
-    target id that names no piece is never captured. A finger model that
-    fails its validation raises ParameterError. regions is _grasp_regions'
-    list for this candidate, when the caller has it; only the jaw and sweep
-    are read.
+    target id that names no piece is never captured. A finger that is no
+    FingerKind raises ParameterError. regions is _grasp_regions' list for
+    this candidate, when the caller has it; only the jaw and sweep are read.
     """
-    fm.validate()
+    check_type("finger", finger, FingerKind)
     if regions is None:
         regions = _grasp_regions(scene, c)
     jaw, sweep = regions[2:]
@@ -238,7 +228,7 @@ def close_and_lift(
     damaged = dict(ins.damaged)
     for pid, top in _piece_tops(scene, sweep).items():
         if pid not in picked and top > max_bottom:
-            _damage(scene, fm, pid, _magnitude(fm, top - max_bottom), damaged)
+            _damage(scene, finger, pid, _magnitude(finger, top - max_bottom), damaged)
 
     if len(picked) == 1:
         classification = Classification.SUCCESS_SINGLE
@@ -249,11 +239,11 @@ def close_and_lift(
     return GraspOutcome(classification, picked, damaged, ins)
 
 
-def grasp_outcome(scene: TrayScene, c: GraspCandidate, fm: FingerModel) -> GraspOutcome:
+def grasp_outcome(scene: TrayScene, c: GraspCandidate, finger: FingerKind) -> GraspOutcome:
     """The outcome of a grasp on scene: insertion then closure, from one
     rasterization of the grasp's four rectangles. The scene is not changed."""
     regions = _grasp_regions(scene, c)
-    return close_and_lift(scene, c, insert_fingers(scene, c, fm, regions), fm, regions)
+    return close_and_lift(scene, c, insert_fingers(scene, c, finger, regions), finger, regions)
 
 
 def apply_outcome(scene: TrayScene, outcome: GraspOutcome) -> None:
@@ -273,8 +263,8 @@ def apply_outcome(scene: TrayScene, outcome: GraspOutcome) -> None:
                           slice(min(c.start for _, c in wins), max(c.stop for _, c in wins))))
 
 
-def execute_grasp(scene: TrayScene, c: GraspCandidate, fm: FingerModel) -> GraspOutcome:
+def execute_grasp(scene: TrayScene, c: GraspCandidate, finger: FingerKind) -> GraspOutcome:
     """grasp_outcome, then apply_outcome: the scene is mutated in place."""
-    outcome = grasp_outcome(scene, c, fm)
+    outcome = grasp_outcome(scene, c, finger)
     apply_outcome(scene, outcome)
     return outcome

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterError, check_number, read_json, read_object
 from .grids import heights_to_levels, levels_to_heights, read_pgm16, write_pgm16
-from .scenegen import TrayScene, _clip_window, visible_window
+from .scenegen import MAX_RASTER_SIDE, TrayScene, _clip_window, visible_window
 
 IOU_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 
@@ -432,17 +432,20 @@ def load_masks(manifest_path: str | Path) -> InstanceMaskSet:
     """Read a manifest written by save_masks. It is outside input: a document
     that is not an object holding exactly source, size and instances, a
     source other than ground_truth, corrupted or external, a size that is
-    not two positive integers, an instance that is not an object holding id,
-    counts and optionally confidence, an id that is not an integer >= 1 or
-    is repeated, counts that are not non-negative integers summing to h * w,
-    or a confidence outside [0, 1] raise ParameterError."""
+    not two integers from 1 to MAX_RASTER_SIDE, an instance that is not an
+    object holding id, counts and optionally confidence, an id that is not
+    an integer >= 1 or is repeated, counts that are not non-negative
+    integers summing to h * w, or a confidence outside [0, 1] raise
+    ParameterError."""
     where = f"mask manifest {manifest_path}"
     manifest = read_object(read_json(manifest_path), where, ("source", "size", "instances"))
     source, size, instances = manifest["source"], manifest["size"], manifest["instances"]
     if source not in MASK_SOURCES:
         raise ParameterError(f"mask source must be one of {', '.join(MASK_SOURCES)}, got {source!r}")
-    if not (isinstance(size, list) and len(size) == 2 and all(type(n) is int and n > 0 for n in size)):
-        raise ParameterError(f"mask size must be [height, width], two positive integers, got {size!r}")
+    if not (isinstance(size, list) and len(size) == 2
+            and all(type(n) is int and 0 < n <= MAX_RASTER_SIDE for n in size)):
+        raise ParameterError(f"mask size must be [height, width], two integers from 1 to {MAX_RASTER_SIDE}, "
+                             f"got {size!r}")
     if not isinstance(instances, list):
         raise ParameterError("mask instances must be a list")
     windows: dict[int, MaskWindow] = {}

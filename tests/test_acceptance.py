@@ -14,7 +14,7 @@ import pytest
 
 from traypick.archetypes import DEFAULT_ARCHETYPES
 from traypick.experiment import ExperimentConfig, FRESH, paired_success_pvalue, run_campaigns, run_experiment
-from traypick.graspsim import FingerKind, FingerModel, insert_fingers
+from traypick.graspsim import FingerKind, insert_fingers
 from traypick.perception import (
     CorruptionParams,
     InstanceMaskSet,
@@ -252,7 +252,7 @@ def test_adaptive_finger_hard_bounds():
         generate_scene(SceneConfig(archetype=names[i % len(names)]), 600 + i)
         for i in range(20)
     ]
-    fm = FingerModel(kind=FingerKind.ADAPTIVE)
+    fm = FingerKind.ADAPTIVE
     violations = 0
     max_r = max_f = 0.0
     for _ in range(10_000):

@@ -286,7 +286,7 @@ class TestGrasp:
         assert all(f["retraction"] == 0.0 for f in doc["insertion"])
         cfg = load_experiment_config(cfg_path)
         candidate = candidate_from_dict(json.loads(plan_path.read_text())["target"])
-        expected = execute_grasp(load_scene(d), candidate, cfg.finger_model())
+        expected = execute_grasp(load_scene(d), candidate, cfg.finger)
         assert doc["classification"] == expected.classification.value
         assert doc["picked"] == sorted(expected.picked)
         assert doc["damaged"] == {str(k): v for k, v in sorted(expected.damaged.items())}

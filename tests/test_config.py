@@ -16,15 +16,11 @@ from traypick.archetypes import DEFAULT_ARCHETYPES
 from traypick.config import experiment_config_from_document, load_experiment_config
 from traypick.errors import ParameterError
 from traypick.experiment import FRESH, ExperimentConfig, run_experiment, run_trial
-from traypick.graspsim import (
-    FingerKind,
-    FingerModel,
-    insert_fingers,
-)
+from traypick.graspsim import FingerKind, insert_fingers
 from traypick.perception import CorruptionParams, corrupt_masks, render_depth, render_masks
 from traypick.planner import FINGER_BREADTH, plan
 from traypick.scenegen import (MAX_RASTER_SIDE, SceneConfig, empty_scene, generate_scene, load_scene,
-                               raster_shape, save_scene)
+                               mm_per_pixel, raster_shape, save_scene)
 
 
 def lone_peak_scene(peak):
@@ -365,6 +361,28 @@ class TestSilentMisconfigurations:
             SceneConfig(resolution=1000.0).validate()
         SceneConfig(tray_dims=(424.0, 0.36, 160.0)).validate()  # 0.51 px rounds to 1
 
+    @pytest.mark.parametrize("scene, side", [
+        ({"tray_dims": [424, 1.01, 160], "resolution": 2.0}, r"tray_dims\[1\] of 1.01 mm is 1 px at 2 mm"),
+        ({"tray_dims": [424, 0.8, 160]}, r"tray_dims\[1\] of 0.8 mm is 1 px at 0.7067 mm"),
+        ({"tray_dims": [2.5, 300, 160], "resolution": 2.0}, r"tray_dims\[0\] of 2.5 mm is 1 px at 2 mm"),
+    ], ids=["1 row at 2 mm", "1 row at 600 px wide", "1 column"])
+    @pytest.mark.parametrize("archetype", ["mushroom", "meatball", "fried_chicken"])
+    def test_raster_side_of_one_px(self, archetype, scene, side):
+        """A tray one raster row or column across validated, and every
+        attempt recorded no-target with 0 candidates: every mask's pixels
+        share that row or column, so no covariance has full rank. Such a
+        tray is refused, naming the side, by the document and by the Python
+        config; two rows validate."""
+        with pytest.raises(ParameterError, match=side):
+            experiment_config_from_document({"archetype": archetype, "scene": scene})
+        tray, res = tuple(scene["tray_dims"]), scene.get("resolution")
+        with pytest.raises(ParameterError, match=side):
+            ExperimentConfig(archetype=archetype, scene=SceneConfig(archetype, tray, res)).validate()
+        SceneConfig(archetype, tray, res).validate()  # a scene of it can be generated
+        two_px = 2.0 * mm_per_pixel(tray, res)
+        wider = tuple(two_px if d < 5 else d for d in tray)
+        ExperimentConfig(archetype=archetype, scene=SceneConfig(archetype, wider, res)).validate()
+
     @pytest.mark.parametrize("scene", [{"resolution": 20}, {"tray_dims": [424000, 300000, 60]}],
                              ids=["resolution 20", "a 424-m tray"])
     def test_pieces_smaller_than_a_fitted_mask(self, scene):
@@ -429,8 +447,8 @@ class TestSilentMisconfigurations:
         with pytest.raises(ParameterError, match="finger"):
             run_trial(ExperimentConfig(archetype="gyoza", finger="fixed"), 0)
         scene, target = planned_scene()
-        with pytest.raises(ParameterError, match="kind"):
-            insert_fingers(scene, target, FingerModel(kind="fixed"))
+        with pytest.raises(ParameterError, match="finger"):
+            insert_fingers(scene, target, "fixed")
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +470,7 @@ def size_floor_resolution(arch):
 # a factor at, one ulp either side of, or within 3% of 1
 NEAR_ONE = st.one_of(st.sampled_from([1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)]),
                      st.floats(0.97, 1.03))
-BOUNDS = ["base_seed", "0-px side", "jitter", "semi-axis", "finger", "piece floor", "quantization",
+BOUNDS = ["base_seed", "0-px side", "1-px side", "jitter", "semi-axis", "finger", "piece floor", "quantization",
           "raster cap"]
 
 
@@ -475,6 +493,8 @@ def configs_near_a_bound(draw):
         extra["base_seed"] = draw(st.integers(-2, 2))
     elif bound == "0-px side":
         tray[draw(st.integers(0, 1))] = 0.5 * res * f
+    elif bound == "1-px side":
+        tray[draw(st.integers(0, 1))] = 1.5 * res * f
     elif bound == "jitter":
         tray, res = [40.0, 30.0, 50.0], 1.0  # 30 x 40 px
         extra["corruption"] = CorruptionParams(boundary_jitter=draw(st.integers(38, 42)))

@@ -21,7 +21,7 @@ import pytest
 
 from traypick.archetypes import DEFAULT_ARCHETYPES
 from traypick.experiment import DEPLETE, FRESH, ExperimentConfig, run_experiment
-from traypick.graspsim import FingerKind, FingerModel, execute_grasp
+from traypick.graspsim import FingerKind, execute_grasp
 from traypick.perception import (
     CorruptionParams,
     agreement,
@@ -150,7 +150,7 @@ def test_scene_file_digests(archetype, seed, finger, generated, picked, tmp_path
     assert _scene_digests(tmp_path / "generated") == generated
     for _ in range(2):
         p = plan(render_masks(scene), render_depth(scene), DEFAULT_ARCHETYPES[archetype])
-        assert execute_grasp(scene, p.target, FingerModel(kind=finger)).picked
+        assert execute_grasp(scene, p.target, finger).picked
     save_scene(scene, tmp_path / "picked")
     assert _scene_digests(tmp_path / "picked") == picked
     for name, digests in (("generated", generated), ("picked", picked)):

@@ -13,7 +13,6 @@ from traypick.graspsim import (
     RETRACTION_BUDGET,
     Classification,
     FingerKind,
-    FingerModel,
     apply_outcome,
     close_and_lift,
     execute_grasp,
@@ -54,28 +53,36 @@ def lone_piece_scene(thickness=20.0):
     return scene, piece
 
 
-class TestFingerModel:
+class TestSpring:
     def test_stiffness_from_paper_constants(self):
         assert (RETRACTION_BUDGET, MAX_FORCE) == (22.5, 4.1)
         assert MAX_FORCE / RETRACTION_BUDGET == pytest.approx(4.1 / 22.5)
 
 
+def _close_and_lift(scene, c, finger):
+    return close_and_lift(scene, c, insert_fingers(scene, c, FingerKind.FIXED), finger)
+
+
 class TestInsertFingers:
-    def test_parameters_checked(self):
-        """A finger kind given as a string used to run as adaptive."""
+    @pytest.mark.parametrize("call", [insert_fingers, _close_and_lift, grasp_outcome, execute_grasp],
+                             ids=["insert_fingers", "close_and_lift", "grasp_outcome", "execute_grasp"])
+    @pytest.mark.parametrize("finger", ["fixed", None, FingerKind.ADAPTIVE.value])
+    def test_parameters_checked(self, call, finger):
+        """A finger kind given as a string used to run as adaptive; each
+        entry point refuses it, naming the finger, before touching the scene."""
         scene, _ = lone_piece_scene()
         c = candidate(100.0, 100.0, h=5.0, w=30.0, food_median=20.0)
-        with pytest.raises(ParameterError, match="kind"):
-            insert_fingers(scene, c, FingerModel(kind="fixed"))
         before = copy.deepcopy(scene)
-        with pytest.raises(ParameterError, match="kind"):
-            execute_grasp(scene, c, FingerModel(kind="fixed"))
-        assert (scene.heightmap == before.heightmap).all() and list(scene.pieces) == list(before.pieces)
+        with pytest.raises(ParameterError, match="finger"):
+            call(scene, c, finger)
+        assert (scene.heightmap == before.heightmap).all() and (scene.owner_map == before.owner_map).all()
+        assert [(pid, p.damaged, p.damage_magnitude) for pid, p in scene.pieces.items()] == [
+            (pid, p.damaged, p.damage_magnitude) for pid, p in before.pieces.items()]
 
     def test_clear_floor_full_insertion(self):
         scene, piece = lone_piece_scene()
         c = candidate(100.0, 100.0, h=5.0, w=30.0, food_median=20.0)
-        ins = insert_fingers(scene, c, FingerModel())
+        ins = insert_fingers(scene, c, FingerKind.ADAPTIVE)
         for fin in ins.fingers:
             assert fin.achieved == 5.0
             assert fin.retraction == 0.0
@@ -90,7 +97,7 @@ class TestInsertFingers:
         neighbor = drop_piece(scene, slab_stamp(15, 25, 15.0), 121.0, 100.0,
                               "fried_chicken")
         c = candidate(100.0, 100.0, h=5.0, w=26.0, food_median=20.0)
-        fm = FingerModel(kind=FingerKind.FIXED)
+        fm = FingerKind.FIXED
         ins = insert_fingers(scene, c, fm)
         right = ins.fingers[1]
         assert right.contacts[neighbor.id] == pytest.approx(10.0)
@@ -105,7 +112,7 @@ class TestInsertFingers:
         neighbor = drop_piece(scene, slab_stamp(15, 25, 15.0), 121.0, 100.0,
                               "fried_chicken")
         c = candidate(100.0, 100.0, h=5.0, w=26.0, food_median=20.0)
-        ins = insert_fingers(scene, c, FingerModel(kind=FingerKind.ADAPTIVE))
+        ins = insert_fingers(scene, c, FingerKind.ADAPTIVE)
         right = ins.fingers[1]
         assert right.retraction == pytest.approx(10.0)
         assert right.achieved == pytest.approx(15.0)
@@ -119,7 +126,7 @@ class TestInsertFingers:
         drop_piece(scene, slab_stamp(25, 25, 30.0), 100.0, 100.0, "fried_chicken")
         drop_piece(scene, slab_stamp(15, 25, 25.0), 121.0, 100.0, "fried_chicken")
         c = candidate(100.0, 100.0, h=5.0, w=26.0, food_median=30.0)
-        ins = insert_fingers(scene, c, FingerModel(kind=FingerKind.FIXED))
+        ins = insert_fingers(scene, c, FingerKind.FIXED)
         assert ins.fingers[1].blocked  # 20 mm > PIERCE_BLOCK, 15 mm
 
     def test_adaptive_blocked_beyond_budget(self):
@@ -127,7 +134,7 @@ class TestInsertFingers:
         drop_piece(scene, slab_stamp(25, 25, 30.0), 100.0, 100.0, "fried_chicken")
         drop_piece(scene, slab_stamp(15, 25, 29.0), 121.0, 100.0, "fried_chicken")
         c = candidate(100.0, 100.0, h=5.0, w=26.0, food_median=30.0)
-        ins = insert_fingers(scene, c, FingerModel(kind=FingerKind.ADAPTIVE))
+        ins = insert_fingers(scene, c, FingerKind.ADAPTIVE)
         assert ins.fingers[1].blocked  # obstruction 24 mm > 22.5 mm
         assert ins.fingers[1].retraction <= 22.5
 
@@ -135,13 +142,13 @@ class TestInsertFingers:
         scene, _ = lone_piece_scene()
         # grasp close to the x=0 wall: left finger rectangle leaves the tray
         c = candidate(10.0, 100.0, h=5.0, w=20.0, food_median=20.0)
-        ins = insert_fingers(scene, c, FingerModel())
+        ins = insert_fingers(scene, c, FingerKind.ADAPTIVE)
         assert ins.fingers[0].blocked
         assert not ins.fingers[1].blocked
 
     def test_adaptive_bounds_on_random_insertions(self):
         rng = np.random.default_rng(0)
-        fm = FingerModel()
+        fm = FingerKind.ADAPTIVE
         for seed in range(5):
             scene = generate_scene(SceneConfig(), seed)
             for _ in range(20):
@@ -158,19 +165,11 @@ class TestInsertFingers:
 
 
 class TestCloseAndLift:
-    def test_parameters_checked(self):
-        """A finger kind given as a string used to run as adaptive."""
-        scene, _ = lone_piece_scene()
-        c = candidate(100.0, 100.0, h=5.0, w=30.0, food_median=20.0)
-        ins = insert_fingers(scene, c, FingerModel())
-        with pytest.raises(ParameterError, match="kind"):
-            close_and_lift(scene, c, ins, FingerModel(kind="fixed"))
-
     def test_lone_piece_success_single(self):
         scene, piece = lone_piece_scene(thickness=20.0)
         c = candidate(100.0, 100.0, h=10.0, w=30.0, food_median=20.0,
                       instance_id=piece.id)
-        fm = FingerModel()
+        fm = FingerKind.ADAPTIVE
         ins = insert_fingers(scene, c, fm)
         out = close_and_lift(scene, c, ins, fm)
         assert out.classification is Classification.SUCCESS_SINGLE
@@ -183,7 +182,7 @@ class TestCloseAndLift:
         drop_piece(scene, slab_stamp(15, 25, 25.0), 121.0, 100.0, "fried_chicken")
         c = candidate(100.0, 100.0, h=5.0, w=26.0, food_median=30.0,
                       instance_id=target.id)
-        fm = FingerModel(kind=FingerKind.FIXED)
+        fm = FingerKind.FIXED
         ins = insert_fingers(scene, c, fm)
         out = close_and_lift(scene, c, ins, fm)
         assert out.classification is Classification.FAILURE
@@ -194,7 +193,7 @@ class TestCloseAndLift:
         # bottoms at 18 mm, above food_median - 5 = 15 mm
         c = candidate(100.0, 100.0, h=18.0, w=30.0, food_median=20.0,
                       instance_id=piece.id)
-        fm = FingerModel()
+        fm = FingerKind.ADAPTIVE
         ins = insert_fingers(scene, c, fm)
         out = close_and_lift(scene, c, ins, fm)
         assert out.classification is Classification.FAILURE
@@ -205,7 +204,7 @@ class TestCloseAndLift:
         b = drop_piece(scene, slab_stamp(11, 17, 20.0), 106.0, 100.0, "fried_chicken")
         c = candidate(101.0, 100.0, h=5.0, w=26.0, food_median=20.0,
                       instance_id=a.id)
-        fm = FingerModel()
+        fm = FingerKind.ADAPTIVE
         ins = insert_fingers(scene, c, fm)
         out = close_and_lift(scene, c, ins, fm)
         assert out.classification is Classification.SUCCESS_MULTIPLE
@@ -219,7 +218,7 @@ class TestCloseAndLift:
         bystander = drop_piece(scene, slab_stamp(9, 41, 28.0), 119.0, 100.0, "gyoza")
         c = candidate(100.0, 100.0, h=5.0, w=24.0, food_median=30.0,
                       instance_id=target.id)
-        fm = FingerModel(kind=FingerKind.FIXED)
+        fm = FingerKind.FIXED
         ins = insert_fingers(scene, c, fm)
         out = close_and_lift(scene, c, ins, fm)
         assert bystander.id not in out.picked
@@ -233,7 +232,7 @@ class TestCloseAndLift:
         scene = (lone_piece_scene()[0] if pieces
                  else empty_scene(resolution=1.0, tray_dims=(200.0, 200.0, 120.0)))
         c = candidate(100.0, 100.0, h=5.0, w=30.0, food_median=20.0, instance_id=0)
-        out = execute_grasp(scene, c, FingerModel())
+        out = execute_grasp(scene, c, FingerKind.ADAPTIVE)
         assert (out.classification, out.picked) == (Classification.FAILURE, [])
         assert len(scene.pieces) == pieces
 
@@ -249,7 +248,7 @@ class TestExecuteGrasp:
     def test_success_removes_picked_pieces(self):
         scene, p = self.scene_and_plan()
         before = len(scene.pieces)
-        out = execute_grasp(scene, p.target, FingerModel())
+        out = execute_grasp(scene, p.target, FingerKind.ADAPTIVE)
         assert len(scene.pieces) == before - len(out.picked)
         for pid in out.picked:
             assert pid not in scene.pieces
@@ -263,7 +262,7 @@ class TestExecuteGrasp:
         heightmap = scene.heightmap.copy()
         c = candidate(100.0, 100.0, h=5.0, w=26.0, food_median=30.0,
                       instance_id=target.id)
-        out = execute_grasp(scene, c, FingerModel(kind=FingerKind.FIXED))
+        out = execute_grasp(scene, c, FingerKind.FIXED)
         assert out.classification is Classification.FAILURE
         assert len(scene.pieces) == 2
         np.testing.assert_array_equal(scene.heightmap, heightmap)
@@ -271,7 +270,7 @@ class TestExecuteGrasp:
     def test_heightmap_never_increases(self):
         scene, p = self.scene_and_plan(seed=7)
         before = scene.heightmap.copy()
-        execute_grasp(scene, p.target, FingerModel())
+        execute_grasp(scene, p.target, FingerKind.ADAPTIVE)
         assert (scene.heightmap <= before + 1e-12).all()
 
     def test_damaged_bystanders_keep_flags(self):
@@ -280,7 +279,7 @@ class TestExecuteGrasp:
         bystander = drop_piece(scene, slab_stamp(9, 41, 28.0), 119.0, 100.0, "gyoza")
         c = candidate(100.0, 100.0, h=5.0, w=24.0, food_median=30.0,
                       instance_id=target.id)
-        execute_grasp(scene, c, FingerModel(kind=FingerKind.FIXED))
+        execute_grasp(scene, c, FingerKind.FIXED)
         assert scene.pieces[bystander.id].damaged
         assert scene.pieces[bystander.id].damage_magnitude > 0
 
@@ -291,8 +290,8 @@ class TestExecuteGrasp:
             if p.target is None:
                 continue
             scene_f = copy.deepcopy(scene_a)
-            out_a = execute_grasp(scene_a, p.target, FingerModel(kind=FingerKind.ADAPTIVE))
-            out_f = execute_grasp(scene_f, p.target, FingerModel(kind=FingerKind.FIXED))
+            out_a = execute_grasp(scene_a, p.target, FingerKind.ADAPTIVE)
+            out_f = execute_grasp(scene_f, p.target, FingerKind.FIXED)
             arch = DEFAULT_ARCHETYPES["fried_chicken"]
             if arch.fragility_force >= MAX_FORCE / RETRACTION_BUDGET * arch.damage_tolerance:
                 assert len(out_a.damaged) <= len(out_f.damaged)
@@ -300,10 +299,10 @@ class TestExecuteGrasp:
     def test_fixed_outcome_ignores_spring_fields(self, monkeypatch):
         scene, p = self.scene_and_plan(seed=5)
         scene_b = copy.deepcopy(scene)
-        out_b = execute_grasp(scene_b, p.target, FingerModel(kind=FingerKind.FIXED))
+        out_b = execute_grasp(scene_b, p.target, FingerKind.FIXED)
         monkeypatch.setattr(graspsim, "RETRACTION_BUDGET", 1.0)
         monkeypatch.setattr(graspsim, "MAX_FORCE", 99.0)
-        out_a = execute_grasp(scene, p.target, FingerModel(kind=FingerKind.FIXED))
+        out_a = execute_grasp(scene, p.target, FingerKind.FIXED)
         assert out_a.classification == out_b.classification
         assert out_a.picked == out_b.picked
 
@@ -337,7 +336,7 @@ def test_outcome_and_update_equal_the_one_step_grasp(archetype, finger):
     outcome; apply_outcome then leaves the maps and flags it leaves. Every
     fourth candidate of two unfiltered trays is grasped, and each grasp
     starts from the tray the last one left."""
-    fm = FingerModel(kind=finger)
+    fm = finger
     grasps = changed = 0
     for seed in (0, 1):
         scene = generate_scene(SceneConfig(archetype=archetype), seed)
@@ -359,7 +358,7 @@ def test_outcome_and_update_equal_the_one_step_grasp(archetype, finger):
 def test_filter_keeps_no_grasp_the_tray_wall_blocks():
     """On dense mushroom trays, no candidate filter_grasps retains has a
     finger blocked by the tray wall (blocked with no piece contact)."""
-    fm = FingerModel(kind=FingerKind.FIXED)
+    fm = FingerKind.FIXED
     walled = []
     for seed in range(3):
         scene = generate_scene(SceneConfig(archetype="mushroom"), seed)

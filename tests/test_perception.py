@@ -490,6 +490,8 @@ class TestMaskAndDepthFiles:
         (lambda d: d.update(size=[30, 30.0]), "mask size must be"),
         (lambda d: d.update(size=[30, -30]), "mask size must be"),
         (lambda d: d.update(size=[0, 30]), "mask size must be"),
+        (lambda d: d.update(size=[4097, 30]), "mask size must be .* from 1 to 4096"),
+        (lambda d: d.update(size=[30, 4097]), "mask size must be .* from 1 to 4096"),
         (lambda d: d.update(size=None), "size must be"),
         (lambda d: d["instances"].append(dict(d["instances"][0])), "duplicate instance id 1"),
         (lambda d: d["instances"][0].update(id="1"), "instance id must be an integer"),
@@ -509,7 +511,7 @@ class TestMaskAndDepthFiles:
         (lambda d: d.update(source="bogus"), "source must be one of"),
     ], ids=["negative count", "float count", "bool count", "counts not a list",
             "counts sum above h*w", "counts sum below h*w", "size of one number",
-            "float size", "negative size", "zero size", "null size", "duplicate ids",
+            "float size", "negative size", "zero size", "tall size", "wide size", "null size", "duplicate ids",
             "string id", "floor id", "negative id", "no instances", "no size", "no source", "top-level list",
             "instances not a list", "entry without counts", "entry without id",
             "entry not an object", "string confidence", "confidence above 1",

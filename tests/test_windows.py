@@ -46,7 +46,6 @@ from traypick.graspsim import (
     RETRACTION_BUDGET,
     FingerInsertion,
     FingerKind,
-    FingerModel,
     _damage,
     _grasp_regions,
     _insert_one,
@@ -229,7 +228,7 @@ def oracle_insert_one(scene, region, h, fm):
     obstruction = max(0.0, float(scene.heightmap.take(region).max()) - h)
     by_piece = oracle_pieces_in_region(scene, region)
     contacts = {}
-    if fm.kind is FingerKind.FIXED:
+    if fm is FingerKind.FIXED:
         blocked = False
         for pid, heights in by_piece.items():
             pen = float(heights.max()) - h
@@ -255,7 +254,7 @@ def oracle_sweep_damage(scene, sweep, picked, max_bottom, fm, damaged):
         overlap = float(heights.max()) - max_bottom
         if overlap <= 0:
             continue
-        magnitude = (overlap if fm.kind is FingerKind.FIXED
+        magnitude = (overlap if fm is FingerKind.FIXED
                      else MAX_FORCE / RETRACTION_BUDGET * min(overlap, RETRACTION_BUDGET))
         _damage(scene, fm, pid, magnitude, damaged)
     return damaged
@@ -1139,7 +1138,6 @@ def test_finger_rules_equal_two_branch_oracles(scenes, idx, c, kind, depth, h_is
     else:  # anywhere over the raster, the tray walls included
         c.x, c.y = (c.x + 90.0) * 2.6, (c.y + 90.0) * 1.9
         c.instance_id = int(scene.owner_map[min(max(int(c.y), 0), ny - 1), min(max(int(c.x), 0), nx - 1)]) or 1
-    fm = FingerModel(kind=kind)
     hl, hb = _finger_half_sizes(scene.resolution)
     flat, counts = _rectangle_pixels(scene.shape, _contact_rectangles(c, scene.resolution), hl, hb)
     regions = [*segments(flat, counts), np.zeros(0, dtype=np.int64)]
@@ -1150,23 +1148,23 @@ def test_finger_rules_equal_two_branch_oracles(scenes, idx, c, kind, depth, h_is
     elif h_is == "a piece top" and tops:
         h = float(tops[data.draw(st.sampled_from(sorted(tops)))].max())
     for region in regions:
-        assert insertion_bits(_insert_one(scene, region, h, fm)) == insertion_bits(
-            oracle_insert_one(scene, region, h, fm))
+        assert insertion_bits(_insert_one(scene, region, h, kind)) == insertion_bits(
+            oracle_insert_one(scene, region, h, kind))
 
     c.h = h
-    ins = insert_fingers(scene, c, fm)
-    fins = [FingerInsertion(h, h, 0.0, {}, True) if wall else oracle_insert_one(scene, region, h, fm)
+    ins = insert_fingers(scene, c, kind)
+    fins = [FingerInsertion(h, h, 0.0, {}, True) if wall else oracle_insert_one(scene, region, h, kind)
             for wall, region in zip(oracle_wall_contacts(scene, c), regions)]
     assert [insertion_bits(f) for f in ins.fingers] == [insertion_bits(f) for f in fins]
     damaged = {}
     for fin in fins:
         for pid, magnitude in fin.contacts.items():
-            _damage(scene, fm, pid, magnitude, damaged)
+            _damage(scene, kind, pid, magnitude, damaged)
     assert damage_bits(ins.damaged) == damage_bits(damaged)
 
-    outcome = close_and_lift(scene, c, ins, fm)
+    outcome = close_and_lift(scene, c, ins, kind)
     sweep = np.flatnonzero(oracle_jaw_region(scene, c, True))
-    expected = oracle_sweep_damage(scene, sweep, outcome.picked, max(f.achieved for f in fins), fm, damaged)
+    expected = oracle_sweep_damage(scene, sweep, outcome.picked, max(f.achieved for f in fins), kind, damaged)
     assert damage_bits(outcome.damaged) == damage_bits(expected)
 
 
@@ -1177,7 +1175,7 @@ def test_wall_test_equals_four_corners_at_the_boundary():
     where a corner lands on the edge itself."""
     scene = empty_scene()
     ny, nx = scene.shape
-    fm = FingerModel(kind=FingerKind.FIXED)
+    fm = FingerKind.FIXED
     hl, hb = _finger_half_sizes(scene.resolution)
     rng = np.random.default_rng(7)
     thetas = [0.0, math.pi / 4, math.pi / 2, *rng.uniform(0.0, math.pi, 150).tolist()]
@@ -1483,7 +1481,7 @@ def test_maps_after_picks_equal_full_recompose(trays):
     for _ in range(12):  # merged masks make a multi-pick likely
         masks = corrupt_masks(render_masks(tray), CorruptionParams(merge_prob=0.5), rng)
         p = plan(masks, render_depth(tray), DEFAULT_ARCHETYPES["mushroom"])
-        outcome = execute_grasp(tray, p.target, FingerModel(kind=FingerKind.FIXED))
+        outcome = execute_grasp(tray, p.target, FingerKind.FIXED)
         picked.append(len(outcome.picked))
         heightmap, owner_map, flags = oracle_recompose(tray)
         np.testing.assert_array_equal(tray.heightmap, heightmap)
@@ -1537,7 +1535,7 @@ def kept_scenes(trays, tmp_path_factory):
             masks = corrupt_masks(render_masks(picked), CorruptionParams(merge_prob=0.5), rng)
             p = plan(masks, render_depth(picked), archetype)
             if p.target is not None:
-                execute_grasp(picked, p.target, FingerModel(kind=FingerKind.FIXED))
+                execute_grasp(picked, p.target, FingerKind.FIXED)
         out_dir = tmp_path_factory.mktemp(f"scene{i}")
         save_scene(picked, out_dir)
         out += [(f"generated-{i}", generated), (f"picked-{i}", picked), (f"loaded-{i}", load_scene(out_dir))]
