@@ -152,24 +152,44 @@ def render_depth(
     sigma: float = 0.0,
     quant: float = 0.0,
     rng: np.random.Generator | None = None,
+    *,
+    noise: np.ndarray | None = None,
 ) -> DepthImage:
     """Orthographic top-down depth: heightmap + Gaussian noise, quantized.
 
+    The noise is sigma times standard normal draws: rng.standard_normal's,
+    or noise, draws made already (float64, C-contiguous, writable, of the
+    heightmap's shape), which become the output and are overwritten. Give
+    one of rng and noise when sigma > 0; at sigma 0 rng is not used.
     Quantization rounds half-down: 12.5 mm at 1 mm steps yields 12 mm.
     sigma = quant = 0 returns the exact heightmap.
     """
     check_number("sigma", sigma, low=0, finite=True)
     check_number("quant", quant, low=0, finite=True)
+    if noise is not None:
+        if rng is not None:
+            raise ParameterError("render_depth takes rng or noise, not both")
+        if not isinstance(noise, np.ndarray) or noise.shape != scene.heightmap.shape:
+            raise ParameterError(f"noise must be an array of the heightmap's shape {scene.heightmap.shape}, "
+                                 f"got {getattr(noise, 'shape', type(noise).__name__)}")
+        if noise.dtype != np.float64 or not (noise.flags.c_contiguous and noise.flags.writeable):
+            raise ParameterError(f"noise must be writable C-contiguous float64, got {noise.dtype} with "
+                                 f"C_CONTIGUOUS {noise.flags.c_contiguous} and WRITEABLE {noise.flags.writeable}")
     if sigma > 0:
-        if rng is None:
-            raise ParameterError("rng required when sigma > 0")
+        if noise is None:
+            if rng is None:
+                raise ParameterError("rng or noise required when sigma > 0")
+            noise = rng.standard_normal(scene.heightmap.shape)
         # rng.normal(0.0, sigma) is 0.0 + sigma * z from these draws; adding the
         # heightmap after differs only at a -0.0 height, which no heightmap holds
-        heights = rng.standard_normal(scene.heightmap.shape)
+        heights = noise
         heights *= sigma
         heights += scene.heightmap
-    else:
+    elif noise is None:
         heights = scene.heightmap.copy()
+    else:  # the draws are still the output
+        heights = noise
+        heights[...] = scene.heightmap
     np.maximum(heights, 0.0, out=heights)
     if quant > 0:
         heights /= quant

@@ -1,9 +1,12 @@
 """Campaign harness: trials, summaries, persistence, comparisons."""
 import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +330,94 @@ class TestCompareConditions:
         lines = text.strip().split("\n")
         assert lines[0].startswith("label,archetype,finger,filtering")
         assert lines[1].startswith("x,fried_chicken,adaptive,True")
+
+
+def cpus(monkeypatch, n):
+    """The process may run on n CPUs, as _spare_cpu reads it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestDepthNoiseWorker:
+    """A noisy attempt on a process with more than one CPU draws its depth
+    noise on one worker thread while its tray is generated, and observe
+    joins the draw."""
+
+    NOISY = dict(depth_sigma=0.5, depth_quant=0.25,
+                 corruption=CorruptionParams(boundary_jitter=1, merge_prob=0.2, drop_prob=0.3))
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        cpus(monkeypatch, 2)
+
+    @pytest.mark.parametrize("policy", [FRESH, DEPLETE])
+    def test_late_draws_give_the_inline_records(self, policy, monkeypatch):
+        """Draws that finish long after the tray give the depth images and
+        records of observe's own draw. The four depleting arms part, so some
+        attempts observe two scenes, each on the same draws. Records alone
+        would not show a scene rendered on another's depth: on these small
+        trays they did not change when it was."""
+        base = small_config(n_attempts=12, refill_policy=policy, **self.NOISY)
+        cfgs = [dataclasses.replace(base, finger=finger, filtering=filtering)
+                for finger in FingerKind for filtering in (True, False)]
+        draw, render, calls, depths = experiment._depth_noise, experiment.render_depth, [], []
+
+        def late(seed, out):
+            time.sleep(0.03)
+            calls.append(threading.current_thread() is not threading.main_thread())
+            return draw(seed, out)
+
+        def logged(*args, **kwargs):
+            depth = render(*args, **kwargs)
+            depths[-1].append(depth.heights.tobytes())
+            return depth
+
+        monkeypatch.setattr(experiment, "_depth_noise", late)
+        monkeypatch.setattr(experiment, "render_depth", logged)
+        depths.append([])
+        worker = run_campaigns(cfgs)
+        assert calls == [True] * base.n_attempts
+        scenes = len(depths[0])  # observed: more than one in an attempt once the depleting arms part
+        assert scenes == base.n_attempts if policy == FRESH else scenes > base.n_attempts
+        monkeypatch.setattr(experiment, "_submit_noise", lambda seed, shape: None)  # observe draws itself
+        depths.append([])
+        assert worker == run_campaigns(cfgs)
+        assert depths[0] == depths[1]
+
+    def test_worker_error_raised_by_its_attempt(self, monkeypatch):
+        cfg = small_config(refill_policy=FRESH, **self.NOISY)
+        expected, draw = run_trial(cfg, 1), experiment._depth_noise
+
+        def fail(seed, out):
+            raise MemoryError
+
+        monkeypatch.setattr(experiment, "_depth_noise", fail)
+        with pytest.raises(MemoryError):
+            run_trial(cfg, 0)
+        monkeypatch.setattr(experiment, "_depth_noise", draw)
+        assert run_trial(cfg, 1) == expected
+
+    @pytest.mark.parametrize("n_cpus, sigma", [(2, 0.0), (1, 0.5)])
+    def test_noise_free_or_one_cpu_campaign_starts_no_thread(self, n_cpus, sigma, monkeypatch):
+        """Without noise there is nothing to draw; on one CPU observe draws,
+        with the worker's records."""
+        cfg = small_config(refill_policy=FRESH, **{**self.NOISY, "depth_sigma": sigma})
+        expected = run_experiment(cfg)
+        cpus(monkeypatch, n_cpus)
+        monkeypatch.setattr(experiment, "_noise_worker", None)
+        before = threading.active_count()
+        assert run_experiment(cfg) == expected
+        assert threading.active_count() == before
+        assert experiment._noise_worker is None
+
+    def test_forked_child_draws_on_its_own_worker(self):
+        """A process forked after a noisy attempt has no worker thread; the
+        parent's executor would take its draw and never run it."""
+        cfg = small_config(refill_policy=FRESH, **self.NOISY)
+        run_trial(cfg, 0)
+        assert experiment._noise_worker is not None
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            child = pool.apply_async(run_trial, (cfg, 3)).get(timeout=60)
+        assert child == run_trial(cfg, 3)
 
 
 class TestPairedPvalue:

@@ -75,6 +75,27 @@ class TestRenderDepth:
         with pytest.raises(ParameterError):
             render_depth(scene, sigma=0.5)
 
+    @pytest.mark.parametrize("case", ["shape", "float32", "non-contiguous", "read-only", "list", "rng too"])
+    def test_bad_noise_refused(self, case):
+        """Draws made already must be the heightmap's raster, float64,
+        C-contiguous and writable, since they become the output; rng and
+        noise are never given together."""
+        scene = empty_scene(resolution=1.0, tray_dims=(10.0, 10.0, 50.0))
+        good = np.zeros(scene.heightmap.shape)
+        kwargs = {"noise": {
+            "shape": np.zeros((scene.heightmap.shape[0] + 1, scene.heightmap.shape[1])),
+            "float32": good.astype(np.float32),
+            "non-contiguous": np.zeros(scene.heightmap.shape[::-1]).T,
+            "read-only": np.lib.stride_tricks.as_strided(good, writeable=False),
+            "list": good.tolist(),
+            "rng too": good,
+        }[case]}
+        if case == "rng too":
+            kwargs["rng"] = np.random.default_rng(0)
+        with pytest.raises(ParameterError, match="noise"):
+            render_depth(scene, sigma=0.5, **kwargs)
+        assert not good.any()
+
     def test_clamped_at_zero(self):
         scene = empty_scene(resolution=1.0, tray_dims=(50.0, 50.0, 50.0))
         depth = render_depth(scene, sigma=2.0, rng=np.random.default_rng(1))

@@ -1048,22 +1048,30 @@ def test_render_depth_equals_fresh_temporaries(trays, idx, seed, sigma, quant):
     assert got.heights.tobytes() == oracle_render_depth(scene, sigma, quant, rng_old).tobytes()
     assert scene.heightmap.tobytes() == before.tobytes()
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    # the same draws made beforehand, as the campaign's noise worker makes them
+    noise = np.random.default_rng(seed).standard_normal(scene.heightmap.shape)
+    given = render_depth(scene, sigma, quant, noise=noise)
+    assert given.heights is noise and given.heights.tobytes() == got.heights.tobytes()
+    assert scene.heightmap.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("sigma, quant", [(0.5, 0.25), (0.0, 0.25)])
 def test_render_depth_allocates_one_raster(trays, sigma, quant):
     """The heights are the only raster-sized allocation: noise is drawn into
-    them and quantized in place."""
+    them and quantized in place. Draws made beforehand are the heights, so
+    then no raster is allocated at all."""
     scene, rng = trays[0], np.random.default_rng(0)
     render_depth(scene, sigma, quant, rng)  # first-call set-up stays out of the peak
-    tracemalloc.start()
-    try:
-        depth = render_depth(scene, sigma, quant, rng)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert depth.heights.nbytes == scene.heightmap.nbytes
-    assert peak <= scene.heightmap.nbytes + 64 * 1024
+    noise = rng.standard_normal(scene.heightmap.shape)
+    for kwargs, allowed in (({"rng": rng}, scene.heightmap.nbytes), ({"noise": noise}, 0)):
+        tracemalloc.start()
+        try:
+            depth = render_depth(scene, sigma, quant, **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert depth.heights.nbytes == scene.heightmap.nbytes
+        assert peak <= allowed + 64 * 1024
 
 
 # ---------------------------------------------------------------------------
