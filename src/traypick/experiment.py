@@ -7,13 +7,13 @@ bit-for-bit and extensible without reshuffling history. Campaigns that
 differ only in finger and filtering run in lock step and share each
 attempt's scene, observation and fitted candidates (common random numbers).
 
-An attempt with depth noise draws it on one worker thread while its tray is
-generated: the draw has its own stream, (seed, 1), so it does not depend on
-the tray, and numpy releases the interpreter lock while it fills the raster.
-The worker runs that numpy call alone; it starts at the first noisy attempt,
-and each attempt joins its draw before it returns, so nothing runs between
-attempts. A process that may run on one CPU only draws in observe, as the
-worker would gain it nothing.
+An attempt with depth noise that generates a tray draws the noise on one
+worker thread while the tray is generated: the draw has its own stream,
+(seed, 1), so it does not depend on the tray, and numpy releases the
+interpreter lock while it fills the raster. The worker runs that numpy call
+alone; it starts at the first such attempt, and each attempt joins its draw
+before it returns, so nothing runs between attempts. An attempt that only
+continues scenes has nothing to overlap, and observe draws its noise itself.
 """
 from __future__ import annotations
 
@@ -63,16 +63,6 @@ if hasattr(os, "register_at_fork"):  # no fork, and no such call, on Windows
 def _depth_noise(seed: int, out: np.ndarray) -> np.ndarray:
     """out filled with attempt seed's depth-noise draws, stream (seed, 1): the worker's whole job."""
     return np.random.default_rng((seed, 1)).standard_normal(out=out)
-
-
-def _spare_cpu() -> bool:
-    """Whether this process may run on more than one CPU. Pinned to one, the
-    worker's draw took 1.00-1.02x the time of observe's own: the threads
-    only take turns."""
-    try:
-        return len(os.sched_getaffinity(0)) > 1
-    except AttributeError:  # no affinity call on this platform
-        return (os.cpu_count() or 1) > 1
 
 
 def _submit_noise(seed: int, shape: tuple[int, int]) -> Future:
@@ -196,10 +186,10 @@ def observe(
     Depth noise draws from stream (seed, 1) and corruption from (seed, 2);
     the streams are independent, so a generator is built only for a stage
     that draws. noise, when given, is that depth draw already submitted to
-    the worker (_submit_noise): observe waits for it, and render_depth
-    renders into the draws, or into a copy of them with copy_noise, which
-    keeps them for another scene of the same attempt. A worker's exception
-    is raised here.
+    the worker (_submit_noise) by an attempt that generates a tray: observe
+    waits for it, and render_depth renders into the draws, or into a copy
+    of them with copy_noise, which keeps them for another scene of the same
+    attempt. A worker's exception is raised here.
     """
     if noise is None:
         depth_rng = np.random.default_rng((seed, 1)) if cfg.depth_sigma > 0 else None
@@ -248,18 +238,18 @@ def _attempt(
     """
     cfg = cfgs[0]
     seed = cfg.base_seed + attempt_idx
-    scene_cfg = cfg.scene_config()
-    noise = None  # the depth noise, drawn on the worker while the tray is generated; observe joins it
-    if cfg.depth_sigma > 0 and _spare_cpu():
-        noise = _submit_noise(seed, raster_shape(scene_cfg.tray_dims, scene_cfg.resolution))
-    scenes, epochs = list(scenes), list(epochs)
-    fresh = None
-    for i, arm in enumerate(cfgs):
-        if arm.refill_policy == FRESH or scenes[i] is None or not scenes[i].pieces:
-            if fresh is None:
-                fresh = generate_scene(scene_cfg, seed)
-            scenes[i] = fresh
-            epochs[i] += 1
+    refresh = [arm.refill_policy == FRESH or s is None or not s.pieces for arm, s in zip(cfgs, scenes)]
+    # The depth noise of an attempt that generates a tray, drawn on the worker
+    # meanwhile; observe joins it. The other scenes such an attempt observes
+    # came from the same tray config (run_campaigns), so all share its shape.
+    noise = fresh = None
+    if any(refresh):
+        scene_cfg = cfg.scene_config()
+        if cfg.depth_sigma > 0:
+            noise = _submit_noise(seed, raster_shape(scene_cfg.tray_dims, scene_cfg.resolution))
+        fresh = generate_scene(scene_cfg, seed)
+    scenes = [fresh if r else s for r, s in zip(refresh, scenes)]
+    epochs = [e + r for e, r in zip(epochs, refresh)]
 
     plans: dict[tuple[int, bool], Plan] = {}
     distinct = list({id(s): s for s in scenes}.values())

@@ -33,7 +33,7 @@ from traypick.experiment import (
 )
 from traypick.graspsim import Classification, FingerKind
 from traypick.perception import CorruptionParams
-from traypick.scenegen import SceneConfig, generate_scene
+from traypick.scenegen import SceneConfig, copy_scene, generate_scene
 
 
 def small_config(**overrides):
@@ -332,22 +332,12 @@ class TestCompareConditions:
         assert lines[1].startswith("x,fried_chicken,adaptive,True")
 
 
-def cpus(monkeypatch, n):
-    """The process may run on n CPUs, as _spare_cpu reads it."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
 class TestDepthNoiseWorker:
-    """A noisy attempt on a process with more than one CPU draws its depth
-    noise on one worker thread while its tray is generated, and observe
-    joins the draw."""
+    """A noisy attempt that generates a tray draws its depth noise on one
+    worker thread meanwhile, and observe joins the draw."""
 
     NOISY = dict(depth_sigma=0.5, depth_quant=0.25,
                  corruption=CorruptionParams(boundary_jitter=1, merge_prob=0.2, drop_prob=0.3))
-
-    @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        cpus(monkeypatch, 2)
 
     @pytest.mark.parametrize("policy", [FRESH, DEPLETE])
     def test_late_draws_give_the_inline_records(self, policy, monkeypatch):
@@ -375,7 +365,8 @@ class TestDepthNoiseWorker:
         monkeypatch.setattr(experiment, "render_depth", logged)
         depths.append([])
         worker = run_campaigns(cfgs)
-        assert calls == [True] * base.n_attempts
+        assert calls and all(calls)  # one draw per attempt that generated a tray
+        assert len(calls) == base.n_attempts if policy == FRESH else len(calls) < base.n_attempts
         scenes = len(depths[0])  # observed: more than one in an attempt once the depleting arms part
         assert scenes == base.n_attempts if policy == FRESH else scenes > base.n_attempts
         monkeypatch.setattr(experiment, "_submit_noise", lambda seed, shape: None)  # observe draws itself
@@ -396,13 +387,28 @@ class TestDepthNoiseWorker:
         monkeypatch.setattr(experiment, "_depth_noise", draw)
         assert run_trial(cfg, 1) == expected
 
-    @pytest.mark.parametrize("n_cpus, sigma", [(2, 0.0), (1, 0.5)])
-    def test_noise_free_or_one_cpu_campaign_starts_no_thread(self, n_cpus, sigma, monkeypatch):
-        """Without noise there is nothing to draw; on one CPU observe draws,
-        with the worker's records."""
-        cfg = small_config(refill_policy=FRESH, **{**self.NOISY, "depth_sigma": sigma})
+    @pytest.mark.parametrize("policy", [FRESH, DEPLETE])
+    def test_scene_of_another_tray(self, policy, monkeypatch):
+        """run_trial may be handed a scene of another tray size. A fresh
+        attempt replaces it and draws for the config's tray on the worker; a
+        depleting one continues it, generates no tray and so submits no
+        draw: observe draws for that scene's raster itself."""
+        cfg = small_config(refill_policy=policy, **self.NOISY)
+        other = generate_scene(dataclasses.replace(cfg.scene_config(), tray_dims=(300.0, 200.0, 160.0)), 7)
+        submitted, submit = [], experiment._submit_noise
+        monkeypatch.setattr(experiment, "_submit_noise",
+                            lambda seed, shape: submitted.append(shape) or submit(seed, shape))
+        record, _, epoch = run_trial(cfg, 3, copy_scene(other), 4)
+        assert other.heightmap.shape != generate_scene(cfg.scene_config(), 3).heightmap.shape
+        assert len(submitted) == (policy == FRESH)
+        assert epoch == 4 + (policy == FRESH)  # the depleting attempt continued the scene
+        monkeypatch.setattr(experiment, "_submit_noise", lambda seed, shape: None)  # observe draws itself
+        assert run_trial(cfg, 3, copy_scene(other), 4)[::2] == (record, epoch)
+
+    def test_noise_free_campaign_starts_no_thread(self, monkeypatch):
+        """Without noise there is nothing to draw."""
+        cfg = small_config(refill_policy=FRESH, **{**self.NOISY, "depth_sigma": 0.0})
         expected = run_experiment(cfg)
-        cpus(monkeypatch, n_cpus)
         monkeypatch.setattr(experiment, "_noise_worker", None)
         before = threading.active_count()
         assert run_experiment(cfg) == expected
